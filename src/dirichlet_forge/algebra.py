@@ -9,10 +9,14 @@ coefficient backends: "exact" (complex rationals, identity-grade) and
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
@@ -408,29 +412,48 @@ def invertibility_witness(a: AlgebraElement, grid: Optional[GridSpec] = None) ->
 
     General case: min |a~(s)| over a rectangle grid in the closed right
     half-plane (evidence only).  For a single-generator free basis the series
-    is a polynomial in z = exp(-beta s) on the closed unit disk; a grid with
-    mesh h and Lipschitz constant L = sum n |a_n| gives the rigorous bound
-    min_grid - L*h, and a positive bound certifies invertibility.
+    is a polynomial in z = exp(-beta s) on the closed unit disk, and
+    `min_modulus_on_disk` gives a rigorous lower bound; a positive bound
+    certifies invertibility.
     """
     grid = grid or GridSpec()
     if a.basis.mode == "free" and len(a.basis.generators) == 1:
         return _disk_witness(a, grid)
-    best = math.inf
-    best_s = None
-    import numpy as np
-    sig = np.linspace(0.0, grid.sigma_max, grid.n_sigma)
-    ts = np.linspace(-grid.t_max, grid.t_max, grid.n_t)
-    for si in sig:
-        for ti in ts:
-            s = complex(si, ti)
-            sv = (s,) * a.basis.r
-            val = sum(coeff_to_complex(v) * _char_exp(lam, sv)
-                      for lam, v in a.coeffs.items())
-            if abs(val) < best:
-                best, best_s = abs(val), s
+    best, best_s = _half_plane_min(a, grid)
     return WitnessReport(min_modulus=best, argmin_s=best_s, certified=False,
                          note="half-plane grid evidence (no certificate for r > 1 "
                               "or multi-generator bases)")
+
+
+# complex entries one block of the half-plane evaluation may hold (4 MB)
+_HALF_PLANE_BLOCK = 1 << 18
+
+
+def _half_plane_min(a: AlgebraElement, grid: GridSpec):
+    """(min |a~(s)|, argmin) over s = sigma + i t on the evidence grid.
+
+    Every coordinate of s is the same number, so lambda . s = mu s with mu
+    the coordinate sum of lambda, and exp(-mu s) = exp(-mu sigma) exp(-i mu t)
+    splits into a sigma table and a t table.  The sum over terms is then one
+    matrix product per block of terms; a block holds at most
+    _HALF_PLANE_BLOCK table entries, so memory does not grow with the
+    number of terms.  The first minimum in scan order (sigma outer, t
+    inner) is returned.
+    """
+    sig = np.linspace(0.0, grid.sigma_max, grid.n_sigma)
+    ts = np.linspace(-grid.t_max, grid.t_max, grid.n_t)
+    if not (sig.size and ts.size):
+        return math.inf, None
+    mu = np.array([sum(lam.embedded_value()) for lam in a.coeffs], dtype=float)
+    c = np.array([coeff_to_complex(v) for v in a.coeffs.values()], dtype=complex)
+    vals = np.zeros((sig.size, ts.size), dtype=complex)
+    block = max(1, _HALF_PLANE_BLOCK // (sig.size + ts.size))
+    for lo in range(0, mu.size, block):
+        m, cb = mu[lo:lo + block, None], c[lo:lo + block, None]
+        vals += (cb * np.exp(-m * sig)).T @ np.exp(-1j * m * ts)
+    mods = np.abs(vals).ravel()
+    i = int(np.argmin(mods))
+    return float(mods[i]), complex(sig[i // ts.size], ts[i % ts.size])
 
 
 def _disk_witness(a: AlgebraElement, grid: GridSpec) -> WitnessReport:
@@ -439,33 +462,10 @@ def _disk_witness(a: AlgebraElement, grid: GridSpec) -> WitnessReport:
     for lam, v in a.coeffs.items():
         n = dict(lam.exponents).get(gid, 0)
         coeffs[n] = coeffs.get(n, 0j) + coeff_to_complex(v)
-    degs = sorted(coeffs)
-
-    def p(z: complex) -> complex:
-        return sum(coeffs[n] * z ** n for n in degs)
-
-    L = sum(n * abs(coeffs[n]) for n in degs)
-    h = grid.disk_step
-    best = math.inf
-    best_z = None
-    k = int(math.ceil(1.0 / h))
-    for i in range(-k, k + 1):
-        for j in range(-k, k + 1):
-            z = complex(i * h, j * h)
-            if abs(z) > 1.0:
-                z = z / abs(z)
-            v = abs(p(z))
-            if v < best:
-                best, best_z = v, z
-    for m in range(grid.disk_boundary):
-        z = cmath.exp(2j * math.pi * m / grid.disk_boundary)
-        v = abs(p(z))
-        if v < best:
-            best, best_z = v, z
-    mesh = h * math.sqrt(2.0)
-    lower = best - L * mesh
-    return WitnessReport(min_modulus=best, argmin_s=best_z, certified=lower > 0.0,
-                         lower_bound=lower, lipschitz=L, mesh=mesh,
+    d = _disk_minimum(coeffs, grid.disk_step, grid.disk_boundary)
+    return WitnessReport(min_modulus=d.minimum, argmin_s=d.argmin,
+                         certified=d.lower_bound > 0.0, lower_bound=d.lower_bound,
+                         lipschitz=d.lipschitz, mesh=d.mesh,
                          note="closed-unit-disk certificate for the single-generator case")
 
 
@@ -591,34 +591,123 @@ def _series_majorant(f: PowerSeries) -> float:
     return max((abs(c) * f.radius ** k for k, c in enumerate(f.coeff_list)), default=0.0)
 
 
-# -- shared helper for the disk minimum (also used by the multiplicative layer)
+# -- the disk minimum (witnesses and the multiplicative layer) --------------
+
+# most grid points one disk minimum evaluates: 16 MB per complex array
+DISK_GRID_CAP = 1 << 20
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+class DiskMinimum(NamedTuple):
+    minimum: float
+    argmin: complex
+    lower_bound: float
+    lipschitz: float
+    mesh: float
+
 
 def min_modulus_on_disk(poly_coeffs, step: float = 0.02, boundary: int = 512):
-    """(min |p(z)|, argmin, certified lower bound) over the closed unit disk."""
-    coeffs = [complex(c) for c in poly_coeffs]
+    """(min |p(z)|, argmin, certified lower bound) over the closed unit disk.
 
-    def p(z: complex) -> complex:
-        acc = 0j
-        zp = 1.0 + 0j
-        for c in coeffs:
-            acc += c * zp
-            zp *= z
-        return acc
+    p(z) = sum_k poly_coeffs[k] z^k; see `_disk_minimum` for the grid and
+    the bound.
+    """
+    return _disk_minimum(dict(enumerate(poly_coeffs)), step, boundary)[:3]
 
-    L = sum(n * abs(c) for n, c in enumerate(coeffs))
-    best, best_z = math.inf, None
-    k = int(math.ceil(1.0 / step))
-    for i in range(-k, k + 1):
-        for j in range(-k, k + 1):
-            z = complex(i * step, j * step)
-            if abs(z) > 1.0:
-                z = z / abs(z)
-            v = abs(p(z))
-            if v < best:
-                best, best_z = v, z
-    for m in range(boundary):
-        z = cmath.exp(2j * math.pi * m / boundary)
-        v = abs(p(z))
-        if v < best:
-            best, best_z = v, z
-    return best, best_z, best - L * step * math.sqrt(2.0)
+
+def _disk_minimum(terms: dict, step: float, boundary: int) -> DiskMinimum:
+    """Minimum of |p(z)| over the disk grid, with a rigorous lower bound.
+
+    p(z) = sum over terms {k: a_k} of a_k z^k.  The grid (`_disk_grid`) is
+    the square lattice of step h, with the points outside the disk pulled
+    radially onto the unit circle, followed by `boundary` equally spaced
+    circle points.  p is evaluated by Horner's rule over the whole grid;
+    the first minimum in grid order is returned.
+
+    Every point of the disk lies within h*sqrt(2) of a lattice point (the
+    radial pull does not increase that distance), and |p'| <= L =
+    sum k |a_k| on the disk.  So with n the degree, A = sum |a_k|, u the
+    unit roundoff and gamma_m = m u / (1 - m u),
+
+        lower_bound = min_grid - L h sqrt(2) - rho,
+        rho = gamma_(4n+2) (A + L).
+
+    rho bounds the floating-point error of complex Horner evaluation on
+    |z| <= 1 (at most n complex products, each within sqrt(2) gamma_2 <=
+    gamma_3, and n sums, each within u: gamma_(4n) A; Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 5.1), the rounding of |.| and
+    of the final subtractions, and the rounding of the grid points and of
+    L, both of which enter through L.  A positive lower bound certifies
+    that p has no zero on the closed disk.  The zero polynomial gives
+    minimum 0 and lower bound 0.
+    """
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0.0 < step <= 1.0:
+        raise ValidationError(f"disk step must be a finite number in (0, 1], got {step!r}")
+    if isinstance(boundary, bool) or not isinstance(boundary, numbers.Integral) or boundary < 0:
+        raise ValidationError(f"disk boundary must be an int >= 0, got {boundary!r}")
+    step, boundary = float(step), int(boundary)
+    # 1/step overflows to inf for the smallest subnormal steps; count those exactly
+    inv = 1.0 / step
+    k = math.ceil(inv if inv < math.inf else 1 / Fraction(step))
+    points = (2 * k + 1) ** 2 + boundary
+    if points > DISK_GRID_CAP:
+        raise CapExceededError(f"disk grid needs {points} points, above "
+                               f"DISK_GRID_CAP = {DISK_GRID_CAP}")
+    terms = {n: complex(c) for n, c in terms.items()}
+    terms = {n: c for n, c in terms.items() if c != 0}
+    if not all(cmath.isfinite(c) for c in terms.values()):
+        raise ValidationError("disk polynomial coefficients must be finite")
+    grid = _disk_grid(step, boundary)
+    mods = np.abs(_horner(terms, grid))
+    i = int(np.argmin(mods))
+    n = max(terms, default=0)
+    L = sum(m * abs(c) for m, c in terms.items())
+    A = sum(abs(c) for c in terms.values())
+    mm = (4 * n + 2) * _UNIT_ROUNDOFF
+    rho = mm / (1.0 - mm) * (A + L)
+    mesh = step * math.sqrt(2.0)
+    best = float(mods[i])
+    return DiskMinimum(best, complex(grid[i]), best - L * mesh - rho, L, mesh)
+
+
+@functools.lru_cache(maxsize=4)
+def _disk_grid(step: float, boundary: int) -> np.ndarray:
+    """Read-only disk grid in scan order: real part outer, imaginary part
+    inner, then the circle points."""
+    k = math.ceil(1.0 / step)
+    x = np.arange(-k, k + 1) * step
+    re, im = np.repeat(x, x.size), np.tile(x, x.size)
+    r = np.hypot(re, im)
+    out = r > 1.0
+    re[out] /= r[out]
+    im[out] /= r[out]
+    circle = np.exp(1j * (2.0 * math.pi * np.arange(boundary) / boundary))
+    grid = np.concatenate([re + 1j * im, circle])
+    grid.flags.writeable = False
+    return grid
+
+
+def _horner(terms: dict, z: np.ndarray) -> np.ndarray:
+    """sum a_k z^k by Horner's rule over descending degrees; a gap of g
+    degrees multiplies by z^g from binary powering (at most g - 1 products),
+    so the product count never exceeds the degree."""
+    acc = np.zeros(z.shape, dtype=complex)
+    degs = sorted(terms, reverse=True)
+    for hi, lo in zip(degs, degs[1:] + [0]):
+        acc += terms[hi]
+        if hi > lo:
+            acc *= _power(z, hi - lo)
+    return acc
+
+
+def _power(z: np.ndarray, g: int) -> np.ndarray:
+    """z^g for g >= 1 by binary powering."""
+    out, base = None, z
+    while True:
+        if g & 1:
+            out = base if out is None else out * base
+        g >>= 1
+        if not g:
+            return out
+        base = base * base

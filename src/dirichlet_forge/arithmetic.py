@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from .algebra import min_modulus_on_disk
 from .errors import PreconditionError, ValidationError
+from .sieves import primes_upto
 
 __all__ = [
     "PrimeSystem",
@@ -33,17 +34,6 @@ __all__ = [
     "OmegaRelationReport",
     "omega_related",
 ]
-
-
-def _sieve_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if mark[p]:
-            mark[p * p :: p] = bytearray(len(mark[p * p :: p]))
-    return [n for n in range(2, limit + 1) if mark[n]]
 
 
 def _weight_at(omega, value: float) -> float:
@@ -83,7 +73,7 @@ class PrimeSystem:
         """All rational primes <= x."""
         if x < 1:
             raise ValidationError("truncation bound must be >= 1")
-        return cls(primes=tuple(_sieve_primes(int(x))), x=int(x), rational=True)
+        return cls(primes=tuple(primes_upto(int(x))), x=int(x), rational=True)
 
     def index_of(self, p) -> int:
         for i, q in enumerate(self.primes):

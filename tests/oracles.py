@@ -7,6 +7,8 @@ it checks, so test expectations do not depend on the code under test.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 
@@ -128,3 +130,66 @@ def in_cone_brute(x, gens, denom: int = 8, bound: int = 6) -> bool:
         if tuple(s) == x:
             return True
     return False
+
+
+def brute_primes_upto(x: int) -> list[int]:
+    """Primes <= x by trial division."""
+    return [n for n in range(2, x + 1)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def brute_disk_min(coeffs, step: float = 0.02, boundary: int = 512):
+    """(min |p(z)|, argmin) over the disk grid, one point at a time.
+
+    p(z) = sum coeffs[k] z^k by powers.  The grid is the square lattice of
+    step `step` (real part outer, imaginary part inner) with points outside
+    the disk pulled onto the unit circle, then `boundary` circle points;
+    the first minimum in that order wins.
+    """
+    coeffs = [complex(c) for c in coeffs]
+
+    def p(z):
+        return sum(c * z ** n for n, c in enumerate(coeffs))
+
+    best, best_z = math.inf, None
+    k = int(math.ceil(1.0 / step))
+    for i in range(-k, k + 1):
+        for j in range(-k, k + 1):
+            z = complex(i * step, j * step)
+            if abs(z) > 1.0:
+                z = z / abs(z)
+            v = abs(p(z))
+            if v < best:
+                best, best_z = v, z
+    for m in range(boundary):
+        z = cmath.exp(2j * math.pi * m / boundary)
+        v = abs(p(z))
+        if v < best:
+            best, best_z = v, z
+    return best, best_z
+
+
+def brute_exp_sum(terms, s: complex) -> complex:
+    """sum c exp(-(v . (s, ..., s))) over (v, c) pairs, v a coordinate vector."""
+    total = 0j
+    for v, c in terms:
+        acc = 0j
+        for x in v:
+            acc += x * s
+        total += c * cmath.exp(-acc)
+    return total
+
+
+def brute_half_plane_min(terms, sigma_max: float, t_max: float, n_sigma: int, n_t: int):
+    """(min |brute_exp_sum|, argmin) over s = sigma + i t, sigma outer,
+    on n_sigma x n_t equally spaced points of [0, sigma_max] x [-t_max, t_max]."""
+    best, best_s = math.inf, None
+    for a in range(n_sigma):
+        sigma = sigma_max * a / (n_sigma - 1) if n_sigma > 1 else 0.0
+        for b in range(n_t):
+            t = -t_max + 2.0 * t_max * b / (n_t - 1) if n_t > 1 else -t_max
+            s = complex(sigma, t)
+            v = abs(brute_exp_sum(terms, s))
+            if v < best:
+                best, best_s = v, s
+    return best, best_s

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge.algebra import (
+    DISK_GRID_CAP,
     EXACT,
     FLOAT,
     AlgebraElement,
+    GridSpec,
     PowerSeries,
     compose_series,
     convolve,
@@ -24,14 +26,18 @@ from dirichlet_forge.algebra import (
     weighted_norm,
 )
 from dirichlet_forge.errors import (
+    CapExceededError,
     NeumannInapplicableError,
     PreconditionError,
     SingularElementError,
+    ValidationError,
 )
 from dirichlet_forge.exactnum import QC
-from dirichlet_forge.semigroup import log_element, log_primes_basis, natural_basis
+from dirichlet_forge.semigroup import (free_rational_basis, log_element, log_primes_basis,
+                                      natural_basis)
 from dirichlet_forge.weights import one as w_one, poly as w_poly
-from tests.oracles import brute_poly_inverse, brute_poly_mul, mobius_sieve
+from tests.oracles import (brute_disk_min, brute_exp_sum, brute_half_plane_min,
+                          brute_poly_inverse, brute_poly_mul, mobius_sieve)
 
 F = Fraction
 
@@ -227,6 +233,121 @@ def test_min_modulus_on_disk_helper():
     best, argmin, lower = min_modulus_on_disk([2.0, -1.0])
     assert best == pytest.approx(1.0, abs=0.05)
     assert lower <= best
+
+
+_coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+def _poly_at(coeffs, z):
+    return sum(complex(c) * z ** n for n, c in enumerate(coeffs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_coeff, min_size=1, max_size=8))
+def test_disk_minimum_matches_pointwise_oracle(coeffs):
+    best, argmin, lower = min_modulus_on_disk(coeffs)
+    want, _ = brute_disk_min(coeffs)
+    tol = 1e-12 * (1.0 + sum(abs(c) for c in coeffs))
+    assert abs(best - want) <= tol
+    assert abs(abs(_poly_at(coeffs, argmin)) - best) <= tol
+    assert abs(argmin) <= 1.0 + 1e-15
+    assert lower <= best
+
+
+@settings(max_examples=10, deadline=None)
+@given(_coeff, st.dictionaries(st.integers(1, 40), _coeff, min_size=1, max_size=3))
+def test_sparse_witness_matches_dense_oracle(c0, terms):
+    # wide gaps between degrees take the binary-powering path of Horner's
+    # rule; without a constant term every minimum would be 0 at z = 0
+    terms[0] = c0
+    b = natural_basis()
+    a = from_coeffs(b, {b.element(exponents={0: n}): c for n, c in terms.items()},
+                    backend=FLOAT)
+    rep = invertibility_witness(a)
+    dense = [terms.get(n, 0) for n in range(max(terms) + 1)]
+    want, _ = brute_disk_min(dense)
+    tol = 1e-12 * (1.0 + sum(abs(c) for c in dense))
+    assert abs(rep.min_modulus - want) <= tol
+    assert abs(abs(_poly_at(dense, rep.argmin_s)) - rep.min_modulus) <= tol
+    assert rep.certified == (rep.lower_bound > 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_coeff, _coeff)
+def test_linear_lower_bound_brackets_true_minimum(c0, c1):
+    # min |c0 + c1 z| over |z| <= 1 is max(0, |c0| - |c1|); the grid value
+    # can undershoot it by one evaluation's rounding only
+    best, _, lower = min_modulus_on_disk([c0, c1])
+    true = max(0.0, abs(c0) - abs(c1))
+    assert lower <= true <= best + 1e-15 * (abs(c0) + abs(c1))
+
+
+def test_disk_minimum_first_argmin_in_scan_order():
+    # |1 + z^2| vanishes at z = i and z = -i; the lattice scan meets -i
+    # first (real part outer, imaginary part inner)
+    best, argmin, _ = min_modulus_on_disk([1.0, 0.0, 1.0])
+    assert best == pytest.approx(0.0, abs=1e-15)
+    assert argmin == -1j
+    assert (best, argmin) == brute_disk_min([1.0, 0.0, 1.0])
+
+
+def test_disk_minimum_of_zero_polynomial_is_not_certified():
+    for coeffs in ([], [0.0], [0, 0, 0]):
+        best, _, lower = min_modulus_on_disk(coeffs)
+        assert best == 0.0 and lower == 0.0
+    rep = invertibility_witness(AlgebraElement(natural_basis(), {}, FLOAT))
+    assert rep.min_modulus == 0.0 and not rep.certified
+
+
+def test_disk_minimum_input_guards():
+    for step in (0, -0.1, 1.5, math.nan, math.inf, True, "0.1"):
+        with pytest.raises(ValidationError):
+            min_modulus_on_disk([1.0], step=step)
+    for boundary in (-1, 2.5, True, "8"):
+        with pytest.raises(ValidationError):
+            min_modulus_on_disk([1.0], boundary=boundary)
+    with pytest.raises(ValidationError):
+        min_modulus_on_disk([1.0, math.inf])
+
+
+def test_disk_grid_cap_refuses_before_allocating():
+    with pytest.raises(CapExceededError, match="400040513 points"):
+        min_modulus_on_disk([1.0], step=1e-4)
+    # 1 / 5e-324 overflows a float; the count is still exact
+    points = (2 * math.ceil(1 / F(5e-324)) + 1) ** 2 + 512
+    with pytest.raises(CapExceededError, match=f"{points} points"):
+        min_modulus_on_disk([1.0], step=5e-324)
+    with pytest.raises(CapExceededError):
+        min_modulus_on_disk([1.0], boundary=DISK_GRID_CAP)
+    best, _, _ = min_modulus_on_disk([1.0], step=0.002)  # just under the cap
+    assert best == 1.0
+
+
+def test_witness_certificate_subtracts_mesh_and_rounding():
+    a = nat_elem([4, 0, -1, 0.5], backend=FLOAT)
+    rep = invertibility_witness(a)
+    assert rep.lipschitz == pytest.approx(3.5)
+    assert rep.mesh == pytest.approx(0.02 * math.sqrt(2.0))
+    rho = rep.min_modulus - rep.lipschitz * rep.mesh - rep.lower_bound
+    assert 0.0 < rho <= 1e-13
+    assert rep.certified
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _coeff),
+                min_size=1, max_size=6))
+def test_half_plane_witness_matches_pointwise_oracle(entries):
+    b = free_rational_basis([(1, F(1, 2)), (F(3, 2), 0)])  # r = 2 coordinates
+    a = from_coeffs(b, {b.element(exponents={0: i, 1: j}): c for i, j, c in entries},
+                    backend=FLOAT)
+    grid = GridSpec(sigma_max=2.0, t_max=6.0, n_sigma=7, n_t=25)
+    rep = invertibility_witness(a, grid)
+    terms = [(lam.embedded_value(), complex(c)) for lam, c in a.coeffs.items()]
+    want, _ = brute_half_plane_min(terms, 2.0, 6.0, 7, 25)
+    tol = 1e-12 * (1.0 + sum(abs(c) for _, c in terms))
+    assert abs(rep.min_modulus - want) <= tol
+    assert abs(abs(brute_exp_sum(terms, rep.argmin_s)) - rep.min_modulus) <= tol
+    assert not rep.certified
 
 
 def test_compose_polynomial_is_exact_full_sum():

@@ -23,7 +23,8 @@ from dirichlet_forge.arithmetic import (
 )
 from dirichlet_forge.errors import PreconditionError, ValidationError
 
-from tests.oracles import brute_dirichlet_convolve, mobius_sieve
+from tests.oracles import (brute_dirichlet_convolve, brute_disk_min, brute_primes_upto,
+                          mobius_sieve)
 
 SYS = PrimeSystem.rational_primes(10000)
 W1 = weights.one()
@@ -38,6 +39,12 @@ class TestPrimeSystem:
         s = PrimeSystem.rational_primes(30)
         assert s.primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
         assert s.rational and s.x == 30
+
+    def test_rational_primes_match_trial_division(self):
+        with pytest.raises(ValidationError):
+            PrimeSystem.rational_primes(0)
+        for x in range(1, 201):
+            assert list(PrimeSystem.rational_primes(x).primes) == brute_primes_upto(x)
 
     def test_max_power(self):
         s = PrimeSystem.rational_primes(100)
@@ -187,6 +194,26 @@ class TestInvert:
         # 1 + z/2 has min modulus 1/2 on the unit disk
         assert abs(rep[2]["min_modulus"] - 0.5) < 1e-2
         assert rep[2]["lower_bound"] > 0.4
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(1, 4)),
+        st.fractions(min_value=-2, max_value=2, max_denominator=8),
+        min_size=1, max_size=8))
+    def test_every_prime_certificate_matches_oracle(self, table):
+        s = PrimeSystem.rational_primes(30)
+        f = MultiplicativeFunction(
+            s, {(i, k): v for (i, k), v in table.items() if k <= s.max_power(i)})
+        rep = euler_invertibility_report(f)
+        assert sorted(rep) == sorted({s.primes[i] for i, _ in f.ppv})
+        for p, r in rep.items():
+            i = s.index_of(p)
+            kmax = max(k for j, k in f.ppv if j == i)
+            coeffs = [f.prime_power(i, k) for k in range(kmax + 1)]
+            want, _ = brute_disk_min(coeffs)
+            tol = 1e-12 * (1 + sum(abs(c) for c in coeffs))
+            assert abs(r["min_modulus"] - want) <= tol
+            assert r["lower_bound"] <= r["min_modulus"]
 
 
 class TestEulerFactor:
