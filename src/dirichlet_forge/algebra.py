@@ -395,6 +395,22 @@ class GridSpec:
     disk_step: float = 0.02
     disk_boundary: int = 512
 
+    def __post_init__(self):
+        # the evidence grid must stay in the closed half-plane Re s >= 0
+        if not _is_real(self.sigma_max) or not 0.0 <= self.sigma_max < math.inf:
+            raise ValidationError(
+                f"sigma_max must be a finite number >= 0, got {self.sigma_max!r}")
+        if not _is_real(self.t_max) or not 0.0 < self.t_max < math.inf:
+            raise ValidationError(f"t_max must be a finite number > 0, got {self.t_max!r}")
+        for name in ("n_sigma", "n_t"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValidationError(f"{name} must be an int >= 1, got {n!r}")
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
 
 @dataclass
 class WitnessReport:
@@ -442,8 +458,6 @@ def _half_plane_min(a: AlgebraElement, grid: GridSpec):
     """
     sig = np.linspace(0.0, grid.sigma_max, grid.n_sigma)
     ts = np.linspace(-grid.t_max, grid.t_max, grid.n_t)
-    if not (sig.size and ts.size):
-        return math.inf, None
     mu = np.array([sum(lam.embedded_value()) for lam in a.coeffs], dtype=float)
     c = np.array([coeff_to_complex(v) for v in a.coeffs.values()], dtype=complex)
     vals = np.zeros((sig.size, ts.size), dtype=complex)

@@ -67,6 +67,8 @@ class PrimeSystem:
             for p in self.primes:
                 if not (isinstance(p, int) and p >= 2):
                     raise ValidationError("rational system requires integer primes")
+        # position of each prime, built once for index_of
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.primes)})
 
     @classmethod
     def rational_primes(cls, x: int) -> "PrimeSystem":
@@ -76,10 +78,10 @@ class PrimeSystem:
         return cls(primes=tuple(primes_upto(int(x))), x=int(x), rational=True)
 
     def index_of(self, p) -> int:
-        for i, q in enumerate(self.primes):
-            if q == p:
-                return i
-        raise ValidationError(f"{p} is not a prime of this system")
+        try:
+            return self._index[p]
+        except (KeyError, TypeError):
+            raise ValidationError(f"{p} is not a prime of this system") from None
 
     def max_power(self, i: int) -> int:
         """Largest k with p_i^k <= x."""

@@ -2,23 +2,26 @@
 
 Separation of finite point sets from the origin, dual cones by double
 description, extreme rays, minimal faces, and construction of an independent
-generating set through a prescribed interior direction.  All decisions are
-made in Fraction arithmetic via the exact simplex; floats appear only at the
-boundary (measured inputs), where an explicit interval policy turns them into
-exact intervals before any comparison.
+generating set through a prescribed interior direction.  Dual cones are
+computed on primitive integer rays with combinatorial adjacency, without LP;
+every other decision is made in Fraction arithmetic via the exact simplex.
+Floats appear only at the boundary (measured inputs), where an explicit
+interval policy turns them into exact intervals before any comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import ratlin
-from .errors import PreconditionError, ValidationError
+from .errors import CapExceededError, PreconditionError, ValidationError
 from .exactnum import as_fraction, format_frac, parse_frac
 from .exact_lp import feasible_geq_one, fourier_motzkin, max_coordinate, nonneg_combination
-from .ratlin import canonical_ray, dot, independent_subset, rank, rref
+from .ratlin import (canonical_ray, dot, independent_subset, invert_matrix,
+                     kernel_basis, rank, rref)
 
 F = Fraction
 
@@ -196,7 +199,8 @@ def sign_covering_zero_witness(vectors):
 @dataclass
 class DualConeResult:
     dim: int
-    rays: tuple          # canonical generating rays of {y : y . g >= 0 for all g}
+    rays: tuple          # generating rays of {y : y . g >= 0 for all g}: the
+                         # pointed ones, then +- a lineality basis (dual_cone)
     lineality_dim: int   # dimension of the contained linear subspace
 
     def to_json(self) -> dict:
@@ -204,30 +208,31 @@ class DualConeResult:
                 "lineality_dim": self.lineality_dim}
 
 
-def _prune_redundant_rays(rays):
-    """Drop rays lying in the cone of the remaining ones (exact LP per ray)."""
-    rays = list(dict.fromkeys(rays))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rays)):
-            others = rays[:i] + rays[i + 1:]
-            if not others:
-                break
-            t, _ = nonneg_combination(others, rays[i])
-            if t is not None:
-                del rays[i]
-                changed = True
-                break
-    return rays
+# Most rays dual_cone may hold during one cut.  The count of a cone's dual
+# rays can grow like m^(floor(d/2)) in m generators, so a larger list raises
+# CapExceededError with the partial counts.  Override by assignment.
+DD_RAY_CAP = 100_000
 
 
 def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
-    """{y : y . g >= 0 for all generators g} by halfspace-at-a-time refinement.
+    """{y : y . g >= 0 for all generators g} by the double-description method.
 
-    Starts from the full space (rays +-e_i) and cuts one generator halfspace
-    at a time, combining every (positive, negative) ray pair on the boundary;
-    after each cut the ray list is pruned to an irredundant set by exact LP.
+    The dual is (its part inside V = span(generators)) + ker(generators), and
+    the part inside V is pointed.  With B an independent subset of the
+    canonical generators, r = |B| = dim V, it starts from the simplicial cone
+    {y in V : B y >= 0}, whose rays are the columns of B^T (B B^T)^-1, and
+    cuts one halfspace per remaining generator (Motzkin et al. 1953;
+    Fukuda-Prodon 1996).  Rays are primitive integer tuples and zero sets
+    are bitmasks over the generators.  A (positive, negative) ray pair is
+    combined only when it is adjacent: the pair has at least r - 2 common
+    zeros, and no third ray's zero set contains their common zero set.  No
+    LP and no Fraction arithmetic runs in the loop.
+
+    rays: the canonical extreme rays of the part inside V, sorted, then +- a
+    canonical basis of the lineality space ker(generators), sorted.  When the
+    generators span Q^dim the dual is pointed and the rays are exactly its
+    canonical extreme rays.  More than DD_RAY_CAP rays raise
+    CapExceededError.
     """
     gens = _vecs(generators)
     if dim is None:
@@ -237,30 +242,87 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
     for g in gens:
         if len(g) != dim:
             raise ValidationError("generator dimension mismatch")
-    rays = []
-    for i in range(dim):
-        e = tuple(F(1) if j == i else F(0) for j in range(dim))
-        rays.append(e)
-        rays.append(tuple(-x for x in e))
-    for g in gens:
-        if all(x == 0 for x in g):
+    canon = list(dict.fromkeys(canonical_ray(g) for g in gens
+                               if any(x != 0 for x in g)))
+    basis = independent_subset(canon)
+    brows = [canon[i] for i in basis]
+    if brows:
+        lineality = [canonical_ray(v) for v in kernel_basis(brows)]
+        ginv = invert_matrix([[dot(a, b) for b in brows] for a in brows])
+        start = [canonical_ray([sum(ginv[i][j] * b[k] for i, b in enumerate(brows))
+                                for k in range(dim)])
+                 for j in range(len(brows))]
+        pointed = _double_description(
+            [tuple(x.numerator for x in g) for g in canon], basis,
+            [tuple(x.numerator for x in y) for y in start])
+    else:
+        lineality = [tuple(F(int(j == i)) for j in range(dim)) for i in range(dim)]
+        pointed = []
+    rays = sorted(pointed) + sorted(lineality + [tuple(-x for x in v) for v in lineality])
+    return DualConeResult(dim=dim, rays=tuple(tuple(F(x) for x in r) for r in rays),
+                          lineality_dim=len(lineality))
+
+
+def _double_description(gens, basis, start):
+    """Extreme rays of {y in span(gens) : y . g >= 0 for every g}.
+
+    gens: primitive integer tuples; basis: indices of an independent subset B
+    spanning them; start: the primitive rays of {y in span(B) : B y >= 0},
+    start[j] vanishing on every basis generator but the j-th.
+    """
+    r = len(basis)
+    cap = DD_RAY_CAP
+    rays = [(y, sum(1 << i for i in basis if i != b)) for y, b in zip(start, basis)]
+    done, pairs = r, 0
+    if len(rays) > cap:
+        raise CapExceededError(_cap_message(cap, done, len(gens), len(rays), pairs))
+    skip = set(basis)
+    for k, g in enumerate(gens):
+        if k in skip:
             continue
-        pos = [r for r in rays if dot(r, g) > 0]
-        zer = [r for r in rays if dot(r, g) == 0]
-        neg = [r for r in rays if dot(r, g) < 0]
-        new = pos + zer
-        for rp in pos:
-            a = dot(rp, g)
-            for rn in neg:
-                bq = dot(rn, g)
-                comb = tuple(a * x - bq * y for x, y in zip(rn, rp))
-                if any(x != 0 for x in comb):
-                    new.append(canonical_ray(comb))
-        rays = _prune_redundant_rays([canonical_ray(r) for r in new])
-    # lineality of the dual = orthogonal complement of the generator span
-    lin = dim - rank(gens) if gens else dim
-    rays.sort()
-    return DualConeResult(dim=dim, rays=tuple(rays), lineality_dim=lin)
+        bit = 1 << k
+        pos, neg, new = [], [], []
+        for y, z in rays:
+            s = sum(a * b for a, b in zip(g, y))
+            if s > 0:
+                pos.append((y, z, s))
+                new.append((y, z))
+            elif s < 0:
+                neg.append((y, z, s))
+            else:
+                new.append((y, z | bit))
+        zsets = [z for _, z in rays]
+        for yp, zp, sp in pos:
+            for yn, zn, sn in neg:
+                pairs += 1
+                common = zp & zn
+                if common.bit_count() < r - 2 or not _adjacent(common, zsets):
+                    continue
+                if len(new) >= cap:
+                    raise CapExceededError(
+                        _cap_message(cap, done, len(gens), len(new), pairs))
+                w = [sp * a - sn * b for a, b in zip(yn, yp)]
+                c = gcd(*w)
+                new.append((tuple(a // c for a in w), common | bit))
+        rays = new
+        done += 1
+    return [y for y, _ in rays]
+
+
+def _adjacent(common, zsets):
+    """True when only the pair's own two zero sets contain `common`."""
+    hits = 0
+    for z in zsets:
+        if z & common == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
+
+
+def _cap_message(cap, done, total, held, pairs):
+    return (f"dual cone exceeds DD_RAY_CAP = {cap} rays: {done} of {total} "
+            f"generators processed, {held} rays held, {pairs} pairs tested")
 
 
 # -- extreme rays and pointedness ---------------------------------------------

@@ -11,7 +11,8 @@ The construction splits psi into modulus, zero set and phase data:
 
   * a linear functional rho with rho . gamma_i = -log|psi_i| on the
     prescribed nonzero values (min-norm fit, after exact kernel-relation
-    consistency checks),
+    consistency checks; moved by an exact LP to be nonnegative on the other
+    generators where the vanishing functional below cannot cover them),
   * an exactly rational functional theta >= 0 on the cone that vanishes on
     the span of the nonzero prescribed generators and is >= 1 on the
     prescribed zeros (LP feasibility in exact quotient coordinates),
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .exactnum import as_fraction
 from .ratlin import (dot, independent_subset, invert_matrix, kernel_basis,
-                     rank, solve, vadd, vscale)
+                     solve, vadd, vscale)
 from .exact_lp import feasible_functional, nonneg_combination
 from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
                     basis_through_point, dual_cone, extreme_rays, is_pointed,
@@ -168,6 +169,30 @@ def modulus_functional(gamma, moduli, tol: float = MODULUS_RELATION_TOL) -> Modu
     return ModulusFit(functional, values, checks, worst, residual, nonneg)
 
 
+def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx,
+                               free_idx) -> Optional[ModulusFit]:
+    """The modulus fit moved along functionals that vanish on gamma[fixed_idx]
+    (nonempty), so its values there stay put, until it is >= 0 on every
+    gamma[free_idx] (up to rounding); None when no such move exists.
+
+    One exact LP feasibility problem in homogeneous form: with U a basis of
+    those functionals and v_j the current values, find (tau, t) with
+    tau >= 1 and tau v_j + t . (U gamma_j) >= 0; the move is U t / tau.
+    """
+    U = kernel_basis([list(gamma[i]) for i in fixed_idx])
+    if not U:
+        return None
+    weak = [(F(fit.values[j]),) + tuple(dot(u, gamma[j]) for u in U) for j in free_idx]
+    chi, _ = feasible_functional([(F(1),) + (F(0),) * len(U)], weak)
+    if chi is None:
+        return None
+    tau, t = chi[0], chi[1:]
+    functional = tuple(f + float(sum(tl * u[k] for tl, u in zip(t, U)) / tau)
+                       for k, f in enumerate(fit.functional))
+    values = tuple(sum(f * float(x) for f, x in zip(functional, g)) for g in gamma)
+    return replace(fit, functional=functional, values=values)
+
+
 @dataclass(frozen=True)
 class VanishingFit:
     functional: tuple       # exact rational, working dimension
@@ -255,16 +280,6 @@ class DualBasisResult:
     flags: tuple
 
 
-def _greedy_independent(candidates):
-    chosen, dropped = [], []
-    for v in candidates:
-        if any(x != 0 for x in v) and rank(chosen + [list(v)]) > len(chosen):
-            chosen.append(list(v))
-        else:
-            dropped.append(tuple(v))
-    return [tuple(v) for v in chosen], dropped
-
-
 def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     """Basis of dual-cone vectors (theta leading when nonzero), dualized.
 
@@ -315,7 +330,9 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     order = ([tuple(theta)] if theta_nonzero else []) + walk_vectors + list(dual)
     seen = set()
     uniq = [v for v in order if not (tuple(v) in seen or seen.add(tuple(v)))]
-    bstar, dropped = _greedy_independent(uniq)
+    chosen = independent_subset(uniq)
+    bstar = [tuple(uniq[i]) for i in chosen]
+    dropped = [tuple(v) for i, v in enumerate(uniq) if i not in chosen]
     if theta_nonzero and walk_vectors and tuple(theta) != tuple(walk_vectors[0]) \
             and any(tuple(v) in dropped for v in walk_vectors):
         flags.append("vanishing functional displaced a walk vector in the basis")
@@ -467,11 +484,17 @@ def extend_character(problem: CharacterExtensionProblem) -> CharacterExtensionRe
     except PreconditionError:
         if not protect:
             raise
-        # the protected indices made the system infeasible; drop them and let
+        # the protected indices made the system infeasible; drop them and move
+        # the modulus functional to be nonnegative there instead, or else let
         # the combination step decide whether the extension stays bounded
         vfit = zero_set_separation(gamma, positive_idx, zeros, ())
-        flags.append("modulus functional negative off the prescribed span; "
-                     "vanishing functional could not cover it")
+        free = [i for i in range(len(gamma)) if i not in moduli and i not in zeros]
+        shifted = _shift_modulus_nonnegative(mfit, gamma, positive_idx, free)
+        if shifted is not None:
+            mfit = shifted
+        else:
+            flags.append("modulus functional negative off the prescribed span; "
+                         "vanishing functional could not cover it")
 
     c, zeta_gamma = combine_zeta(mfit.values, vfit.values)
     zeta_vec = tuple(r + c * float(t) for r, t in zip(mfit.functional, vfit.functional))

@@ -123,15 +123,23 @@ def invert_matrix(rows):
 
 
 def independent_subset(vectors):
-    """Greedy indices of a maximal Q-linearly independent subset."""
+    """Greedy indices of a maximal Q-linearly independent subset.
+
+    Incremental: each candidate is reduced against the echelon rows kept so
+    far (each zero on the pivots of the rows before it) and joins them when
+    a nonzero remainder is left.
+    """
     chosen = []
-    kept_rows = []
-    r = 0
+    kept = []  # (pivot column, row scaled to 1 there)
     for i, v in enumerate(vectors):
-        trial = kept_rows + [list(v)]
-        if rank(trial) > r:
-            kept_rows = trial
-            r += 1
+        w = list(vec(v))
+        for c, row in kept:
+            f = w[c]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        c = next((j for j, a in enumerate(w) if a), None)
+        if c is not None:
+            kept.append((c, [a / w[c] for a in w]))
             chosen.append(i)
     return chosen
 

@@ -193,3 +193,71 @@ def brute_half_plane_min(terms, sigma_max: float, t_max: float, n_sigma: int, n_
             if v < best:
                 best, best_s = v, s
     return best, best_s
+
+
+def _prune_redundant_rays(rays):
+    """Drop rays lying in the cone of the remaining ones (exact LP per ray)."""
+    from dirichlet_forge.exact_lp import nonneg_combination
+    rays = list(dict.fromkeys(rays))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rays)):
+            others = rays[:i] + rays[i + 1:]
+            if not others:
+                break
+            t, _ = nonneg_combination(others, rays[i])
+            if t is not None:
+                del rays[i]
+                changed = True
+                break
+    return rays
+
+
+def brute_dual_cone(generators, dim=None):
+    """{y : y . g >= 0 for all generators g} by halfspace-at-a-time refinement.
+
+    Starts from the full space (rays +-e_i) and cuts one generator halfspace
+    at a time, combining every (positive, negative) ray pair on the boundary;
+    after each cut the ray list is pruned to an irredundant set by exact LP.
+    This is the LP-pruned construction `cones.dual_cone` used before the
+    double-description method; it relies only on the exact simplex and
+    `ratlin`, not on the code it checks.
+    """
+    from dirichlet_forge.cones import DualConeResult
+    from dirichlet_forge.errors import ValidationError
+    from dirichlet_forge.exactnum import as_fraction
+    from dirichlet_forge.ratlin import canonical_ray, dot, rank
+    F = Fraction
+    gens = [tuple(as_fraction(x) for x in g) for g in generators]
+    if dim is None:
+        if not gens:
+            raise ValidationError("need generators or an explicit dimension")
+        dim = len(gens[0])
+    for g in gens:
+        if len(g) != dim:
+            raise ValidationError("generator dimension mismatch")
+    rays = []
+    for i in range(dim):
+        e = tuple(F(1) if j == i else F(0) for j in range(dim))
+        rays.append(e)
+        rays.append(tuple(-x for x in e))
+    for g in gens:
+        if all(x == 0 for x in g):
+            continue
+        pos = [r for r in rays if dot(r, g) > 0]
+        zer = [r for r in rays if dot(r, g) == 0]
+        neg = [r for r in rays if dot(r, g) < 0]
+        new = pos + zer
+        for rp in pos:
+            a = dot(rp, g)
+            for rn in neg:
+                bq = dot(rn, g)
+                comb = tuple(a * x - bq * y for x, y in zip(rn, rp))
+                if any(x != 0 for x in comb):
+                    new.append(canonical_ray(comb))
+        rays = _prune_redundant_rays([canonical_ray(r) for r in new])
+    # lineality of the dual = orthogonal complement of the generator span
+    lin = dim - rank(gens) if gens else dim
+    rays.sort()
+    return DualConeResult(dim=dim, rays=tuple(rays), lineality_dim=lin)

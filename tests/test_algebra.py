@@ -350,6 +350,21 @@ def test_half_plane_witness_matches_pointwise_oracle(entries):
     assert not rep.certified
 
 
+def test_grid_spec_rejects_grids_outside_the_half_plane():
+    bad = [dict(sigma_max=-50.0), dict(sigma_max=math.nan), dict(sigma_max=math.inf),
+           dict(sigma_max=True), dict(t_max=0.0), dict(t_max=-1.0), dict(t_max=math.inf),
+           dict(t_max="30"), dict(n_sigma=0), dict(n_t=-3), dict(n_sigma=1.5),
+           dict(n_t=True)]
+    for kw in bad:
+        with pytest.raises(ValidationError):
+            GridSpec(**kw)
+    # the smallest grid: one point at s = 0 - i t_max
+    b = free_rational_basis([(1, F(1, 2)), (F(3, 2), 0)])
+    a = from_coeffs(b, {b.element(exponents={0: 1}): 1.0, b.zero(): 2.0}, backend=FLOAT)
+    rep = invertibility_witness(a, GridSpec(sigma_max=0, t_max=1, n_sigma=1, n_t=1))
+    assert rep.argmin_s == complex(0.0, -1.0)
+
+
 def test_compose_polynomial_is_exact_full_sum():
     # f(z) = 1 + z + z^2 applied to a = delta_1
     b = natural_basis()

@@ -52,6 +52,14 @@ class TestPrimeSystem:
         assert s.max_power(1) == 4  # 3^4 = 81
         assert s.max_power(s.index_of(97)) == 1
 
+    def test_index_of_every_prime(self):
+        s = PrimeSystem.rational_primes(10 ** 4)
+        for i, p in enumerate(brute_primes_upto(10 ** 4)):
+            assert s.index_of(p) == i
+        for n in (0, 1, 4, 9991, 10007, -2, 2.5, "2", None):
+            with pytest.raises(ValidationError):
+                s.index_of(n)
+
     def test_iter_prime_powers_all_below_bound(self):
         s = PrimeSystem.rational_primes(200)
         pps = list(s.iter_prime_powers())

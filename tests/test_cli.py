@@ -174,6 +174,12 @@ class TestSubcommands:
         rep = json.loads(out)
         assert rep["certified"] is True and rep["lower_bound"] > 0.9
 
+    def test_witness_rejects_negative_sigma_max(self, files, capsys):
+        code, out, _ = invoke(capsys, "witness", files("elem.json"),
+                              "--sigma-max", "-50")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+
     def test_compose_exp_gives_factorials(self, files, capsys):
         basis = natural_basis()
         d1 = algebra.from_coeffs(basis, [(basis.generator_element(0), 1.0)])

@@ -1,11 +1,13 @@
 """Polyhedral cone machinery: separation, duals, faces, basis walks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dirichlet_forge import cones
 from dirichlet_forge.cones import (
     ConeBasisResult,
     RationalCone,
@@ -19,10 +21,10 @@ from dirichlet_forge.cones import (
     separate_cross_checked,
     sign_covering_zero_witness,
 )
-from dirichlet_forge.errors import PreconditionError, ValidationError
+from dirichlet_forge.errors import CapExceededError, PreconditionError, ValidationError
 from dirichlet_forge.exact_lp import nonneg_combination
 from dirichlet_forge.ratlin import dot, rank
-from tests.oracles import in_cone_brute
+from tests.oracles import brute_dual_cone, in_cone_brute
 
 F = Fraction
 small = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=3)
@@ -158,6 +160,84 @@ def test_dual_dual_recovers_cone_3d(gens):
     for r in back.rays:
         t, _ = nonneg_combination(list(gens), r)
         assert t is not None
+
+
+@st.composite
+def _generator_lists(draw):
+    """Up to 8 small integer generators in d <= 5, spanning a subspace of
+    dimension k <= d, with zero, duplicate (scaled) and opposite ones mixed in."""
+    d = draw(st.integers(1, 5))
+    k = d if draw(st.booleans()) else draw(st.integers(1, d))
+    coord = st.integers(-2, 2)
+    gens = [draw(st.tuples(*[coord] * d)) for _ in range(k)]
+    gens += [tuple(sum(c * b[j] for c, b in zip(cs, gens)) for j in range(d))
+             for cs in draw(st.lists(st.tuples(*[coord] * k), max_size=8 - k))]
+    extras = draw(st.lists(st.sampled_from(["zero", "dup", "opp"]), max_size=8 - len(gens)))
+    for kind in extras:
+        if kind == "zero" or not gens:
+            gens.append((0,) * d)
+        else:
+            g = gens[draw(st.integers(0, len(gens) - 1))]
+            gens.append(tuple((3 if kind == "dup" else -1) * x for x in g))
+    return d, draw(st.permutations(gens))
+
+
+def _in_cone(rays, cone_rays):
+    return all(cone_rays and nonneg_combination(list(cone_rays), r)[0] is not None
+               for r in rays)
+
+
+@given(_generator_lists())
+# an opposite pair makes every ray share two zeros, so only the combinatorial
+# adjacency test keeps redundant rays out here
+@example((5, [(-1, 0, 2, -1, 1), (1, 0, -2, 1, -1), (1, 2, 2, 1, 0), (-2, 1, -2, 0, -2),
+              (-1, -2, -1, 1, -2), (0, 1, -2, 1, -1), (-1, 1, 2, 0, 2), (2, 1, 0, 1, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_dual_cone_matches_lp_pruned_oracle(case):
+    d, gens = case
+    got = dual_cone(gens, dim=d)
+    want = brute_dual_cone(gens, dim=d)
+    assert got.lineality_dim == want.lineality_dim
+    if want.lineality_dim == 0:
+        assert got.rays == want.rays
+    else:
+        assert _in_cone(got.rays, want.rays) and _in_cone(want.rays, got.rays)
+        # convention: the pointed rays, then +- a basis of the lineality space
+        cut = len(got.rays) - 2 * got.lineality_dim
+        tail = got.rays[cut:]
+        assert {tuple(-x for x in r) for r in tail} == set(tail)
+        assert rank(tail) == got.lineality_dim
+        assert all(dot(r, g) == 0 for r in tail for g in gens)
+        # irredundant: no pointed ray is generated by the other rays
+        for i in range(cut):
+            others = got.rays[:i] + got.rays[i + 1:]
+            assert not _in_cone([got.rays[i]], others)
+
+
+def _neighbourly(d, m):
+    """Cone over m points of the moment curve t -> (1, t, ..., t^(d-1))."""
+    return [tuple(F(t ** j) for j in range(d)) for t in range(1, m + 1)]
+
+
+def test_dual_cone_neighbourly_5d_16_generators():
+    gens = _neighbourly(5, 16)
+    t0 = time.perf_counter()
+    res = dual_cone(gens)
+    back = dual_cone(res.rays, dim=5)
+    elapsed = time.perf_counter() - t0
+    # facets of the cyclic 4-polytope with 16 vertices: 16 * 13 / 2
+    assert len(res.rays) == 104 and res.lineality_dim == 0
+    assert back.rays == tuple(sorted(gens))
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_dual_cone_ray_cap_reports_partial_counts(monkeypatch):
+    monkeypatch.setattr(cones, "DD_RAY_CAP", 10)
+    with pytest.raises(CapExceededError,
+                       match=r"DD_RAY_CAP = 10 rays: \d+ of 8 generators processed, "
+                             r"10 rays held, \d+ pairs tested"):
+        dual_cone(_neighbourly(4, 8))
+    assert len(dual_cone(_neighbourly(4, 6)).rays) == 8  # 2 * 6 - 4 stays under
 
 
 def test_dual_rays_deterministic():

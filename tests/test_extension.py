@@ -161,6 +161,25 @@ def test_extend_character_unbounded_moduli_rejected():
         extend_character(p)
 
 
+def test_extend_character_moves_modulus_functional_off_negative_generators():
+    # a restriction of a bounded character: the min-norm modulus functional
+    # is negative on generator 0, and no functional vanishing on the
+    # prescribed span is positive there while nonnegative on the rest
+    gens = [(5, 0, F(1, 2)), (5, 2, 3), (2, F(4, 3), 6), (3, 4, F(2, 3)), (4, 4, 0),
+            (F(2, 3), 6, F(3, 2))]
+    p = CharacterExtensionProblem(3, gens, {3: 0.0375281908651613 + 0.07300398543554655j,
+                                            4: 0.019878941775754343 + 0.13386734688717167j})
+    assert modulus_functional(p.gamma, polar_split(p.prescribed)[0]).values[0] < 0
+    r = extend_character(p)
+    assert r.prescribed_residual < 1e-9
+    assert min(r.modulus.values) >= -1e-9 and r.flags == ()
+    assert all(abs(z) <= 1 + 1e-9 for z in r.phi_basis)
+    for g, ex in zip(p.gamma, r.exponents):
+        assert all(e >= 0 for e in ex)
+        assert tuple(sum(e * b[j] for e, b in zip(ex, r.basis_vectors))
+                     for j in range(3)) == g
+
+
 def test_to_character_rejects_negative_auxiliary_basis():
     # cone over the unit square: the dual face is not simplicial and the
     # dualized basis leaves the positive orthant

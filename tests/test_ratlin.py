@@ -130,6 +130,10 @@ def test_rank_plus_nullity(rows):
 def test_independent_subset_is_independent_and_spanning(vs):
     idx = independent_subset(vs)
     assert rank([vs[i] for i in idx]) == len(idx) == rank(vs)
+    # greedy: each skipped vector lies in the span of the ones chosen before it
+    for i in set(range(len(vs))) - set(idx):
+        before = [vs[j] for j in idx if j < i]
+        assert rank(before + [vs[i]]) == len(before)
 
 
 def test_vector_helpers():
