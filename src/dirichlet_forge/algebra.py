@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,8 +22,9 @@ import numpy as np
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
 from .exactnum import QC, coeff_abs, coeff_is_zero, coeff_to_complex, format_frac, parse_frac
-from .semigroup import SemigroupBasis, SemigroupElement, enumerate_monoid
-from .weights import WeightFn, one as weight_one
+from .semigroup import (SemigroupBasis, SemigroupElement, enumerate_monoid, key_combine,
+                        row_end)
+from .weights import ONE, WeightFn, one as weight_one
 
 EXACT = "exact"
 FLOAT = "float"
@@ -119,7 +121,7 @@ class AlgebraElement:
             if not coeff_is_zero(nv):
                 out[lam] = nv
         return AlgebraElement(self.basis, out, backend, self.truncation,
-                              self.dropped_mass, _trusted=True)
+                              self.dropped_mass * coeff_abs(cc), _trusted=True)
 
     def negate(self) -> "AlgebraElement":
         return self.scale(-1)
@@ -197,27 +199,37 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
     Finite supports make the sum finite.  If either operand declares a
     truncation, products beyond min(T_a, T_b) are dropped and the dropped
-    mass (sum of |a||b| over dropped pairs) is recorded in metadata.
+    mass (sum of |a||b| over dropped pairs) is recorded in metadata.  The
+    pairs run through `_pair_kernel`; the result's terms keep the order in
+    which a loop over a, then b, first reaches them.
     """
     _check_bases(a, b)
+    backend, T, sa, sb, out, born, lost = _product(a, b)
+    dropped = a.dropped_mass + b.dropped_mass + lost
+    ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
+    den, gauss = sa.den * sb.den, sa.gauss
+    coeffs = {}
+    for k in _born_order(born, sa.keys, sb):
+        v = out[k]
+        if _nonzero(v, gauss):
+            ka, kb = born[k]
+            coeffs[ea[ka] + eb[kb]] = _value(v, den, gauss, backend)
+    return AlgebraElement(a.basis, coeffs, backend, T, dropped, _trusted=True)
+
+
+def _product(a: AlgebraElement, b: AlgebraElement):
+    """a * b on keys: (backend, truncation, a's side, b's side, numerators
+    by key, first pair by key, dropped mass)."""
     backend = EXACT if a.backend == b.backend == EXACT else FLOAT
     T = _min_trunc(a.truncation, b.truncation)
-    out: dict = {}
-    dropped = a.dropped_mass + b.dropped_mass
-    eps = 0.0 if T is None else 1e-12 * (1.0 + abs(T))
-    for la, va in a.coeffs.items():
-        va = _coerce(va, backend)
-        ma = la.l1()
-        for lb, vb in b.coeffs.items():
-            if T is not None and ma + lb.l1() > T + eps:
-                dropped += coeff_abs(va) * coeff_abs(vb)
-                continue
-            lam = la + lb
-            prod = va * _coerce(vb, backend)
-            cur = out.get(lam)
-            out[lam] = prod if cur is None else cur + prod
-    out = {k: v for k, v in out.items() if not coeff_is_zero(v)}
-    return AlgebraElement(a.basis, out, backend, T, dropped, _trusted=True)
+    limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
+    cut = limit is not None
+    sa, sb = _unify(_side(a.coeffs.items(), backend),
+                    _side(b.coeffs.items(), backend, by_mag=cut, mags=cut))
+    out, born = {}, {}
+    lost = _pair_kernel(zip(sa.keys, sa.mags, sa.vals), sb, limit, out,
+                        key_combine(a.basis), born, sa.den)
+    return backend, T, sa, sb, out, born, lost
 
 
 def weighted_norm(a: AlgebraElement, w: Optional[WeightFn] = None) -> float:
@@ -291,13 +303,18 @@ class NeumannCertificate:
     weight: WeightFn
 
 
+# most support elements the partial sums of a Neumann series may hold
+NEUMANN_SUPPORT_CAP = 200_000
+
+
 def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
                    tol: float = 1e-12, max_terms: int = 10_000):
     """Inverse via the geometric series around a(0), with certified tail.
 
     Requires q = ||a - a(0) eps||_w / |a(0)| < 1.  Truncates after J terms
     once the geometric tail q^(J+1) / ((1-q) |a(0)|) < tol.  Returns
-    (element, NeumannCertificate).
+    (element, NeumannCertificate).  A partial sum whose support would grow
+    past NEUMANN_SUPPORT_CAP raises CapExceededError.
     """
     if w is None:
         w = weight_one()
@@ -311,22 +328,73 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     inv_a0 = _invert_scalar(a0, a.backend)
     # b = (1/a0) sum_j u^{*j},  u = eps - a / a0
     u = rest.scale(inv_a0).negate()
-    term = unit(a.basis, a.backend)
-    acc = term
+    powers = _Powers(u)
+    acc = dict(powers.term)  # numerators over powers.den
+    acc_dropped = 0.0
+    cap = NEUMANN_SUPPORT_CAP
     tail = q / (1.0 - q)  # bound for sum_{j>J} q^j at J=0
     J = 0
     while tail / coeff_abs(a0) >= tol:
         J += 1
         if J > max_terms:
             raise CapExceededError(f"Neumann series needs more than {max_terms} terms")
-        term = convolve(term, u)
-        acc = acc.add(term)
+        term = powers.step()
+        if len(acc) + len(term.keys() - acc.keys()) > cap:
+            raise CapExceededError(
+                f"Neumann support would pass NEUMANN_SUPPORT_CAP = {cap}: {J - 1} terms "
+                f"used, {len(acc)} support elements held")
+        _accumulate(acc, term, powers.side.den, powers.side.gauss)
+        acc_dropped += powers.dropped
         tail *= q
-    b = acc.scale(inv_a0)
-    residual = weighted_norm(convolve(a, b).add(unit(a.basis, b.backend).negate()), w)
+    elems = powers.elements()
+    if a.backend == EXACT:
+        # b = acc * inv_a0 on numerators, one QC per coefficient
+        (nu,), nu_den, nu_gauss = _numerators([inv_a0])
+        acc_gauss = powers.side.gauss
+        gauss = acc_gauss or nu_gauss
+        den = powers.den * nu_den
+        coeffs = {}
+        for k, v in acc.items():
+            if gauss:
+                v = _gauss_mul(v if acc_gauss else (v, 0), nu if nu_gauss else (nu, 0))
+            else:
+                v = v * nu
+            if _nonzero(v, gauss):
+                coeffs[elems[k]] = _value(v, den, gauss, EXACT)
+    else:
+        coeffs = {elems[k]: v * inv_a0 for k, v in acc.items()}
+        coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    b = AlgebraElement(a.basis, coeffs, a.backend, u.truncation if J else None,
+                       acc_dropped * coeff_abs(inv_a0), _trusted=True)
     cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / coeff_abs(a0),
-                              residual_norm=residual, weight=w)
+                              residual_norm=_unit_residual(a, b, w), weight=w)
     return b, cert
+
+
+def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
+    """||a * b - eps||_w, the norm of `convolve(a, b) - eps` taken on keys.
+
+    It skips building the product's support elements and the difference,
+    which take longer than the products themselves.  An element's magnitude
+    is the sum of its first pair's magnitudes, as `convolve` gives it.
+    """
+    backend, _, sa, sb, out, born, _ = _product(a, b)
+    zk = a.basis.zero().key()
+    den, gauss = sa.den * sb.den, sa.gauss
+    v0 = out.get(zk, (0, 0) if gauss else 0)
+    out[zk] = (v0[0] - den, v0[1]) if gauss else v0 - den  # eps is den / den
+    weight = None
+    if w.kind != ONE:
+        amag = dict(zip(sa.keys, sa.mags))
+        bmag = {k: e.l1() for k, e in zip(sb.keys, sb.elems)}
+        weight = {k: w.eval_mag(amag[ka] + bmag[kb]) for k, (ka, kb) in born.items()}
+        weight.setdefault(zk, w.eval_mag(0.0))
+    total = 0
+    for k, v in out.items():
+        m = coeff_abs(_value(v, den, gauss, backend))
+        if m != 0.0:
+            total += m if weight is None else m * weight[k]
+    return total
 
 
 def _invert_scalar(v, backend):
@@ -347,7 +415,8 @@ def graded_invert(a: AlgebraElement, truncation: float,
     Contributions are pushed forward from each determined b(lambda'') over
     the magnitude-sorted support, with early break at the cutoff, so the
     cost is the number of reachable pairs rather than |support| x |monoid|.
-    Exact in the rational backend.
+    Exact in the rational backend, on Gaussian integers with no Fraction in
+    the loop (`_fraction_free`).
     """
     a0 = a.constant_term()
     if coeff_is_zero(a0):
@@ -357,31 +426,334 @@ def graded_invert(a: AlgebraElement, truncation: float,
     support = [(lam, v) for lam, v in a.coeffs.items() if not lam.is_zero()]
     if not support:
         return AlgebraElement(a.basis, {zero: inv_a0}, a.backend, truncation, _trusted=True)
-    support.sort(key=lambda kv: kv[0].sort_key())
-    elements = enumerate_monoid([lam for lam, _ in support], truncation, cap)
-    eps = 1e-9 * (1.0 + abs(truncation))
+    den = _common_den(a.coeffs.values()) if a.backend == EXACT else None
+    side = _side(support, a.backend, by_mag=True, den=den)
+    elements = enumerate_monoid(side.elems, truncation, cap)
+    limit = truncation + 1e-9 * (1.0 + abs(truncation))
+    if a.backend == EXACT:
+        side, first, solve, finish = _fraction_free(a0, den, side, len(elements), limit)
+    else:
+        first, finish = inv_a0, None
+
+        def solve(s):
+            return -(inv_a0 * s)
 
     acc: dict = {}
-    b: dict = {zero: inv_a0}
-    for lam in elements:
-        if lam.is_zero():
-            blam = inv_a0
-        else:
-            s = acc.get(lam)
-            if s is None:
-                continue  # not reachable as support-sum (cannot happen by construction)
-            blam = -(inv_a0 * s)
-            b[lam] = blam
-        m = lam.l1()
-        for la, va in support:
-            if m + la.l1() > truncation + eps:
-                break
-            nu = lam + la
-            prod = va * blam
-            cur = acc.get(nu)
-            acc[nu] = prod if cur is None else cur + prod
-    out = {k: v for k, v in b.items() if not coeff_is_zero(v)}
+    b: dict = {}
+    gauss = side.gauss
+
+    def outer():
+        for lam in elements:
+            k = lam.key()
+            if lam.is_zero():
+                blam = first
+            else:
+                s = acc.get(k)
+                if s is None:
+                    continue  # not reachable as support-sum (cannot happen by construction)
+                blam = solve(s)
+                b[lam] = blam
+            if _nonzero(blam, gauss):
+                yield k, lam.l1(), blam
+
+    # pairs past the truncation have no part in the inverse: no dropped mass
+    _pair_kernel(outer(), side, limit, acc, key_combine(a.basis))
+    out = {zero: inv_a0}
+    for lam, v in b.items():
+        if _nonzero(v, gauss):
+            out[lam] = v if finish is None else finish(v)
     return AlgebraElement(a.basis, out, a.backend, truncation, _trusted=True)
+
+
+def _fraction_free(a0, den: int, side: "_Side", n_elements: int, limit: float):
+    """The exact graded recursion on Gaussian integers.
+
+    With a = alpha / den and 1/alpha(0) = c / n0 (c = 1, n0 = alpha(0) for
+    a real series; c = conj alpha(0), n0 = |alpha(0)|^2 otherwise), the
+    recursion b(lambda) = -(c / n0) sum alpha b runs on beta = n0^H b,
+    where H is at least the longest chain of support steps plus one: then
+    every beta is a Gaussian integer and each division by n0 is exact,
+    which is checked.  Returns the operand in matching form, beta(0), the
+    step s -> beta and the map beta -> QC.
+    """
+    (alpha0,), _, gauss0 = _numerators([a0], den)
+    if gauss0 and not side.gauss:
+        side = side._replace(vals=[(v, 0) for v in side.vals], gauss=True)
+    if side.gauss:
+        a0r, a0i = alpha0 if gauss0 else (alpha0, 0)
+        cr, ci, n0 = a0r, -a0i, a0r * a0r + a0i * a0i
+    else:
+        cr, ci, n0 = 1, 0, alpha0
+    H = 1
+    if abs(n0) != 1:
+        # a chain of k steps below the cutoff has k <= limit / (smallest
+        # support magnitude), and k < n_elements
+        H = n_elements
+        if side.mags[0] > 0.0:
+            H = min(H, int(limit / side.mags[0] * (1.0 + 1e-9)) + 2)
+    scale0 = den * n0 ** (H - 1)
+    nH = n0 ** H
+
+    def divide(t):
+        if abs(n0) == 1:
+            return t * n0
+        quot, rem = divmod(t, n0)
+        if rem:
+            raise AssertionError("graded_invert: inexact division by n0")
+        return quot
+
+    if side.gauss:
+        def solve(s):
+            sr, si = s
+            return divide(ci * si - cr * sr), divide(-(cr * si + ci * sr))
+
+        first = (cr * scale0, ci * scale0)
+    else:
+        def solve(s):
+            return divide(-s)
+
+        first = scale0
+    return side, first, solve, lambda v: _value(v, nH, side.gauss, EXACT)
+
+
+# -- the pair kernel --------------------------------------------------------
+#
+# Every product loop of the algebra runs on element keys
+# (`SemigroupElement.key`): integers that multiply over a free basis (the key
+# of log n over the log-primes basis is n), the elements themselves, which
+# add, over an embedded basis.  An exact operand becomes Gaussian-integer
+# numerators over one common denominator, plain ints when it is real, so no
+# Fraction is made inside a loop.
+
+
+class _Side(NamedTuple):
+    """One operand: elements, keys, magnitudes and values, index-aligned."""
+    elems: list
+    keys: list
+    mags: Optional[list]
+    vals: list
+    den: int                 # common denominator of exact numerators; 1 for float
+    gauss: bool              # exact numerators are (re, im) pairs, else ints
+    perm: Optional[list]     # original positions, when sorting moved any
+
+
+def _side(items, backend: str, by_mag: bool = False, den: Optional[int] = None,
+          mags: bool = True) -> _Side:
+    """Operand from (element, value) pairs, in the given order or stably
+    sorted by magnitude (`by_mag`), with values in the kernel's form for
+    `backend`.  `mags=False` skips reading magnitudes (no cutoff to test)."""
+    elems, vals = [], []
+    for lam, v in items:
+        elems.append(lam)
+        vals.append(v)
+    ms = [lam.l1() for lam in elems] if mags or by_mag else None
+    perm = None
+    if by_mag:
+        perm = sorted(range(len(elems)), key=ms.__getitem__)
+        if all(i == p for i, p in enumerate(perm)):
+            perm = None
+        else:
+            elems = [elems[i] for i in perm]
+            vals = [vals[i] for i in perm]
+            ms = [ms[i] for i in perm]
+    keys = [lam.key() for lam in elems]
+    if backend == EXACT:
+        vals, den, gauss = _numerators(vals, den)
+    else:
+        vals, den, gauss = [coeff_to_complex(v) for v in vals], 1, False
+    return _Side(elems, keys, ms, vals, den, gauss, perm)
+
+
+def _unify(s1: _Side, s2: _Side):
+    """Both operands in the same numerator form (pairs if either has them)."""
+    if s1.gauss == s2.gauss:
+        return s1, s2
+    if s1.gauss:
+        return s1, s2._replace(vals=[(v, 0) for v in s2.vals], gauss=True)
+    return s1._replace(vals=[(v, 0) for v in s1.vals], gauss=True), s2
+
+
+def _common_den(values) -> int:
+    dens = set()
+    for v in values:
+        v = QC.from_value(v)
+        dens.add(v.re.denominator)
+        dens.add(v.im.denominator)
+    return math.lcm(*dens)
+
+
+def _numerators(values, den: Optional[int] = None):
+    """(numerators, D, gauss) with value = numerator / D exactly: ints when
+    every value is real, else (re, im) pairs.  D is the least common
+    denominator unless given."""
+    qs = [QC.from_value(v) for v in values]
+    if den is None:
+        den = _common_den(qs)
+    if all(v.im == 0 for v in qs):
+        return [v.re.numerator * (den // v.re.denominator) for v in qs], den, False
+    return [(v.re.numerator * (den // v.re.denominator),
+             v.im.numerator * (den // v.im.denominator)) for v in qs], den, True
+
+
+def _gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _nonzero(v, gauss: bool) -> bool:
+    return bool(v[0] or v[1]) if gauss else v != 0
+
+
+def _value(v, den: int, gauss: bool, backend: str):
+    """A kernel value as a coefficient: numerator / den as a QC (exact), or
+    the complex itself (float)."""
+    if backend != EXACT:
+        return v
+    re, im = v if gauss else (v, 0)
+    if den == 1:
+        return QC(Fraction(re), Fraction(im))
+    return QC(Fraction(re, den), Fraction(im, den))
+
+
+def _num_abs(v, gauss: bool, den: int) -> float:
+    """|v / den| as a float.  Integer numerators are divided by the integer
+    denominator before anything becomes a float, so neither may pass the
+    float range on its own."""
+    if gauss:
+        return math.hypot(v[0] / den, v[1] / den)
+    return abs(v) / den
+
+
+def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine,
+                 born: Optional[dict] = None, outer_den: Optional[int] = None) -> float:
+    """out[combine(ka, kb)] += va * vb over the pairs with ma + mb <= limit.
+
+    `outer` yields (key, magnitude, value) and is consumed in order, one
+    term at a time (graded inversion derives each term from `out` as it
+    goes); `inner` is sorted by magnitude unless limit is None (no cutoff).
+    `row_end` finds where each row breaks, by the float sum ma + mb itself.
+    The pairs past it are dropped.  Given `outer_den`, the common
+    denominator of the outer values, their mass (|va| times a suffix sum of
+    |vb|, both as values) is returned; without it, 0.0.  Keys within one
+    row are distinct, so each sum runs in outer order.  `born`, when given,
+    records the first pair (ka, kb) behind every new key.
+    """
+    pairs = list(zip(inner.keys, inner.vals))
+    n, gauss, mags = len(pairs), inner.gauss, inner.mags
+    mass = limit is not None and outer_den is not None
+    if mass:
+        tail = [0.0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            tail[j] = tail[j + 1] + _num_abs(inner.vals[j], gauss, inner.den)
+    dropped = 0.0
+    get = out.get
+    for ka, ma, va in outer:
+        row = pairs
+        if limit is not None:
+            j = row_end(mags, ma, limit)
+            if j < n:
+                if mass:
+                    dropped += _num_abs(va, gauss, outer_den) * tail[j]
+                row = pairs[:j]
+        if gauss:
+            ar, ai = va
+            for kb, (br, bi) in row:
+                k = combine(ka, kb)
+                pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                cur = get(k)
+                if cur is None:
+                    out[k] = (pr, pi)
+                    if born is not None:
+                        born[k] = (ka, kb)
+                else:
+                    out[k] = (cur[0] + pr, cur[1] + pi)
+        else:
+            for kb, vb in row:
+                k = combine(ka, kb)
+                p = va * vb
+                cur = get(k)
+                if cur is None:
+                    out[k] = p
+                    if born is not None:
+                        born[k] = (ka, kb)
+                else:
+                    out[k] = cur + p
+    return dropped
+
+
+class _Powers:
+    """u^{*1}, u^{*2}, ... on element keys, for Neumann series and
+    composition.  After `step`, `term` holds the numerators of the current
+    power over `den` (a power of u's denominator) and `dropped` its dropped
+    mass as `convolve` would carry it.  The first (parent key, u key) pair
+    behind every key is kept, so `elements` builds each element once."""
+
+    def __init__(self, u: AlgebraElement):
+        T = u.truncation
+        self.limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
+        cut = self.limit is not None
+        self.side = _side(u.coeffs.items(), u.backend, by_mag=cut, mags=cut)
+        self.combine = key_combine(u.basis)
+        self.u_dropped = u.dropped_mass
+        self.zero = u.basis.zero()
+        zk = self.zero.key()
+        one = 1 + 0j if u.backend == FLOAT else 1
+        self.term = {zk: (one, 0) if self.side.gauss else one}
+        self.mags = {zk: self.zero.l1()}
+        self.den = 1
+        self.dropped = 0.0
+        self.origin: dict = {}
+
+    def step(self) -> dict:
+        side = self.side
+        if self.limit is None:
+            outer = zip(self.term, repeat(0.0), self.term.values())
+        else:
+            outer = zip(self.term, map(self.mags.__getitem__, self.term), self.term.values())
+        nxt, born = {}, {}
+        lost = _pair_kernel(outer, side, self.limit, nxt, self.combine, born, self.den)
+        self.dropped = self.dropped + self.u_dropped + lost
+        self.den *= side.den
+        if self.limit is not None:
+            umag = dict(zip(side.keys, side.mags))
+            self.mags = {k: self.mags[ka] + umag[kb] for k, (ka, kb) in born.items()}
+        for k, pair in born.items():
+            self.origin.setdefault(k, pair)
+        self.term = {k: nxt[k] for k in _born_order(born, self.term, side)
+                     if _nonzero(nxt[k], side.gauss)}
+        return self.term
+
+    def elements(self) -> dict:
+        """Key -> element for every key reached."""
+        elems = {self.zero.key(): self.zero}
+        uel = dict(zip(self.side.keys, self.side.elems))
+        for k, (ka, kb) in self.origin.items():
+            elems[k] = elems[ka] + uel[kb]
+        return elems
+
+
+def _born_order(born: dict, outer_keys, inner: _Side):
+    """The keys of `born` in the order a loop over the outer keys, then the
+    inner terms in their original order, first reaches them: the order a
+    product had before the inner operand was sorted."""
+    if inner.perm is None:
+        return born
+    pos_a = {k: i for i, k in enumerate(outer_keys)}
+    pos_b = dict(zip(inner.keys, inner.perm))
+    return sorted(born, key=lambda k: (pos_a[born[k][0]], pos_b[born[k][1]]))
+
+
+def _accumulate(acc: dict, term: dict, den: int, gauss: bool):
+    """acc <- acc * den + term on numerators (acc moves to the next power's
+    denominator first); a float sum is acc + term, as `AlgebraElement.add`."""
+    if den != 1:
+        for k, v in acc.items():
+            acc[k] = (v[0] * den, v[1] * den) if gauss else v * den
+    for k, v in term.items():
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = v
+        else:
+            acc[k] = (cur[0] + v[0], cur[1] + v[1]) if gauss else cur + v
 
 
 # -- invertibility witness --------------------------------------------------
@@ -561,7 +933,7 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
     """
     if w is None:
         w = weight_one()
-    u = a.add(unit(a.basis, a.backend).scale(f.center).negate())
+    u = a.add(unit(a.basis, a.backend).scale(complex(f.center)).negate())
     q = weighted_norm(u, w)
     if not q < f.radius:
         raise PreconditionError(
@@ -569,8 +941,10 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
             f" (gap {q - f.radius})")
     ratio = q / f.radius if math.isfinite(f.radius) else 0.0
     C = _series_majorant(f)
-    acc = unit(a.basis, a.backend).scale(f.coeff(0))
-    power = unit(a.basis, a.backend)
+    first = unit(a.basis, a.backend).scale(f.coeff(0))
+    acc = {lam.key(): v for lam, v in first.coeffs.items()}
+    backend, dropped, touched = first.backend, first.dropped_mass, False
+    powers = _Powers(u)  # u is float: f.center is complex
     K = 0
     while True:
         if f.finite():
@@ -585,11 +959,21 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
         K += 1
         if K > max_terms:
             raise CapExceededError(f"composition needs more than {max_terms} terms")
-        power = convolve(power, u)
+        power = powers.step()
         fk = f.coeff(K)
         if fk != 0:
-            acc = acc.add(power.scale(fk))
-    return acc, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
+            cc = coeff_to_complex(fk)
+            if backend == EXACT:
+                acc = {k: coeff_to_complex(v) for k, v in acc.items()}
+                backend = FLOAT
+            # acc.add(power.scale(fk))
+            _accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
+            dropped += powers.dropped * abs(cc)
+            touched = True
+    elems = powers.elements()
+    c = AlgebraElement(a.basis, {elems[k]: v for k, v in acc.items() if not coeff_is_zero(v)},
+                       backend, u.truncation if touched else None, dropped, _trusted=True)
+    return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 
 
 def _series_majorant(f: PowerSeries) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .algebra import min_modulus_on_disk
 from .errors import PreconditionError, ValidationError
-from .sieves import primes_upto
+from .sieves import primes_upto, spf_sieve
 
 __all__ = [
     "PrimeSystem",
@@ -212,12 +212,7 @@ class MultiplicativeFunction:
         N = int(self.system.x) if limit is None else int(limit)
         if N > self.system.x:
             raise ValidationError("limit exceeds the system truncation")
-        spf = list(range(N + 1))
-        for p in range(2, int(N**0.5) + 1):
-            if spf[p] == p:
-                for q in range(p * p, N + 1, p):
-                    if spf[q] == q:
-                        spf[q] = p
+        spf = spf_sieve(N)
         idx = {p: i for i, p in enumerate(self.system.primes)}
         vals: list = [Fraction(0)] * (N + 1)
         if N >= 1:

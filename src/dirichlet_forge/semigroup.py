@@ -10,6 +10,8 @@ cutoffs and weight evaluation; identity-critical paths stay exact.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -75,6 +77,20 @@ class SemigroupBasis:
     @cached_property
     def by_id(self) -> dict:
         return {g.id: g for g in self.generators}
+
+    @cached_property
+    def key_primes(self) -> dict:
+        """Generator id -> the prime of its position (2 for the first, 3 for
+        the second, ...): the Goedel numbering behind element keys."""
+        bound, primes = 16, primes_upto(16)
+        while len(primes) < len(self.generators):
+            bound *= 2
+            primes = primes_upto(bound)
+        return {g.id: p for g, p in zip(self.generators, primes)}
+
+    @cached_property
+    def label_ids(self) -> dict:
+        return {g.label: g.id for g in self.generators}
 
     @cached_property
     def _hash(self) -> int:
@@ -143,7 +159,7 @@ class SemigroupBasis:
 class SemigroupElement:
     """Immutable element of the semigroup generated by a basis."""
 
-    __slots__ = ("basis", "exponents", "coords", "_mag", "_val")
+    __slots__ = ("basis", "exponents", "coords", "_mag", "_val", "_key")
 
     def __init__(self, basis: SemigroupBasis, exponents=None, coords=None):
         self.basis = basis
@@ -166,6 +182,30 @@ class SemigroupElement:
             self.exponents = None
         self._mag = None
         self._val = None
+        self._key = None
+
+    @classmethod
+    def _trusted(cls, basis, exponents, coords, mag, key=None) -> "SemigroupElement":
+        """An element from already validated parts (sorted positive exponents)."""
+        out = object.__new__(cls)
+        out.basis, out.exponents, out.coords = basis, exponents, coords
+        out._mag, out._val, out._key = mag, None, key
+        return out
+
+    def key(self):
+        """Hashable key, additive as a product: over a free basis the integer
+        prod p_i^n_i with p_i the prime of generator i's position (so log n
+        over the log-primes basis has key n, and keys of sums multiply); over
+        an embedded basis the element itself (keys of sums add)."""
+        if self.basis.mode != FREE:
+            return self
+        if self._key is None:
+            primes = self.basis.key_primes
+            k = 1
+            for gid, n in self.exponents:
+                k *= primes[gid] ** n
+            self._key = k
+        return self._key
 
     def embedded_value(self) -> tuple:
         if self._val is None:
@@ -212,17 +252,22 @@ class SemigroupElement:
     def __add__(self, other: "SemigroupElement") -> "SemigroupElement":
         if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("elements belong to different bases")
+        mag = None
+        if self._mag is not None and other._mag is not None:
+            mag = self._mag + other._mag
         if self.basis.mode == FREE:
             merged = dict(self.exponents)
             for gid, n in other.exponents:
                 merged[gid] = merged.get(gid, 0) + n
-            out = SemigroupElement(self.basis, exponents=tuple(sorted(merged.items())))
-        else:
-            out = SemigroupElement(
-                self.basis, coords=tuple(a + b for a, b in zip(self.coords, other.coords)))
-        if self._mag is not None and other._mag is not None:
-            out._mag = self._mag + other._mag
-        return out
+            exps = tuple(merged.items())
+            if len(exps) != len(self.exponents):  # a generator new to self
+                exps = tuple(sorted(exps))
+            key = None
+            if self._key is not None and other._key is not None:
+                key = self._key * other._key
+            return SemigroupElement._trusted(self.basis, exps, None, mag, key)
+        return SemigroupElement._trusted(
+            self.basis, None, tuple(a + b for a, b in zip(self.coords, other.coords)), mag)
 
     def subtract(self, other: "SemigroupElement"):
         """self - other within the semigroup, or None if it leaves it."""
@@ -281,10 +326,6 @@ class SemigroupElement:
         if self.basis.mode == FREE:
             return f"Elem({dict(self.exponents)})"
         return f"Elem({[str(c) for c in self.coords]})"
-
-
-def element_add(a: SemigroupElement, b: SemigroupElement) -> SemigroupElement:
-    return a + b
 
 
 def check_q_independence(vectors) -> bool:
@@ -355,11 +396,32 @@ def membership(target, basis: SemigroupBasis, bound: int = 32):
     return None
 
 
+def row_end(mags, m: float, limit: float) -> int:
+    """Number of leading entries of the ascending list `mags` with
+    m + mag <= limit, by the same float sum the cutoff test uses: a
+    bisection at limit - m, then a step across the boundary where that
+    subtraction rounded the other way."""
+    j = bisect_right(mags, limit - m)
+    while j < len(mags) and m + mags[j] <= limit:
+        j += 1
+    while j > 0 and m + mags[j - 1] > limit:
+        j -= 1
+    return j
+
+
+def key_combine(basis: SemigroupBasis):
+    """How keys of two elements combine into the key of their sum."""
+    return operator.mul if basis.mode == FREE else operator.add
+
+
 def enumerate_monoid(support, truncation: float, cap: int = 200_000):
     """All sums of `support` elements with |.|_1 <= truncation, sorted.
 
     Sorted by (|.|_1, exponent key); includes zero.  `cap` bounds the number
-    of enumerated elements.
+    of enumerated elements.  The breadth-first search runs on element keys
+    (`SemigroupElement.key`); each element is built once, from the first
+    (parent, generator) pair that reached it, so its magnitude is the sum
+    along that path.
     """
     if isinstance(support, SemigroupBasis):
         basis = support
@@ -368,26 +430,33 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000):
         raise ValidationError("empty support")
     basis = support[0].basis
     gens = sorted((s for s in support if not s.is_zero()), key=lambda e: e.sort_key())
-    eps = 1e-9 * (1.0 + abs(truncation))
+    gmags = [s.l1() for s in gens]
+    rows = [(s.key(), sm, i) for i, (s, sm) in enumerate(zip(gens, gmags))]
+    limit = truncation + 1e-9 * (1.0 + abs(truncation))
+    combine = key_combine(basis)
     zero = basis.zero()
-    seen = {zero}
-    frontier = [zero]
+    z = zero.key()
+    mag = {z: zero.l1()}
+    parent = {}  # key -> (parent key, generator index), in discovery order
+    frontier = [z]
     while frontier:
         nxt = []
         for mu in frontier:
-            m = mu.l1()
-            for s in gens:
-                if m + s.l1() > truncation + eps:
-                    break  # gens sorted by magnitude
-                nu = mu + s
-                if nu not in seen:
-                    seen.add(nu)
-                    if len(seen) > cap:
+            m = mag[mu]
+            for sk, sm, i in rows[:row_end(gmags, m, limit)]:  # gens sorted by magnitude
+                nu = combine(mu, sk)
+                if nu not in mag:
+                    mag[nu] = m + sm
+                    parent[nu] = (mu, i)
+                    if len(mag) > cap:
                         raise CapExceededError(
                             f"monoid enumeration exceeded cap {cap} below cutoff {truncation}")
                     nxt.append(nu)
         frontier = nxt
-    return sorted(seen, key=lambda e: e.sort_key())
+    elems = {z: zero}
+    for nu, (mu, i) in parent.items():
+        elems[nu] = elems[mu] + gens[i]
+    return sorted(elems.values(), key=lambda e: e.sort_key())
 
 
 # --- basis factories -------------------------------------------------------
@@ -431,11 +500,14 @@ def log_primes_basis(limit: int) -> SemigroupBasis:
 
 def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
     """The element log n over a log-primes basis."""
-    labels = {g.label: g.id for g in basis.generators}
-    exps = {}
+    if basis.mode != FREE:
+        raise ValidationError("log elements need a free basis")
+    labels = basis.label_ids
+    exps = []
     for p, k in factorize(n).items():
         gid = labels.get(f"log{p}")
         if gid is None:
             raise ValidationError(f"prime {p} outside basis range")
-        exps[gid] = k
-    return basis.element(exponents=exps)
+        exps.append((gid, k))
+    exps.sort()
+    return SemigroupElement._trusted(basis, tuple(exps), None, None)

@@ -261,3 +261,217 @@ def brute_dual_cone(generators, dim=None):
     lin = dim - rank(gens) if gens else dim
     rays.sort()
     return DualConeResult(dim=dim, rays=tuple(rays), lineality_dim=lin)
+
+
+# -- the algebra's pair loops as they were before the integer-keyed kernel ----
+# Verbatim copies of `semigroup.enumerate_monoid` and of `algebra.convolve`,
+# `graded_invert`, `neumann_invert` and `compose_series` from before they ran
+# on element keys: every pair does a SemigroupElement addition and an exact
+# value is a QC of Fractions.  Calls among them go to each other.
+
+
+def brute_enumerate_monoid(support, truncation: float, cap: int = 200_000):
+    """All sums of `support` elements with |.|_1 <= truncation, sorted.
+
+    Sorted by (|.|_1, exponent key); includes zero.  `cap` bounds the number
+    of enumerated elements.
+    """
+    from dirichlet_forge.errors import CapExceededError, ValidationError
+    from dirichlet_forge.semigroup import SemigroupBasis
+    if isinstance(support, SemigroupBasis):
+        basis = support
+        support = [basis.generator_element(g.id) for g in basis.generators]
+    if not support:
+        raise ValidationError("empty support")
+    basis = support[0].basis
+    gens = sorted((s for s in support if not s.is_zero()), key=lambda e: e.sort_key())
+    eps = 1e-9 * (1.0 + abs(truncation))
+    zero = basis.zero()
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            m = mu.l1()
+            for s in gens:
+                if m + s.l1() > truncation + eps:
+                    break  # gens sorted by magnitude
+                nu = mu + s
+                if nu not in seen:
+                    seen.add(nu)
+                    if len(seen) > cap:
+                        raise CapExceededError(
+                            f"monoid enumeration exceeded cap {cap} below cutoff {truncation}")
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(seen, key=lambda e: e.sort_key())
+
+
+def brute_convolve(a, b):
+    """(a*b)(lambda) = sum_{lambda'+lambda''=lambda} a(lambda') b(lambda'').
+
+    Finite supports make the sum finite.  If either operand declares a
+    truncation, products beyond min(T_a, T_b) are dropped and the dropped
+    mass (sum of |a||b| over dropped pairs) is recorded in metadata.
+    """
+    from dirichlet_forge.algebra import (EXACT, FLOAT, AlgebraElement, _check_bases,
+                                         _coerce, _min_trunc)
+    from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero
+    _check_bases(a, b)
+    backend = EXACT if a.backend == b.backend == EXACT else FLOAT
+    T = _min_trunc(a.truncation, b.truncation)
+    out: dict = {}
+    dropped = a.dropped_mass + b.dropped_mass
+    eps = 0.0 if T is None else 1e-12 * (1.0 + abs(T))
+    for la, va in a.coeffs.items():
+        va = _coerce(va, backend)
+        ma = la.l1()
+        for lb, vb in b.coeffs.items():
+            if T is not None and ma + lb.l1() > T + eps:
+                dropped += coeff_abs(va) * coeff_abs(vb)
+                continue
+            lam = la + lb
+            prod = va * _coerce(vb, backend)
+            cur = out.get(lam)
+            out[lam] = prod if cur is None else cur + prod
+    out = {k: v for k, v in out.items() if not coeff_is_zero(v)}
+    return AlgebraElement(a.basis, out, backend, T, dropped, _trusted=True)
+
+
+def brute_neumann_invert(a, w=None, tol: float = 1e-12, max_terms: int = 10_000):
+    """Inverse via the geometric series around a(0), with certified tail.
+
+    Requires q = ||a - a(0) eps||_w / |a(0)| < 1.  Truncates after J terms
+    once the geometric tail q^(J+1) / ((1-q) |a(0)|) < tol.  Returns
+    (element, NeumannCertificate).
+    """
+    from dirichlet_forge.algebra import (NeumannCertificate, _invert_scalar, unit,
+                                         weighted_norm)
+    from dirichlet_forge.errors import (CapExceededError, NeumannInapplicableError,
+                                        SingularElementError)
+    from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero
+    from dirichlet_forge.weights import one as weight_one
+    if w is None:
+        w = weight_one()
+    a0 = a.constant_term()
+    if coeff_is_zero(a0):
+        raise SingularElementError("constant term vanishes; no inverse in the algebra")
+    rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
+    q = weighted_norm(rest, w) / coeff_abs(a0)
+    if q >= 1.0:
+        raise NeumannInapplicableError(q)
+    inv_a0 = _invert_scalar(a0, a.backend)
+    # b = (1/a0) sum_j u^{*j},  u = eps - a / a0
+    u = rest.scale(inv_a0).negate()
+    term = unit(a.basis, a.backend)
+    acc = term
+    tail = q / (1.0 - q)  # bound for sum_{j>J} q^j at J=0
+    J = 0
+    while tail / coeff_abs(a0) >= tol:
+        J += 1
+        if J > max_terms:
+            raise CapExceededError(f"Neumann series needs more than {max_terms} terms")
+        term = brute_convolve(term, u)
+        acc = acc.add(term)
+        tail *= q
+    b = acc.scale(inv_a0)
+    residual = weighted_norm(brute_convolve(a, b).add(unit(a.basis, b.backend).negate()), w)
+    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / coeff_abs(a0),
+                              residual_norm=residual, weight=w)
+    return b, cert
+
+
+def brute_graded_invert(a, truncation: float, cap: int = 200_000):
+    """Inverse by recursion in increasing |lambda|_1 over the support monoid.
+
+    b(0) = 1/a(0); for each reachable lambda (a sum of support elements with
+    |lambda|_1 <= truncation, enumerated in increasing magnitude with
+    lexicographic tie-break),
+        b(lambda) = -(1/a(0)) sum_{lambda'+lambda''=lambda, lambda''!=lambda}
+                     a(lambda') b(lambda'').
+    Contributions are pushed forward from each determined b(lambda'') over
+    the magnitude-sorted support, with early break at the cutoff, so the
+    cost is the number of reachable pairs rather than |support| x |monoid|.
+    Exact in the rational backend.
+    """
+    from dirichlet_forge.algebra import AlgebraElement, _invert_scalar
+    from dirichlet_forge.errors import SingularElementError
+    from dirichlet_forge.exactnum import coeff_is_zero
+    a0 = a.constant_term()
+    if coeff_is_zero(a0):
+        raise SingularElementError("constant term vanishes; no inverse in the algebra")
+    inv_a0 = _invert_scalar(a0, a.backend)
+    zero = a.basis.zero()
+    support = [(lam, v) for lam, v in a.coeffs.items() if not lam.is_zero()]
+    if not support:
+        return AlgebraElement(a.basis, {zero: inv_a0}, a.backend, truncation, _trusted=True)
+    support.sort(key=lambda kv: kv[0].sort_key())
+    elements = brute_enumerate_monoid([lam for lam, _ in support], truncation, cap)
+    eps = 1e-9 * (1.0 + abs(truncation))
+
+    acc: dict = {}
+    b: dict = {zero: inv_a0}
+    for lam in elements:
+        if lam.is_zero():
+            blam = inv_a0
+        else:
+            s = acc.get(lam)
+            if s is None:
+                continue  # not reachable as support-sum (cannot happen by construction)
+            blam = -(inv_a0 * s)
+            b[lam] = blam
+        m = lam.l1()
+        for la, va in support:
+            if m + la.l1() > truncation + eps:
+                break
+            nu = lam + la
+            prod = va * blam
+            cur = acc.get(nu)
+            acc[nu] = prod if cur is None else cur + prod
+    out = {k: v for k, v in b.items() if not coeff_is_zero(v)}
+    return AlgebraElement(a.basis, out, a.backend, truncation, _trusted=True)
+
+
+def brute_compose_series(f, a, w=None, tol: float = 1e-12, max_terms: int = 2_000):
+    """c = sum_k f_k (a - c0 eps)^{*k}, truncated by a geometric tail bound.
+
+    Requires q = ||a - c0 eps||_w < radius.  The tail uses the majorant
+    C_K = max_{k<=K} |f_k| R^k (exact for polynomial f, Cauchy-estimate
+    shaped for analytic f): sum_{k>K} |f_k| q^k <= C_K (q/R)^{K+1}/(1-q/R).
+    Returns (element, CompositionCertificate).
+    """
+    from dirichlet_forge.algebra import (CompositionCertificate, _series_majorant, unit,
+                                         weighted_norm)
+    from dirichlet_forge.errors import CapExceededError, PreconditionError
+    from dirichlet_forge.weights import one as weight_one
+    if w is None:
+        w = weight_one()
+    u = a.add(unit(a.basis, a.backend).scale(f.center).negate())
+    q = weighted_norm(u, w)
+    if not q < f.radius:
+        raise PreconditionError(
+            f"composition outside convergence radius: ||a - c0||_w = {q} >= {f.radius}"
+            f" (gap {q - f.radius})")
+    ratio = q / f.radius if math.isfinite(f.radius) else 0.0
+    C = _series_majorant(f)
+    acc = unit(a.basis, a.backend).scale(f.coeff(0))
+    power = unit(a.basis, a.backend)
+    K = 0
+    while True:
+        if f.finite():
+            # polynomial: sum every term, tail is exactly zero
+            if K >= max(len(f.coeff_list) - 1, 0):
+                tail = 0.0
+                break
+        else:
+            tail = C * ratio ** (K + 1) / (1.0 - ratio) if ratio > 0 else 0.0
+            if tail < tol:
+                break
+        K += 1
+        if K > max_terms:
+            raise CapExceededError(f"composition needs more than {max_terms} terms")
+        power = brute_convolve(power, u)
+        fk = f.coeff(K)
+        if fk != 0:
+            acc = acc.add(power.scale(fk))
+    return acc, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
