@@ -995,6 +995,7 @@ def _series_majorant(f: PowerSeries) -> float:
 DISK_GRID_CAP = 1 << 20
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+_UNDERFLOW = 2.0 ** -1074  # the smallest subnormal: absolute error per rounded operation
 
 
 class DiskMinimum(NamedTuple):
@@ -1028,17 +1029,31 @@ def _disk_minimum(terms: dict, step: float, boundary: int) -> DiskMinimum:
     sum k |a_k| on the disk.  So with n the degree, A = sum |a_k|, u the
     unit roundoff and gamma_m = m u / (1 - m u),
 
-        lower_bound = min_grid - L h sqrt(2) - rho,
-        rho = gamma_(4n+2) (A + L).
+        lower_bound = min_grid - L h sqrt(2) - rho - tau,
+        rho = gamma_(4n+2) (A + L),
+        tau = (26n + 38) eta,  eta = 2^-1074.
 
     rho bounds the floating-point error of complex Horner evaluation on
     |z| <= 1 (at most n complex products, each within sqrt(2) gamma_2 <=
     gamma_3, and n sums, each within u: gamma_(4n) A; Higham, Accuracy and
     Stability of Numerical Algorithms, sec. 5.1), the rounding of |.| and
     of the final subtractions, and the rounding of the grid points and of
-    L, both of which enter through L.  A positive lower bound certifies
-    that p has no zero on the closed disk.  The zero polynomial gives
-    minimum 0 and lower bound 0.
+    L, both of which enter through L.
+
+    tau is the underflow term of Higham's model (sec. 2.1): at subnormal
+    scale a rounded operation also errs by an absolute amount of at most
+    eta = 2^-1074, and the relative terms above, L h sqrt(2) and rho can
+    all round to 0.  The rounded operations number at most 13n + 19:
+    8n + 2 in Horner's rule at a point (n complex products of 6, n + 1
+    complex sums of 2), 1 for |.|, 3(n + 1) for L and 2(n + 1) for A (a
+    modulus, a product and a sum per term), 5 for rho, 3 for the mesh term
+    and 3 for the subtractions.  Each error reaches the bound multiplied by
+    less than 2 (by |z| <= 1 + 2u and factors 1 + delta, by h sqrt(2) <=
+    sqrt(2) + u, or by gamma_(4n+2)), so tau covers them all.
+
+    A positive lower bound certifies that p has no zero on the closed
+    disk.  The zero polynomial (no rounded operation) gives minimum 0 and
+    lower bound 0.
     """
     if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0.0 < step <= 1.0:
         raise ValidationError(f"disk step must be a finite number in (0, 1], got {step!r}")
@@ -1065,8 +1080,9 @@ def _disk_minimum(terms: dict, step: float, boundary: int) -> DiskMinimum:
     mm = (4 * n + 2) * _UNIT_ROUNDOFF
     rho = mm / (1.0 - mm) * (A + L)
     mesh = step * math.sqrt(2.0)
+    tau = (26 * n + 38) * _UNDERFLOW if terms else 0.0
     best = float(mods[i])
-    return DiskMinimum(best, complex(grid[i]), best - L * mesh - rho, L, mesh)
+    return DiskMinimum(best, complex(grid[i]), best - L * mesh - rho - tau, L, mesh)
 
 
 @functools.lru_cache(maxsize=4)

@@ -4,7 +4,7 @@ Separation of finite point sets from the origin, dual cones by double
 description, extreme rays, minimal faces, and construction of an independent
 generating set through a prescribed interior direction.  Dual cones are
 computed on primitive integer rays with combinatorial adjacency, without LP;
-every other decision is made in Fraction arithmetic via the exact simplex.
+every other decision is made exactly, via the exact simplex.
 Floats appear only at the boundary (measured inputs), where an explicit
 interval policy turns them into exact intervals before any comparison.
 """
@@ -14,24 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional
 
 from . import ratlin
 from .errors import CapExceededError, PreconditionError, ValidationError
-from .exactnum import as_fraction, format_frac, parse_frac
+from .exactnum import as_fraction, format_frac
 from .exact_lp import feasible_geq_one, fourier_motzkin, max_coordinate, nonneg_combination
 from .ratlin import (canonical_ray, dot, independent_subset, invert_matrix,
-                     kernel_basis, rank, rref)
+                     kernel_basis, rank, rref, vec)
 
 F = Fraction
 
 
-def _vec(v) -> tuple:
-    return tuple(as_fraction(x) for x in v)
-
-
 def _vecs(vs) -> list:
-    return [_vec(v) for v in vs]
+    return [vec(v) for v in vs]
 
 
 def vec_to_json(v) -> list:
@@ -39,7 +36,7 @@ def vec_to_json(v) -> list:
 
 
 def vec_from_json(data) -> tuple:
-    return tuple(parse_frac(s) if isinstance(s, str) else as_fraction(s) for s in data)
+    return vec(data)
 
 
 @dataclass(frozen=True)
@@ -49,14 +46,14 @@ class RationalCone:
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(_vec(g) for g in self.generators)
+        gens = tuple(vec(g) for g in self.generators)
         for g in gens:
             if len(g) != self.dim:
                 raise ValidationError("generator dimension mismatch")
         object.__setattr__(self, "generators", gens)
 
     def contains(self, x) -> bool:
-        xv = _vec(x)
+        xv = vec(x)
         if not self.generators:
             return all(v == 0 for v in xv)
         t, _ = nonneg_combination(self.generators, xv)
@@ -371,6 +368,31 @@ def extreme_rays(generators):
     return sorted(out)
 
 
+def extreme_rays_from_dual(generators, dual: DualConeResult):
+    """Canonical extreme rays of a pointed cone, read off its dual cone.
+
+    dual: `dual_cone(generators)`.  Its pointed rays (all but the last
+    2 * lineality_dim) are the facet normals of the cone inside its span,
+    of dimension r.  A canonical generator is extreme iff the pointed rays
+    vanishing on it have rank r - 1.  No LP runs; pointedness is the
+    caller's precondition (`extreme_rays` checks it, this does not).
+    """
+    gens = list(dict.fromkeys(canonical_ray(g) for g in _vecs(generators)
+                              if any(x != 0 for x in g)))
+    if not gens:
+        return []
+    # both sides are primitive integer vectors: dot products on numerators
+    pointed = [[x.numerator for x in y]
+               for y in dual.rays[:len(dual.rays) - 2 * dual.lineality_dim]]
+    r = rank(gens)
+    out = []
+    for g in gens:
+        gi = [x.numerator for x in g]
+        if rank([y for y in pointed if not sum(map(mul, y, gi))]) == r - 1:
+            out.append(g)
+    return sorted(out)
+
+
 # -- minimal faces ------------------------------------------------------------
 
 # Interval policy for float inputs: a float coordinate x stands for the exact
@@ -412,7 +434,7 @@ def minimal_face_containing(cone: RationalCone, x, exact: Optional[bool] = None)
     if exact is None:
         exact = not any(isinstance(v, float) for v in x)
     if exact:
-        xv = _vec(x)
+        xv = vec(x)
         if all(v == 0 for v in xv):
             return FaceResult((), (), (), note="x = 0: the face is the origin")
         t, _ = nonneg_combination(gens, xv)
@@ -502,7 +524,7 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
     gens = [g for g in _vecs(generators) if any(x != 0 for x in g)]
     if not gens:
         raise ValidationError("no nonzero generators")
-    eta = _vec(eta)
+    eta = vec(eta)
     if not is_pointed(gens):
         raise PreconditionError("cone contains a line")
     t, _ = nonneg_combination(gens, eta)
@@ -518,7 +540,7 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         raise PreconditionError("eta is outside the span of the generators")
     first_c = None
     if first is not None:
-        first_c = to_coords(_vec(first))
+        first_c = to_coords(vec(first))
         if first_c is None:
             raise PreconditionError("requested leading vector outside the span")
 

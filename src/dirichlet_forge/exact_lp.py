@@ -3,7 +3,8 @@
 A small two-phase primal simplex with Bland's rule, used for every polyhedral
 decision in the package: feasibility of nonnegative combinations, separating
 functionals via infeasibility certificates, and bounded coordinate
-maximization.  Everything is Fraction arithmetic; no floats enter.
+maximization.  Inputs and outputs are Fractions and the tableau holds Python
+ints (fraction-free pivoting, see solve_standard); no floats enter.
 
 Certificates: when {A x = b, x >= 0} is infeasible the phase-1 optimum yields
 y with y.A <= 0 componentwise and y.b > 0 (returned for the original row
@@ -11,16 +12,20 @@ order and signs).  Callers turn this y directly into separating functionals.
 
 fourier_motzkin() is an independent feasibility decision for inequality
 systems, exponential in the dimension; it exists to cross-check the simplex
-on low-dimensional instances, not to replace it.
+on low-dimensional instances, not to replace it.  Its row list is capped
+(FM_ROW_CAP).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
+from .errors import CapExceededError
 from .exactnum import as_fraction
+from .ratlin import integer_pivot, pivot_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -36,7 +41,17 @@ class LPResult:
 
 
 def solve_standard(c, A, b) -> LPResult:
-    """max c.x  subject to  A x = b, x >= 0,  exact rationals throughout."""
+    """max c.x  subject to  A x = b, x >= 0,  exact rationals throughout.
+
+    The tableau holds Python ints.  Rows are sign-flipped so b >= 0, and
+    every row of (A, b) is multiplied by L, the lcm of all their
+    denominators, with the artificial columns kept as the identity: the LP
+    L A x + a' = L b, a' = L a.  Phase 1's reduced costs then change only by
+    positive factors, so Bland's rule takes the same pivots as on (A, b).
+    With B the current basis and D = |det B| > 0, the tableau is
+    M = D B^-1 [L A | I | L b], updated by `ratlin.integer_pivot` with each
+    division checked.  Fractions are made only for x and the Farkas y.
+    """
     m = len(A)
     c = [as_fraction(v) for v in c]
     n = len(c)
@@ -52,90 +67,93 @@ def solve_standard(c, A, b) -> LPResult:
         return LPResult(OPTIMAL, x=[Fraction(0)] * n, objective=Fraction(0))
 
     # Row signs flipped so the rhs is nonnegative; remembered for certificates.
-    signs = []
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            signs.append(-1)
-        else:
-            signs.append(1)
-
+    signs = [-1 if v < 0 else 1 for v in rhs]
+    L = lcm(*(v.denominator for row in rows for v in row), *(v.denominator for v in rhs))
+    M = [[s * v.numerator * (L // v.denominator) for v in row]
+         + [int(j == i) for j in range(m)]
+         + [s * rhs[i].numerator * (L // rhs[i].denominator)]
+         for i, (s, row) in enumerate(zip(signs, rows))]
     ncols = n + m  # structural + artificial
-    T = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-         for i in range(m)]
     basis = list(range(n, n + m))
+    d = 1
 
     def pivot(r, col):
-        piv = T[r][col]
-        T[r] = [v / piv for v in T[r]]
-        prow = T[r]
-        for k in range(m):
-            if k != r and T[k][col] != 0:
-                f = T[k][col]
-                T[k] = [v - f * w for v, w in zip(T[k], prow)]
+        nonlocal d
+        d = integer_pivot(M, r, col, d)
         basis[r] = col
+        if d < 0:  # only when driving out an artificial; keep D > 0
+            d = -d
+            for k, row in enumerate(M):
+                M[k] = [-v for v in row]
 
     def run(cvec, allowed):
-        """Bland-rule simplex on the current tableau; returns OPTIMAL/UNBOUNDED."""
-        zrow = [cvec[j] - sum(cvec[basis[i]] * T[i][j] for i in range(m))
-                for j in range(ncols)]
+        """Bland-rule simplex on the current tableau; returns OPTIMAL/UNBOUNDED.
+
+        cvec: ints; allowed: range(k), the columns that may enter.  Z, over
+        those columns, is D (cvec - cvec_B B^-1 [L A | I]): it has the signs of
+        the reduced costs and takes the tableau's pivots.
+        """
+        cb = [(cvec[basis[i]], row) for i, row in enumerate(M) if cvec[basis[i]]]
+        Z = [d * cvec[j] - sum(cv * row[j] for cv, row in cb) for j in allowed]
         while True:
-            col = next((j for j in allowed if zrow[j] > 0), None)
+            col = next((j for j in allowed if Z[j] > 0), None)
             if col is None:
                 return OPTIMAL
             r = None
-            best = None
-            for i in range(m):
-                if T[i][col] > 0:
-                    ratio = T[i][-1] / T[i][col]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[r]):
-                        best, r = ratio, i
+            for i, row in enumerate(M):
+                a = row[col]
+                if a > 0:
+                    if r is None:
+                        r, num, den = i, row[-1], a
+                        continue
+                    # ratio test row[-1] / a against num / den, cross-multiplied
+                    mine, best = row[-1] * den, num * a
+                    if mine < best or (mine == best and basis[i] < basis[r]):
+                        r, num, den = i, row[-1], a
             if r is None:
                 return UNBOUNDED
+            d_old = d
             pivot(r, col)
-            f = zrow[col]
-            prow = T[r]
-            zrow = [z - f * w for z, w in zip(zrow, prow)]
+            Z = pivot_row(Z, M[r], col, d, d_old)
 
     # Phase 1: drive the artificial variables to zero.
-    c1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    c1 = [0] * n + [-1] * m
     run(c1, range(ncols))
-    value = sum(c1[basis[i]] * T[i][-1] for i in range(m))
-    if value < 0:
-        # y = c1_B B^{-1}; B^{-1} sits in the artificial columns.  -y certifies
-        # infeasibility of the flipped system; unflip per row.
-        y = [sum(c1[basis[k]] * T[k][n + i] for k in range(m)) for i in range(m)]
-        farkas = [-yi * signs[i] for i, yi in enumerate(y)]
+    if sum(c1[basis[i]] * row[-1] for i, row in enumerate(M)) < 0:
+        # y = c1_B B^{-1}; B^{-1} = M / D in the artificial columns (whose L
+        # factors cancel).  -y certifies infeasibility of the flipped system;
+        # unflip per row.
+        y = [sum(c1[basis[k]] * row[n + i] for k, row in enumerate(M)) for i in range(m)]
+        farkas = [Fraction(-yi * signs[i], d) for i, yi in enumerate(y)]
         return LPResult(INFEASIBLE, farkas=farkas)
 
     # Drive leftover basic artificials out (degenerate rows), drop redundant rows.
     redundant = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = next((j for j in range(n) if M[i][j] != 0), None)
             if col is None:
                 redundant.append(i)  # 0 = 0 row
             else:
                 pivot(i, col)
     if redundant:
         for i in sorted(redundant, reverse=True):
-            del T[i]
+            del M[i]
             del basis[i]
-        m = len(T)
-        if m == 0:
+        if not M:
             if any(cj > 0 for cj in c):
                 return LPResult(UNBOUNDED, x=[Fraction(0)] * n)
             return LPResult(OPTIMAL, x=[Fraction(0)] * n, objective=Fraction(0))
 
-    # Phase 2: original objective, artificial columns barred from entering.
-    c2 = c + [Fraction(0)] * (ncols - n)
+    # Phase 2: original objective (times the lcm of its denominators),
+    # artificial columns barred from entering.
+    Lc = lcm(*(v.denominator for v in c))
+    c2 = [v.numerator * (Lc // v.denominator) for v in c] + [0] * m
     status = run(c2, range(n))
     x = [Fraction(0)] * n
-    for i in range(m):
+    for i, row in enumerate(M):
         if basis[i] < n:
-            x[basis[i]] = T[i][-1]
+            x[basis[i]] = Fraction(row[-1], d)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, x=x)
     obj = sum(cv * xv for cv, xv in zip(c, x))
@@ -247,11 +265,19 @@ def feasible_functional(strict_points, weak_points):
     return None, (y[:ks], y[ks:])
 
 
+# Most rows fourier_motzkin may hold after one elimination.  Eliminating a
+# variable replaces its u upper and l lower bounds by u * l rows, so the
+# count can grow doubly exponentially in the dimension; a longer row list
+# raises CapExceededError with the partial counts.  Override by assignment.
+FM_ROW_CAP = 100_000
+
+
 def fourier_motzkin(A, b):
     """Feasibility of A x <= b over Q^d with witness, by variable elimination.
 
     Exponential in the dimension; use only as a low-dimensional cross-check.
-    Returns (True, x) with A x <= b exactly, or (False, None).
+    Returns (True, x) with A x <= b exactly, or (False, None).  Raises
+    CapExceededError before the row list would pass FM_ROW_CAP.
     """
     if not A:
         return True, []
@@ -269,6 +295,12 @@ def fourier_motzkin(A, b):
                 lows.append(row)
             else:
                 rest.append(row)
+        if len(rest) + len(ups) * len(lows) > FM_ROW_CAP:
+            done = [f"x{j}" for j in range(n - 1, k, -1)]
+            raise CapExceededError(
+                f"Fourier-Motzkin elimination of x{k} would pass FM_ROW_CAP = "
+                f"{FM_ROW_CAP} rows: {len(done)} of {n} variables eliminated "
+                f"({', '.join(done) or 'none'}), {len(sys_rows)} rows held")
         new_rows = list(rest)
         for u in ups:
             au = u[k]

@@ -36,13 +36,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .exactnum import as_fraction
 from .ratlin import (dot, independent_subset, invert_matrix, kernel_basis,
-                     solve, vadd, vscale)
+                     solve, vadd, vec, vscale)
 from .exact_lp import feasible_functional, nonneg_combination
 from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
-                    basis_through_point, dual_cone, extreme_rays, is_pointed,
-                    vec_from_json, vec_to_json)
+                    basis_through_point, dual_cone, extreme_rays_from_dual,
+                    is_pointed, vec_from_json, vec_to_json)
 from .semigroup import free_rational_basis
 from .characters import Character
 
@@ -52,10 +51,6 @@ MODULUS_RELATION_TOL = 1e-9
 PHASE_TOL = 1e-8
 PHASE_SEARCH_BOUND = 8
 BOUND_TOL = 1e-9
-
-
-def _vec(v):
-    return tuple(as_fraction(x) for x in v)
 
 
 def _cx(v) -> complex:
@@ -71,7 +66,7 @@ class CharacterExtensionProblem:
     prescribed: dict      # generator index -> complex value, |value| <= 1
 
     def __post_init__(self):
-        gs = tuple(_vec(g) for g in self.gamma)
+        gs = tuple(vec(g) for g in self.gamma)
         if not gs:
             raise ValidationError("no generators")
         for g in gs:
@@ -287,12 +282,15 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     primal extreme rays zeta annihilates (interval test on the float values),
     a rational point near zeta inside that face is walked to an independent
     subset, and the completed set is rescaled so every generator gets integer
-    exponents over the inverse basis.
+    exponents over the inverse basis.  gamma must span a pointed cone
+    (`CharacterExtensionProblem` checks it); its extreme rays are read off
+    the dual cone, with no LP.
     """
     d = len(gamma[0])
     flags = []
-    prim = extreme_rays(gamma)
-    dual = dual_cone(gamma, dim=d).rays
+    dres = dual_cone(gamma, dim=d)
+    prim = extreme_rays_from_dual(gamma, dres)
+    dual = dres.rays
 
     zmax = max(abs(z) for z in zeta_vec) + 1.0
     tight, ambiguous = [], []

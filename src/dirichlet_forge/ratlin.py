@@ -2,18 +2,24 @@
 
 Small dense routines (rref, solve, kernel, inverse) — inputs here are
 desk-scale matrices coming from cone and character-extension problems.
+Elimination is fraction-free: `integer_pivot` runs on Python ints, and
+Fractions are made only for the outputs.  The exact simplex in `exact_lp`
+pivots with the same step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .exactnum import as_fraction
 
 Vec = tuple
 
 
 def vec(xs) -> tuple:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
+    """The entries as a tuple of Fractions (`as_fraction`: floats exactly)."""
+    return tuple(as_fraction(x) for x in xs)
 
 
 def dot(u, v) -> Fraction:
@@ -37,34 +43,82 @@ def is_zero_vec(v) -> bool:
     return all(a == 0 for a in v)
 
 
+def integer_pivot(M, r, col, d):
+    """Fraction-free pivot of the int rows M on M[r][col], in place.
+
+    M holds d * T for a tableau T whose rows all share the scale d != 0.
+    Pivoting T on (r, col) keeps row r and sets, for every other row k,
+
+        M[k][j] = (M[k][j] * p - M[k][col] * M[r][j]) / d,   p = M[r][col],
+
+    after which p is the common scale; it is returned.  When d is, up to
+    sign, the determinant of the current basis (1 for an identity start),
+    Sylvester's identity makes every division exact (Bareiss 1968); a
+    remainder raises AssertionError.
+    """
+    prow = M[r]
+    p = prow[col]
+    for k, row in enumerate(M):
+        if k != r:
+            M[k] = pivot_row(row, prow, col, p, d)
+    return p
+
+
+def pivot_row(row, prow, col, p, d):
+    """One row of `integer_pivot`: (row * p - row[col] * prow) / d, exactly.
+
+    `row` may be shorter than `prow`; the result has the length of `row`.
+    """
+    f = row[col]
+    if f:
+        out = [v * p - f * w for v, w in zip(row, prow)]
+    elif p == d:
+        return row
+    else:
+        out = [v * p for v in row]
+    if d == 1:
+        return out
+    q = [v // d for v in out]
+    # floor division leaves remainders v - d * (v // d) that all share the
+    # sign of d, so they vanish together exactly when their sum does
+    if sum(out) != d * sum(q):
+        raise AssertionError(f"fraction-free pivot: a row is not divisible by {d}")
+    return q
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot column list).
+
+    Entries are read exactly (`as_fraction`) and every row is scaled to
+    ints; Gauss-Jordan elimination then runs with `integer_pivot`, so all
+    rows share one scale d and each pivot row ends with d on its pivot.
+    Dividing by d builds the output; the reduced form is unique, so it is
+    the one elimination over Fractions gives.
+    """
+    M = []
+    for row in map(vec, rows):
+        den = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (den // x.denominator) for x in row])
+    if not M:
         return [], []
-    ncols = len(m[0])
+    ncols = len(M[0])
     pivots = []
-    r = 0
+    r, d = 0, 1
     for c in range(ncols):
         pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
+        for i in range(r, len(M)):
+            if M[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        M[r], M[pivot] = M[pivot], M[r]
+        d = integer_pivot(M, r, c, d)
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == len(M):
             break
-    return [tuple(row) for row in m[:r]], pivots
+    return [tuple(Fraction(x, d) for x in row) for row in M[:r]], pivots
 
 
 def rank(rows) -> int:

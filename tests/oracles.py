@@ -475,3 +475,147 @@ def brute_compose_series(f, a, w=None, tol: float = 1e-12, max_terms: int = 2_00
         if fk != 0:
             acc = acc.add(power.scale(fk))
     return acc, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
+
+
+# -- exact linear algebra as it was before fraction-free pivoting -----------
+# Verbatim copies of `exact_lp.solve_standard` and `ratlin.rref` from when
+# every tableau entry was a Fraction and each pivot divided its row.
+
+
+def brute_solve_standard(c, A, b):
+    """max c.x  subject to  A x = b, x >= 0,  exact rationals throughout."""
+    from dirichlet_forge.exact_lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+    from dirichlet_forge.exactnum import as_fraction
+    m = len(A)
+    c = [as_fraction(v) for v in c]
+    n = len(c)
+    rows = [[as_fraction(v) for v in row] for row in A]
+    rhs = [as_fraction(v) for v in b]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("ragged constraint matrix")
+
+    if m == 0:
+        if any(cj > 0 for cj in c):
+            return LPResult(UNBOUNDED, x=[Fraction(0)] * n)
+        return LPResult(OPTIMAL, x=[Fraction(0)] * n, objective=Fraction(0))
+
+    # Row signs flipped so the rhs is nonnegative; remembered for certificates.
+    signs = []
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+            signs.append(-1)
+        else:
+            signs.append(1)
+
+    ncols = n + m  # structural + artificial
+    T = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
+         for i in range(m)]
+    basis = list(range(n, n + m))
+
+    def pivot(r, col):
+        piv = T[r][col]
+        T[r] = [v / piv for v in T[r]]
+        prow = T[r]
+        for k in range(m):
+            if k != r and T[k][col] != 0:
+                f = T[k][col]
+                T[k] = [v - f * w for v, w in zip(T[k], prow)]
+        basis[r] = col
+
+    def run(cvec, allowed):
+        """Bland-rule simplex on the current tableau; returns OPTIMAL/UNBOUNDED."""
+        zrow = [cvec[j] - sum(cvec[basis[i]] * T[i][j] for i in range(m))
+                for j in range(ncols)]
+        while True:
+            col = next((j for j in allowed if zrow[j] > 0), None)
+            if col is None:
+                return OPTIMAL
+            r = None
+            best = None
+            for i in range(m):
+                if T[i][col] > 0:
+                    ratio = T[i][-1] / T[i][col]
+                    if best is None or ratio < best or (
+                            ratio == best and basis[i] < basis[r]):
+                        best, r = ratio, i
+            if r is None:
+                return UNBOUNDED
+            pivot(r, col)
+            f = zrow[col]
+            prow = T[r]
+            zrow = [z - f * w for z, w in zip(zrow, prow)]
+
+    # Phase 1: drive the artificial variables to zero.
+    c1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    run(c1, range(ncols))
+    value = sum(c1[basis[i]] * T[i][-1] for i in range(m))
+    if value < 0:
+        # y = c1_B B^{-1}; B^{-1} sits in the artificial columns.  -y certifies
+        # infeasibility of the flipped system; unflip per row.
+        y = [sum(c1[basis[k]] * T[k][n + i] for k in range(m)) for i in range(m)]
+        farkas = [-yi * signs[i] for i, yi in enumerate(y)]
+        return LPResult(INFEASIBLE, farkas=farkas)
+
+    # Drive leftover basic artificials out (degenerate rows), drop redundant rows.
+    redundant = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is None:
+                redundant.append(i)  # 0 = 0 row
+            else:
+                pivot(i, col)
+    if redundant:
+        for i in sorted(redundant, reverse=True):
+            del T[i]
+            del basis[i]
+        m = len(T)
+        if m == 0:
+            if any(cj > 0 for cj in c):
+                return LPResult(UNBOUNDED, x=[Fraction(0)] * n)
+            return LPResult(OPTIMAL, x=[Fraction(0)] * n, objective=Fraction(0))
+
+    # Phase 2: original objective, artificial columns barred from entering.
+    c2 = c + [Fraction(0)] * (ncols - n)
+    status = run(c2, range(n))
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    if status == UNBOUNDED:
+        return LPResult(UNBOUNDED, x=x)
+    obj = sum(cv * xv for cv, xv in zip(c, x))
+    return LPResult(OPTIMAL, x=x, objective=obj)
+
+
+def brute_rref(rows):
+    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots

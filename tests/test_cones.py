@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dirichlet_forge import cones
 from dirichlet_forge.cones import (
@@ -15,6 +15,7 @@ from dirichlet_forge.cones import (
     conv_contains_zero,
     dual_cone,
     extreme_rays,
+    extreme_rays_from_dual,
     is_pointed,
     minimal_face_containing,
     separate,
@@ -267,6 +268,34 @@ def test_extreme_rays_dedupes_scalings():
 def test_extreme_rays_rejects_line():
     with pytest.raises(PreconditionError):
         extreme_rays([(1, 0), (-1, 0)])
+
+
+@st.composite
+def _pointed_cones(draw):
+    """Up to 8 generators in Q^d, d <= 5, inside a random subspace of
+    dimension 2 <= r <= d when d > 1 (so many cones do not span), kept
+    when pointed.  All of it comes from a drawn seed: hypothesis'
+    preference for small values would make most cones a single ray."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    d = rng.randint(1, 5)
+    r = rng.randint(min(2, d), d)
+    k = rng.randint(1, 8)
+    span = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+    gens = []
+    for _ in range(k):
+        c = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(r - 1)]
+        den = rng.choice([1, 1, 2, 3])
+        gens.append(tuple(F(sum(ci * b[j] for ci, b in zip(c, span)), den) for j in range(d)))
+    assume(any(x != 0 for g in gens for x in g) and is_pointed(gens))
+    return gens
+
+
+@given(_pointed_cones())
+@settings(max_examples=200, deadline=None)
+@example([(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(1), F(1), F(0)), (F(2), F(0), F(0))])
+def test_extreme_rays_from_dual_matches_lp_route(gens):
+    dual = dual_cone(gens, dim=len(gens[0]))
+    assert extreme_rays_from_dual(gens, dual) == extreme_rays(gens)
 
 
 def test_conv_contains_zero_certificates():

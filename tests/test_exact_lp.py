@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dirichlet_forge import exact_lp
+from dirichlet_forge.errors import CapExceededError
 from dirichlet_forge.exact_lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -15,6 +18,8 @@ from dirichlet_forge.exact_lp import (
     nonneg_combination,
     solve_standard,
 )
+from dirichlet_forge.ratlin import integer_pivot
+from tests.oracles import brute_solve_standard
 
 F = Fraction
 small = st.fractions(min_value=F(-5), max_value=F(5), max_denominator=4)
@@ -205,3 +210,115 @@ def test_random_bounded_lp_never_cycles(seed):
     assert F(0) <= val <= F(5)
     for dd in range(d):
         assert sum(ti * v[dd] for ti, v in zip(t, vs)) == target[dd]
+
+
+# -- the integer tableau against the Fraction simplex it replaced -------------
+
+mixed = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=12)
+
+
+def _same(res, ref):
+    assert (res.status, res.x, res.objective, res.farkas) == \
+        (ref.status, ref.x, ref.objective, ref.farkas)
+
+
+@st.composite
+def lp_systems(draw):
+    """(c, A, b) with mixed denominators, negative right-hand sides, and
+    zero or repeated rows (the redundant-row deletion after phase 1)."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    A, b = [], []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["row", "row", "row", "zero", "repeat"]))
+        if kind == "zero":
+            A.append([F(0)] * n)
+            b.append(draw(st.sampled_from([F(0), F(0), F(1)])))
+        elif kind == "repeat" and A:
+            i = draw(st.integers(0, len(A) - 1))
+            k = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+            A.append([k * v for v in A[i]])
+            b.append(k * b[i])
+        else:
+            A.append([draw(mixed) for _ in range(n)])
+            b.append(draw(mixed))
+    c = [draw(mixed) for _ in range(n)]
+    return c, A, b
+
+
+@given(lp_systems())
+@settings(max_examples=300, deadline=None)
+@example(([F(1), F(0)], [[F(1), F(-1)]], [F(1)]))                 # unbounded
+@example(([F(0), F(0)], [[F(1), F(1)], [F(1), F(2)]], [F(-1), F(2)]))  # infeasible
+@example(([F(1, 2), F(-1)], [], []))                               # m = 0
+def test_solve_standard_matches_fraction_simplex(case):
+    c, A, b = case
+    _same(solve_standard(c, A, b), brute_solve_standard(c, A, b))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_solve_standard_matches_on_cone_lps(seed):
+    """The LP shapes the cone code builds: nonnegative combinations and
+    functionals >= 1, over small integer points with denominators."""
+    rng = random.Random(seed)
+    d, k = rng.randint(1, 4), rng.randint(1, 6)
+    pts = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)] for _ in range(k)]
+    A = [[p[i] for p in pts] for i in range(d)]
+    target = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+    _same(solve_standard([F(0)] * k, A, target), brute_solve_standard([F(0)] * k, A, target))
+    A = [list(p) + [-v for v in p] + [F(-int(j == i)) for j in range(k)]
+         for i, p in enumerate(pts)]
+    c = [F(rng.randint(-2, 2)) for _ in range(2 * d + k)]
+    _same(solve_standard(c, A, [F(1)] * k), brute_solve_standard(c, A, [F(1)] * k))
+
+
+def test_solve_standard_negative_drive_out_pivot(monkeypatch):
+    # phase 1 leaves an artificial basic whose first nonzero structural
+    # entry is negative; phase 2 pivots again after it
+    c = [1, 0, 1, 0]
+    A = [[0, F(-3, 2), -1, 0], [1, 0, -2, F(-3, 2)], [-1, F(1, 2), 0, -1]]
+    b = [0, 0, -1]
+    pivots = []
+
+    def spy(M, r, col, d):
+        p = integer_pivot(M, r, col, d)
+        pivots.append(p)
+        return p
+
+    monkeypatch.setattr(exact_lp, "integer_pivot", spy)
+    res = solve_standard(c, A, b)
+    neg = [i for i, p in enumerate(pivots) if p < 0]
+    assert neg and neg[-1] < len(pivots) - 1
+    assert res.status == OPTIMAL
+    assert res.x == [F(3, 5), F(0), F(0), F(2, 5)] and res.objective == F(3, 5)
+    _same(res, brute_solve_standard(c, A, b))
+
+
+def test_integer_pivot_checks_each_division():
+    # the scale 3 is not the determinant of anything here: 1 / 3 is inexact
+    with pytest.raises(AssertionError):
+        integer_pivot([[2, 1], [1, 1]], 0, 0, 3)
+    M = [[2, 1], [1, 1]]
+    assert integer_pivot(M, 0, 0, 1) == 2 and M == [[2, 1], [0, 1]]
+
+
+def test_fourier_motzkin_row_cap(monkeypatch):
+    # eliminating x1 pairs 3 upper with 3 lower bounds: 9 rows, cap 5
+    A = [[1, 1], [2, 1], [-1, 1], [1, -1], [-2, -1], [0, -1]]
+    b = [1] * 6
+    assert fourier_motzkin(A, b)[0]
+    monkeypatch.setattr(exact_lp, "FM_ROW_CAP", 5)
+    with pytest.raises(CapExceededError) as exc:
+        fourier_motzkin(A, b)
+    msg = str(exc.value)
+    assert "FM_ROW_CAP = 5" in msg and "x1" in msg
+    assert "0 of 2 variables eliminated" in msg and "6 rows held" in msg
+    # the cap also binds after a first elimination: x1 leaves 9 rows, then
+    # x0 would pair their upper and lower bounds into more than 9
+    monkeypatch.setattr(exact_lp, "FM_ROW_CAP", 9)
+    with pytest.raises(CapExceededError) as exc:
+        fourier_motzkin(A, b)
+    assert "of x0" in str(exc.value)
+    assert "1 of 2 variables eliminated (x1), 9 rows held" in str(exc.value)
+

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge.ratlin import (
     canonical_line,
@@ -18,6 +18,7 @@ from dirichlet_forge.ratlin import (
     vscale,
     vsub,
 )
+from tests.oracles import brute_rref
 
 F = Fraction
 small_frac = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=6)
@@ -142,3 +143,49 @@ def test_vector_helpers():
     assert list(vsub(a, b)) == [F(-2), F(3)]
     assert list(vscale(F(2), a)) == [F(2), F(4)]
     assert dot(a, b) == F(1)
+
+
+# -- fraction-free rref against the Fraction elimination it replaced ----------
+
+mixed = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Rows that are rational combinations of fewer rows, with zero and
+    repeated rows mixed in."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    base = [[draw(mixed) for _ in range(n)] for _ in range(k)]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["comb", "comb", "zero", "base"]))
+        if kind == "zero":
+            rows.append([F(0)] * n)
+        elif kind == "base":
+            rows.append(list(draw(st.sampled_from(base))))
+        else:
+            cs = [draw(mixed) for _ in base]
+            rows.append([sum((c * b[j] for c, b in zip(cs, base)), F(0)) for j in range(n)])
+    return rows
+
+
+@given(st.one_of(matrices(max_n=6), deficient_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_elimination(rows):
+    assert rref(rows) == brute_rref(rows)
+
+
+_float = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(_float, st.integers(-5, 5)), min_size=n, max_size=n),
+                       min_size=1, max_size=4)))
+@settings(max_examples=150, deadline=None)
+def test_rref_reads_floats_exactly(rows):
+    # a float is the rational its binary expansion names; no rounding enters
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == brute_rref([[F(x) for x in r] for r in rows])
+    assert all(isinstance(x, F) for r in reduced for x in r)
+
