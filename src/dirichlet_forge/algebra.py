@@ -143,11 +143,16 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, data: dict, basis: Optional[SemigroupBasis] = None) -> "AlgebraElement":
+        """The element `to_json` wrote.  One pass: each support element is
+        checked (ids, signs, truncation, duplicates) as it is read and zero
+        coefficients are dropped, so __init__ validates nothing again."""
         try:
             if basis is None:
                 basis = SemigroupBasis.from_json(data["basis"])
             backend = data.get("backend", FLOAT)
-            coeffs = {}
+            truncation = data.get("truncation")
+            limit = None if truncation is None else float(truncation) + 1e-12
+            coeffs, zeros = {}, []
             for entry in data["coeffs"]:
                 lam = SemigroupElement.from_json(basis, entry["element"])
                 re, im = entry["re"], entry["im"]
@@ -156,10 +161,17 @@ class AlgebraElement:
                            parse_frac(im) if isinstance(im, str) else Fraction(im))
                 else:
                     v = complex(float(re), float(im))
-                if lam in coeffs:
-                    raise ValidationError("duplicate support element in JSON")
+                size = len(coeffs)
                 coeffs[lam] = v
-            return cls(basis, coeffs, backend, data.get("truncation"))
+                if len(coeffs) == size:
+                    raise ValidationError("duplicate support element in JSON")
+                if limit is not None and lam.l1() > limit:
+                    raise ValidationError("support element beyond declared truncation")
+                if coeff_is_zero(v):
+                    zeros.append(lam)
+            for lam in zeros:
+                del coeffs[lam]
+            return cls(basis, coeffs, backend, truncation, _trusted=True)
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed algebra element JSON: {e}") from e
 

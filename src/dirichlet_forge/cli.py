@@ -3,16 +3,21 @@
 Exit codes: 0 success, 1 usage or malformed input, 2 validation or
 precondition failure (structured error object on stdout), 3 budget
 exhausted (best-effort result still emitted, flagged).  All output JSON
-is key-sorted so identical inputs and seeds give byte-identical bytes.
+is key-sorted so identical inputs and seeds give byte-identical bytes: the
+bytes of `json.dumps(..., sort_keys=True, indent=2)`, written by `_dumps`
+in one pass over the result objects.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, arithmetic, cones, density, extension, weights
 from .characters import Character
@@ -32,25 +37,121 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _plain(x):
-    """Recursively convert results to JSON-safe structures."""
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
+def _jsonable(x):
+    """One step of the conversion from results to JSON-ready values.
+
+    Leaves (None, bool, int, str, float) come back as they are, Fractions
+    as str, complex numbers as {"im", "re"}; an object with `to_json()` is
+    converted through it, a dataclass becomes its fields, a dict gets str(k)
+    keys (of two colliding keys the later wins), a list or tuple becomes a
+    list, and anything else str(x).  Values inside a returned dict or list
+    are left for the caller, so `_dumps` and `_render` convert each value
+    exactly once, while they write it.
+    """
+    if x is None or isinstance(x, (bool, int, str, float)):
         return x
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, complex):
         return {"im": x.imag, "re": x.real}
     if hasattr(x, "to_json"):
-        return _plain(x.to_json())
+        return _jsonable(x.to_json())
     if dataclasses.is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+        return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
+        return {str(k): v for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
+        return list(x)
     return str(x)
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _leaf(x):
+    """JSON text of a leaf `_jsonable` returned, subclasses included."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return _float(x)
+
+
+# JSON text of a value of exactly one of these types, by type: the leaves
+# `_jsonable` returns unchanged, without its isinstance chain
+_LEAVES = {
+    str: _quote,
+    float: _float,
+    int: int.__repr__,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def _dumps(x) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` of the JSON-ready form
+    of `x` (`_jsonable`, applied all the way down), written in one pass."""
+    parts = []
+    _encode(x, parts.append, "\n", "")
+    return "".join(parts)
+
+
+def _encode(x, put, nl, lead):
+    """Write `lead`, then the JSON text of `x` at the indent `nl` opens."""
+    enc = _LEAVES.get(type(x))
+    if enc is not None:
+        put(lead + enc(x))
+        return
+    if type(x) is not dict and type(x) is not list and type(x) is not tuple:
+        x = _jsonable(x)
+        if not isinstance(x, (dict, list)):
+            put(lead + _leaf(x))
+            return
+    inner = nl + "  "
+    if isinstance(x, dict):
+        if not x:
+            put(lead + "{}")
+            return
+        for k in x:
+            if type(k) is not str:
+                x = {str(k): v for k, v in x.items()}
+                break
+        sep = lead + "{" + inner
+        for k, v in sorted(x.items()) if len(x) > 1 else x.items():
+            head = sep + _quote(k) + ": "
+            enc = _LEAVES.get(type(v))
+            if enc is not None:
+                put(head + enc(v))
+            else:
+                _encode(v, put, inner, head)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        if not x:
+            put(lead + "[]")
+            return
+        sep = lead + "[" + inner
+        for v in x:
+            enc = _LEAVES.get(type(v))
+            if enc is not None:
+                put(sep + enc(v))
+            else:
+                _encode(v, put, inner, sep)
+            sep = "," + inner
+        put(nl + "]")
 
 
 def _load(path: str):
@@ -70,39 +171,42 @@ def _loads(blob: str, what: str):
         raise _UsageError(f"malformed JSON for {what}: {e}") from e
 
 
-def _emit(data: dict, args) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _emit(data, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(_dumps(data) + "\n")
     elif getattr(args, "report", False):
-        _render(data, sys.stdout)
+        parts = []
+        _render(data, parts.append)
+        sys.stdout.write("".join(parts))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_dumps(data) + "\n")
 
 
-def _render(data, out, indent: int = 0) -> None:
+def _render(data, put, indent: int = 0) -> None:
     """Plain-text certificate rendering for --report."""
     pad = "  " * indent
+    data = _jsonable(data)
     if isinstance(data, dict):
         for k in sorted(data):
-            v = data[k]
+            v = _jsonable(data[k])
             if isinstance(v, (dict, list)) and v:
-                out.write(f"{pad}{k}:\n")
-                _render(v, out, indent + 1)
+                put(f"{pad}{k}:\n")
+                _render(v, put, indent + 1)
             else:
-                out.write(f"{pad}{k}: {v}\n")
+                put(f"{pad}{k}: {v}\n")
     elif isinstance(data, list):
         if len(data) > 12:
-            out.write(f"{pad}[{len(data)} entries]\n")
+            put(f"{pad}[{len(data)} entries]\n")
         else:
             for v in data:
+                v = _jsonable(v)
                 if isinstance(v, (dict, list)):
-                    _render(v, out, indent + 1)
+                    _render(v, put, indent + 1)
                 else:
-                    out.write(f"{pad}- {v}\n")
+                    put(f"{pad}- {v}\n")
     else:
-        out.write(f"{pad}{data}\n")
+        put(f"{pad}{data}\n")
 
 
 def _weight_arg(spec: str):
@@ -129,7 +233,7 @@ def _parse_s(spec: str):
 def _cmd_convolve(args):
     a = algebra.AlgebraElement.from_json(_load(args.a))
     b = algebra.AlgebraElement.from_json(_load(args.b), basis=a.basis)
-    return _plain(algebra.convolve(a, b)), 0
+    return algebra.convolve(a, b), 0
 
 
 def _cmd_invert(args):
@@ -137,27 +241,27 @@ def _cmd_invert(args):
     w = _weight_arg(args.weight)
     if args.method == "neumann":
         inv, cert = algebra.neumann_invert(a, w, tol=args.tol)
-        return {"inverse": _plain(inv), "certificate": _plain(cert)}, 0
+        return {"inverse": inv, "certificate": cert}, 0
     if args.truncation is None:
         raise _UsageError("graded inversion requires --truncation")
     inv = algebra.graded_invert(a, truncation=args.truncation)
-    return {"inverse": _plain(inv)}, 0
+    return {"inverse": inv}, 0
 
 
 def _cmd_eval(args):
     a = algebra.AlgebraElement.from_json(_load(args.a))
     w = _weight_arg(args.weight)
     value, tail = algebra.evaluate_series(a, _parse_s(args.s), w)
-    out = {"value": _plain(value)}
+    out = {"value": value}
     if tail is not None:
-        out["tail"] = _plain(tail)
+        out["tail"] = tail
     return out, 0
 
 
 def _cmd_witness(args):
     a = algebra.AlgebraElement.from_json(_load(args.a))
     grid = algebra.GridSpec(sigma_max=args.sigma_max, t_max=args.t_max)
-    return _plain(algebra.invertibility_witness(a, grid)), 0
+    return algebra.invertibility_witness(a, grid), 0
 
 
 def _cmd_compose(args):
@@ -165,25 +269,25 @@ def _cmd_compose(args):
     f = algebra.PowerSeries.from_json(_loads(args.series, "--series"))
     w = _weight_arg(args.weight)
     c, cert = algebra.compose_series(f, a, w, tol=args.tol)
-    return {"element": _plain(c), "certificate": _plain(cert)}, 0
+    return {"element": c, "certificate": cert}, 0
 
 
 def _cmd_separate(args):
     data = _load(args.points)
     pts = [cones.vec_from_json(p) for p in data["points"]]
     res = cones.separate_cross_checked(pts) if args.cross_check else cones.separate(pts)
-    return _plain(res), 0
+    return res, 0
 
 
 def _cmd_dual(args):
     data = _load(args.cone)
     gens = [cones.vec_from_json(g) for g in data["generators"]]
-    return _plain(cones.dual_cone(gens, dim=data.get("dim"))), 0
+    return cones.dual_cone(gens, dim=data.get("dim")), 0
 
 
 def _cmd_extend_character(args):
     prob = extension.CharacterExtensionProblem.from_json(_load(args.problem))
-    return _plain(extension.extend_character(prob)), 0
+    return extension.extend_character(prob), 0
 
 
 def _cmd_density_search(args):
@@ -197,7 +301,7 @@ def _cmd_density_search(args):
     rep = density.approximate_functional(
         a, psi, theta=args.theta, budget=int(args.budget), seed=args.seed
     )
-    return _plain(rep), 3 if rep.exhausted else 0
+    return rep, 3 if rep.exhausted else 0
 
 
 def _cmd_kronecker(args):
@@ -210,18 +314,18 @@ def _cmd_kronecker(args):
             t_budget=int(args.budget) if args.budget is not None else inst.t_budget,
         )
     res = density.kronecker_t(inst)
-    return _plain(res), 3 if res.exhausted else 0
+    return res, 3 if res.exhausted else 0
 
 
 def _cmd_euler_invert(args):
     f = arithmetic.MultiplicativeFunction.from_json(_load(args.f))
     inv = arithmetic.invert_multiplicative(f)
-    out = {"inverse": _plain(inv)}
+    out = {"inverse": inv}
     if args.x is not None:
         vals = inv.values_up_to(args.x)
-        out["values"] = [_plain(v) for v in vals[1:]]  # f(1), ..., f(x)
+        out["values"] = vals[1:]  # f(1), ..., f(x)
     if args.certify:
-        out["certificates"] = _plain(arithmetic.euler_invertibility_report(f))
+        out["certificates"] = arithmetic.euler_invertibility_report(f)
     return out, 0
 
 
@@ -229,7 +333,7 @@ def _cmd_p3_decompose(args):
     f = arithmetic.MultiplicativeFunction.from_json(_load(args.f))
     omega = _weight_arg(args.omega)
     dec = arithmetic.tail_decompose(f, omega, norm_limit=args.x)
-    return _plain(dec), 0
+    return dec, 0
 
 
 def _cmd_check_weight(args):
@@ -239,10 +343,10 @@ def _cmd_check_weight(args):
     out = {
         "at_zero": w.eval_mag(0.0),
         "geq_one": weights.check_geq_one(w, samples),
-        "root_convergence": _plain(root),
+        "root_convergence": root,
     }
     if args.theta is not None:
-        out["growth"] = _plain(weights.check_growth_bound(w, args.theta, samples))
+        out["growth"] = weights.check_growth_bound(w, args.theta, samples)
     return out, 0
 
 
@@ -325,7 +429,10 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused: argparse keeps no
+    state between parse_args calls, and each call returns a new Namespace."""
     p = _Parser(prog=PROG, description="weighted Dirichlet-series algebra toolkit")
     sub = p.add_subparsers(dest="cmd", metavar="subcommand")
 
@@ -378,12 +485,12 @@ def run(argv) -> int:
     if "--schema" in argv:
         name = next((t for t in argv if not t.startswith("-")), None)
         if name in SCHEMAS:
-            sys.stdout.write(json.dumps(SCHEMAS[name], sort_keys=True, indent=2) + "\n")
+            sys.stdout.write(_dumps(SCHEMAS[name]) + "\n")
             return 0
         sys.stderr.write(f"{PROG}: --schema needs a known subcommand\n")
         return 1
 
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.cmd is None:
@@ -398,13 +505,11 @@ def run(argv) -> int:
     except BudgetExhaustedError as e:
         payload = e.payload()
         if getattr(e, "best", None) is not None:
-            payload["best"] = _plain(e.best)
-        sys.stdout.write(json.dumps({"error": payload}, sort_keys=True, indent=2) + "\n")
+            payload["best"] = e.best
+        sys.stdout.write(_dumps({"error": payload}) + "\n")
         return 3
     except ForgeError as e:
-        sys.stdout.write(
-            json.dumps({"error": _plain(e.payload())}, sort_keys=True, indent=2) + "\n"
-        )
+        sys.stdout.write(_dumps({"error": e.payload()}) + "\n")
         return 2
 
 

@@ -37,7 +37,8 @@ def parse_frac(s: str) -> Fraction:
 
 
 def format_frac(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

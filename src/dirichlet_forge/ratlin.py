@@ -95,10 +95,7 @@ def rref(rows):
     Dividing by d builds the output; the reduced form is unique, so it is
     the one elimination over Fractions gives.
     """
-    M = []
-    for row in map(vec, rows):
-        den = lcm(*(x.denominator for x in row))
-        M.append([x.numerator * (den // x.denominator) for x in row])
+    M = _int_rows(rows)
     if not M:
         return [], []
     ncols = len(M[0])
@@ -121,8 +118,36 @@ def rref(rows):
     return [tuple(Fraction(x, d) for x in row) for row in M[:r]], pivots
 
 
+def _int_rows(rows):
+    """The rows read exactly (`as_fraction`), each scaled by the lcm of its
+    denominators."""
+    M = []
+    for row in rows:
+        pairs = [as_fraction(x).as_integer_ratio() for x in row]
+        den = lcm(*(d for _, d in pairs))
+        M.append([n * (den // d) for n, d in pairs])
+    return M
+
+
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    """Rank over Q: the number of pivots of a forward fraction-free
+    (Bareiss) elimination.  Only the rows below each pivot are reduced, and
+    no Fraction is made."""
+    M = _int_rows(rows)
+    r, d = 0, 1
+    for c in range(len(M[0]) if M else 0):
+        pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        prow, p = M[r], M[r][c]
+        for k in range(r + 1, len(M)):
+            M[k] = pivot_row(M[k], prow, c, p, d)
+        d = p
+        r += 1
+        if r == len(M):
+            break
+    return r
 
 
 def solve(rows, rhs):

@@ -316,11 +316,27 @@ class SemigroupElement:
     @classmethod
     def from_json(cls, basis: SemigroupBasis, data: dict) -> "SemigroupElement":
         try:
-            if "exponents" in data:
-                return basis.element(exponents={int(k): int(v) for k, v in data["exponents"].items()})
-            return basis.element(coords=[parse_frac(s) for s in data["coords"]])
+            if "exponents" not in data:
+                return basis.element(coords=[parse_frac(s) for s in data["coords"]])
+            exps = data["exponents"]
+            pairs = sorted((int(k), int(v)) for k, v in exps.items())
+            if basis.mode != FREE or (len(pairs) > 1 and len({g for g, _ in pairs}) < len(pairs)):
+                # the errors, and the later of two keys naming one id, as
+                # `basis.element` gives them
+                return basis.element(exponents={int(k): int(v) for k, v in exps.items()})
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed element JSON: {e}") from e
+        # one sort, then the checks of __init__ in the same order
+        by_id = basis.by_id
+        out = []
+        for gid, n in pairs:
+            if n:
+                if gid not in by_id:
+                    raise ValidationError(f"unknown generator id {gid}")
+                if n < 0:
+                    raise ValidationError("exponents must be nonnegative")
+                out.append((gid, n))
+        return cls._trusted(basis, tuple(out), None, None)
 
     def __repr__(self):
         if self.basis.mode == FREE:
@@ -336,12 +352,21 @@ def check_q_independence(vectors) -> bool:
     return ratlin.rank(vecs) == len(vecs)
 
 
+# Most search nodes membership's exhaustive search may visit.  With k
+# dependent generators the search can visit (bound + 1)^k nodes; past the
+# cap it raises CapExceededError with the partial counts.  Override by
+# assignment.
+MEMBERSHIP_NODE_CAP = 1_000_000
+
+
 def membership(target, basis: SemigroupBasis, bound: int = 32):
     """Exponents nu in N_0^k with target = sum nu_k beta_k, or None.
 
     Exact throughout.  For a Q-independent generator set the representation
     is unique and found by linear solve; otherwise a bounded exhaustive
-    search (componentwise pruned, lexicographic first hit) is used.
+    search (componentwise pruned, lexicographic first hit) is used.  The
+    search raises CapExceededError once it would visit more than
+    MEMBERSHIP_NODE_CAP nodes.
     """
     gens = basis.generators
     if not gens:
@@ -371,8 +396,16 @@ def membership(target, basis: SemigroupBasis, bound: int = 32):
 
     k = len(gens)
     out = [0] * k
+    cap_nodes = MEMBERSHIP_NODE_CAP
+    nodes = 0
 
     def rec(i, remaining):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap_nodes:
+            raise CapExceededError(
+                f"membership search passed MEMBERSHIP_NODE_CAP = {cap_nodes} nodes: "
+                f"{nodes - 1} visited, at generator index {i} of {k}, bound {bound}")
         if all(c == 0 for c in remaining):
             return True
         if i == k:

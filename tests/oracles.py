@@ -8,6 +8,8 @@ it checks, so test expectations do not depend on the code under test.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -619,3 +621,62 @@ def brute_rref(rows):
         if r == len(m):
             break
     return [tuple(row) for row in m[:r]], pivots
+
+
+def brute_plain(x):
+    """Results to JSON-safe structures, one recursive walk: the conversion
+    rules `forge` writes its output by."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, float):
+        return x
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, complex):
+        return {"im": x.imag, "re": x.real}
+    if hasattr(x, "to_json"):
+        return brute_plain(x.to_json())
+    if dataclasses.is_dataclass(x):
+        return {f.name: brute_plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {str(k): brute_plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [brute_plain(v) for v in x]
+    return str(x)
+
+
+def brute_dumps(x) -> str:
+    """The text `forge` writes for a result: brute_plain, then the standard
+    library's encoder with sorted keys and indent 2."""
+    return json.dumps(brute_plain(x), sort_keys=True, indent=2)
+
+
+def brute_render(x) -> str:
+    """The text `forge --report` writes for a result: brute_plain, then an
+    indented key: value listing (lists past 12 entries are counted)."""
+    out = []
+
+    def walk(data, indent):
+        pad = "  " * indent
+        if isinstance(data, dict):
+            for k in sorted(data):
+                v = data[k]
+                if isinstance(v, (dict, list)) and v:
+                    out.append(f"{pad}{k}:\n")
+                    walk(v, indent + 1)
+                else:
+                    out.append(f"{pad}{k}: {v}\n")
+        elif isinstance(data, list):
+            if len(data) > 12:
+                out.append(f"{pad}[{len(data)} entries]\n")
+            else:
+                for v in data:
+                    if isinstance(v, (dict, list)):
+                        walk(v, indent + 1)
+                    else:
+                        out.append(f"{pad}- {v}\n")
+        else:
+            out.append(f"{pad}{data}\n")
+
+    walk(brute_plain(x), 0)
+    return "".join(out)

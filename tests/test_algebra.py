@@ -1,5 +1,6 @@
 """Convolution algebra: products, norms, evaluation, inversion, composition."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -33,8 +34,8 @@ from dirichlet_forge.errors import (
     ValidationError,
 )
 from dirichlet_forge.exactnum import QC
-from dirichlet_forge.semigroup import (free_rational_basis, log_element, log_primes_basis,
-                                      natural_basis)
+from dirichlet_forge.semigroup import (embedded_basis, free_rational_basis, log_element,
+                                      log_primes_basis, natural_basis)
 from dirichlet_forge.weights import one as w_one, poly as w_poly
 from tests.oracles import (brute_disk_min, brute_exp_sum, brute_half_plane_min,
                           brute_poly_inverse, brute_poly_mul, mobius_sieve)
@@ -464,3 +465,98 @@ def test_graded_inverse_really_inverts(xs):
     for n in range(1, 9):
         lam = nb.element(exponents={0: n})
         assert prod[lam] == QC.from_value(0)
+
+
+# -- JSON round trip and malformed input --------------------------------------
+
+_JSON_BASES = {
+    "natural": natural_basis(),
+    "free2": free_rational_basis([(F(1), F(0)), (F(1, 2), F(3))]),
+    "log": log_primes_basis(30),
+    "embedded": embedded_basis([(F(1, 2), F(1)), (F(1), F(1, 3))]),
+}
+_fracs = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=1000)
+_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def json_elements(draw):
+    basis = _JSON_BASES[draw(st.sampled_from(sorted(_JSON_BASES)))]
+    backend = draw(st.sampled_from([EXACT, FLOAT]))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 8))):
+        if basis.mode == "free":
+            lam = basis.element(exponents={g.id: draw(st.integers(0, 3))
+                                           for g in basis.generators})
+        else:
+            lam = basis.element(coords=[draw(st.fractions(min_value=0, max_value=5,
+                                                          max_denominator=6))
+                                        for _ in range(basis.r)])
+        if backend == EXACT:
+            coeffs[lam] = QC(draw(_fracs), draw(_fracs))
+        else:
+            coeffs[lam] = complex(draw(_floats), draw(_floats))
+    top = max((lam.l1() for lam in coeffs), default=0.0)
+    truncation = draw(st.sampled_from([None, top, top + 1.5]))
+    return AlgebraElement(basis, coeffs, backend, truncation)
+
+
+@given(json_elements(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_element_from_json_inverts_to_json(x, through_text):
+    data = x.to_json()
+    if through_text:
+        data = json.loads(json.dumps(data))
+    y = AlgebraElement.from_json(data)
+    assert y == x
+    assert (y.backend, y.truncation) == (x.backend, x.truncation)
+    assert y.support() == x.support()
+    assert all(type(v) is type(x.coeffs[lam]) for lam, v in y.coeffs.items())
+    assert y.to_json() == x.to_json()
+
+
+def _nat_json(entries, **extra):
+    data = {"basis": natural_basis().to_json(), "backend": FLOAT, "truncation": None,
+            "coeffs": [{"element": e, "re": re, "im": 0.0} for e, re in entries]}
+    data.update(extra)
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_nat_json([({"exponents": {"7": 1}}, 1.0)]), "unknown generator id 7"),
+    (_nat_json([({"exponents": {"0": -1}}, 1.0)]), "exponents must be nonnegative"),
+    (_nat_json([({"exponents": {"0": 1}}, 1.0), ({"exponents": {"0": 1}}, 0.0)]),
+     "duplicate support element"),
+    (_nat_json([({"exponents": {"0": 1}}, 0.0), ({"exponents": {"0": 1}}, 2.0)]),
+     "duplicate support element"),
+    (_nat_json([({"exponents": {"0": 3}}, 0.0)], truncation=2.0),
+     "beyond declared truncation"),
+    (_nat_json([({"exponents": {"x": 1}}, 1.0)]), "malformed element JSON"),
+    (_nat_json([({"coords": ["1"]}, 1.0)]), "free basis elements need an exponent map"),
+    (_nat_json([({"exponents": {}}, "one")]), "malformed algebra element JSON"),
+    (_nat_json([({"exponents": {}}, 1.0)], backend="double"), "unknown backend"),
+    (_nat_json([({"exponents": {}}, 1.0)], truncation="wide"),
+     "malformed algebra element JSON"),
+    ({"basis": embedded_basis([(F(1),)]).to_json(), "backend": FLOAT,
+      "coeffs": [{"element": {"exponents": {"0": 1}}, "re": 1.0, "im": 0.0}]},
+     "embedded basis elements need coordinates"),
+    ({"basis": embedded_basis([(F(1),)]).to_json(), "backend": FLOAT,
+      "coeffs": [{"element": {"coords": ["-1"]}, "re": 1.0, "im": 0.0}]},
+     "embedded coordinates must be nonnegative"),
+])
+def test_element_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(ValidationError, match=message):
+        AlgebraElement.from_json(data)
+
+
+def test_element_from_json_key_collisions_and_zeros():
+    b = natural_basis()
+    # "0" and "00" both name generator 0: the later key counts, as in a dict
+    got = AlgebraElement.from_json(_nat_json([({"exponents": {"0": 1, "00": 2}}, 1.0)]))
+    assert list(got.coeffs) == [b.element(exponents={0: 2})]
+    got = AlgebraElement.from_json(_nat_json([({"exponents": {"00": 2, "0": 1}}, 1.0)]))
+    assert list(got.coeffs) == [b.element(exponents={0: 1})]
+    # zero exponents, even of unknown ids, and zero coefficients drop out
+    got = AlgebraElement.from_json(_nat_json([({"exponents": {"0": 1, "9": 0}}, 1.0),
+                                              ({"exponents": {}}, 0.0)]))
+    assert list(got.coeffs) == [b.generator_element(0)]

@@ -1,21 +1,24 @@
 """Command-line interface: exit codes, JSON I/O, determinism, schemas."""
 
 import cmath
+import dataclasses
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dirichlet_forge import algebra
+from dirichlet_forge import algebra, cli
 from dirichlet_forge.arithmetic import MultiplicativeFunction, PrimeSystem
 from dirichlet_forge.characters import Character
 from dirichlet_forge.cli import run
 from dirichlet_forge.semigroup import log_element, log_primes_basis, natural_basis
 
-from tests.oracles import mobius_sieve
+from tests.oracles import brute_dumps, brute_plain, brute_render, mobius_sieve
 
 
 @pytest.fixture
@@ -322,3 +325,159 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "value" in json.loads(proc.stdout)
+
+
+# -- the one-pass emitter against _plain + json.dumps -------------------------
+
+
+@dataclasses.dataclass
+class _Pair:
+    left: object
+    right: object
+
+
+class _Wrapped:
+    """An object serialised through to_json()."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def to_json(self):
+        return {"wrapped": self.inner, 7: "int key"}
+
+
+class _Count(int):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-10**40, max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-10**6, 10**6).map(np.int64),
+    st.text(), st.text(alphabet=st.characters(min_codepoint=0x80)),
+    st.fractions(), st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.integers().map(_Count), st.text().map(_Text),
+)
+_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
+                  st.floats(allow_nan=False, min_value=-2, max_value=2),
+                  st.sampled_from(["1", "True", "None", "-1"]))
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_keys, kids, max_size=4),
+        st.builds(_Pair, kids, kids),
+        kids.map(_Wrapped),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_trees)
+@settings(max_examples=400, deadline=None)
+def test_dumps_matches_plain_then_json_dumps(x):
+    assert cli._dumps(x) == json.dumps(brute_plain(x), sort_keys=True, indent=2)
+
+
+@given(_trees)
+@settings(max_examples=200, deadline=None)
+def test_render_matches_plain_then_render(x):
+    parts = []
+    cli._render(x, parts.append)
+    assert "".join(parts) == brute_render(x)
+
+
+def test_dumps_pinned_cases():
+    assert cli._dumps({}) == "{}" and cli._dumps([]) == "[]" and cli._dumps(()) == "[]"
+    assert cli._dumps([math.nan, math.inf, -math.inf]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
+    assert cli._dumps({1: "a", "1": "b"}) == '{\n  "1": "b"\n}'
+    assert cli._dumps({"é": F(-3, 4)}) == '{\n  "\\u00e9": "-3/4"\n}'
+    assert cli._dumps(1j) == '{\n  "im": 1.0,\n  "re": 0.0\n}'
+    assert cli._dumps([True, 1, np.float64(0.1)]) == "[\n  true,\n  1,\n  0.1\n]"
+
+
+_RUNS = {
+    "convolve": ["convolve", "geo.json", "geo.json"],
+    "invert-neumann": ["invert", "geo.json"],
+    "invert-graded": ["invert", "geo.json", "--method", "graded", "--truncation", "8"],
+    "invert-graded-report": ["invert", "geo.json", "--method", "graded",
+                             "--truncation", "20", "--report"],
+    "eval": ["eval", "elem.json", "--s", '[{"re": 1.5, "im": 2}, 0.5]'],
+    "eval-report": ["eval", "geo.json", "--s", "1.0", "--report"],
+    "witness": ["witness", "geo.json"],
+    "compose": ["compose", "geo.json", "--series",
+                '{"kind":"reciprocal","center":{"re":2,"im":0}}'],
+    "separate": ["separate", "points.json", "--cross-check"],
+    "separate-inside": ["separate", "mixed.json"],
+    "dual": ["dual", "cone.json"],
+    "dual-report": ["dual", "cone.json", "--report"],
+    "extend-character": ["extend-character", "problem.json"],
+    "density-search": ["density-search", "elem.json", "psi.json", "--theta", "5e-2",
+                       "--budget", "20000", "--seed", "7"],
+    "kronecker": ["kronecker", "kron.json"],
+    "kronecker-exit-3": ["kronecker", "kron.json", "--budget", "5"],
+    "euler-invert": ["euler-invert", "one.json", "--x", "60"],
+    "euler-invert-certify-report": ["euler-invert", "fref.json", "--certify", "--report"],
+    "p3-decompose": ["p3-decompose", "fref.json", "--omega", '{"kind":"one"}', "--x", "2000"],
+    "p3-decompose-exit-2": ["p3-decompose", "one.json", "--omega", '{"kind":"one"}'],
+    "check-weight": ["check-weight", "weight.json", "--theta", "0.1"],
+    "check-weight-report": ["check-weight", "weight.json", "--report"],
+    "schema": ["p3-decompose", "--schema"],
+    "out": ["convolve", "geo.json", "geo.json", "--out", "OUT"],
+}
+
+
+def _run_case(files, capsys, argv, tmp_path, tag):
+    target = tmp_path / f"out-{tag}.json"
+    argv = [str(target) if a == "OUT" else files(a) if a.endswith(".json") else a
+            for a in argv]
+    code, out, _ = invoke(capsys, *argv)
+    written = target.read_text(encoding="utf-8") if target.exists() else None
+    return code, out, written
+
+
+@pytest.mark.parametrize("case", sorted(_RUNS))
+def test_cli_bytes_match_plain_then_json_dumps(case, files, capsys, tmp_path, monkeypatch):
+    got = _run_case(files, capsys, _RUNS[case], tmp_path, "new")
+    monkeypatch.setattr(cli, "_dumps", brute_dumps)
+    monkeypatch.setattr(cli, "_render", lambda data, put, indent=0: put(brute_render(data)))
+    want = _run_case(files, capsys, _RUNS[case], tmp_path, "oracle")
+    assert got == want
+    assert got[1] or got[2]
+
+
+def test_budget_exhausted_payload_matches_oracle(files, capsys, monkeypatch):
+    from dirichlet_forge.errors import BudgetExhaustedError
+
+    def exhausted(args):
+        best = algebra.AlgebraElement.from_json(json.loads(open(args.a).read()))
+        raise BudgetExhaustedError("ran out", best={"element": best, "error": F(1, 3)})
+
+    monkeypatch.setitem(cli._HANDLERS, "witness", exhausted)
+    code, out, _ = invoke(capsys, "witness", files("geo.json"))
+    assert code == 3
+    monkeypatch.setattr(cli, "_dumps", brute_dumps)
+    assert invoke(capsys, "witness", files("geo.json")) == (3, out, "")
+    assert json.loads(out)["error"]["best"]["error"] == "1/3"
+
+
+@pytest.mark.parametrize("bad", [
+    ["convolve", "geo.json", "geo.json", "--bogus"],
+    ["invert", "geo.json", "--method", "sideways"],
+    ["eval", "geo.json"],
+    ["nonsense"],
+])
+def test_cached_parser_keeps_no_state(bad, files, capsys):
+    good = ["invert", files("geo.json"), "--method", "graded", "--truncation", "6"]
+    cli._parser.cache_clear()
+    alone = invoke(capsys, *good)
+    assert invoke(capsys, *[files(a) if a.endswith(".json") else a for a in bad])[0] == 1
+    assert invoke(capsys, *good) == alone
+    assert alone[0] == 0 and alone[1]

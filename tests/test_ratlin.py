@@ -189,3 +189,12 @@ def test_rref_reads_floats_exactly(rows):
     assert (reduced, pivots) == brute_rref([[F(x) for x in r] for r in rows])
     assert all(isinstance(x, F) for r in reduced for x in r)
 
+
+@given(st.one_of(matrices(max_n=6), deficient_matrices(), st.just([])))
+@settings(max_examples=300, deadline=None)
+def test_rank_counts_pivots_of_fraction_elimination(rows):
+    # deficient_matrices mixes rank-deficient, zero and repeated rows with
+    # denominators up to 12
+    assert rank(rows) == len(brute_rref(rows)[0])
+    assert rank([[float(x) for x in r] for r in rows]) == len(
+        brute_rref([[F(float(x)) for x in r] for r in rows])[0])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirichlet_forge import semigroup
 from dirichlet_forge.errors import CapExceededError, ValidationError
 from dirichlet_forge.semigroup import (
     EMBEDDED,
@@ -201,3 +202,36 @@ def test_independence_oracle_agreement():
     vecs2 = [(F(1), F(0)), (F(0), F(1))]
     assert brute_small_relation(vecs2, box=3) is None
     assert check_q_independence(vecs2)
+
+
+def test_membership_node_cap(monkeypatch):
+    # dependent generators send membership to its exhaustive search
+    b = embedded_basis([(F(1),), (F(2),), (F(3),)])
+    assert membership((F(49),), b, bound=8) is None  # 49 > 8 + 16 + 24
+    monkeypatch.setattr(semigroup, "MEMBERSHIP_NODE_CAP", 50)
+    with pytest.raises(CapExceededError, match="MEMBERSHIP_NODE_CAP = 50") as err:
+        membership((F(49),), b, bound=8)
+    assert "50 visited" in str(err.value) and "bound 8" in str(err.value)
+    assert "generator index" in str(err.value)
+    # a search that ends below the cap is unaffected
+    assert membership((F(3),), b, bound=8) is not None
+
+
+_gen_frac = st.fractions(min_value=F(1, 3), max_value=F(4), max_denominator=3)
+
+
+@given(st.lists(st.tuples(_gen_frac, _gen_frac), min_size=3, max_size=4),
+       st.tuples(st.fractions(min_value=0, max_value=F(8), max_denominator=3),
+                 st.fractions(min_value=0, max_value=F(8), max_denominator=3)),
+       st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_membership_search_agrees_with_brute(gens, target, bound):
+    # three or more vectors in Q^2 are dependent: the bounded search runs
+    b = embedded_basis(gens)
+    got = membership(target, b, bound=bound)
+    want = brute_membership(target, gens, bound=bound)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(0 <= n <= bound for n in got.values())
+        assert tuple(sum((n * gens[i][j] for i, n in got.items()), F(0))
+                     for j in range(2)) == target
