@@ -12,7 +12,7 @@ import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Optional

@@ -9,7 +9,6 @@ evaluation by construction (same sum, same order).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional

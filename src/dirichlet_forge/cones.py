@@ -4,14 +4,16 @@ Separation of finite point sets from the origin, dual cones by double
 description, extreme rays, minimal faces, and construction of an independent
 generating set through a prescribed interior direction.  Dual cones are
 computed on primitive integer rays with combinatorial adjacency, without LP;
-every other decision is made exactly, via the exact simplex.
+minimal faces and the basis walk read every decision off them.  The exact
+simplex decides `separate`, `is_pointed`, `RationalCone.contains` and
+`extreme_rays` (the independent route dual cones are checked against).
 Floats appear only at the boundary (measured inputs), where an explicit
 interval policy turns them into exact intervals before any comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -20,7 +22,7 @@ from typing import Optional
 from . import ratlin
 from .errors import CapExceededError, PreconditionError, ValidationError
 from .exactnum import as_fraction, format_frac
-from .exact_lp import feasible_geq_one, fourier_motzkin, max_coordinate, nonneg_combination
+from .exact_lp import feasible_geq_one, fourier_motzkin, nonneg_combination
 from .ratlin import (canonical_ray, dot, independent_subset, invert_matrix,
                      kernel_basis, rank, rref, vec)
 
@@ -260,6 +262,11 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
                           lineality_dim=len(lineality))
 
 
+def _pointed_rays(dual: DualConeResult) -> tuple:
+    """The rays of a `dual_cone` result before its +- lineality basis."""
+    return dual.rays[:len(dual.rays) - 2 * dual.lineality_dim]
+
+
 def _double_description(gens, basis, start):
     """Extreme rays of {y in span(gens) : y . g >= 0 for every g}.
 
@@ -382,8 +389,7 @@ def extreme_rays_from_dual(generators, dual: DualConeResult):
     if not gens:
         return []
     # both sides are primitive integer vectors: dot products on numerators
-    pointed = [[x.numerator for x in y]
-               for y in dual.rays[:len(dual.rays) - 2 * dual.lineality_dim]]
+    pointed = [[x.numerator for x in y] for y in _pointed_rays(dual)]
     r = rank(gens)
     out = []
     for g in gens:
@@ -421,53 +427,39 @@ class FaceResult:
 
 
 def minimal_face_containing(cone: RationalCone, x, exact: Optional[bool] = None) -> FaceResult:
-    """Smallest face of the cone containing x.
+    """Smallest face of the cone containing x, read off its dual cone.
 
-    Exact rational x: LP support maximization.  The face is generated by the
-    generators that can carry strictly positive weight in some representation
-    of x; x then lies in the relative interior of their cone.
-
-    Float x (exact=False or float entries): facet normals of the cone are
-    evaluated on the interval hull of x under the two-rung policy above.
+    The face is generated by the generators on which every dual ray (+-
+    lineality rays included) tight at x vanishes; x lies in its relative
+    interior.  Exact rational x: a ray is tight when it is 0 at x, and a
+    negative value means x is outside the cone.  Float x (exact=False or
+    float entries): tightness on the interval hull of x, two-rung policy above.
     """
     gens = list(cone.generators)
     if exact is None:
         exact = not any(isinstance(v, float) for v in x)
+    dual = dual_cone(gens, cone.dim)
+    ambiguous = False
     if exact:
         xv = vec(x)
         if all(v == 0 for v in xv):
             return FaceResult((), (), (), note="x = 0: the face is the origin")
-        t, _ = nonneg_combination(gens, xv)
-        if t is None:
+        vals = [dot(nv, xv) for nv in dual.rays]
+        if any(v < 0 for v in vals):
             raise PreconditionError("x is not in the cone")
-        marked = {i for i, ti in enumerate(t) if ti > 0}
-        for i in range(len(gens)):
-            if i in marked:
-                continue
-            val, sol = max_coordinate(gens, xv, i, cap=F(1))
-            if val is not None and val > 0:
-                marked.add(i)
-                marked |= {j for j, tj in enumerate(sol) if tj > 0}
-        idx = tuple(sorted(marked))
-        dual = dual_cone(gens, cone.dim)
-        tight = tuple(nv for nv in dual.rays
-                      if all(dot(nv, gens[i]) == 0 for i in idx))
-        return FaceResult(idx, tuple(gens[i] for i in idx), tight)
-
-    # float path: exact intervals around the measured coordinates
-    xf = [as_fraction(float(v)) for v in x]
-    scale = max((abs(v) for v in xf), default=F(0)) + F(1)
-    dual = dual_cone(gens, cone.dim)
-    tight = []
-    ambiguous = False
-    for nv in dual.rays:
-        nscale = sum(abs(c) for c in nv)
-        val = abs(dot(nv, xf))
-        bound = nscale * scale
-        if val <= TIGHT_RUNG * bound:
-            tight.append(nv)
-        elif val <= LOOSE_RUNG * bound:
-            ambiguous = True  # resolved toward non-tight: the larger face
+        tight = [nv for nv, v in zip(dual.rays, vals) if v == 0]
+    else:
+        # exact intervals around the measured coordinates
+        xf = [as_fraction(float(v)) for v in x]
+        scale = max((abs(v) for v in xf), default=F(0)) + F(1)
+        tight = []
+        for nv in dual.rays:
+            val = abs(dot(nv, xf))
+            bound = sum(abs(c) for c in nv) * scale
+            if val <= TIGHT_RUNG * bound:
+                tight.append(nv)
+            elif val <= LOOSE_RUNG * bound:
+                ambiguous = True  # resolved toward non-tight: the larger face
     idx = tuple(i for i, g in enumerate(gens)
                 if all(dot(nv, g) == 0 for nv in tight))
     return FaceResult(idx, tuple(gens[i] for i in idx), tuple(tight),
@@ -491,14 +483,19 @@ class ConeBasisResult:
 
 
 def _span_coordinates(gens):
-    """(basis rows of span, forward map vec -> coords, inverse map coords -> vec)."""
-    basis_rows, _ = rref(gens)
-    ell = len(basis_rows)
+    """(basis rows of span, forward map vec -> coords, inverse map coords -> vec).
+
+    The rows are the RREF of gens, so v's coordinates are its pivot entries;
+    the forward map gives None when they do not rebuild v (v outside the span).
+    """
+    basis_rows, pivots = rref(gens)
 
     def to_coords(v):
-        sol = ratlin.solve([[basis_rows[i][j] for i in range(ell)]
-                            for j in range(len(v))], list(v))
-        return None if sol is None else tuple(sol)
+        v = vec(v)
+        if len(v) != len(basis_rows[0]):
+            raise ValueError("dimension mismatch")
+        cs = tuple(v[p] for p in pivots)
+        return cs if from_coords(cs) == v else None
 
     def from_coords(cs):
         out = [F(0)] * len(basis_rows[0])
@@ -514,54 +511,57 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
     """Independent vectors from the cone whose nonnegative span contains eta.
 
     Walk: scale a starting generator onto the slice {y . chi = eta . chi}
-    (chi a strictly positive functional from separate()), move along the
-    segment toward eta and past it until a facet binds, split eta between the
-    start vector and the facet point, and recurse inside the facet.  The
-    resulting vectors are completed to a basis of span(generators) by greedy
-    extreme-ray extension.  `first` requests a specific cone vector as the
-    starting b_1 (used when a distinguished direction must lead the basis).
+    (chi the sum of the pointed dual rays), move along the segment toward eta
+    and past it until a facet binds, split eta between the start vector and
+    the facet point, and recurse inside the facet.  The resulting vectors are
+    completed to a basis of span(generators) by greedy extreme-ray extension.
+    `first` requests a specific cone vector as the starting b_1 (used when a
+    distinguished direction must lead the basis).  The walk runs in exact
+    coordinates of the span, of dimension ell, and the dual cone of each cone
+    met answers every question, with no LP: the cone is pointed when the
+    pointed dual rays have rank ell, and a point is in it when every dual ray
+    is >= 0 there.
     """
     gens = [g for g in _vecs(generators) if any(x != 0 for x in g)]
     if not gens:
         raise ValidationError("no nonzero generators")
-    eta = vec(eta)
-    if not is_pointed(gens):
-        raise PreconditionError("cone contains a line")
-    t, _ = nonneg_combination(gens, eta)
-    if t is None:
-        raise PreconditionError("eta is not in the cone")
 
     # work in exact coordinates of span(generators)
     basis_rows, to_coords, from_coords = _span_coordinates(gens)
     ell = len(basis_rows)
     gcs = [to_coords(g) for g in gens]
+    top = dual_cone(gcs, ell)
+    if rank(_pointed_rays(top)) < ell:
+        raise PreconditionError("cone contains a line")
+
+    def inside(dual, y):
+        return y is not None and all(dot(nv, y) >= 0 for nv in dual.rays)
+
     eta_c = to_coords(eta)
-    if eta_c is None:
-        raise PreconditionError("eta is outside the span of the generators")
+    if not inside(top, eta_c):
+        raise PreconditionError("eta is not in the cone")
     first_c = None
     if first is not None:
-        first_c = to_coords(vec(first))
+        first_c = to_coords(first)
         if first_c is None:
             raise PreconditionError("requested leading vector outside the span")
 
-    def walk(gcs_cur, eta_cur, lead):
+    def walk(gcs_cur, eta_cur, lead, dual):
         """Returns a list of independent coordinate vectors in cone(gcs_cur)
-        whose nonnegative span contains eta_cur."""
+        whose nonnegative span contains eta_cur; dual is dual_cone(gcs_cur),
+        or None to compute it here."""
         gcs_cur = [canonical_ray(g) for g in gcs_cur if any(x != 0 for x in g)]
         gcs_cur = list(dict.fromkeys(gcs_cur))
         if all(x == 0 for x in eta_cur):
             return []
         if len(gcs_cur) == 1 or rank(gcs_cur) == 1:
             return [gcs_cur[0]]
-        chi = separate(gcs_cur).functional  # strictly positive on the cone
-        if chi is None:
-            raise PreconditionError("cone lost pointedness during the walk")
-        b1 = None
-        if lead is not None:
-            tt, _ = nonneg_combination(gcs_cur, lead)
-            if tt is not None and any(x != 0 for x in lead):
-                b1 = tuple(lead)
-        if b1 is None:
+        dual = dual or dual_cone(gcs_cur, ell)
+        # strictly positive on the cone: the pointed rays span its span
+        chi = [sum(c) for c in zip(*_pointed_rays(dual))]
+        if lead is not None and any(x != 0 for x in lead) and inside(dual, lead):
+            b1 = tuple(lead)
+        else:
             b1 = gcs_cur[0]  # deterministic: lowest-index generator
         # scale b1 onto the slice {y . chi = eta . chi}
         target = dot(eta_cur, chi)
@@ -569,10 +569,7 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         direction = tuple(e - b for e, b in zip(eta_cur, b1k))
         if all(x == 0 for x in direction):
             return [b1]  # eta is on the b1 ray
-        # facet normals of the current cone (full-dimensional in its span is
-        # not guaranteed here, but supporting functionals from the dual are
-        # exactly what binds the segment)
-        dual = dual_cone(gcs_cur, len(eta_cur))
+        # the dual rays are the supporting functionals that bind the segment
         t_star = None
         for nv in dual.rays:
             slope = dot(nv, direction)
@@ -592,7 +589,7 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         face = [g for g in gcs_cur if dot(nstar, g) == 0]
         if not face:
             return [b1]
-        sub = walk(face, d_star, None)
+        sub = walk(face, d_star, None, None)
         if t_star == 1:
             # eta itself lies on the facet: descend without consuming b1
             return sub
@@ -600,11 +597,11 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         # automatically independent of sub
         return [b1] + sub
 
-    vecs_c = walk(gcs, eta_c, first_c)
+    vecs_c = walk(gcs, eta_c, first_c, top)
     # complete to a basis of the span by extreme rays
     extended = []
     if rank(vecs_c) < ell:
-        for r in extreme_rays(gcs):
+        for r in extreme_rays_from_dual(gcs, top):
             if rank(vecs_c + [r]) > rank(vecs_c):
                 extended.append(len(vecs_c))
                 vecs_c.append(r)

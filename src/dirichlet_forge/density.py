@@ -17,7 +17,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

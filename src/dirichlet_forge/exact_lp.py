@@ -1,8 +1,8 @@
 """Exact linear programming over the rationals.
 
-A small two-phase primal simplex with Bland's rule, used for every polyhedral
-decision in the package: feasibility of nonnegative combinations, separating
-functionals via infeasibility certificates, and bounded coordinate
+A small two-phase primal simplex with Bland's rule, used for the polyhedral
+decisions not read off a dual cone: feasibility of nonnegative combinations,
+separating functionals via infeasibility certificates, and bounded coordinate
 maximization.  Inputs and outputs are Fractions and the tableau holds Python
 ints (fraction-free pivoting, see solve_standard); no floats enter.
 

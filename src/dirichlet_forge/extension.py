@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .ratlin import (dot, independent_subset, invert_matrix, kernel_basis,
-                     solve, vadd, vec, vscale)
-from .exact_lp import feasible_functional, nonneg_combination
+                     vadd, vec, vscale)
+from .exact_lp import feasible_functional
 from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
                     basis_through_point, dual_cone, extreme_rays_from_dual,
                     is_pointed, vec_from_json, vec_to_json)
@@ -83,6 +83,8 @@ class CharacterExtensionProblem:
             if not 0 <= i < len(gs):
                 raise ValidationError(f"prescribed index {i} out of range")
             z = _cx(v)
+            if not cmath.isfinite(z):
+                raise ValidationError(f"prescribed value at {i} is not finite")
             if abs(z) > 1.0 + 1e-9:
                 raise ValidationError(f"prescribed value at {i} has modulus > 1")
             pres[i] = z

@@ -15,8 +15,7 @@ limit condition, which is what a finite sample can certify).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import ValidationError
 

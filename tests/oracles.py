@@ -680,3 +680,216 @@ def brute_render(x) -> str:
 
     walk(brute_plain(x), 0)
     return "".join(out)
+
+
+# -- the cone walk and minimal faces as they were before they read the dual --
+# Verbatim copies of `cones.minimal_face_containing`, `cones._span_coordinates`
+# and `cones.basis_through_point` from when they asked their cone questions
+# through exact-simplex LPs: pointedness by `is_pointed`, membership by
+# `nonneg_combination`, the slice functional by `separate`, the face support
+# by `max_coordinate`, the basis completion by `extreme_rays`, and span
+# coordinates by one `ratlin.solve` per vector.
+
+
+def brute_minimal_face(cone, x, exact=None):
+    """Smallest face of the cone containing x.
+
+    Exact rational x: LP support maximization.  The face is generated by the
+    generators that can carry strictly positive weight in some representation
+    of x; x then lies in the relative interior of their cone.
+
+    Float x (exact=False or float entries): facet normals of the cone are
+    evaluated on the interval hull of x under the two-rung policy of
+    `cones.TIGHT_RUNG` and `cones.LOOSE_RUNG`.
+    """
+    from dirichlet_forge.cones import (LOOSE_RUNG, TIGHT_RUNG, FaceResult,
+                                       dual_cone)
+    from dirichlet_forge.errors import PreconditionError
+    from dirichlet_forge.exact_lp import max_coordinate, nonneg_combination
+    from dirichlet_forge.exactnum import as_fraction
+    from dirichlet_forge.ratlin import dot, vec
+    F = Fraction
+    gens = list(cone.generators)
+    if exact is None:
+        exact = not any(isinstance(v, float) for v in x)
+    if exact:
+        xv = vec(x)
+        if all(v == 0 for v in xv):
+            return FaceResult((), (), (), note="x = 0: the face is the origin")
+        t, _ = nonneg_combination(gens, xv)
+        if t is None:
+            raise PreconditionError("x is not in the cone")
+        marked = {i for i, ti in enumerate(t) if ti > 0}
+        for i in range(len(gens)):
+            if i in marked:
+                continue
+            val, sol = max_coordinate(gens, xv, i, cap=F(1))
+            if val is not None and val > 0:
+                marked.add(i)
+                marked |= {j for j, tj in enumerate(sol) if tj > 0}
+        idx = tuple(sorted(marked))
+        dual = dual_cone(gens, cone.dim)
+        tight = tuple(nv for nv in dual.rays
+                      if all(dot(nv, gens[i]) == 0 for i in idx))
+        return FaceResult(idx, tuple(gens[i] for i in idx), tight)
+
+    # float path: exact intervals around the measured coordinates
+    xf = [as_fraction(float(v)) for v in x]
+    scale = max((abs(v) for v in xf), default=F(0)) + F(1)
+    dual = dual_cone(gens, cone.dim)
+    tight = []
+    ambiguous = False
+    for nv in dual.rays:
+        nscale = sum(abs(c) for c in nv)
+        val = abs(dot(nv, xf))
+        bound = nscale * scale
+        if val <= TIGHT_RUNG * bound:
+            tight.append(nv)
+        elif val <= LOOSE_RUNG * bound:
+            ambiguous = True  # resolved toward non-tight: the larger face
+    idx = tuple(i for i, g in enumerate(gens)
+                if all(dot(nv, g) == 0 for nv in tight))
+    return FaceResult(idx, tuple(gens[i] for i in idx), tuple(tight),
+                      ambiguous=ambiguous,
+                      note="interval policy on float input" if ambiguous else "")
+
+
+def brute_span_coordinates(gens):
+    """(basis rows of span, forward map vec -> coords, inverse map coords -> vec)."""
+    from dirichlet_forge import ratlin
+    from dirichlet_forge.ratlin import rref
+    F = Fraction
+    basis_rows, _ = rref(gens)
+    ell = len(basis_rows)
+
+    def to_coords(v):
+        sol = ratlin.solve([[basis_rows[i][j] for i in range(ell)]
+                            for j in range(len(v))], list(v))
+        return None if sol is None else tuple(sol)
+
+    def from_coords(cs):
+        out = [F(0)] * len(basis_rows[0])
+        for c, row in zip(cs, basis_rows):
+            for j, rj in enumerate(row):
+                out[j] += c * rj
+        return tuple(out)
+
+    return basis_rows, to_coords, from_coords
+
+
+def brute_basis_through_point(generators, eta, first=None):
+    """Independent vectors from the cone whose nonnegative span contains eta.
+
+    Walk: scale a starting generator onto the slice {y . chi = eta . chi}
+    (chi a strictly positive functional from separate()), move along the
+    segment toward eta and past it until a facet binds, split eta between the
+    start vector and the facet point, and recurse inside the facet.  The
+    resulting vectors are completed to a basis of span(generators) by greedy
+    extreme-ray extension.  `first` requests a specific cone vector as the
+    starting b_1 (used when a distinguished direction must lead the basis).
+    """
+    from dirichlet_forge import ratlin
+    from dirichlet_forge.cones import (ConeBasisResult, _vecs, dual_cone,
+                                       extreme_rays, is_pointed, separate)
+    from dirichlet_forge.errors import PreconditionError, ValidationError
+    from dirichlet_forge.exact_lp import nonneg_combination
+    from dirichlet_forge.ratlin import canonical_ray, dot, rank, vec
+    gens = [g for g in _vecs(generators) if any(x != 0 for x in g)]
+    if not gens:
+        raise ValidationError("no nonzero generators")
+    eta = vec(eta)
+    if not is_pointed(gens):
+        raise PreconditionError("cone contains a line")
+    t, _ = nonneg_combination(gens, eta)
+    if t is None:
+        raise PreconditionError("eta is not in the cone")
+
+    # work in exact coordinates of span(generators)
+    basis_rows, to_coords, from_coords = brute_span_coordinates(gens)
+    ell = len(basis_rows)
+    gcs = [to_coords(g) for g in gens]
+    eta_c = to_coords(eta)
+    if eta_c is None:
+        raise PreconditionError("eta is outside the span of the generators")
+    first_c = None
+    if first is not None:
+        first_c = to_coords(vec(first))
+        if first_c is None:
+            raise PreconditionError("requested leading vector outside the span")
+
+    def walk(gcs_cur, eta_cur, lead):
+        """Returns a list of independent coordinate vectors in cone(gcs_cur)
+        whose nonnegative span contains eta_cur."""
+        gcs_cur = [canonical_ray(g) for g in gcs_cur if any(x != 0 for x in g)]
+        gcs_cur = list(dict.fromkeys(gcs_cur))
+        if all(x == 0 for x in eta_cur):
+            return []
+        if len(gcs_cur) == 1 or rank(gcs_cur) == 1:
+            return [gcs_cur[0]]
+        chi = separate(gcs_cur).functional  # strictly positive on the cone
+        if chi is None:
+            raise PreconditionError("cone lost pointedness during the walk")
+        b1 = None
+        if lead is not None:
+            tt, _ = nonneg_combination(gcs_cur, lead)
+            if tt is not None and any(x != 0 for x in lead):
+                b1 = tuple(lead)
+        if b1 is None:
+            b1 = gcs_cur[0]  # deterministic: lowest-index generator
+        # scale b1 onto the slice {y . chi = eta . chi}
+        target = dot(eta_cur, chi)
+        b1k = tuple(x * target / dot(b1, chi) for x in b1)
+        direction = tuple(e - b for e, b in zip(eta_cur, b1k))
+        if all(x == 0 for x in direction):
+            return [b1]  # eta is on the b1 ray
+        # facet normals of the current cone (full-dimensional in its span is
+        # not guaranteed here, but supporting functionals from the dual are
+        # exactly what binds the segment)
+        dual = dual_cone(gcs_cur, len(eta_cur))
+        t_star = None
+        for nv in dual.rays:
+            slope = dot(nv, direction)
+            if slope < 0:
+                tb = -dot(nv, b1k) / slope  # n . d(t) = 0
+                if tb >= 1 and (t_star is None or tb < t_star):
+                    t_star = tb
+        if t_star is None:
+            # eta strictly inside along this segment and the segment never
+            # exits: can only happen when eta is on the b1 ray (handled) or
+            # the cone is not pointed (excluded); guard anyway
+            return [b1]
+        d_star = tuple(b + t_star * dxy for b, dxy in zip(b1k, direction))
+        binding = [nv for nv in dual.rays
+                   if dot(nv, d_star) == 0 and dot(nv, direction) < 0]
+        nstar = binding[0]
+        face = [g for g in gcs_cur if dot(nstar, g) == 0]
+        if not face:
+            return [b1]
+        sub = walk(face, d_star, None)
+        if t_star == 1:
+            # eta itself lies on the facet: descend without consuming b1
+            return sub
+        # nstar vanishes on every face vector but is positive on b1, so b1 is
+        # automatically independent of sub
+        return [b1] + sub
+
+    vecs_c = walk(gcs, eta_c, first_c)
+    # complete to a basis of the span by extreme rays
+    extended = []
+    if rank(vecs_c) < ell:
+        for r in extreme_rays(gcs):
+            if rank(vecs_c + [r]) > rank(vecs_c):
+                extended.append(len(vecs_c))
+                vecs_c.append(r)
+            if rank(vecs_c) == ell:
+                break
+    if rank(vecs_c) != len(vecs_c):
+        raise AssertionError("walk produced dependent vectors")
+    # eta coefficients over the final independent set (unique)
+    rows = [[vecs_c[i][j] for i in range(len(vecs_c))] for j in range(ell)]
+    coeff = ratlin.solve(rows, list(eta_c))
+    if coeff is None or any(c < 0 for c in coeff):
+        raise AssertionError("eta left the cone of the walk output")
+    vecs = tuple(from_coords(v) for v in vecs_c)
+    return ConeBasisResult(vectors=vecs, coefficients=tuple(coeff),
+                           extended=tuple(extended))

@@ -222,6 +222,15 @@ class TestSubcommands:
         assert res["prescribed_residual"] < 1e-9
         assert all(isinstance(e, int) for row in res["exponents"] for e in row)
 
+    def test_extend_character_nan_value_is_exit_2(self, files, capsys):
+        p = files.dir / "nan.json"
+        p.write_text('{"dim": 1, "generators": [["1"]], '
+                     '"prescribed": {"0": {"re": NaN, "im": 0}}}')
+        code, out, _ = invoke(capsys, "extend-character", str(p))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError" and "not finite" in error["message"]
+
     def test_density_search_success(self, files, capsys):
         code, out, _ = invoke(capsys, "density-search", files("elem.json"),
                               files("psi.json"), "--theta", "5e-2",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dirichlet_forge import cones
+from dirichlet_forge import cones, exact_lp
 from dirichlet_forge.cones import (
     ConeBasisResult,
     RationalCone,
@@ -25,7 +25,8 @@ from dirichlet_forge.cones import (
 from dirichlet_forge.errors import CapExceededError, PreconditionError, ValidationError
 from dirichlet_forge.exact_lp import nonneg_combination
 from dirichlet_forge.ratlin import dot, rank
-from tests.oracles import brute_dual_cone, in_cone_brute
+from tests.oracles import (brute_basis_through_point, brute_dual_cone,
+                           brute_minimal_face, in_cone_brute)
 
 F = Fraction
 small = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=3)
@@ -489,3 +490,101 @@ def test_separate_cross_checked_smoke():
     assert res.separated
     res = separate_cross_checked([(1,), (-2,)])
     assert not res.separated
+
+
+# -- the dual-cone routes against the LP routes ---------------------------------
+
+
+@st.composite
+def _cone_cases(draw):
+    """(generators, x, first) in Q^d, d <= 5.  The generators lie in a random
+    subspace, positive on its first basis vector; some cones get a line or
+    a zero generator.  x is a point of the cone, the origin, a multiple of a
+    generator or an arbitrary integer vector (often outside the cone or its
+    span); first is absent, in the cone, in the span or arbitrary."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    d = rng.randint(1, 5)
+    r = rng.randint(1, d)
+    span = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+
+    def in_span(c):
+        den = rng.choice([1, 1, 2, 3])
+        return tuple(F(sum(ci * b[j] for ci, b in zip(c, span)), den) for j in range(d))
+
+    gens = [in_span([rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(r - 1)])
+            for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.2:
+        gens.append(tuple(-x for x in rng.choice(gens)))
+    if rng.random() < 0.1:
+        gens.insert(rng.randrange(len(gens) + 1), (F(0),) * d)
+
+    def in_cone():
+        return tuple(sum(rng.randint(0, 3) * g[j] for g in gens) for j in range(d))
+
+    def arbitrary():
+        return tuple(F(rng.randint(-3, 3)) for _ in range(d))
+
+    x = rng.choice([in_cone, in_cone, lambda: (F(0),) * d,
+                    lambda: tuple(2 * v for v in rng.choice(gens)), arbitrary])()
+    first = rng.choice([None, None, in_cone,
+                        lambda: in_span([rng.randint(-3, 3) for _ in range(r)]),
+                        arbitrary])
+    return gens, x, first and first()
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (PreconditionError, ValidationError) as e:
+        return type(e), str(e)
+
+
+@given(_cone_cases())
+@settings(max_examples=300, deadline=None)
+@example(([(F(1), F(0)), (F(-1), F(0))], (F(0), F(0)), None))     # a line
+@example(([(F(1), F(0)), (F(0), F(1))], (F(1), F(-1)), None))     # eta outside
+@example(([(F(1), F(0), F(1)), (F(0), F(1), F(1))], (F(1), F(1), F(0)), None))
+@example(([(F(1), F(0)), (F(0), F(1)), (F(1), F(1))], (F(2), F(1)), (F(1), F(1))))
+@example(([(F(1), F(0), F(0)), (F(0), F(1), F(0))], (F(1), F(1), F(0)),
+          (F(0), F(0), F(1))))                                  # first off the span
+def test_basis_walk_matches_lp_oracle(case):
+    """Vectors, coefficients, completion indices and errors equal the LP walk's."""
+    gens, eta, first = case
+    assert (_outcome(basis_through_point, gens, eta, first=first)
+            == _outcome(brute_basis_through_point, gens, eta, first=first))
+
+
+@given(_cone_cases())
+@settings(max_examples=300, deadline=None)
+@example(([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))], (F(5), F(0)), None))
+@example(([(F(1), F(0)), (F(0), F(0)), (F(1), F(1))], (F(2), F(0)), None))
+def test_minimal_face_matches_lp_oracle(case):
+    """Face indices, generators and tight normals equal the LP route's, and
+    so do the errors; float points take the interval policy on both sides."""
+    gens, x, _ = case
+    cone = RationalCone(len(x), tuple(gens))
+    assert _outcome(minimal_face_containing, cone, x) == _outcome(brute_minimal_face, cone, x)
+    xf = tuple(float(v) for v in x)
+    assert _outcome(minimal_face_containing, cone, xf) == _outcome(brute_minimal_face, cone, xf)
+
+
+def test_basis_walk_and_minimal_face_solve_no_lp(monkeypatch):
+    gens = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(1), F(1), F(1)), (F(0), F(2), F(1))]
+    line = [(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))]
+    walks = [(gens, (F(2), F(3), F(1)), None), (gens, (F(1), F(1), F(0)), gens[2]),
+             (gens, (F(0), F(0), F(1)), None), (line, (F(0), F(1)), None)]
+    faces = [(gens, (F(1), F(3), F(1))), (gens, (F(1), F(0), F(0))),
+             (gens, (F(0), F(0), F(-1))), (line, (F(3), F(0)))]
+    want = ([_outcome(brute_basis_through_point, g, e, first=f) for g, e, f in walks],
+            [_outcome(brute_minimal_face, RationalCone(len(x), tuple(g)), x) for g, x in faces])
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(exact_lp, "solve_standard", no_lp)
+    with pytest.raises(AssertionError, match="an LP was solved"):
+        is_pointed(gens)
+    got = ([_outcome(basis_through_point, g, e, first=f) for g, e, f in walks],
+           [_outcome(minimal_face_containing, RationalCone(len(x), tuple(g)), x)
+            for g, x in faces])
+    assert got == want

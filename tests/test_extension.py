@@ -31,6 +31,17 @@ def test_problem_validation():
         CharacterExtensionProblem(1, [(F(-1, 2),)], {})      # negative coordinate
 
 
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0), math.nan])
+def test_problem_rejects_non_finite_values(value):
+    with pytest.raises(ValidationError, match="not finite"):
+        CharacterExtensionProblem(1, [(1,)], {0: value})
+    with pytest.raises(ValidationError, match="not finite"):
+        CharacterExtensionProblem.from_json(
+            {"dim": 1, "generators": [["1"]],
+             "prescribed": {"0": {"re": complex(value).real, "im": complex(value).imag}}})
+
+
 def test_problem_json_roundtrip():
     p = CharacterExtensionProblem(2, [(1, 0), (F(1, 2), 1)], {0: 0.5j, 1: 0.0})
     q = CharacterExtensionProblem.from_json(p.to_json())
