@@ -80,12 +80,6 @@ class AlgebraElement:
     def constant_term(self):
         return self[self.basis.zero()]
 
-    def with_backend(self, backend: str) -> "AlgebraElement":
-        if backend == self.backend:
-            return self
-        return AlgebraElement(self.basis, dict(self.coeffs), backend,
-                              self.truncation, self.dropped_mass)
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -99,13 +93,20 @@ class AlgebraElement:
     # -- linear ops ---------------------------------------------------------
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
+        """self + other: self's terms in their order, then the other
+        operand's new ones in theirs.  Only an operand whose backend differs
+        from the sum's is coerced."""
         _check_bases(self, other)
         backend = EXACT if self.backend == other.backend == EXACT else FLOAT
-        out = {}
-        for lam in set(self.coeffs) | set(other.coeffs):
-            v = _coerce(self[lam], backend) + _coerce(other[lam], backend)
-            if not coeff_is_zero(v):
-                out[lam] = v
+        out = dict(_coeffs_in(self, backend))
+        for lam, v in _coeffs_in(other, backend).items():
+            cur = out.get(lam)
+            if cur is not None:
+                v = cur + v
+                if coeff_is_zero(v):
+                    del out[lam]
+                    continue
+            out[lam] = v
         return AlgebraElement(self.basis, out, backend,
                               _min_trunc(self.truncation, other.truncation),
                               self.dropped_mass + other.dropped_mass, _trusted=True)
@@ -176,6 +177,13 @@ class AlgebraElement:
             raise ValidationError(f"malformed algebra element JSON: {e}") from e
 
 
+def _coeffs_in(a: AlgebraElement, backend: str) -> dict:
+    """a's coefficients in `backend`: its own map when it is already there."""
+    if a.backend == backend:
+        return a.coeffs
+    return {lam: _coerce(v, backend) for lam, v in a.coeffs.items()}
+
+
 def _check_bases(a: AlgebraElement, b: AlgebraElement):
     if a.basis is not b.basis and a.basis != b.basis:
         raise BasisMismatchError("operands over different bases")
@@ -213,7 +221,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     truncation, products beyond min(T_a, T_b) are dropped and the dropped
     mass (sum of |a||b| over dropped pairs) is recorded in metadata.  The
     pairs run through `_pair_kernel`; the result's terms keep the order in
-    which a loop over a, then b, first reaches them.
+    which it first reaches them.
     """
     _check_bases(a, b)
     backend, T, sa, sb, out, born, lost = _product(a, b)
@@ -221,8 +229,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
     den, gauss = sa.den * sb.den, sa.gauss
     coeffs = {}
-    for k in _born_order(born, sa.keys, sb):
-        v = out[k]
+    for k, v in out.items():
         if _nonzero(v, gauss):
             ka, kb = born[k]
             coeffs[ea[ka] + eb[kb]] = _value(v, den, gauss, backend)
@@ -358,7 +365,7 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
         _accumulate(acc, term, powers.side.den, powers.side.gauss)
         acc_dropped += powers.dropped
         tail *= q
-    elems = powers.elements()
+    elems = powers.elems
     if a.backend == EXACT:
         # b = acc * inv_a0 on numerators, one QC per coefficient
         (nu,), nu_den, nu_gauss = _numerators([inv_a0])
@@ -386,9 +393,10 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
 def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
     """||a * b - eps||_w, the norm of `convolve(a, b) - eps` taken on keys.
 
-    It skips building the product's support elements and the difference,
-    which take longer than the products themselves.  An element's magnitude
-    is the sum of its first pair's magnitudes, as `convolve` gives it.
+    It skips building the difference, and under the unit weight the
+    product's support elements too, which take longer than the products
+    themselves.  Another weight is evaluated on each product element, as
+    `weighted_norm` does.
     """
     backend, _, sa, sb, out, born, _ = _product(a, b)
     zk = a.basis.zero().key()
@@ -397,10 +405,9 @@ def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
     out[zk] = (v0[0] - den, v0[1]) if gauss else v0 - den  # eps is den / den
     weight = None
     if w.kind != ONE:
-        amag = dict(zip(sa.keys, sa.mags))
-        bmag = {k: e.l1() for k, e in zip(sb.keys, sb.elems)}
-        weight = {k: w.eval_mag(amag[ka] + bmag[kb]) for k, (ka, kb) in born.items()}
-        weight.setdefault(zk, w.eval_mag(0.0))
+        ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
+        weight = {k: w.eval(ea[ka] + eb[kb]) for k, (ka, kb) in born.items()}
+        weight.setdefault(zk, w.eval(a.basis.zero()))
     total = 0
     for k, v in out.items():
         m = coeff_abs(_value(v, den, gauss, backend))
@@ -546,7 +553,6 @@ class _Side(NamedTuple):
     vals: list
     den: int                 # common denominator of exact numerators; 1 for float
     gauss: bool              # exact numerators are (re, im) pairs, else ints
-    perm: Optional[list]     # original positions, when sorting moved any
 
 
 def _side(items, backend: str, by_mag: bool = False, den: Optional[int] = None,
@@ -554,26 +560,18 @@ def _side(items, backend: str, by_mag: bool = False, den: Optional[int] = None,
     """Operand from (element, value) pairs, in the given order or stably
     sorted by magnitude (`by_mag`), with values in the kernel's form for
     `backend`.  `mags=False` skips reading magnitudes (no cutoff to test)."""
-    elems, vals = [], []
-    for lam, v in items:
-        elems.append(lam)
-        vals.append(v)
-    ms = [lam.l1() for lam in elems] if mags or by_mag else None
-    perm = None
+    items = list(items)
     if by_mag:
-        perm = sorted(range(len(elems)), key=ms.__getitem__)
-        if all(i == p for i, p in enumerate(perm)):
-            perm = None
-        else:
-            elems = [elems[i] for i in perm]
-            vals = [vals[i] for i in perm]
-            ms = [ms[i] for i in perm]
+        items.sort(key=lambda kv: kv[0].l1())
+    elems = [lam for lam, _ in items]
+    vals = [v for _, v in items]
+    ms = [lam.l1() for lam in elems] if mags or by_mag else None
     keys = [lam.key() for lam in elems]
     if backend == EXACT:
         vals, den, gauss = _numerators(vals, den)
     else:
         vals, den, gauss = [coeff_to_complex(v) for v in vals], 1, False
-    return _Side(elems, keys, ms, vals, den, gauss, perm)
+    return _Side(elems, keys, ms, vals, den, gauss)
 
 
 def _unify(s1: _Side, s2: _Side):
@@ -647,7 +645,8 @@ def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine
     denominator of the outer values, their mass (|va| times a suffix sum of
     |vb|, both as values) is returned; without it, 0.0.  Keys within one
     row are distinct, so each sum runs in outer order.  `born`, when given,
-    records the first pair (ka, kb) behind every new key.
+    records the first pair (ka, kb) behind every new key, in the order the
+    keys are first reached.
     """
     pairs = list(zip(inner.keys, inner.vals))
     n, gauss, mags = len(pairs), inner.gauss, inner.mags
@@ -695,63 +694,42 @@ def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine
 class _Powers:
     """u^{*1}, u^{*2}, ... on element keys, for Neumann series and
     composition.  After `step`, `term` holds the numerators of the current
-    power over `den` (a power of u's denominator) and `dropped` its dropped
-    mass as `convolve` would carry it.  The first (parent key, u key) pair
-    behind every key is kept, so `elements` builds each element once."""
+    power over `den` (a power of u's denominator), in the order the kernel
+    first reached their keys, and `dropped` its dropped mass as `convolve`
+    would carry it.  `elems` maps every key reached to its element, built
+    once when the key is born; it also gives the outer magnitudes."""
 
     def __init__(self, u: AlgebraElement):
         T = u.truncation
         self.limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
         cut = self.limit is not None
         self.side = _side(u.coeffs.items(), u.backend, by_mag=cut, mags=cut)
+        self.u_elems = dict(zip(self.side.keys, self.side.elems))
         self.combine = key_combine(u.basis)
         self.u_dropped = u.dropped_mass
-        self.zero = u.basis.zero()
-        zk = self.zero.key()
+        zero = u.basis.zero()
+        zk = zero.key()
         one = 1 + 0j if u.backend == FLOAT else 1
         self.term = {zk: (one, 0) if self.side.gauss else one}
-        self.mags = {zk: self.zero.l1()}
+        self.elems = {zk: zero}
         self.den = 1
         self.dropped = 0.0
-        self.origin: dict = {}
 
     def step(self) -> dict:
-        side = self.side
+        side, elems = self.side, self.elems
         if self.limit is None:
             outer = zip(self.term, repeat(0.0), self.term.values())
         else:
-            outer = zip(self.term, map(self.mags.__getitem__, self.term), self.term.values())
+            outer = ((k, elems[k].l1(), v) for k, v in self.term.items())
         nxt, born = {}, {}
         lost = _pair_kernel(outer, side, self.limit, nxt, self.combine, born, self.den)
         self.dropped = self.dropped + self.u_dropped + lost
         self.den *= side.den
-        if self.limit is not None:
-            umag = dict(zip(side.keys, side.mags))
-            self.mags = {k: self.mags[ka] + umag[kb] for k, (ka, kb) in born.items()}
-        for k, pair in born.items():
-            self.origin.setdefault(k, pair)
-        self.term = {k: nxt[k] for k in _born_order(born, self.term, side)
-                     if _nonzero(nxt[k], side.gauss)}
+        for k, (ka, kb) in born.items():
+            if k not in elems:
+                elems[k] = elems[ka] + self.u_elems[kb]
+        self.term = {k: v for k, v in nxt.items() if _nonzero(v, side.gauss)}
         return self.term
-
-    def elements(self) -> dict:
-        """Key -> element for every key reached."""
-        elems = {self.zero.key(): self.zero}
-        uel = dict(zip(self.side.keys, self.side.elems))
-        for k, (ka, kb) in self.origin.items():
-            elems[k] = elems[ka] + uel[kb]
-        return elems
-
-
-def _born_order(born: dict, outer_keys, inner: _Side):
-    """The keys of `born` in the order a loop over the outer keys, then the
-    inner terms in their original order, first reaches them: the order a
-    product had before the inner operand was sorted."""
-    if inner.perm is None:
-        return born
-    pos_a = {k: i for i, k in enumerate(outer_keys)}
-    pos_b = dict(zip(inner.keys, inner.perm))
-    return sorted(born, key=lambda k: (pos_a[born[k][0]], pos_b[born[k][1]]))
 
 
 def _accumulate(acc: dict, term: dict, den: int, gauss: bool):
@@ -982,7 +960,7 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
             _accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
             dropped += powers.dropped * abs(cc)
             touched = True
-    elems = powers.elements()
+    elems = powers.elems
     c = AlgebraElement(a.basis, {elems[k]: v for k, v in acc.items() if not coeff_is_zero(v)},
                        backend, u.truncation if touched else None, dropped, _trusted=True)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)

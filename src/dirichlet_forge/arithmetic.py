@@ -286,12 +286,15 @@ class MultiplicativeFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiplicativeFunction":
-        system = PrimeSystem.from_json(data["system"])
-        entries = [
-            (row["p"], row["k"], _decode_value(row["value"]))
-            for row in data.get("values", [])
-        ]
-        return cls.from_prime_values(system, entries, label=data.get("label", ""))
+        try:
+            system = PrimeSystem.from_json(data["system"])
+            entries = [
+                (row["p"], row["k"], _decode_value(row["value"]))
+                for row in data.get("values", [])
+            ]
+            return cls.from_prime_values(system, entries, label=data.get("label", ""))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"malformed multiplicative function JSON: {e}") from e
 
 
 def _same_system(f: MultiplicativeFunction, g: MultiplicativeFunction):

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, arithmetic, cones, density, extension, weights
 from .characters import Character
-from .errors import BudgetExhaustedError, ForgeError
+from .errors import BudgetExhaustedError, ForgeError, ValidationError
 from .semigroup import SemigroupBasis
 
 PROG = "forge"
@@ -274,14 +274,20 @@ def _cmd_compose(args):
 
 def _cmd_separate(args):
     data = _load(args.points)
-    pts = [cones.vec_from_json(p) for p in data["points"]]
+    try:
+        pts = [cones.vec_from_json(p) for p in data["points"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed points JSON: {e}") from e
     res = cones.separate_cross_checked(pts) if args.cross_check else cones.separate(pts)
     return res, 0
 
 
 def _cmd_dual(args):
     data = _load(args.cone)
-    gens = [cones.vec_from_json(g) for g in data["generators"]]
+    try:
+        gens = [cones.vec_from_json(g) for g in data["generators"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed cone JSON: {e}") from e
     return cones.dual_cone(gens, dim=data.get("dim")), 0
 
 

@@ -60,10 +60,13 @@ class KroneckerInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> "KroneckerInstance":
-        return cls(tuple(data["betas"]),
-                   tuple(complex(z["re"], z["im"]) for z in data["targets"]),
-                   float(data.get("theta", 1e-2)),
-                   int(data.get("t_budget", 10 ** 6)))
+        try:
+            return cls(tuple(data["betas"]),
+                       tuple(complex(z["re"], z["im"]) for z in data["targets"]),
+                       float(data.get("theta", 1e-2)),
+                       int(data.get("t_budget", 10 ** 6)))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"malformed Kronecker instance JSON: {e}") from e
 
 
 @dataclass(frozen=True)

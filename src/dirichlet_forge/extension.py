@@ -41,7 +41,7 @@ from .ratlin import (dot, independent_subset, invert_matrix, kernel_basis,
 from .exact_lp import feasible_functional
 from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
                     basis_through_point, dual_cone, extreme_rays_from_dual,
-                    is_pointed, vec_from_json, vec_to_json)
+                    vec_from_json, vec_to_json)
 from .semigroup import free_rational_basis
 from .characters import Character
 
@@ -66,6 +66,8 @@ class CharacterExtensionProblem:
     prescribed: dict      # generator index -> complex value, |value| <= 1
 
     def __post_init__(self):
+        # nonzero and coordinatewise >= 0: the coordinate sum is positive on
+        # every generator, so the cone is pointed
         gs = tuple(vec(g) for g in self.gamma)
         if not gs:
             raise ValidationError("no generators")
@@ -89,9 +91,6 @@ class CharacterExtensionProblem:
                 raise ValidationError(f"prescribed value at {i} has modulus > 1")
             pres[i] = z
         object.__setattr__(self, "prescribed", pres)
-        if not is_pointed(gs):
-            raise PreconditionError(
-                "generators are not pointed: 0 is a rational convex combination")
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -101,9 +100,12 @@ class CharacterExtensionProblem:
 
     @classmethod
     def from_json(cls, data: dict) -> "CharacterExtensionProblem":
-        return cls(int(data["dim"]),
-                   tuple(vec_from_json(g) for g in data["generators"]),
-                   {int(i): _cx(v) for i, v in data.get("prescribed", {}).items()})
+        try:
+            return cls(int(data["dim"]),
+                       tuple(vec_from_json(g) for g in data["generators"]),
+                       {int(i): _cx(v) for i, v in data.get("prescribed", {}).items()})
+        except (AttributeError, KeyError, TypeError, ValueError) as e:  # a list has no .items
+            raise ValidationError(f"malformed extension problem JSON: {e}") from e
 
 
 def polar_split(prescribed: dict):
@@ -284,9 +286,10 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     primal extreme rays zeta annihilates (interval test on the float values),
     a rational point near zeta inside that face is walked to an independent
     subset, and the completed set is rescaled so every generator gets integer
-    exponents over the inverse basis.  gamma must span a pointed cone
-    (`CharacterExtensionProblem` checks it); its extreme rays are read off
-    the dual cone, with no LP.
+    exponents over the inverse basis.  gamma must span a pointed cone (it
+    does when its generators are nonzero and coordinatewise >= 0, as
+    `CharacterExtensionProblem` checks); its extreme rays are read off the
+    dual cone, with no LP.
     """
     d = len(gamma[0])
     flags = []

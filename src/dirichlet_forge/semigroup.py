@@ -185,11 +185,11 @@ class SemigroupElement:
         self._key = None
 
     @classmethod
-    def _trusted(cls, basis, exponents, coords, mag, key=None) -> "SemigroupElement":
+    def _trusted(cls, basis, exponents, coords, key=None) -> "SemigroupElement":
         """An element from already validated parts (sorted positive exponents)."""
         out = object.__new__(cls)
         out.basis, out.exponents, out.coords = basis, exponents, coords
-        out._mag, out._val, out._key = mag, None, key
+        out._mag, out._val, out._key = None, None, key
         return out
 
     def key(self):
@@ -210,10 +210,11 @@ class SemigroupElement:
     def embedded_value(self) -> tuple:
         if self._val is None:
             if self.basis.mode == FREE:
-                acc = [0.0] * self.basis.r
+                by_id, r = self.basis.by_id, self.basis.r
+                acc = [0.0] * r
                 for gid, n in self.exponents:
-                    gv = self.basis.by_id[gid].value
-                    for k in range(self.basis.r):
+                    gv = by_id[gid].value
+                    for k in range(r):
                         acc[k] += n * gv[k]
                 self._val = tuple(acc)
             else:
@@ -234,7 +235,9 @@ class SemigroupElement:
         return tuple(acc)
 
     def l1(self) -> float:
-        """|lambda|_1 of the embedded value; additive under +."""
+        """|lambda|_1: the float sum of the embedded value, itself summed in
+        generator order, so equal elements report equal magnitudes however
+        they were built."""
         if self._mag is None:
             self._mag = float(sum(self.embedded_value()))
         return self._mag
@@ -252,9 +255,6 @@ class SemigroupElement:
     def __add__(self, other: "SemigroupElement") -> "SemigroupElement":
         if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("elements belong to different bases")
-        mag = None
-        if self._mag is not None and other._mag is not None:
-            mag = self._mag + other._mag
         if self.basis.mode == FREE:
             merged = dict(self.exponents)
             for gid, n in other.exponents:
@@ -265,9 +265,9 @@ class SemigroupElement:
             key = None
             if self._key is not None and other._key is not None:
                 key = self._key * other._key
-            return SemigroupElement._trusted(self.basis, exps, None, mag, key)
+            return SemigroupElement._trusted(self.basis, exps, None, key)
         return SemigroupElement._trusted(
-            self.basis, None, tuple(a + b for a, b in zip(self.coords, other.coords)), mag)
+            self.basis, None, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def subtract(self, other: "SemigroupElement"):
         """self - other within the semigroup, or None if it leaves it."""
@@ -336,7 +336,7 @@ class SemigroupElement:
                 if n < 0:
                     raise ValidationError("exponents must be nonnegative")
                 out.append((gid, n))
-        return cls._trusted(basis, tuple(out), None, None)
+        return cls._trusted(basis, tuple(out), None)
 
     def __repr__(self):
         if self.basis.mode == FREE:
@@ -451,10 +451,9 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000):
     """All sums of `support` elements with |.|_1 <= truncation, sorted.
 
     Sorted by (|.|_1, exponent key); includes zero.  `cap` bounds the number
-    of enumerated elements.  The breadth-first search runs on element keys
-    (`SemigroupElement.key`); each element is built once, from the first
-    (parent, generator) pair that reached it, so its magnitude is the sum
-    along that path.
+    of enumerated elements.  The breadth-first search tests membership by
+    element key (`SemigroupElement.key`) and builds each element once, when
+    its key is first reached.
     """
     if isinstance(support, SemigroupBasis):
         basis = support
@@ -464,31 +463,25 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000):
     basis = support[0].basis
     gens = sorted((s for s in support if not s.is_zero()), key=lambda e: e.sort_key())
     gmags = [s.l1() for s in gens]
-    rows = [(s.key(), sm, i) for i, (s, sm) in enumerate(zip(gens, gmags))]
+    rows = [(s.key(), s) for s in gens]
     limit = truncation + 1e-9 * (1.0 + abs(truncation))
     combine = key_combine(basis)
     zero = basis.zero()
-    z = zero.key()
-    mag = {z: zero.l1()}
-    parent = {}  # key -> (parent key, generator index), in discovery order
-    frontier = [z]
+    elems = {zero.key(): zero}
+    frontier = [zero]
     while frontier:
         nxt = []
         for mu in frontier:
-            m = mag[mu]
-            for sk, sm, i in rows[:row_end(gmags, m, limit)]:  # gens sorted by magnitude
-                nu = combine(mu, sk)
-                if nu not in mag:
-                    mag[nu] = m + sm
-                    parent[nu] = (mu, i)
-                    if len(mag) > cap:
+            mk = mu.key()
+            for sk, s in rows[:row_end(gmags, mu.l1(), limit)]:  # gens sorted by magnitude
+                nu = combine(mk, sk)
+                if nu not in elems:
+                    elems[nu] = e = mu + s
+                    if len(elems) > cap:
                         raise CapExceededError(
                             f"monoid enumeration exceeded cap {cap} below cutoff {truncation}")
-                    nxt.append(nu)
+                    nxt.append(e)
         frontier = nxt
-    elems = {z: zero}
-    for nu, (mu, i) in parent.items():
-        elems[nu] = elems[mu] + gens[i]
     return sorted(elems.values(), key=lambda e: e.sort_key())
 
 
@@ -543,4 +536,4 @@ def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
             raise ValidationError(f"prime {p} outside basis range")
         exps.append((gid, k))
     exps.sort()
-    return SemigroupElement._trusted(basis, tuple(exps), None, None)
+    return SemigroupElement._trusted(basis, tuple(exps), None)

@@ -231,6 +231,35 @@ class TestSubcommands:
         error = json.loads(out)["error"]
         assert error["type"] == "ValidationError" and "not finite" in error["message"]
 
+    @pytest.mark.parametrize("cmd, payload", [
+        (cmd, payload)
+        for cmd in ("separate", "dual", "extend-character", "kronecker", "euler-invert",
+                    "p3-decompose")
+        for payload in ("{}", "null", "[1]")
+    ] + [
+        ("separate", '{"points": [["abc"]]}'),
+        ("separate", '{"points": 3}'),
+        ("dual", '{"generators": [[null]]}'),
+        ("extend-character", '{"dim": 1, "generators": [["1"]], '
+                             '"prescribed": {"0": {"re": "abc", "im": 0}}}'),
+        ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": {"0": null}}'),
+        ("extend-character", '{"dim": "one", "generators": [["1"]]}'),
+        ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": []}'),
+        ("kronecker", '{"betas": [1.0], "targets": [null]}'),
+        ("kronecker", '{"betas": [1.0], "targets": [{"re": 1.0}]}'),
+        ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": true}, '
+                         '"values": [{"p": 2, "k": 1, "value": "abc"}]}'),
+        ("p3-decompose", '{"system": {"primes": [2], "x": 4, "rational": true}, '
+                         '"values": [{"p": 2, "value": "1/2"}]}'),
+    ])
+    def test_malformed_input_is_exit_2(self, files, capsys, cmd, payload):
+        p = files.dir / "malformed.json"
+        p.write_text(payload)
+        code, out, _ = invoke(capsys, cmd, str(p))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError" and error["message"].startswith("malformed")
+
     def test_density_search_success(self, files, capsys):
         code, out, _ = invoke(capsys, "density-search", files("elem.json"),
                               files("psi.json"), "--theta", "5e-2",

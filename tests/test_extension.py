@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirichlet_forge import exact_lp
 from dirichlet_forge.errors import PreconditionError, ValidationError
 from dirichlet_forge.extension import (CharacterExtensionProblem,
                                        CharacterExtensionResult, build_dual_basis,
@@ -29,6 +30,19 @@ def test_problem_validation():
         CharacterExtensionProblem(2, [(1,)], {})             # wrong length
     with pytest.raises(ValidationError):
         CharacterExtensionProblem(1, [(F(-1, 2),)], {})      # negative coordinate
+
+
+def test_problem_construction_solves_no_lp(monkeypatch):
+    # nonzero generators in the closed orthant span a pointed cone: the
+    # coordinate sum is positive on each, so no separation LP is needed
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(exact_lp, "solve_standard", no_lp)
+    for gens in ([(1,)], [(2, 1), (1, 2), (1, 1)], [(0, 3), (5, 0), (0, 1)],
+                 [(1, 0, 0), (0, F(1, 2), 0), (0, 0, 1), (1, 1, 1)]):
+        prob = CharacterExtensionProblem(len(gens[0]), gens, {0: 0.5})
+        assert CharacterExtensionProblem.from_json(prob.to_json()) == prob
 
 
 @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.nan),

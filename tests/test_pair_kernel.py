@@ -4,14 +4,18 @@
 `compose_series` and `enumerate_monoid` as they were before they ran on
 element keys.  Over four kinds of basis (log N, the natural numbers, a free
 rational basis in r = 2 whose generators tie in magnitude, and an embedded
-basis with dependent generators), exact results must be identical, float
-`convolve` and `graded_invert` bit-identical, Neumann and composition
-within 1e-15 (1 + |v|), and dropped masses within 1e-12 relative.
+basis with dependent generators), exact results must be identical key for
+key, float `convolve` and `graded_invert` bit-identical per key, in value
+and magnitude, Neumann and composition within 1e-15 (1 + |v|), and dropped
+masses within 1e-12 relative.  Term order is not compared: the kernel keeps
+the order in which it first reaches each key.
 """
 
 import math
+import operator
 import re
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,8 +27,8 @@ from dirichlet_forge.arithmetic import MultiplicativeFunction, PrimeSystem, inve
 from dirichlet_forge.errors import CapExceededError
 from dirichlet_forge.exactnum import QC
 from dirichlet_forge.sieves import factorize, spf_sieve
-from dirichlet_forge.semigroup import (embedded_basis, enumerate_monoid, free_rational_basis,
-                                      row_end,
+from dirichlet_forge.semigroup import (SemigroupElement, embedded_basis, enumerate_monoid,
+                                      free_rational_basis, row_end,
                                       log_element, log_primes_basis, natural_basis)
 from tests.oracles import (brute_compose_series, brute_convolve, brute_enumerate_monoid,
                            brute_graded_invert, brute_neumann_invert)
@@ -99,15 +103,15 @@ def _bits(v):
 
 
 def _same_float(got, want):
-    """Bit-identical coefficients, in the same order, on equal keys whose
-    magnitudes agree."""
-    assert [(k, _bits(v)) for k, v in got.coeffs.items()] == \
-        [(k, _bits(v)) for k, v in want.coeffs.items()]
-    assert [k.l1() for k in got.coeffs] == [k.l1() for k in want.coeffs]
+    """Bit-identical coefficients on equal keys whose magnitudes agree."""
+    assert {k: _bits(v) for k, v in got.coeffs.items()} == \
+        {k: _bits(v) for k, v in want.coeffs.items()}
+    mags = {k: k.l1() for k in want.coeffs}
+    assert all(k.l1() == mags[k] for k in got.coeffs)
 
 
 def _same_exact(got, want):
-    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert got.coeffs == want.coeffs
     assert all(isinstance(v, QC) for v in got.coeffs.values())
 
 
@@ -177,7 +181,7 @@ def test_neumann_invert_matches_oracle(data, kind, backend, w):
     want, wcert = brute_neumann_invert(a, w, tol=tol)
     _same_meta(got, want)
     if backend == EXACT:
-        assert got.coeffs == want.coeffs  # the old partial sums kept set order
+        assert got.coeffs == want.coeffs
     else:
         _close(got, want)
     assert (cert.q, cert.terms_used, cert.tail_bound) == \
@@ -215,6 +219,59 @@ def test_enumerate_monoid_matches_oracle(data, kind):
     assert [e.l1() for e in got] == [e.l1() for e in want]
 
 
+def test_l1_of_a_sum_is_that_of_the_same_element_built_directly():
+    basis = embedded_basis([(F(1, 10), F(1, 5)), (F(1, 5), F(1, 10))])
+    g0, g1 = basis.generator_element(0), basis.generator_element(1)
+    assert (g0.l1(), g1.l1()) == (0.30000000000000004, 0.30000000000000004)
+    built = g0 + g1 + g0 + g1 + g0
+    direct = basis.element(coords=(F(7, 10), F(4, 5)))
+    assert built == direct
+    assert built.l1() == direct.l1() == 1.5
+
+
+# generators whose float coordinates are inexact, so that sums of their
+# magnitudes round differently along different paths
+TENTHS_FREE = free_rational_basis([(F(1, 10), F(1, 5)), (F(3, 10), F(7, 10))])
+TENTHS_EMBEDDED = embedded_basis([(F(1, 10), F(1, 5)), (F(1, 5), F(1, 10)), (F(1, 3), 0)])
+SUMMANDS = {
+    "log_n": st.integers(2, 60).map(_log_n),
+    "free_rational": st.sampled_from([TENTHS_FREE.generator_element(g.id)
+                                      for g in TENTHS_FREE.generators]),
+    "embedded": st.sampled_from([TENTHS_EMBEDDED.generator_element(g.id)
+                                 for g in TENTHS_EMBEDDED.generators]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SUMMANDS)))
+def test_equal_elements_report_bit_equal_magnitudes(data, kind):
+    parts = data.draw(st.lists(SUMMANDS[kind], min_size=1, max_size=10))
+    order = data.draw(st.permutations(range(len(parts))))
+    for lam in parts:
+        lam.l1()  # a magnitude the parts hold before they are summed
+    left = reduce(operator.add, parts)
+    right = reduce(operator.add, [parts[i] for i in order])
+    fresh = SemigroupElement(left.basis, exponents=left.exponents, coords=left.coords)
+    assert left == right == fresh
+    assert left.l1().hex() == right.l1().hex() == fresh.l1().hex()
+
+
+@pytest.mark.parametrize("backends", [(EXACT, EXACT), (FLOAT, FLOAT), (EXACT, FLOAT),
+                                      (FLOAT, EXACT)])
+def test_add_puts_self_first_then_the_new_terms(backends):
+    x = [_natural(n) for n in range(6)]
+    a = from_coeffs(NATURAL, [(x[3], 1), (x[0], 2), (x[5], F(1, 2))], backends[0])
+    b = from_coeffs(NATURAL, [(x[4], 1), (x[5], F(-1, 2)), (x[1], 3), (x[0], 1)], backends[1])
+    got = a.add(b)
+    assert list(got.coeffs) == [x[3], x[0], x[4], x[1]]  # x^5 cancels
+    assert [complex(v) for v in got.coeffs.values()] == [1, 3, 1, 3]
+    backend = EXACT if backends == (EXACT, EXACT) else FLOAT
+    assert got.backend == backend
+    assert all(isinstance(v, QC if backend == EXACT else complex) for v in got.coeffs.values())
+    if backends[0] == backend:
+        assert got.coeffs[x[3]] is a.coeffs[x[3]]  # not coerced again
+
+
 def test_keys_of_log_n_are_n():
     basis = log_primes_basis(100)
     for n in range(1, 101):
@@ -226,7 +283,7 @@ def test_keys_of_log_n_are_n():
 def test_float_convolve_on_the_workload_shape():
     # the benchmark's truncated convolution: most pairs fall past the
     # cutoff; b, given in descending order, is sorted for the break, and the
-    # result still comes out bit-identical and in the old loop's order
+    # result still comes out bit-identical key for key
     basis = log_primes_basis(600)
     t = math.log(600)
     a = from_coeffs(basis, [(log_element(basis, n), complex(math.sin(n), math.cos(3 * n)))
