@@ -112,13 +112,15 @@ class AlgebraElement:
                               self.dropped_mass + other.dropped_mass, _trusted=True)
 
     def scale(self, c) -> "AlgebraElement":
+        """c * self; values are coerced only when the backend changes (an
+        exact element scaled by a complex becomes float)."""
         backend = self.backend
         if backend == EXACT and isinstance(c, complex):
             backend = FLOAT
         cc = _coerce(c, backend)
         out = {}
-        for lam, v in self.coeffs.items():
-            nv = _coerce(v, backend) * cc
+        for lam, v in _coeffs_in(self, backend).items():
+            nv = v * cc
             if not coeff_is_zero(nv):
                 out[lam] = nv
         return AlgebraElement(self.basis, out, backend, self.truncation,

@@ -102,11 +102,15 @@ def separate(points) -> SeparationResult:
     """Strictly separate a finite set from the origin, or certify 0 in conv.
 
     The two outcomes are mutually exclusive and exhaustive; both carry exact
-    certificates.  Raises on an empty input (both outcomes would be vacuous).
+    certificates.  Raises ValidationError on an empty input (both outcomes
+    would be vacuous) and on points of different lengths.
     """
     pts = _vecs(points)
     if not pts:
         raise ValidationError("separation needs at least one point")
+    if len({len(p) for p in pts}) > 1:
+        raise ValidationError("malformed point set: points have different lengths "
+                              f"{sorted({len(p) for p in pts})}")
     if any(all(x == 0 for x in p) for p in pts):
         # the origin itself is among the points: trivially 0 in conv
         coeffs = [F(1) if all(x == 0 for x in p) else F(0) for p in pts]

@@ -22,7 +22,9 @@ The construction splits psi into modulus, zero set and phase data:
     theta leading, whose inverse-transpose supplies the auxiliary basis.
 
 phi(b_j) = exp(-zeta(b_j)) [theta(b_j) = 0] exp(i omega_j) with the phases
-omega fitted modulo 2 pi by a bounded integer search.
+omega solving E omega = t mod 2 pi exactly over the integer exponent matrix E:
+the 2 pi multiples come from an LLL-reduced basis of E's integer left kernel
+(`ratlin.integer_left_kernel`), and only an inconsistent system is flagged.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .ratlin import (dot, independent_subset, invert_matrix, kernel_basis,
-                     vadd, vec, vscale)
+from .ratlin import (dot, independent_subset, integer_left_kernel, integer_scaled,
+                     invert_matrix, kernel_basis, reduce_modulo_image, vadd, vec,
+                     vscale)
 from .exact_lp import feasible_functional
 from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
                     basis_through_point, dual_cone, extreme_rays_from_dual,
@@ -49,7 +52,7 @@ F = Fraction
 
 MODULUS_RELATION_TOL = 1e-9
 PHASE_TOL = 1e-8
-PHASE_SEARCH_BOUND = 8
+TWO_PI = 2.0 * math.pi
 BOUND_TOL = 1e-9
 
 
@@ -279,6 +282,24 @@ class DualBasisResult:
     flags: tuple
 
 
+def _integer_rescale(rows, gamma):
+    """(scaled, exponents): each row times the smallest positive integer that
+    makes its values on the generators integers, and per generator those
+    nonnegative int values.  Each value is one integer product over the
+    common denominators of the row and the generator."""
+    gam = [integer_scaled(g) for g in gamma]
+    scaled, values = [], []
+    for row in rows:
+        R, rden = integer_scaled(row)
+        prods = [(sum(a * b for a, b in zip(R, G)), rden * gden) for G, gden in gam]
+        L = math.lcm(*(den // math.gcd(num, den) for num, den in prods))
+        scaled.append(tuple(x * L for x in row))
+        values.append([num * L // den for num, den in prods])
+    exponents = tuple(zip(*values))
+    assert all(e >= 0 for ex in exponents for e in ex)
+    return tuple(scaled), exponents
+
+
 def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     """Basis of dual-cone vectors (theta leading when nonzero), dualized.
 
@@ -343,73 +364,48 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
         raise PreconditionError(
             "dual cone is not full-dimensional; generators span a degenerate cone")
 
-    # rescale each functional so its values on the generators are integers
-    scaled = []
-    for row in bstar:
-        L = 1
-        for g in gamma:
-            L = math.lcm(L, dot(row, g).denominator)
-        scaled.append(tuple(x * L for x in row))
+    scaled, exponents = _integer_rescale(bstar, gamma)
     binv = invert_matrix([list(r) for r in scaled])
     basis_vectors = tuple(tuple(binv[j][i] for j in range(d)) for i in range(d))
-
-    exponents = []
-    for g in gamma:
-        ex = []
-        for row in scaled:
-            val = dot(row, g)
-            assert val.denominator == 1 and val >= 0
-            ex.append(int(val))
-        exponents.append(tuple(ex))
 
     theta_on_basis = tuple(dot(theta, b) for b in basis_vectors)
     zeta_on_basis = tuple(sum(z * float(x) for z, x in zip(zeta_vec, b))
                           for b in basis_vectors)
-    return DualBasisResult(tuple(scaled), basis_vectors, tuple(exponents),
+    return DualBasisResult(scaled, basis_vectors, exponents,
                            theta_on_basis, zeta_on_basis, theta_in_face,
                            tuple(tight), tuple(flags))
 
 
-def _fit_phases(expo_rows, targets, nbasis: int,
-                bound: int = PHASE_SEARCH_BOUND, tol: float = PHASE_TOL):
-    """omega (length nbasis) with expo_rows[i] . omega = targets[i] mod 2 pi.
+def _fit_phases(expo_rows, targets, nbasis: int, tol: float = PHASE_TOL):
+    """(omega, inconsistent): omega (length nbasis) with
+    expo_rows[i] . omega = targets[i] mod 2 pi, exactly up to rounding.
 
-    Solves on an independent row subset for every choice of 2 pi multiples in
-    a bounded integer box (small multiples first) and keeps the first choice
-    that verifies on all rows.  Returns (omega, heuristic) where heuristic
-    marks the zero-multiple fallback after an exhausted search.
+    In turns, tau = targets / 2 pi, the system E w = tau + m has a solution
+    w for some integer m exactly when K tau is an integer vector k, K an
+    LLL-reduced basis of the integer left kernel of E.  A row of K missing
+    its integer by more than tol * |K_i|_1 * max(1/2, max|tau|) marks the
+    system inconsistent; the floor 1/2, the bound of a wrapped phase, keeps
+    the test absolute when every target wrapped to near 0, since their
+    rounding errors come from the angles before wrapping.  Then m solves
+    K m = -k, reduced modulo E Z^n by exact rounding, and omega is the
+    least-squares solution of E omega = targets + 2 pi m over all rows,
+    taken mod 2 pi.  A full-row-rank E has no K, so m = 0.
     """
     if not expo_rows:
         return [0.0] * nbasis, False
-    rows_frac = [[F(int(e)) for e in row] for row in expo_rows]
-    sel = independent_subset(rows_frac)
-    A_sel = np.array([[float(e) for e in expo_rows[i]] for i in sel], dtype=float)
-    t_sel = np.array([targets[i] for i in sel], dtype=float)
-    pinv = np.linalg.pinv(A_sel)
-    A_all = np.array(expo_rows, dtype=float)
-    t_all = np.array(targets, dtype=float)
-
-    def verify(om):
-        res = np.angle(np.exp(1j * (A_all @ om - t_all)))
-        return float(np.abs(res).max()) <= tol
-
-    k = len(sel)
-    if k > 5:                       # box too large to enumerate
-        om = pinv @ t_sel
-        return [float(x) for x in om], not verify(om)
-    axes = [np.arange(-bound, bound + 1)] * k
-    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    order = np.lexsort(tuple(cand[:, j] for j in reversed(range(k)))
-                       + (np.abs(cand).sum(axis=1),))
-    cand = cand[order]
-    omegas = (t_sel[None, :] + 2.0 * math.pi * cand) @ pinv.T
-    res = np.angle(np.exp(1j * (omegas @ A_all.T - t_all[None, :])))
-    ok = np.abs(res).max(axis=1) <= tol
-    hit = int(np.argmax(ok))
-    if ok[hit]:
-        return [float(x) for x in omegas[hit]], False
-    om = pinv @ t_sel
-    return [float(x) for x in om], True
+    E = [[int(e) for e in row] for row in expo_rows]
+    tau = [t / TWO_PI for t in targets]
+    scale = max(0.5, max(abs(x) for x in tau))
+    K, A = integer_left_kernel(E)
+    k, inconsistent = [], False
+    for row in K:
+        s = sum(a * x for a, x in zip(row, tau))
+        k.append(round(s))
+        inconsistent |= abs(s - k[-1]) > tol * sum(map(abs, row)) * scale
+    m = reduce_modulo_image(E, [-sum(a * x for a, x in zip(arow, k)) for arow in A])
+    rhs = np.array(targets, dtype=float) + TWO_PI * np.array(m, dtype=float)
+    omega = np.linalg.lstsq(np.array(E, dtype=float), rhs, rcond=None)[0]
+    return [math.remainder(float(x), TWO_PI) for x in omega], inconsistent
 
 
 @dataclass(frozen=True)
@@ -512,10 +508,10 @@ def extend_character(problem: CharacterExtensionProblem) -> CharacterExtensionRe
     # phases: fit on the positive prescribed generators over the new exponents
     expo_rows = [dres.exponents[i] for i in positive_idx]
     targets = [phases[i] for i in positive_idx]
-    omega, heuristic = _fit_phases(expo_rows, targets, d)
-    if heuristic:
-        flags.append("phase system admitted no bounded integer multiples; "
-                     "extended heuristically from an independent row subset")
+    omega, inconsistent = _fit_phases(expo_rows, targets, d)
+    if inconsistent:
+        flags.append("prescribed phases are inconsistent with an exact integer "
+                     "relation among the exponents; fitted by least squares")
 
     phi_basis = []
     for i in range(d):

@@ -118,24 +118,29 @@ def rref(rows):
     return [tuple(Fraction(x, d) for x in row) for row in M[:r]], pivots
 
 
+def integer_scaled(v):
+    """(ints, den): the entries read exactly (`as_fraction`) times den, the
+    lcm of their denominators."""
+    pairs = [as_fraction(x).as_integer_ratio() for x in v]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
 def _int_rows(rows):
-    """The rows read exactly (`as_fraction`), each scaled by the lcm of its
-    denominators."""
-    M = []
-    for row in rows:
-        pairs = [as_fraction(x).as_integer_ratio() for x in row]
-        den = lcm(*(d for _, d in pairs))
-        M.append([n * (den // d) for n, d in pairs])
-    return M
+    """The rows as `integer_scaled` ints; rows of ints are copied as they
+    are."""
+    return [list(row) if all(type(x) is int for x in row) else integer_scaled(row)[0]
+            for row in rows]
 
 
-def rank(rows) -> int:
-    """Rank over Q: the number of pivots of a forward fraction-free
-    (Bareiss) elimination.  Only the rows below each pivot are reduced, and
-    no Fraction is made."""
+def pivot_columns(rows) -> list:
+    """The pivot columns of a forward fraction-free (Bareiss) elimination:
+    the first maximal Q-independent set of columns.  Only the rows below
+    each pivot are reduced, and no Fraction is made."""
     M = _int_rows(rows)
-    r, d = 0, 1
+    pivots, d = [], 1
     for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pivot is None:
             continue
@@ -144,10 +149,15 @@ def rank(rows) -> int:
         for k in range(r + 1, len(M)):
             M[k] = pivot_row(M[k], prow, c, p, d)
         d = p
-        r += 1
-        if r == len(M):
+        pivots.append(c)
+        if r + 1 == len(M):
             break
-    return r
+    return pivots
+
+
+def rank(rows) -> int:
+    """Rank over Q: the number of `pivot_columns`."""
+    return len(pivot_columns(rows))
 
 
 def solve(rows, rhs):
@@ -228,13 +238,8 @@ def canonical_ray(v):
     fr = vec(v)
     if is_zero_vec(fr):
         return fr
-    den = 1
-    for a in fr:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    ints, _ = integer_scaled(fr)
+    g = gcd(*ints)
     return tuple(Fraction(a // g) for a in ints)
 
 
@@ -247,3 +252,146 @@ def canonical_line(v):
                 return tuple(-x for x in r)
             break
     return r
+
+
+# -- integer lattices ---------------------------------------------------------
+
+
+def _lll(B, split, weight, inverse=None):
+    """Integral LLL reduction (Cohen 1993, Alg. 2.6.7) of the Q-independent
+    int rows B, in place, with Lovasz constant 3/4.
+
+    The inner product is x[:split] . y[:split] + weight * x[split:] . y[split:].
+    The Gram-Schmidt data stay integers: d[i] is the Gram determinant of the
+    first i rows and lam[k][j] = d[j] mu[k][j] (1-based, as in Cohen), so
+    every division below is exact.  Row operations are replayed as column
+    operations on `inverse`, which therefore stays the inverse of the
+    transform applied to B.
+    """
+    n = len(B)
+    if n < 2:
+        return
+    b = [None] + B
+
+    def ip(x, y):
+        return (sum(p * q for p, q in zip(x[:split], y[:split]))
+                + weight * sum(p * q for p, q in zip(x[split:], y[split:])))
+
+    d = [1] * (n + 1)
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def red(k, l):
+        q = lam[k][l]
+        if 2 * abs(q) <= d[l]:
+            return
+        q = (2 * q + d[l]) // (2 * d[l])          # the nearest integer
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        if inverse is not None:
+            for row in inverse:
+                row[l - 1] += q * row[k - 1]
+        lam[k][l] -= q * d[l]
+        for i in range(1, l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        if inverse is not None:
+            for row in inverse:
+                row[k - 1], row[k - 2] = row[k - 2], row[k - 1]
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(1, k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        mu = lk[k - 1]
+        B_ = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k] * li[k - 1] - mu * t) // d[k - 1]
+            li[k - 1] = (B_ * t + mu * li[k]) // d[k]
+        d[k - 1] = B_
+
+    d[1] = ip(b[1], b[1])
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = ip(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("LLL needs linearly independent rows")
+                else:
+                    d[k] = u
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(2, k - 1)
+            continue
+        for l in range(k - 2, 0, -1):
+            red(k, l)
+        k += 1
+    B[:] = b[1:]
+
+
+def lll_reduce(rows):
+    """(reduced, T): an LLL-reduced basis (Lovasz constant 3/4) of the
+    lattice spanned by the Q-independent int rows, and the unimodular T with
+    reduced = T . rows."""
+    m = len(rows)
+    if not m:
+        return [], []
+    n = len(rows[0])
+    B = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    _lll(B, n, 0)
+    return [tuple(r[:n]) for r in B], [tuple(r[n:]) for r in B]
+
+
+def integer_left_kernel(rows):
+    """(K, A) for the m int rows E: K an LLL-reduced basis of the lattice
+    {k in Z^m : k . E = 0}, and int rows A (m of them) with K . A = I.
+
+    One LLL of [I | N E] (Cohen 1993, sec. 2.7).  The m - rank rows of
+    Cramer's rule span the kernel within sqrt(rank + 1) H, H the product of
+    the rank largest row norms of E (Hadamard); LLL keeps its first
+    m - rank rows within 2^((m-1)/2) of that, and a row with a nonzero tail
+    is at least N long.  So with N^2 above the product, those first rows
+    are kernel vectors: part of a unimodular transform, hence a saturated
+    basis.  A is read off the transform's inverse.
+    """
+    m = len(rows)
+    rk = rank(rows)
+    r = m - rk
+    if r == 0:
+        return [], [() for _ in range(m)]
+    h2 = 1
+    for s in sorted((sum(x * x for x in row) for row in rows), reverse=True)[:rk]:
+        h2 *= s
+    weight = ((rk + 1) * h2 << (m - 1)) + 1
+    B = [[int(i == j) for j in range(m)] + list(row) for i, row in enumerate(rows)]
+    inverse = [[int(i == j) for j in range(m)] for i in range(m)]
+    _lll(B, m, weight, inverse)
+    if any(any(row[m:]) for row in B[:r]):
+        raise AssertionError("integer kernel: a leading LLL row left the kernel")
+    return [tuple(row[:m]) for row in B[:r]], [tuple(row[:r]) for row in inverse]
+
+
+def reduce_modulo_image(rows, v):
+    """v - E z for the m int rows E and int vector v (length m): z is the
+    exact nearest-integer rounding of the least-squares coordinates of v over
+    the `pivot_columns` of E, so the image part of the result lies in E times
+    a half-unit box.  The component of v orthogonal to E's columns stays."""
+    if not any(v):
+        return list(v)
+    cols = [[row[c] for row in rows] for c in pivot_columns(rows)]
+    M = [[sum(p * q for p, q in zip(a, c)) for c in cols] + [sum(p * q for p, q in zip(a, v))]
+         for a in cols]
+    d = 1
+    for i in range(len(M)):
+        # the Gram matrix is positive definite: no pivot vanishes
+        d = integer_pivot(M, i, i, d)
+    # Gauss-Jordan: each row now holds d on its pivot and d x_i last, d > 0
+    z = [(2 * row[-1] + d) // (2 * d) for row in M]
+    return [vi - sum(zj * col[i] for zj, col in zip(z, cols)) for i, vi in enumerate(v)]

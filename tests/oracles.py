@@ -893,3 +893,97 @@ def brute_basis_through_point(generators, eta, first=None):
     vecs = tuple(from_coords(v) for v in vecs_c)
     return ConeBasisResult(vectors=vecs, coefficients=tuple(coeff),
                            extended=tuple(extended))
+
+
+# Verbatim copy of `extension._fit_phases` from before the exact lattice fit:
+# a box search over 2 pi multiples in [-bound, bound]^k on an independent row
+# subset, with a pinv fallback flagged as heuristic.
+
+
+def brute_fit_phases(expo_rows, targets, nbasis: int,
+                     bound: int = 8, tol: float = 1e-8):
+    """omega (length nbasis) with expo_rows[i] . omega = targets[i] mod 2 pi.
+
+    Solves on an independent row subset for every choice of 2 pi multiples in
+    a bounded integer box (small multiples first) and keeps the first choice
+    that verifies on all rows.  Returns (omega, heuristic) where heuristic
+    marks the zero-multiple fallback after an exhausted search.
+    """
+    import numpy as np
+
+    from dirichlet_forge.ratlin import independent_subset
+    F = Fraction
+
+    if not expo_rows:
+        return [0.0] * nbasis, False
+    rows_frac = [[F(int(e)) for e in row] for row in expo_rows]
+    sel = independent_subset(rows_frac)
+    A_sel = np.array([[float(e) for e in expo_rows[i]] for i in sel], dtype=float)
+    t_sel = np.array([targets[i] for i in sel], dtype=float)
+    pinv = np.linalg.pinv(A_sel)
+    A_all = np.array(expo_rows, dtype=float)
+    t_all = np.array(targets, dtype=float)
+
+    def verify(om):
+        res = np.angle(np.exp(1j * (A_all @ om - t_all)))
+        return float(np.abs(res).max()) <= tol
+
+    k = len(sel)
+    if k > 5:                       # box too large to enumerate
+        om = pinv @ t_sel
+        return [float(x) for x in om], not verify(om)
+    axes = [np.arange(-bound, bound + 1)] * k
+    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    order = np.lexsort(tuple(cand[:, j] for j in reversed(range(k)))
+                       + (np.abs(cand).sum(axis=1),))
+    cand = cand[order]
+    omegas = (t_sel[None, :] + 2.0 * math.pi * cand) @ pinv.T
+    res = np.angle(np.exp(1j * (omegas @ A_all.T - t_all[None, :])))
+    ok = np.abs(res).max(axis=1) <= tol
+    hit = int(np.argmax(ok))
+    if ok[hit]:
+        return [float(x) for x in omegas[hit]], False
+    om = pinv @ t_sel
+    return [float(x) for x in om], True
+
+
+def brute_integer_rescale(rows, gamma):
+    """`extension._integer_rescale` as the `Fraction` loop it replaced: one
+    exact `dot` per (row, generator) pair for the scale, and again for the
+    exponents."""
+    import math
+
+    from dirichlet_forge.ratlin import dot
+    scaled = []
+    for row in rows:
+        L = 1
+        for g in gamma:
+            L = math.lcm(L, dot(row, g).denominator)
+        scaled.append(tuple(x * L for x in row))
+    exponents = []
+    for g in gamma:
+        ex = []
+        for row in scaled:
+            val = dot(row, g)
+            assert val.denominator == 1 and val >= 0
+            ex.append(int(val))
+        exponents.append(tuple(ex))
+    return tuple(scaled), tuple(exponents)
+
+
+def brute_scale(a, c):
+    """`AlgebraElement.scale` as it was: every value coerced again, even when
+    the backend does not change."""
+    from dirichlet_forge.algebra import EXACT, FLOAT, AlgebraElement, _coerce
+    from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero
+    backend = a.backend
+    if backend == EXACT and isinstance(c, complex):
+        backend = FLOAT
+    cc = _coerce(c, backend)
+    out = {}
+    for lam, v in a.coeffs.items():
+        nv = _coerce(v, backend) * cc
+        if not coeff_is_zero(nv):
+            out[lam] = nv
+    return AlgebraElement(a.basis, out, backend, a.truncation,
+                          a.dropped_mass * coeff_abs(cc), _trusted=True)

@@ -239,6 +239,7 @@ class TestSubcommands:
     ] + [
         ("separate", '{"points": [["abc"]]}'),
         ("separate", '{"points": 3}'),
+        ("separate", '{"points": [["1", "0"], ["1"]]}'),
         ("dual", '{"generators": [[null]]}'),
         ("extend-character", '{"dim": 1, "generators": [["1"]], '
                              '"prescribed": {"0": {"re": "abc", "im": 0}}}'),

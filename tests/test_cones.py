@@ -62,6 +62,12 @@ def test_separate_empty_raises():
         separate([])
 
 
+def test_separate_rejects_points_of_different_lengths():
+    for fn in (separate, separate_cross_checked):
+        with pytest.raises(ValidationError, match="different lengths"):
+            fn([(1, 0), (1,)])
+
+
 def test_separate_json_shapes():
     js = separate([(1, 0)]).to_json()
     assert js["separated"] is True and "functional" in js

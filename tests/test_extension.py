@@ -4,6 +4,7 @@ dual-basis construction and full round trips."""
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge import exact_lp
 from dirichlet_forge.errors import PreconditionError, ValidationError
-from dirichlet_forge.extension import (CharacterExtensionProblem,
+from dirichlet_forge.extension import (PHASE_TOL, CharacterExtensionProblem,
                                        CharacterExtensionResult, build_dual_basis,
                                        combine_zeta, extend_character,
                                        modulus_functional, polar_split,
-                                       zero_set_separation, _fit_phases)
-from dirichlet_forge.ratlin import dot
+                                       zero_set_separation, _fit_phases, _integer_rescale)
+from dirichlet_forge.ratlin import dot, rank
+from tests.oracles import brute_fit_phases, brute_integer_rescale
 
 
 def test_problem_validation():
@@ -251,6 +253,107 @@ def test_phase_fit_heuristic_fallback():
     targets = [0.1, 0.2, 0.15 + math.pi / 2]
     _, heuristic = _fit_phases(rows, targets, 2)
     assert heuristic
+
+
+def _phase_residual(rows, targets, omega):
+    return max((abs(cmath.phase(cmath.exp(1j * (sum(e * w for e, w in zip(row, omega)) - t))))
+                for row, t in zip(rows, targets)), default=0.0)
+
+
+def test_phase_fit_finds_multiples_past_the_old_box():
+    # a restriction of a real character whose fit needs the multiple 9,
+    # outside the [-8, 8] box the search used to scan
+    w = 2 * math.pi * 9 / 19 + 0.01
+    r = extend_character(CharacterExtensionProblem(
+        1, ((19,), (1,)), {0: cmath.exp(19j * w), 1: cmath.exp(1j * w)}))
+    assert r.prescribed_residual < 1e-12 and r.flags == ()
+
+
+def test_extend_character_flags_inconsistent_phases():
+    # (1,1) = (1,0) + (0,1), but its phase is not the sum of theirs
+    p = CharacterExtensionProblem(2, [(1, 0), (0, 1), (1, 1)],
+                                  {0: 0.5 * cmath.exp(0.3j), 1: 0.5 * cmath.exp(0.4j),
+                                   2: 0.25 * cmath.exp(1.2j)})
+    r = extend_character(p)
+    assert any("phases are inconsistent" in f for f in r.flags)
+    assert r.prescribed_residual > 1e-3
+
+
+@pytest.mark.parametrize("seed", [508, 1189, 1227])
+def test_roundtrip_seeds_with_large_exponents(seed):
+    # exponents up to 24624 (seed 1227): a fit that reads its multiples off
+    # unreduced transforms loses these to rounding
+    r = extend_character(_random_roundtrip(seed))
+    assert r.prescribed_residual < 1e-9 and r.flags == ()
+
+
+exponent_systems = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mn: st.tuples(
+        st.lists(st.lists(st.integers(0, 30), min_size=mn[1], max_size=mn[1]),
+                 min_size=mn[0], max_size=mn[0]),
+        st.lists(st.floats(-10.0, 10.0), min_size=mn[1], max_size=mn[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_systems)
+def test_phase_fit_solves_every_consistent_system(system):
+    rows, omega0 = system
+    targets = [cmath.phase(cmath.exp(1j * sum(e * w for e, w in zip(row, omega0))))
+               for row in rows]
+    omega, inconsistent = _fit_phases(rows, targets, len(omega0))
+    assert not inconsistent
+    assert _phase_residual(rows, targets, omega) <= PHASE_TOL
+    assert all(abs(w) <= math.pi for w in omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_systems.filter(lambda s: 0 < rank(s[0]) <= 3), st.data())
+def test_phase_fit_succeeds_wherever_the_box_search_does(system, data):
+    # targets from a character, some of them moved: the system may or may
+    # not stay consistent; the box search covers the multiples up to 8
+    rows, omega0 = system
+    targets = [cmath.phase(cmath.exp(1j * (sum(e * w for e, w in zip(row, omega0))
+                                            + data.draw(st.sampled_from([0.0, 0.0, 0.7])))))
+               for row in rows]
+    omega, inconsistent = _fit_phases(rows, targets, len(omega0))
+    _, box_failed = brute_fit_phases(rows, targets, len(omega0))
+    if not box_failed:
+        assert not inconsistent and _phase_residual(rows, targets, omega) <= PHASE_TOL
+    if inconsistent:
+        assert box_failed
+
+
+def test_phase_fit_of_the_widest_warm_up_case_stays_small():
+    # d = 4, every value prescribed and nonzero: the box search held a
+    # 17^4-candidate array here (23.6 MB traced peak)
+    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+            (1, 1, 0, 0), (0, 1, 1, 1), (1, 0, 2, 1)]
+    omega = (0.3, -0.7, 0.5, 0.9)
+    p = CharacterExtensionProblem(4, gens, {
+        i: 0.8 ** sum(g) * cmath.exp(1j * sum(o * x for o, x in zip(omega, g)))
+        for i, g in enumerate(gens)})
+    extend_character(p)                     # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        r = extend_character(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.prescribed_residual < 1e-12
+    assert peak < 2 * 2 ** 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_integer_rescale_matches_the_fraction_loop(seed):
+    # full-dimensional problems work in the input coordinates
+    p = _random_roundtrip(seed)
+    r = extend_character(p)
+    if r.working_dim < p.dim:
+        return
+    assert _integer_rescale(r.dual_functionals, p.gamma) == (r.dual_functionals, r.exponents)
+    rows = [tuple(x * F(1, i + 2) for x in row) for i, row in enumerate(r.dual_functionals)]
+    assert _integer_rescale(rows, p.gamma) == brute_integer_rescale(rows, p.gamma)
 
 
 def test_result_json_shape():

@@ -31,7 +31,7 @@ from dirichlet_forge.semigroup import (SemigroupElement, embedded_basis, enumera
                                       free_rational_basis, row_end,
                                       log_element, log_primes_basis, natural_basis)
 from tests.oracles import (brute_compose_series, brute_convolve, brute_enumerate_monoid,
-                           brute_graded_invert, brute_neumann_invert)
+                           brute_graded_invert, brute_neumann_invert, brute_scale)
 
 LOG_N = log_primes_basis(60)
 NATURAL = natural_basis()
@@ -304,6 +304,37 @@ def test_scale_multiplies_dropped_mass():
     assert c.scale(QC(0, F(-1, 2))).dropped_mass == 1.5
     assert c.scale(0.5j).dropped_mass == 1.5
     assert c.negate().dropped_mass == 3.0
+
+
+SCALARS = st.one_of(st.integers(-3, 3), _ratio, EXACT_VALUES, FLOAT_VALUES,
+                    st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), KINDS, st.sampled_from([EXACT, FLOAT]), SCALARS,
+       st.floats(0.0, 10.0))
+def test_scale_matches_the_coercing_path(data, kind, backend, c, dropped):
+    # values are no longer coerced again when the backend stays; the result
+    # must not change: bit for bit in float, equal in exact
+    basis, a = data.draw(elements(kind, backend))
+    a = algebra.AlgebraElement(basis, a.coeffs, backend, a.truncation, dropped, _trusted=True)
+    for got, want in ((a.scale(c), brute_scale(a, c)),
+                      (a.negate(), brute_scale(a, -1)),
+                      (a.scale(c).negate(), brute_scale(brute_scale(a, c), -1))):
+        assert list(got.coeffs) == list(want.coeffs)
+        (_same_exact if got.backend == EXACT else _same_float)(got, want)
+        assert got.backend == want.backend and got.truncation == want.truncation
+        assert got.dropped_mass.hex() == want.dropped_mass.hex()
+
+
+def test_exact_scaled_by_a_complex_becomes_float():
+    a = from_coeffs(NATURAL, {_natural(n): QC(F(1, n + 1)) for n in range(3)}, EXACT)
+    got = a.scale(0.5j)
+    assert got.backend == FLOAT
+    assert all(type(v) is complex for v in got.coeffs.values())
+    assert {k: _bits(v) for k, v in got.coeffs.items()} == \
+        {k: _bits(v) for k, v in brute_scale(a, 0.5j).coeffs.items()}
+    assert a.scale(QC(0, 1)).backend == EXACT
 
 
 def test_neumann_dropped_mass_is_divided_by_the_constant_term():

@@ -9,9 +9,14 @@ from dirichlet_forge.ratlin import (
     canonical_ray,
     dot,
     independent_subset,
+    integer_left_kernel,
+    integer_scaled,
     invert_matrix,
     kernel_basis,
+    lll_reduce,
+    pivot_columns,
     rank,
+    reduce_modulo_image,
     rref,
     solve,
     vadd,
@@ -195,6 +200,122 @@ def test_rref_reads_floats_exactly(rows):
 def test_rank_counts_pivots_of_fraction_elimination(rows):
     # deficient_matrices mixes rank-deficient, zero and repeated rows with
     # denominators up to 12
-    assert rank(rows) == len(brute_rref(rows)[0])
+    reduced, pivots = brute_rref(rows)
+    assert rank(rows) == len(reduced)
+    assert pivot_columns(rows) == pivots
+    assert pivot_columns([integer_scaled(r)[0] for r in rows]) == pivots
     assert rank([[float(x) for x in r] for r in rows]) == len(
         brute_rref([[F(float(x)) for x in r] for r in rows])[0])
+
+
+# -- integer lattices ---------------------------------------------------------
+
+
+def _det(rows):
+    m = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _is_lll_reduced(rows):
+    """Size-reduced (|mu| <= 1/2) and Lovasz (delta = 3/4), by Fraction
+    Gram-Schmidt."""
+    star, mu = [], {}
+    for i, b in enumerate(rows):
+        v = [F(x) for x in b]
+        for j, s in enumerate(star):
+            mu[i, j] = dot(b, s) / dot(s, s)
+            v = [a - mu[i, j] * c for a, c in zip(v, s)]
+        star.append(v)
+    size = all(abs(x) <= F(1, 2) for x in mu.values())
+    lovasz = all(dot(star[k], star[k]) >= (F(3, 4) - mu[k, k - 1] ** 2)
+                 * dot(star[k - 1], star[k - 1]) for k in range(1, len(rows)))
+    return size and lovasz
+
+
+def _minors_gcd(rows):
+    from itertools import combinations
+    from math import gcd
+    g = 0
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, int(_det([[r[c] for c in cols] for r in rows])))
+    return g
+
+
+int_matrices = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+def test_lll_reduce_known_case():
+    # the textbook example (delta = 3/4)
+    reduced, T = lll_reduce([[1, 1, 1], [-1, 0, 2], [3, 5, 6]])
+    assert reduced == [(0, 1, 0), (1, 0, 1), (-1, 0, 2)]
+    assert _is_lll_reduced(reduced) and abs(_det(T)) == 1
+
+
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_lll_reduce_is_a_reduced_unimodular_change_of_basis(rows):
+    if rank(rows) < len(rows):
+        rows = [r for i, r in enumerate(rows) if i in pivot_columns(
+            [list(c) for c in zip(*rows)])]
+    reduced, T = lll_reduce(rows)
+    assert abs(_det(T)) == 1
+    assert [list(r) for r in reduced] == [
+        [sum(t * row[j] for t, row in zip(trow, rows)) for j in range(len(rows[0]))]
+        for trow in T]
+    assert _is_lll_reduced(reduced)
+
+
+def test_integer_left_kernel_known_case():
+    # 19 x = 1 y: the kernel is spanned by (1, -19) and nothing shorter
+    K, A = integer_left_kernel([[19], [1]])
+    assert [list(k) for k in K] in ([[1, -19]], [[-1, 19]])
+    assert sum(k * a[0] for k, a in zip(K[0], A)) == 1
+    assert integer_left_kernel([[1, 0], [0, 1]]) == ([], [(), ()])
+
+
+@given(int_matrices)
+@settings(max_examples=200, deadline=None)
+def test_integer_left_kernel_is_a_saturated_reduced_basis(rows):
+    K, A = integer_left_kernel(rows)
+    m, n = len(rows), len(rows[0])
+    assert len(K) == m - rank(rows)
+    for k in K:                                   # K E = 0
+        assert all(sum(k[i] * rows[i][j] for i in range(m)) == 0 for j in range(n))
+    # K A = I: a right inverse, so K maps Z^m onto Z^r
+    assert [[sum(k[i] * a[c] for i, a in enumerate(A)) for c in range(len(K))] for k in K] \
+        == [[int(r == c) for c in range(len(K))] for r in range(len(K))]
+    if K:
+        assert _minors_gcd(K) == 1                # saturated
+        assert _is_lll_reduced(K)
+
+
+@given(int_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_modulo_image_rounds_the_least_squares_coordinates(rows, data):
+    v = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=len(rows),
+                           max_size=len(rows)))
+    out = reduce_modulo_image(rows, v)
+    cols = [[r[c] for r in rows] for c in pivot_columns(rows)]
+    if not cols:
+        assert out == v
+        return
+    # v - out is an integer combination of the pivot columns of E
+    z = solve([list(r) for r in zip(*cols)], [a - b for a, b in zip(v, out)])
+    assert z is not None and all(x.denominator == 1 for x in z)
+    # and out's least-squares coordinates lie in the half-unit box
+    gram = [[sum(p * q for p, q in zip(a, b)) for b in cols] for a in cols]
+    x = solve(gram, [sum(p * q for p, q in zip(a, out)) for a in cols])
+    assert all(abs(c) <= F(1, 2) for c in x)
