@@ -118,9 +118,12 @@ class AlgebraElement:
         if backend == EXACT and isinstance(c, complex):
             backend = FLOAT
         cc = _coerce(c, backend)
+        # an exact real scalar multiplies each term by its Fraction: two
+        # products instead of QC x QC's four
+        mul = cc.re if backend == EXACT and cc.im == 0 else cc
         out = {}
         for lam, v in _coeffs_in(self, backend).items():
-            nv = v * cc
+            nv = v * mul
             if not coeff_is_zero(nv):
                 out[lam] = nv
         return AlgebraElement(self.basis, out, backend, self.truncation,

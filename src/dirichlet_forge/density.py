@@ -1,14 +1,18 @@
 """Kronecker simultaneous approximation and the point-character search.
 
 kronecker_t aligns the phases e^{-i beta t} with prescribed unimodular
-targets by scanning the torus orbit (exact alignment on the first coordinate,
-uniform fine scan as a fallback).  approximate_functional hunts for a point
-s = sigma + i t in the closed right half plane whose evaluation functional
-approximates a prescribed bounded-character functional on a finitely
-supported element: trim the support so the neglected mass stays below theta,
-match moduli through sigma and phases through kronecker_t, then polish with
-budgeted local simplex refinement.  Success is always certified by
-re-evaluating the distance independently of the search internals.
+targets.  It aligns the first coordinate exactly and asks a lattice for the
+rest first: continued fractions for two frequencies, an LLL-reduced Kannan
+embedding for more.  The scan of the torus orbit (aligned steps interleaved
+with a uniform fine scan) is the fallback.  A precision cap on t keeps float
+phase loss below theta / 8, and a gate skips the lattice when no lattice
+point within the cap can plausibly reach theta.  approximate_functional hunts
+for a point s = sigma + i t in the closed right half plane whose evaluation
+functional approximates a prescribed bounded-character functional on a
+finitely supported element: trim the support so the neglected mass stays
+below theta, match moduli through sigma and phases through kronecker_t, then
+polish with budgeted local simplex refinement.  Success is always certified
+by re-evaluating the distance independently of the search internals.
 """
 
 from __future__ import annotations
@@ -17,14 +21,18 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .algebra import AlgebraElement, coeff_abs, coeff_to_complex, evaluate_series
 from .characters import FROM_S, Character, functional
+from .ratlin import lll_reduce
 
 CHUNK = 2048
+# multiples of N* = (2 pi / theta)^(k-1) at which the lattice stage runs
+LATTICE_SCALES = (1 / 64, 1.0, 64.0)
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,20 @@ def kronecker_t(instance: KroneckerInstance) -> KroneckerResult:
     """t >= 0 with e^{-i beta_k t} close to every target.
 
     One coordinate can always be aligned exactly: t_n = t0 + 2 pi n / beta_1
-    hits target 1 for every n, and for Q-independent betas the remaining
-    phases equidistribute over those n.  The scan of n is interleaved with a
-    uniform scan of step theta / (2 max beta) (which cannot step over a
-    solution) so rationally dependent inputs still get the best uniform
-    candidate.  Candidates are enumerated in a budget-independent order, so a
-    larger budget only extends the scan: the best error never increases.
+    hits target 1 for every n >= 0, so what is left is the inhomogeneous
+    simultaneous approximation ||n alpha_j - delta_j|| <= theta / 2 pi of the
+    ratios alpha_j = beta_j / beta_1 (see `_lattice_steps`).  The search
+    tries the lattice stage's candidates n first; then it scans n = 0, 1, ...
+    interleaved, chunk for chunk, with a uniform scan of step
+    theta / (2 max beta) (which cannot step over a solution), so rationally
+    dependent inputs still get the best uniform candidate.
+
+    The precision cap t max(beta) 2^-52 <= theta / 8 keeps float phase loss
+    from forging a certificate: no candidate beyond it is tried, and the scan
+    stops when its aligned arm reaches it.  Every candidate counts one step,
+    and candidates come in a budget-independent order, so a larger budget only
+    extends the search: the best error never increases.  The result is
+    re-evaluated independently of the search.
     """
     betas, targets = instance.betas, instance.targets
     theta, budget = instance.theta, instance.t_budget
@@ -107,35 +123,157 @@ def kronecker_t(instance: KroneckerInstance) -> KroneckerResult:
         errs = _kron_errors(betas, targets, t0)
         return KroneckerResult(t0, errs, max(errs), 1, False)
 
+    # no error exceeds 2, so a larger theta certifies anything
+    theta2 = min(theta, 2.0)
+    t_cap = math.ldexp(theta2 / (8.0 * max(betas)), 52)
+    n_cap = math.floor((t_cap - t0) / period1)     # last aligned step within the cap
+
+    best_err, best_t = math.inf, t0
+    steps = 0
+    for n in _lattice_steps(betas, targets, theta2, t0, n_cap):
+        if steps >= budget:
+            break
+        t = t0 + period1 * n
+        err = max(_kron_errors(betas, targets, t))
+        steps += 1
+        if err < best_err:
+            best_err, best_t = err, t
+        if best_err <= theta:
+            break
+
     b = np.array(betas)
     z = np.array(targets, dtype=complex)
     h = theta / (2.0 * max(betas))
 
-    def batch_error(ts: np.ndarray) -> np.ndarray:
-        vals = np.exp(-1j * np.outer(ts, b))
-        return np.abs(vals - z[None, :]).max(axis=1)
-
-    best_err, best_t = math.inf, t0
-    steps = 0
-    aligned_next, uniform_next = 0, 0
-    use_aligned = True
-    while steps < budget and best_err > theta:
-        n = min(CHUNK, budget - steps)
-        if use_aligned:
-            ts = t0 + period1 * np.arange(aligned_next, aligned_next + n)
-            aligned_next += n
-        else:
-            ts = h * np.arange(uniform_next, uniform_next + n)
-            uniform_next += n
-        errs = batch_error(ts)
+    def scan(ts: np.ndarray):
+        nonlocal best_err, best_t, steps
+        errs = np.abs(np.exp(-1j * np.outer(ts, b)) - z[None, :]).max(axis=1)
         i = int(np.argmin(errs))
         if errs[i] < best_err:
             best_err, best_t = float(errs[i]), float(ts[i])
-        steps += n
-        use_aligned = not use_aligned
+        steps += len(ts)
+
+    aligned_next, uniform_next = 0, 0
+    while steps < budget and best_err > theta and aligned_next <= n_cap:
+        n = min(CHUNK, budget - steps, n_cap + 1 - aligned_next)
+        scan(t0 + period1 * np.arange(aligned_next, aligned_next + n))
+        aligned_next += n
+        if steps >= budget or best_err <= theta:
+            break
+        n = min(n, budget - steps)
+        scan(h * np.arange(uniform_next, uniform_next + n))
+        uniform_next += n
     errs = _kron_errors(betas, targets, best_t)
     mx = max(errs)
     return KroneckerResult(best_t, errs, mx, steps, mx > theta)
+
+
+def _lattice_steps(betas, targets, theta, t0, n_cap):
+    """Aligned steps 0 <= n <= n_cap proposed by the lattice, in an order
+    that depends on the instance alone.
+
+    With delta_j = (-arg z_j - beta_j t0) / 2 pi mod 1, the step n is a
+    solution when n alpha_j - delta_j is within theta / 2 pi of an integer for
+    every j >= 2.  For k - 1 such coordinates a solution is expected near
+    n = N* = (2 pi / theta)^(k-1), so the stage runs only when the smallest
+    of the `LATTICE_SCALES` times N* lies within the cap: below that no
+    lattice point within the cap can plausibly reach theta.
+
+    k = 2 is exact: the smallest n >= 0 whose phase error is at most
+    3 theta / 4 (`_first_in_window`, the continued-fraction expansion of
+    alpha_2).  With the cap's theta / 8 of float loss it certifies.
+
+    k >= 3 LLL-reduces (Lenstra, Lenstra and Lovasz 1982) Kannan's embedding
+    at each scale N = f N* that fits the cap, in increasing order: with
+    eps = N^(-1/(k-1)), an integer scale S, c = S eps / N and M = S eps, the
+    rows [round(S alpha) | c 0], S e_j and [-round(S delta) | 0 M] span a
+    lattice whose vector n row_1 + sum p_j S e_j + row_last has every entry
+    near S eps exactly when n solves to eps.  Steps are read off the reduced
+    rows, then off their pairwise sums and differences, wherever the last
+    row's coefficient is +-1.
+    """
+    k = len(betas)
+    if n_cap < 1:
+        return
+    log_nstar = (k - 1) * math.log(2.0 * math.pi / theta)
+    log_scales = [log_nstar + math.log(f) for f in LATTICE_SCALES
+                  if log_nstar + math.log(f) <= math.log(n_cap)]
+    if not log_scales:      # the gate
+        return
+    deltas = [Fraction((-cmath.phase(z) - b * t0) / (2.0 * math.pi) % 1.0)
+              for b, z in zip(betas[1:], targets[1:])]
+    alphas = [Fraction(b) / Fraction(betas[0]) for b in betas[1:]]
+    if k == 2:
+        n = _first_in_window(alphas[0], deltas[0], Fraction(3.0 * theta / (8.0 * math.pi)))
+        if n is not None and n <= n_cap:
+            yield n
+        return
+    m = k - 1
+    seen = set()
+    for log_n in log_scales:
+        eps = math.exp(-log_n / m)
+        S = 1 << (max(0, math.ceil(log_n / math.log(2.0) * (m + 1) / m)) + 10)
+        c = max(1, round(S * eps / math.exp(log_n)))
+        M = max(1, round(S * eps))
+        rows = [[round(a * S) for a in alphas] + [c, 0]]
+        rows += [[S * (i == j) for i in range(m)] + [0, 0] for j in range(m)]
+        rows.append([-round(d * S) for d in deltas] + [0, M])
+        reduced, _ = lll_reduce(rows)
+        vecs = list(reduced)
+        for i, u in enumerate(reduced):
+            for v in reduced[i + 1:]:
+                vecs.append([x + y for x, y in zip(u, v)])
+                vecs.append([x - y for x, y in zip(u, v)])
+        for v in vecs:
+            if abs(v[-1]) != M:
+                continue
+            n = (v[-2] if v[-1] > 0 else -v[-2]) // c
+            if 0 <= n <= n_cap and n not in seen:
+                seen.add(n)
+                yield n
+
+
+def _first_in_window(alpha: Fraction, delta: Fraction, w: Fraction):
+    """The smallest n >= 0 with n alpha - delta within w of an integer, or
+    None when there is none.
+
+    Over the common denominator q of alpha, delta and w this is the
+    smallest n with (a n mod q) in a window of integers, which `_first_hit` solves by
+    the Euclidean algorithm on (a, q), i.e. along the continued fraction of
+    alpha (Cassels 1957, ch. I).
+    """
+    if 2 * w >= 1:
+        return 0
+    q = math.lcm(alpha.denominator, delta.denominator, w.denominator)
+    a = alpha.numerator * (q // alpha.denominator) % q
+    lo = (delta - w) * q % q
+    hi = lo + 2 * w * q
+    lo, hi = lo.numerator, hi.numerator     # integers: q clears every denominator
+    if hi < q:
+        return _first_hit(a, q, lo, hi)
+    hits = [x for x in (_first_hit(a, q, lo, q - 1), _first_hit(a, q, 0, hi - q))
+            if x is not None]
+    return min(hits, default=None)
+
+
+def _first_hit(a: int, q: int, lo: int, hi: int):
+    """The smallest x >= 0 with lo <= a x mod q <= hi (0 <= lo <= hi < q),
+    or None.
+
+    If no multiple of a lands in [lo, hi] directly, the first solution x
+    wraps y = floor(a x / q) times, and y is the smallest y >= 0 with
+    (q y mod a) in [-hi mod a, -lo mod a]: the same problem on (q mod a, a).
+    """
+    a %= q
+    if lo == 0:
+        return 0
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = _first_hit(q % a, a, -hi % a, -lo % a)
+    return None if y is None else -(-(lo + q * y) // a)
 
 
 @dataclass(frozen=True)

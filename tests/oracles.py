@@ -987,3 +987,59 @@ def brute_scale(a, c):
             out[lam] = nv
     return AlgebraElement(a.basis, out, backend, a.truncation,
                           a.dropped_mass * coeff_abs(cc), _trusted=True)
+
+
+def scan_kronecker_t(instance):
+    """`density.kronecker_t` before its lattice stage and precision cap: the
+    aligned and uniform torus scan alone.  t >= 0 with e^{-i beta_k t} close
+    to every target.
+
+    One coordinate can always be aligned exactly: t_n = t0 + 2 pi n / beta_1
+    hits target 1 for every n, and for Q-independent betas the remaining
+    phases equidistribute over those n.  The scan of n is interleaved with a
+    uniform scan of step theta / (2 max beta) (which cannot step over a
+    solution) so rationally dependent inputs still get the best uniform
+    candidate.  Candidates are enumerated in a budget-independent order, so a
+    larger budget only extends the scan: the best error never increases.
+    """
+    import numpy as np
+    from dirichlet_forge.density import CHUNK, KroneckerResult, _kron_errors
+    betas, targets = instance.betas, instance.targets
+    theta, budget = instance.theta, instance.t_budget
+    k = len(betas)
+    period1 = 2.0 * math.pi / betas[0]
+    t0 = (-cmath.phase(targets[0]) / betas[0]) % period1
+    if k == 1:
+        errs = _kron_errors(betas, targets, t0)
+        return KroneckerResult(t0, errs, max(errs), 1, False)
+
+    b = np.array(betas)
+    z = np.array(targets, dtype=complex)
+    h = theta / (2.0 * max(betas))
+
+    def batch_error(ts: np.ndarray) -> np.ndarray:
+        vals = np.exp(-1j * np.outer(ts, b))
+        return np.abs(vals - z[None, :]).max(axis=1)
+
+    best_err, best_t = math.inf, t0
+    steps = 0
+    aligned_next, uniform_next = 0, 0
+    use_aligned = True
+    while steps < budget and best_err > theta:
+        n = min(CHUNK, budget - steps)
+        if use_aligned:
+            ts = t0 + period1 * np.arange(aligned_next, aligned_next + n)
+            aligned_next += n
+        else:
+            ts = h * np.arange(uniform_next, uniform_next + n)
+            uniform_next += n
+        errs = batch_error(ts)
+        i = int(np.argmin(errs))
+        if errs[i] < best_err:
+            best_err, best_t = float(errs[i]), float(ts[i])
+        steps += n
+        use_aligned = not use_aligned
+    errs = _kron_errors(betas, targets, best_t)
+    mx = max(errs)
+    return KroneckerResult(best_t, errs, mx, steps, mx > theta)
+

@@ -137,8 +137,12 @@ class TestExitCodes:
         assert rep["achieved_error"] > 1e-9  # best effort still reported
 
     def test_kronecker_exhaustion_exit_3(self, files, capsys):
+        # at theta = 1e-9 the precision cap keeps t below about 5.1e5, some
+        # 5.6e4 aligned steps, while an aligned solution is expected only
+        # near 2 pi / theta = 6.3e9 of them: the gate skips the lattice, and
+        # 5 scan steps cannot reach theta
         code, out, _ = invoke(capsys, "kronecker", files("kron.json"),
-                              "--budget", "5")
+                              "--theta", "1e-9", "--budget", "5")
         assert code == 3 and json.loads(out)["exhausted"] is True
 
 
@@ -461,7 +465,7 @@ _RUNS = {
     "density-search": ["density-search", "elem.json", "psi.json", "--theta", "5e-2",
                        "--budget", "20000", "--seed", "7"],
     "kronecker": ["kronecker", "kron.json"],
-    "kronecker-exit-3": ["kronecker", "kron.json", "--budget", "5"],
+    "kronecker-exit-3": ["kronecker", "kron.json", "--theta", "1e-9", "--budget", "5"],
     "euler-invert": ["euler-invert", "one.json", "--x", "60"],
     "euler-invert-certify-report": ["euler-invert", "fref.json", "--certify", "--report"],
     "p3-decompose": ["p3-decompose", "fref.json", "--omega", '{"kind":"one"}', "--x", "2000"],

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from dirichlet_forge.algebra import evaluate_series, from_coeffs
 from dirichlet_forge.characters import Character, functional
 from dirichlet_forge.density import (DensitySearchReport, KroneckerInstance,
-                                     KroneckerResult, approximate_functional,
-                                     kronecker_t)
+                                     KroneckerResult, _first_hit, _kron_errors,
+                                     approximate_functional, kronecker_t)
 from dirichlet_forge.errors import PreconditionError, ValidationError
 from dirichlet_forge.semigroup import (log_element, log_primes_basis,
                                        natural_basis)
+from tests.oracles import scan_kronecker_t
 
 LN2, LN3 = math.log(2.0), math.log(3.0)
 
@@ -55,6 +56,96 @@ def test_kronecker_budget_monotone():
     inst_small = KroneckerInstance((LN2, LN3), (-1.0, 1.0), 1e-9, 2000)
     inst_big = KroneckerInstance((LN2, LN3), (-1.0, 1.0), 1e-9, 50000)
     assert kronecker_t(inst_big).max_error <= kronecker_t(inst_small).max_error + 1e-15
+    # three frequencies whose eighth lattice candidate is the first to
+    # certify: budgets 1, 2, 3, ... cut inside the candidate list
+    betas = (LN2, LN3, math.log(5.0))
+    targets = tuple(cmath.exp(2j * math.pi * x / 12) for x in (11, 0, 10))
+    full = kronecker_t(KroneckerInstance(betas, targets, 1e-2, 10 ** 6))
+    assert full.steps == 8 and not full.exhausted
+    errors = [kronecker_t(KroneckerInstance(betas, targets, 1e-2, budget)).max_error
+              for budget in range(1, 12)]
+    assert all(b <= a for a, b in zip(errors, errors[1:]))
+    assert errors[6] > 1e-2 >= errors[7] == full.max_error
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+ANGLES = st.one_of(st.floats(-math.pi, math.pi),
+                   st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.lists(
+    st.sampled_from(SMALL_PRIMES), min_size=k, max_size=k, unique=True)),
+       st.lists(ANGLES, min_size=3, max_size=3))
+def test_kronecker_lattice_certifies_where_the_scan_does(primes, angles):
+    inst = KroneckerInstance(tuple(math.log(p) for p in primes),
+                             tuple(cmath.exp(1j * a) for a in angles[:len(primes)]),
+                             1e-2, 10 ** 6)
+    res = kronecker_t(inst)
+    assert res.t >= 0.0
+    assert res.errors == _kron_errors(inst.betas, inst.targets, res.t)
+    assert res.max_error == max(res.errors) and res.exhausted == (res.max_error > 1e-2)
+    if res.exhausted:
+        assert scan_kronecker_t(inst).exhausted
+    else:
+        assert res.steps <= 64
+
+
+@pytest.mark.parametrize("p", [3, 5, 29])
+def test_kronecker_two_frequencies_take_the_first_aligned_step(p):
+    # the continued-fraction candidate is the smallest step n >= 0 whose
+    # phase error is at most 3 theta / 4, and it certifies in one step
+    theta = 0.05
+    inst = KroneckerInstance((LN2, math.log(p)), (1j, cmath.exp(-2.0j)), theta, 10 ** 6)
+    res = kronecker_t(inst)
+    assert res.steps == 1 and not res.exhausted
+    period = 2.0 * math.pi / LN2
+    t0 = (-math.pi / 2 / LN2) % period
+    n = round((res.t - t0) / period)
+    window = 3.0 * theta / 4.0
+
+    def phase_error(m):
+        x = (-math.log(p) * (t0 + period * m) + 2.0) / (2.0 * math.pi)
+        return 2.0 * math.pi * abs(x - round(x))
+
+    assert phase_error(n) <= window * (1 + 1e-9)
+    assert all(phase_error(m) > window * (1 - 1e-9) for m in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda q: st.tuples(
+    st.just(q), st.integers(0, 3 * q),
+    st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)).map(sorted))))
+def test_first_hit_is_the_smallest_solution(args):
+    q, a, (lo, hi) = args
+    want = next((x for x in range(q) if lo <= a * x % q <= hi), None)
+    assert _first_hit(a, q, lo, hi) == want
+
+
+def test_kronecker_precision_cap_stops_the_scan():
+    # t max(beta) 2^-52 <= theta / 8 keeps t below about 51 at theta = 1e-13:
+    # the aligned arm ends after a few steps and the uniform arm with it
+    inst = KroneckerInstance((LN2, LN3), (-1.0, 1j), 1e-13, 10 ** 6)
+    res = kronecker_t(inst)
+    assert res.exhausted and res.steps < 100
+    assert res.t * LN3 * 2.0 ** -52 <= 1e-13 / 8
+
+
+@pytest.mark.parametrize("theta", [3.0, 1e300, math.inf])
+def test_kronecker_theta_above_two_certifies_at_once(theta):
+    # no error exceeds 2: the lattice stage runs at theta = 2 and its first
+    # candidate certifies
+    for betas in ((LN2, LN3), (LN2, LN3, math.log(5.0))):
+        res = kronecker_t(KroneckerInstance(betas, (-1.0,) * len(betas), theta, 100))
+        assert res.steps == 1 and not res.exhausted
+
+
+def test_kronecker_gate_leaves_the_scan_alone():
+    # at theta = 1e-9 no aligned step within the cap can plausibly reach
+    # theta, so the search is the scan, step for step
+    inst = KroneckerInstance((LN2, LN3), (0.6 + 0.8j, -1j), 1e-9, 2000)
+    res, want = kronecker_t(inst), scan_kronecker_t(inst)
+    assert res == want and res.exhausted
 
 
 def test_kronecker_dependent_betas_exhaust():

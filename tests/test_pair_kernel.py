@@ -327,6 +327,37 @@ def test_scale_matches_the_coercing_path(data, kind, backend, c, dropped):
         assert got.dropped_mass.hex() == want.dropped_mass.hex()
 
 
+REAL_RATIONALS = st.one_of(st.integers(-3, 3), _ratio, _ratio.map(QC.from_value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), KINDS, REAL_RATIONALS, st.floats(0.0, 10.0))
+def test_exact_scale_by_a_real_rational_matches_the_qc_product(data, kind, c, dropped):
+    # the Fraction product of each term must equal the QC x QC product
+    basis, a = data.draw(elements(kind, EXACT))
+    a = algebra.AlgebraElement(basis, a.coeffs, EXACT, a.truncation, dropped, _trusted=True)
+    got, want = a.scale(c), brute_scale(a, c)
+    assert list(got.coeffs) == list(want.coeffs)
+    _same_exact(got, want)
+    assert got.backend == EXACT and got.truncation == want.truncation
+    assert got.dropped_mass.hex() == want.dropped_mass.hex()
+
+
+def test_exact_scale_by_a_real_rational_makes_no_qc_product(monkeypatch):
+    a = from_coeffs(NATURAL, {_natural(n): QC(F(1, n + 1), F(-n, 3)) for n in range(4)}, EXACT)
+    want = brute_scale(a, F(2, 7))
+    qc_mul = QC.__mul__
+
+    def no_qc_operand(self, other):
+        assert not isinstance(other, QC), "a real scalar went through QC x QC"
+        return qc_mul(self, other)
+
+    monkeypatch.setattr(QC, "__mul__", no_qc_operand)
+    for c in (F(2, 7), QC(F(2, 7))):
+        assert a.scale(c).coeffs == want.coeffs
+    assert a.scale(-1).coeffs == {k: QC(-v.re, -v.im) for k, v in a.coeffs.items()}
+
+
 def test_exact_scaled_by_a_complex_becomes_float():
     a = from_coeffs(NATURAL, {_natural(n): QC(F(1, n + 1)) for n in range(3)}, EXACT)
     got = a.scale(0.5j)
@@ -335,6 +366,11 @@ def test_exact_scaled_by_a_complex_becomes_float():
     assert {k: _bits(v) for k, v in got.coeffs.items()} == \
         {k: _bits(v) for k, v in brute_scale(a, 0.5j).coeffs.items()}
     assert a.scale(QC(0, 1)).backend == EXACT
+    # a complex with no imaginary part is still a complex: no exact shortcut
+    real = a.scale(complex(2.0, 0.0))
+    assert real.backend == FLOAT
+    assert {k: _bits(v) for k, v in real.coeffs.items()} == \
+        {k: _bits(v) for k, v in brute_scale(a, complex(2.0, 0.0)).coeffs.items()}
 
 
 def test_neumann_dropped_mass_is_divided_by_the_constant_term():
