@@ -5,14 +5,19 @@ targets.  It aligns the first coordinate exactly and asks a lattice for the
 rest first: continued fractions for two frequencies, an LLL-reduced Kannan
 embedding for more.  The scan of the torus orbit (aligned steps interleaved
 with a uniform fine scan) is the fallback.  A precision cap on t keeps float
-phase loss below theta / 8, and a gate skips the lattice when no lattice
-point within the cap can plausibly reach theta.  approximate_functional hunts
-for a point s = sigma + i t in the closed right half plane whose evaluation
-functional approximates a prescribed bounded-character functional on a
-finitely supported element: trim the support so the neglected mass stays
-below theta, match moduli through sigma and phases through kronecker_t, then
-polish with budgeted local simplex refinement.  Success is always certified
-by re-evaluating the distance independently of the search internals.
+phase loss below theta / 8, and a gate (`_gate`) skips the lattice when no
+lattice point within the cap can plausibly reach theta.
+
+approximate_functional hunts for a point s = sigma + i t in the closed right
+half plane whose evaluation functional approximates a prescribed
+bounded-character functional on a finitely supported element: trim the
+support so the neglected mass stays below theta, match moduli through sigma
+and phases through kronecker_t wherever the same gate admits the instance,
+then sweep a sigma ladder in t chunks with Newton from the best point of
+every chunk, and polish with budgeted local simplex refinement.  The same
+kind of precision cap bounds the t of the search.  Success is always
+certified by re-evaluating the distance independently of the search
+internals.
 """
 
 from __future__ import annotations
@@ -109,28 +114,23 @@ def kronecker_t(instance: KroneckerInstance) -> KroneckerResult:
 
     The precision cap t max(beta) 2^-52 <= theta / 8 keeps float phase loss
     from forging a certificate: no candidate beyond it is tried, and the scan
-    stops when its aligned arm reaches it.  Every candidate counts one step,
-    and candidates come in a budget-independent order, so a larger budget only
-    extends the search: the best error never increases.  The result is
-    re-evaluated independently of the search.
+    stops when its aligned arm reaches it.  `_gate` derives the cap and
+    decides whether the lattice stage runs at all.  Every candidate counts
+    one step, and candidates come in a budget-independent order, so a larger
+    budget only extends the search: the best error never increases.  The
+    result is re-evaluated independently of the search.
     """
     betas, targets = instance.betas, instance.targets
     theta, budget = instance.theta, instance.t_budget
     k = len(betas)
-    period1 = 2.0 * math.pi / betas[0]
-    t0 = (-cmath.phase(targets[0]) / betas[0]) % period1
+    t0, period1, n_cap, log_scales = _gate(instance)
     if k == 1:
         errs = _kron_errors(betas, targets, t0)
         return KroneckerResult(t0, errs, max(errs), 1, False)
 
-    # no error exceeds 2, so a larger theta certifies anything
-    theta2 = min(theta, 2.0)
-    t_cap = math.ldexp(theta2 / (8.0 * max(betas)), 52)
-    n_cap = math.floor((t_cap - t0) / period1)     # last aligned step within the cap
-
     best_err, best_t = math.inf, t0
     steps = 0
-    for n in _lattice_steps(betas, targets, theta2, t0, n_cap):
+    for n in _lattice_steps(betas, targets, min(theta, 2.0), t0, n_cap, log_scales):
         if steps >= budget:
             break
         t = t0 + period1 * n
@@ -168,23 +168,48 @@ def kronecker_t(instance: KroneckerInstance) -> KroneckerResult:
     return KroneckerResult(best_t, errs, mx, steps, mx > theta)
 
 
-def _lattice_steps(betas, targets, theta, t0, n_cap):
-    """Aligned steps 0 <= n <= n_cap proposed by the lattice, in an order
-    that depends on the instance alone.
+def _gate(instance: KroneckerInstance):
+    """(t0, period1, n_cap, log_scales): the aligned start and period, the
+    last aligned step within the precision cap, and the gate of the lattice
+    stage.
+
+    t0 + period1 n aligns the first coordinate for every n >= 0.  The cap
+    t max(beta) 2^-52 <= theta / 8 (theta clamped at 2, the largest possible
+    error) ends the aligned steps at n_cap.  For k frequencies a solution is
+    expected near n = N* = (2 pi / theta)^(k-1), so the lattice stage runs at
+    log(f N*) for each f in `LATTICE_SCALES` with f N* <= n_cap.  When there
+    is none the gate refuses: no lattice point within the cap can plausibly
+    reach theta, and only the scan is left.  One frequency needs no lattice:
+    t0 solves it.
+    """
+    betas, targets = instance.betas, instance.targets
+    k = len(betas)
+    period1 = 2.0 * math.pi / betas[0]
+    t0 = (-cmath.phase(targets[0]) / betas[0]) % period1
+    theta = min(instance.theta, 2.0)
+    t_cap = math.ldexp(theta / (8.0 * max(betas)), 52)
+    n_cap = math.floor((t_cap - t0) / period1)
+    if n_cap < 1:
+        return t0, period1, n_cap, []
+    log_nstar = (k - 1) * math.log(2.0 * math.pi / theta)
+    return t0, period1, n_cap, [log_nstar + math.log(f) for f in LATTICE_SCALES
+                                if log_nstar + math.log(f) <= math.log(n_cap)]
+
+
+def _lattice_steps(betas, targets, theta, t0, n_cap, log_scales):
+    """Aligned steps 0 <= n <= n_cap proposed by the lattice at the scales
+    `_gate` admits, in an order that depends on the instance alone.
 
     With delta_j = (-arg z_j - beta_j t0) / 2 pi mod 1, the step n is a
     solution when n alpha_j - delta_j is within theta / 2 pi of an integer for
-    every j >= 2.  For k - 1 such coordinates a solution is expected near
-    n = N* = (2 pi / theta)^(k-1), so the stage runs only when the smallest
-    of the `LATTICE_SCALES` times N* lies within the cap: below that no
-    lattice point within the cap can plausibly reach theta.
+    every j >= 2.  No scale (the gate refuses) means no candidate.
 
     k = 2 is exact: the smallest n >= 0 whose phase error is at most
     3 theta / 4 (`_first_in_window`, the continued-fraction expansion of
     alpha_2).  With the cap's theta / 8 of float loss it certifies.
 
     k >= 3 LLL-reduces (Lenstra, Lenstra and Lovasz 1982) Kannan's embedding
-    at each scale N = f N* that fits the cap, in increasing order: with
+    at each admitted scale N = f N*, in increasing order: with
     eps = N^(-1/(k-1)), an integer scale S, c = S eps / N and M = S eps, the
     rows [round(S alpha) | c 0], S e_j and [-round(S delta) | 0 M] span a
     lattice whose vector n row_1 + sum p_j S e_j + row_last has every entry
@@ -192,14 +217,9 @@ def _lattice_steps(betas, targets, theta, t0, n_cap):
     rows, then off their pairwise sums and differences, wherever the last
     row's coefficient is +-1.
     """
+    if not log_scales:
+        return
     k = len(betas)
-    if n_cap < 1:
-        return
-    log_nstar = (k - 1) * math.log(2.0 * math.pi / theta)
-    log_scales = [log_nstar + math.log(f) for f in LATTICE_SCALES
-                  if log_nstar + math.log(f) <= math.log(n_cap)]
-    if not log_scales:      # the gate
-        return
     deltas = [Fraction((-cmath.phase(z) - b * t0) / (2.0 * math.pi) % 1.0)
               for b, z in zip(betas[1:], targets[1:])]
     alphas = [Fraction(b) / Fraction(betas[0]) for b in betas[1:]]
@@ -304,12 +324,14 @@ class DensitySearchReport:
 class _Budget:
     """Deterministic evaluation counter with incumbent tracking.
 
-    Incumbents order by (error, sigma, |t|) so merges are reproducible.
+    Incumbents order by (error, sigma, |t|) so merges are reproducible.  A
+    point with |t| > t_cap is counted but never becomes the incumbent.
     """
 
-    def __init__(self, limit: int, fn):
+    def __init__(self, limit: int, fn, t_cap: float):
         self.limit = int(limit)
         self.fn = fn
+        self.t_cap = t_cap
         self.used = 0
         self.best = (math.inf, 0.0, 0.0)
         self._best_key = (math.inf, 0.0, 0.0)
@@ -318,6 +340,8 @@ class _Budget:
         return self.used >= self.limit
 
     def offer(self, err: float, sigma: float, t: float):
+        if abs(t) > self.t_cap:
+            return
         key = (err, sigma, abs(t))
         if key < self._best_key:
             self._best_key = key
@@ -330,14 +354,17 @@ class _Budget:
         return float(err)
 
     def eval_batch(self, sigmas: np.ndarray, ts: np.ndarray):
+        """Evaluate as much of the chunk as the budget allows; the index of
+        its best point, or None when the budget is spent."""
         take = min(len(ts), self.limit - self.used)
         if take <= 0:
-            return
+            return None
         sigmas, ts = sigmas[:take], ts[:take]
         errs = self.fn(sigmas, ts)
         self.used += take
         i = int(np.argmin(errs))
         self.offer(float(errs[i]), float(sigmas[i]), float(ts[i]))
+        return i
 
 
 def approximate_functional(a: AlgebraElement, psi: Character,
@@ -350,6 +377,26 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     search drives the trimmed mismatch below theta, and the trimmed character
     functional differs from the full one by below theta again, so the
     re-evaluated distance certifies < 3 theta on success.
+
+    The search, in order, stopping as soon as it is within theta:
+    - quick paths: a character that is a point evaluation, and moduli
+      consistent with one sigma, whose phases go to kronecker_t;
+    - a Kronecker-seeded start, with Newton from it, at each sigma that
+      matches one generator's modulus;
+    - a sweep over a fixed sigma ladder in chunks of `CHUNK` t values,
+      running Newton from the best point of every chunk, with a budgeted
+      Nelder-Mead polish after every round and once at the end.
+
+    Kronecker starts are asked for only where `_gate` admits the instance.
+    Where it refuses, kronecker_t would spend its budget on a scan that
+    cannot reach the start's theta, so the start is skipped.  Newton from
+    the sweep's chunks certifies what those starts would have.
+
+    Float evaluation at s loses about |t| max(mag) 2^-52 of phase, so no
+    point with |t| max(mag) 2^-52 > theta / 8 becomes the incumbent (the
+    cap kronecker_t uses), and the sweep ends, `exhausted`, when its next
+    chunk would start past that t.  Every evaluation counts against the
+    budget, Kronecker steps included.
     """
     if a.basis.r != 1:
         raise PreconditionError("the s-search is one-dimensional; basis must have r = 1")
@@ -391,7 +438,11 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         vals = np.exp(-np.outer(ss, mags)) @ coefs
         return np.abs(vals - inner_target)
 
-    bud = _Budget(budget, inner_err)
+    # float evaluation loses about |t| max(mag) 2^-52 of phase, the loss
+    # kronecker_t caps: past theta / 8 it could forge a certificate
+    max_mag = float(mags.max())
+    t_cap = math.ldexp(theta / (8.0 * max_mag), 52) if max_mag > 0 else math.inf
+    bud = _Budget(budget, inner_err, t_cap)
 
     # generators appearing in the kept support, with their character values
     gen_ids = sorted({gid for lam in gamma_used
@@ -400,6 +451,16 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     betas = [a.basis.by_id[g].value[0] for g in gen_ids]
     zvals = [vm[g] for g in gen_ids]
     sigma_max = 40.0 / min(betas) if betas else 1.0
+
+    def kronecker_start(phases, theta_k: float, budget_k: int):
+        """kronecker_t's t for the phases, or None when `_gate` refuses the
+        instance: its scan could not reach theta_k, so it is not paid for."""
+        inst = KroneckerInstance(tuple(betas), phases, theta_k, budget_k)
+        if len(betas) > 1 and not _gate(inst)[3]:
+            return None
+        kr = kronecker_t(inst)
+        bud.used += kr.steps
+        return kr.t
 
     def finish():
         s = complex(max(bud.best[1], 0.0), bud.best[2])
@@ -426,17 +487,14 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         sigma_cands = sorted(set(sigs))
         if max(sigs) - min(sigs) <= 1e-9 * (1.0 + abs(sigs[0])):
             sstar = sigs[0]
-            theta_k = theta / (1.0 + mass * degree)
-            inst = KroneckerInstance(
-                tuple(betas),
+            t = kronecker_start(
                 tuple(zv * cmath.exp(complex(bt * sstar, 0)) / abs(zv * cmath.exp(complex(bt * sstar, 0)))
                       for bt, zv in zip(betas, zvals)),
-                theta_k, min(budget - bud.used, max(budget // 4, 1)))
-            kr = kronecker_t(inst)
-            bud.used += kr.steps
-            bud.eval_one(sstar, kr.t)
-            if bud.best[0] <= theta:
-                return finish()
+                theta / (1.0 + mass * degree), min(budget - bud.used, max(budget // 4, 1)))
+            if t is not None:
+                bud.eval_one(sstar, t)
+                if bud.best[0] <= theta:
+                    return finish()
     elif betas and all(zv == 0 for zv in zvals):
         bud.eval_one(sigma_max, 0.0)    # every generator value is ~0 there
         if bud.best[0] <= theta:
@@ -446,17 +504,17 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     for sc in sigma_cands:
         if bud.exhausted() or bud.best[0] <= theta:
             break
-        phases = tuple(zv / abs(zv) for zv in zvals)
-        inst = KroneckerInstance(tuple(betas), phases,
-                                 max(theta / (1.0 + mass * degree), 1e-6),
-                                 max(min(20000, budget - bud.used), 1))
-        kr = kronecker_t(inst)
-        bud.used += kr.steps
-        bud.eval_one(sc, kr.t)
-        _newton(bud, mags, coefs, inner_target, complex(sc, kr.t))
+        t = kronecker_start(tuple(zv / abs(zv) for zv in zvals),
+                            max(theta / (1.0 + mass * degree), 1e-6),
+                            max(min(20000, budget - bud.used), 1))
+        if t is None:
+            continue
+        bud.eval_one(sc, t)
+        _newton(bud, mags, coefs, inner_target, complex(sc, t))
 
-    # deterministic sweep: fixed sigma ladder, expanding t windows, with
-    # Newton and budgeted simplex polish after every full round
+    # deterministic sweep: fixed sigma ladder, expanding t windows, Newton
+    # from the best point of every chunk and budgeted simplex polish after
+    # every full round; it ends where the t cap starts
     rng = random.Random(seed)
     ladder = sigma_cands + [0.0] + [sigma_max * i / 16.0 for i in range(1, 17)]
     seen = set()
@@ -467,18 +525,19 @@ def approximate_functional(a: AlgebraElement, psi: Character,
 
     round_no = 0
     while not bud.exhausted() and bud.best[0] > theta:
+        if h_t * round_no * CHUNK > t_cap:
+            break
         for sg in ladder:
             if bud.exhausted() or bud.best[0] <= theta:
                 break
             off = rng.uniform(0.0, h_t)
             ts = off + h_t * np.arange(round_no * CHUNK, (round_no + 1) * CHUNK)
-            bud.eval_batch(np.full(len(ts), sg), ts)
+            i = bud.eval_batch(np.full(len(ts), sg), ts)
+            if i is not None and bud.best[0] > theta:
+                _newton(bud, mags, coefs, inner_target, complex(sg, ts[i]))
         if bud.best[0] <= theta or bud.exhausted():
             break
-        _newton(bud, mags, coefs, inner_target,
-                complex(bud.best[1], bud.best[2]))
-        if bud.best[0] > theta:
-            _polish(bud, maxfev=min(256, bud.limit - bud.used))
+        _polish(bud, maxfev=min(256, bud.limit - bud.used))
         round_no += 1
 
     if bud.best[0] > theta and not bud.exhausted():

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge.algebra import evaluate_series, from_coeffs
 from dirichlet_forge.characters import Character, functional
+from dirichlet_forge import density
 from dirichlet_forge.density import (DensitySearchReport, KroneckerInstance,
-                                     KroneckerResult, _first_hit, _kron_errors,
+                                     KroneckerResult, _first_hit, _gate,
+                                     _kron_errors, _lattice_steps,
                                      approximate_functional, kronecker_t)
 from dirichlet_forge.errors import PreconditionError, ValidationError
 from dirichlet_forge.semigroup import (log_element, log_primes_basis,
@@ -148,6 +150,27 @@ def test_kronecker_gate_leaves_the_scan_alone():
     assert res == want and res.exhausted
 
 
+PRIMES_TO_59 = SMALL_PRIMES + (31, 37, 41, 43, 47, 53, 59)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda k: st.lists(
+    st.sampled_from(PRIMES_TO_59), min_size=k, max_size=k, unique=True)),
+       st.lists(ANGLES, min_size=12, max_size=12), st.floats(-8.0, 0.0))
+def test_gate_agrees_with_the_lattice_stage(primes, angles, log_theta):
+    inst = KroneckerInstance(tuple(math.log(p) for p in primes),
+                             tuple(cmath.exp(1j * a) for a in angles[:len(primes)]),
+                             10.0 ** log_theta)
+    t0, _, n_cap, log_scales = _gate(inst)
+    steps = list(_lattice_steps(inst.betas, inst.targets, inst.theta, t0, n_cap,
+                                log_scales))
+    assert all(0 <= n <= n_cap for n in steps)
+    # two admitted frequencies get their one exact step, or none when it
+    # lies past the cap
+    if len(primes) >= 3 or not log_scales:
+        assert bool(steps) == bool(log_scales)
+
+
 def test_kronecker_dependent_betas_exhaust():
     # e^{-it} = 1 forces e^{-2it} = 1, so the pair (1, -1) stays at error 1
     res = kronecker_t(KroneckerInstance((1.0, 2.0), (1.0, -1.0), 1e-2, 20000))
@@ -208,6 +231,18 @@ def test_density_zero_character():
     assert rep.achieved_error < 3e-2 and not rep.exhausted
 
 
+def test_density_t_cap_ends_the_sweep():
+    # |t| max(mag) 2^-52 <= theta / 8 keeps t below about 1.4 at
+    # theta = 1e-14, where three unit terms cannot all turn to -1: the sweep
+    # stops long before the budget and the report says exhausted
+    nb = log_primes_basis(59)
+    a = from_coeffs(nb, {log_element(nb, p): 1.0 for p in (2, 3, 59)})
+    psi = Character(nb, (-1.0,) * len(nb.generators))
+    rep = approximate_functional(a, psi, 1e-14, 10 ** 6)
+    assert rep.exhausted and rep.steps < 10 ** 6
+    assert abs(rep.s.imag) * math.log(59) * 2.0 ** -52 <= 1e-14 / 8
+
+
 def test_density_tiny_budget_reports_best():
     nb = log_primes_basis(30)
     rng = random.Random(5)
@@ -251,6 +286,74 @@ def test_density_deterministic_per_seed():
     r2 = approximate_functional(a, psi, 1e-3, 10 ** 5, seed=11)
     assert r1.s == r2.s and r1.achieved_error == r2.achieved_error
     assert r1.steps == r2.steps
+
+
+# density instances of the search-certify workload (theta = 1e-3,
+# coefficients and character values rounded to 6 digits) that exhaust a
+# budget of 10^6 unless Newton runs from the sweep's chunks:
+# (n, coefficient of n^-s), psi(p) on the primes dividing the ns, seed
+PINNED = [
+    ([54, 58, 37, 7, 35, 52, 31, 59, 49, 42],
+     [-0.992196-0.388998j, -0.493489-0.468699j, 0.796287+0.927013j, 0.100123-0.029211j,
+      -0.786761-0.484169j, 0.267733-0.670319j, -0.977906-0.044708j, -0.55008+0.533007j,
+      -0.809026-0.371554j, 0.74699-0.941114j],
+     {2: 0.524654+0.66231j, 3: 0.205223-0.399458j, 5: 0.619333-0.637301j,
+      7: 0.548876+0.164751j, 13: 0.140927-0.236584j, 29: 0.458385-0.642419j,
+      31: 0.841057-0.418921j, 37: 0.136806-0.612389j, 59: -0.503945+0.823341j}, 547),
+    ([30, 14], [0.256643-0.079446j, 0.601614+0.765646j],
+     {2: 0.705414+0.655323j, 3: 0.15096-0.727436j, 5: 0.095951-0.197739j,
+      7: 0.248536-0.872857j}, 586),
+    ([42, 49, 3], [-0.826791-0.42599j, 0.830228-0.223989j, -0.925584-0.905961j],
+     {2: 0.227946-0.761033j, 3: 0.080503-0.097635j, 7: 0.963739+0.234507j}, 939),
+    ([11, 60, 55, 3, 53, 35, 27, 42, 41, 16],
+     [0.003572-0.758798j, 0.283297+0.386232j, -0.508656-0.465416j, -0.952789-0.102365j,
+      0.686987-0.247088j, -0.90917-0.269735j, -0.238557-0.544957j, 0.589166+0.687047j,
+      -0.964021+0.572223j, 0.762609+0.67206j],
+     {2: -0.05713-0.72396j, 3: 0.62902-0.529702j, 5: -0.029315+0.870516j,
+      7: -0.212948+0.583481j, 11: -0.475713-0.442089j, 41: 0.873588+0.117069j,
+      53: -0.578416-0.522238j}, 614),
+]
+
+
+def _pinned(ns, cs, psi):
+    nb = log_primes_basis(60)
+    a = from_coeffs(nb, [(log_element(nb, n), c) for n, c in zip(ns, cs)])
+    return a, Character(nb, tuple(psi.get(p, 0.0) for p in PRIMES_TO_59))
+
+
+@pytest.mark.parametrize("ns, cs, psi, seed", PINNED)
+def test_density_pinned_instances_certify(ns, cs, psi, seed):
+    a, ch = _pinned(ns, cs, psi)
+    rep = approximate_functional(a, ch, 1e-3, 10 ** 6, seed=seed)
+    assert not rep.exhausted and rep.steps < 10 ** 6
+    check = abs(evaluate_series(a, rep.s)[0] - functional(ch, a))
+    assert abs(rep.achieved_error - check) < 1e-12 and check < 3e-3
+    assert rep.s.real >= 0.0
+
+
+def test_density_reports_repeat():
+    ns, cs, psi, seed = PINNED[0]
+    a, ch = _pinned(ns, cs, psi)
+    assert (approximate_functional(a, ch, 1e-3, 10 ** 6, seed=seed)
+            == approximate_functional(a, ch, 1e-3, 10 ** 6, seed=seed))
+
+
+def test_density_asks_kronecker_only_past_the_gate(monkeypatch):
+    asked = []
+
+    def recording(inst):
+        asked.append(inst)
+        return kronecker_t(inst)
+
+    monkeypatch.setattr(density, "kronecker_t", recording)
+    for ns, cs, psi, seed in PINNED:
+        approximate_functional(*_pinned(ns, cs, psi), 1e-3, 10 ** 6, seed=seed)
+    # two generators with consistent moduli: the gate admits the quick path
+    nb = log_primes_basis(3)
+    a = from_coeffs(nb, {log_element(nb, n): 1.0 for n in (2, 3, 6)})
+    approximate_functional(a, Character(nb, (-0.5, 1.0 / 3.0)), 1e-2, 10 ** 6)
+    assert asked
+    assert all(len(inst.betas) == 1 or _gate(inst)[3] for inst in asked)
 
 
 def test_density_validation():

@@ -25,3 +25,4 @@ def test_demo_script_runs(argv, line):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout
+    assert "(budget exhausted)" not in proc.stdout
