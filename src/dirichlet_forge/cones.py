@@ -3,8 +3,10 @@
 Separation of finite point sets from the origin, dual cones by double
 description, extreme rays, minimal faces, and construction of an independent
 generating set through a prescribed interior direction.  Dual cones are
-computed on primitive integer rays with combinatorial adjacency, without LP;
-minimal faces and the basis walk read every decision off them.  The exact
+computed on primitive integer rays with combinatorial adjacency, without LP,
+and their set-up (independent subset, start rays, lineality basis) runs on
+Python ints too; minimal faces and the basis walk read every decision off
+them, and span coordinates are tested on the integer RREF.  The exact
 simplex decides `separate`, `is_pointed`, `RationalCone.contains` and
 `extreme_rays` (the independent route dual cones are checked against).
 Floats appear only at the boundary (measured inputs), where an explicit
@@ -23,8 +25,9 @@ from . import ratlin
 from .errors import CapExceededError, PreconditionError, ValidationError
 from .exactnum import as_fraction, format_frac
 from .exact_lp import feasible_geq_one, fourier_motzkin, nonneg_combination
-from .ratlin import (canonical_ray, dot, independent_subset, invert_matrix,
-                     kernel_basis, rank, rref, vec)
+from .ratlin import (canonical_ray, dot, independent_subset, integer_inverse,
+                     integer_kernel, integer_rref, integer_scaled, primitive, rank,
+                     vec)
 
 F = Fraction
 
@@ -140,62 +143,6 @@ def separate_cross_checked(points) -> SeparationResult:
     return res
 
 
-def sign_covering_zero_witness(vectors):
-    """Convex coefficients for 0 from a set covering all sign patterns.
-
-    Input: vectors in Q^d, every entry nonzero, and for each of the 2^d sign
-    patterns at least one vector realizing it.  Eliminates the last
-    coordinate by pairing opposite-sign vectors with matching leading
-    pattern, recursing on d-1.  Returns a tuple of nonnegative rationals
-    summing to 1 with sum c_i v_i = 0.
-    """
-    vs = _vecs(vectors)
-    if not vs:
-        raise ValidationError("empty input")
-    d = len(vs[0])
-    for v in vs:
-        if len(v) != d:
-            raise ValidationError("dimension mismatch")
-        if any(x == 0 for x in v):
-            raise ValidationError("sign covering requires all entries nonzero")
-
-    # coefficient tracking: each working vector is a convex combination of
-    # the original ones; combine coefficient dicts along with the vectors
-    work = [(v, {i: F(1)}) for i, v in enumerate(vs)]
-
-    def pattern(v, upto):
-        return tuple(x > 0 for x in v[:upto])
-
-    for k in range(d - 1, -1, -1):
-        groups: dict = {}
-        for v, cmap in work:
-            groups.setdefault(pattern(v, k), {"pos": [], "neg": []})[
-                "pos" if v[k] > 0 else "neg"].append((v, cmap))
-        new_work = []
-        for pat, g in groups.items():
-            if not g["pos"] or not g["neg"]:
-                raise ValidationError(
-                    f"missing sign pattern at coordinate {k}: need both signs "
-                    f"for leading pattern {pat}")
-            (vp, cp), (vn, cn) = g["pos"][0], g["neg"][0]
-            mu = -vn[k] / (vp[k] - vn[k])  # in (0, 1)
-            comb = tuple(mu * a + (1 - mu) * b for a, b in zip(vp, vn))
-            cmap = {i: mu * c for i, c in cp.items()}
-            for i, c in cn.items():
-                cmap[i] = cmap.get(i, F(0)) + (1 - mu) * c
-            new_work.append((comb, cmap))
-        work = new_work
-
-    # all coordinates eliminated: the single survivor is the zero vector
-    v, cmap = work[0]
-    assert all(x == 0 for x in v)
-    out = [F(0)] * len(vs)
-    for i, c in cmap.items():
-        out[i] = c
-    total = sum(out)
-    return tuple(c / total for c in out)
-
-
 # -- dual cones ---------------------------------------------------------------
 
 
@@ -222,14 +169,15 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
 
     The dual is (its part inside V = span(generators)) + ker(generators), and
     the part inside V is pointed.  With B an independent subset of the
-    canonical generators, r = |B| = dim V, it starts from the simplicial cone
-    {y in V : B y >= 0}, whose rays are the columns of B^T (B B^T)^-1, and
+    primitive generators, r = |B| = dim V, it starts from the simplicial cone
+    {y in V : B y >= 0}, whose rays are the columns of B^T adj(B B^T), and
     cuts one halfspace per remaining generator (Motzkin et al. 1953;
     Fukuda-Prodon 1996).  Rays are primitive integer tuples and zero sets
     are bitmasks over the generators.  A (positive, negative) ray pair is
     combined only when it is adjacent: the pair has at least r - 2 common
-    zeros, and no third ray's zero set contains their common zero set.  No
-    LP and no Fraction arithmetic runs in the loop.
+    zeros, and no third ray's zero set contains their common zero set.  The
+    lineality basis is read off the integer RREF of B.  No LP runs, and no
+    Fraction is made before the returned rays.
 
     rays: the canonical extreme rays of the part inside V, sorted, then +- a
     canonical basis of the lineality space ker(generators), sorted.  When the
@@ -237,7 +185,7 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
     canonical extreme rays.  More than DD_RAY_CAP rays raise
     CapExceededError.
     """
-    gens = _vecs(generators)
+    gens = [primitive(g) for g in generators]
     if dim is None:
         if not gens:
             raise ValidationError("need generators or an explicit dimension")
@@ -245,25 +193,30 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
     for g in gens:
         if len(g) != dim:
             raise ValidationError("generator dimension mismatch")
-    canon = list(dict.fromkeys(canonical_ray(g) for g in gens
-                               if any(x != 0 for x in g)))
+    canon = list(dict.fromkeys(g for g in gens if any(g)))
     basis = independent_subset(canon)
     brows = [canon[i] for i in basis]
     if brows:
-        lineality = [canonical_ray(v) for v in kernel_basis(brows)]
-        ginv = invert_matrix([[dot(a, b) for b in brows] for a in brows])
-        start = [canonical_ray([sum(ginv[i][j] * b[k] for i, b in enumerate(brows))
-                                for k in range(dim)])
-                 for j in range(len(brows))]
-        pointed = _double_description(
-            [tuple(x.numerator for x in g) for g in canon], basis,
-            [tuple(x.numerator for x in y) for y in start])
+        lineality = [primitive(x) for x in integer_kernel(brows)[0]]
+        pointed = _double_description(canon, basis, _start_rays(brows))
     else:
-        lineality = [tuple(F(int(j == i)) for j in range(dim)) for i in range(dim)]
+        lineality = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
         pointed = []
     rays = sorted(pointed) + sorted(lineality + [tuple(-x for x in v) for v in lineality])
     return DualConeResult(dim=dim, rays=tuple(tuple(F(x) for x in r) for r in rays),
                           lineality_dim=len(lineality))
+
+
+def _start_rays(brows):
+    """The primitive columns of B^T adj(B B^T) for the independent int rows
+    B: the rays of {y in span(B) : B y >= 0}, the j-th vanishing on every
+    row of B but the j-th.  `integer_inverse` of the Gram matrix G = B B^T
+    gives s G^-1 with s > 0, a positive multiple of adj(G) (G is positive
+    definite), so these are the primitive columns of B^T (B B^T)^-1."""
+    A, _ = integer_inverse([[sum(map(mul, a, b)) for b in brows] for a in brows])
+    return [primitive([sum(row[j] * b[k] for row, b in zip(A, brows))
+                       for k in range(len(brows[0]))])
+            for j in range(len(brows))]
 
 
 def _pointed_rays(dual: DualConeResult) -> tuple:
@@ -491,18 +444,26 @@ def _span_coordinates(gens):
 
     The rows are the RREF of gens, so v's coordinates are its pivot entries;
     the forward map gives None when they do not rebuild v (v outside the span).
+    Both tests run on ints: with the integer RREF (M, d) and v scaled to ints
+    w, v is in the span iff w d == sum_i w[p_i] M_i, checked off the pivots.
     """
-    basis_rows, pivots = rref(gens)
+    M, pivots, d = integer_rref(gens)
+    basis_rows = [tuple(F(x, d) for x in row) for row in M]
+    n = len(M[0])
+    free = [j for j in range(n) if j not in pivots]
 
     def to_coords(v):
-        v = vec(v)
-        if len(v) != len(basis_rows[0]):
+        w, den = integer_scaled(v)
+        if len(w) != n:
             raise ValueError("dimension mismatch")
-        cs = tuple(v[p] for p in pivots)
-        return cs if from_coords(cs) == v else None
+        cs = [w[p] for p in pivots]
+        for j in free:
+            if w[j] * d != sum(c * row[j] for c, row in zip(cs, M)):
+                return None
+        return tuple(F(c, den) for c in cs)
 
     def from_coords(cs):
-        out = [F(0)] * len(basis_rows[0])
+        out = [F(0)] * n
         for c, row in zip(cs, basis_rows):
             for j, rj in enumerate(row):
                 out[j] += c * rj

@@ -500,17 +500,17 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         if bud.best[0] <= theta:
             return finish()
 
-    # kronecker-seeded starts at each moduli-derived sigma
-    for sc in sigma_cands:
-        if bud.exhausted() or bud.best[0] <= theta:
-            break
+    # kronecker-seeded starts at each moduli-derived sigma; the instance (the
+    # unit phases) does not depend on sigma, so its t is asked for once
+    if sigma_cands and not bud.exhausted() and bud.best[0] > theta:
         t = kronecker_start(tuple(zv / abs(zv) for zv in zvals),
                             max(theta / (1.0 + mass * degree), 1e-6),
                             max(min(20000, budget - bud.used), 1))
-        if t is None:
-            continue
-        bud.eval_one(sc, t)
-        _newton(bud, mags, coefs, inner_target, complex(sc, t))
+        for sc in sigma_cands:
+            if t is None or bud.exhausted() or bud.best[0] <= theta:
+                break
+            bud.eval_one(sc, t)
+            _newton(bud, mags, coefs, inner_target, complex(sc, t))
 
     # deterministic sweep: fixed sigma ladder, expanding t windows, Newton
     # from the best point of every chunk and budgeted simplex polish after

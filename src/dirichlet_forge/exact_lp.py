@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import CapExceededError
 from .exactnum import as_fraction
-from .ratlin import integer_pivot, pivot_row
+from .ratlin import integer_pivot, integer_scaled, pivot_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -276,14 +276,16 @@ def fourier_motzkin(A, b):
     """Feasibility of A x <= b over Q^d with witness, by variable elimination.
 
     Exponential in the dimension; use only as a low-dimensional cross-check.
-    Returns (True, x) with A x <= b exactly, or (False, None).  Raises
-    CapExceededError before the row list would pass FM_ROW_CAP.
+    Returns (True, x) with A x <= b exactly (x of Fractions), or (False,
+    None).  Raises CapExceededError before the row list would pass
+    FM_ROW_CAP.  Each inequality is scaled by the lcm of its denominators, a
+    positive factor that keeps the system, so the eliminations run on ints;
+    the back-substitution divides exactly.
     """
     if not A:
         return True, []
     n = len(A[0])
-    sys_rows = [[as_fraction(v) for v in row] + [as_fraction(bi)]
-                for row, bi in zip(A, b)]
+    sys_rows = [integer_scaled(list(row) + [bi])[0] for row, bi in zip(A, b)]
     stack = []
     for k in range(n - 1, -1, -1):
         lows, ups, rest = [], [], []
@@ -320,10 +322,10 @@ def fourier_motzkin(A, b):
     for k, lows, ups in reversed(stack):
         lo = hi = None
         for row in lows:
-            val = (row[-1] - sum(row[j] * x[j] for j in range(n) if j != k)) / row[k]
+            val = Fraction(row[-1] - sum(row[j] * x[j] for j in range(n) if j != k), row[k])
             lo = val if lo is None else max(lo, val)
         for row in ups:
-            val = (row[-1] - sum(row[j] * x[j] for j in range(n) if j != k)) / row[k]
+            val = Fraction(row[-1] - sum(row[j] * x[j] for j in range(n) if j != k), row[k])
             hi = val if hi is None else min(hi, val)
         if lo is None and hi is None:
             x[k] = Fraction(0)

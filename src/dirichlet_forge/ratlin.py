@@ -4,7 +4,11 @@ Small dense routines (rref, solve, kernel, inverse) — inputs here are
 desk-scale matrices coming from cone and character-extension problems.
 Elimination is fraction-free: `integer_pivot` runs on Python ints, and
 Fractions are made only for the outputs.  The exact simplex in `exact_lp`
-pivots with the same step.
+pivots with the same step.  `integer_rref` is the Gauss-Jordan elimination
+on ints, of which `rref` is the quotient by the common scale;
+`independent_subset` is the `pivot_columns` of the vectors taken as
+columns; `primitive` scales a vector to coprime ints, and `canonical_ray`
+is that as Fractions.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ def vsub(u, v):
 def vscale(c, v):
     c = c if isinstance(c, Fraction) else Fraction(c)
     return tuple(c * a for a in v)
-
-
-def is_zero_vec(v) -> bool:
-    return all(a == 0 for a in v)
 
 
 def integer_pivot(M, r, col, d):
@@ -86,27 +86,21 @@ def pivot_row(row, prow, col, p, d):
     return q
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list).
+def integer_rref(rows):
+    """(M, pivots, d): the reduced row echelon form of `rows` as int rows M
+    sharing the scale d, so that it is M / d.  Returns ([], [], 1) for no
+    rows.
 
     Entries are read exactly (`as_fraction`) and every row is scaled to
-    ints; Gauss-Jordan elimination then runs with `integer_pivot`, so all
-    rows share one scale d and each pivot row ends with d on its pivot.
-    Dividing by d builds the output; the reduced form is unique, so it is
-    the one elimination over Fractions gives.
+    ints; Gauss-Jordan elimination then runs with `integer_pivot`, so each
+    of the nonzero rows M ends with d on its pivot and 0 on the others.  d
+    is, up to sign, a minor of the scaled rows (Bareiss 1968): it can be
+    negative.
     """
     M = _int_rows(rows)
-    if not M:
-        return [], []
-    ncols = len(M[0])
-    pivots = []
-    r, d = 0, 1
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(M)):
-            if M[i][c]:
-                pivot = i
-                break
+    pivots, r, d = [], 0, 1
+    for c in range(len(M[0]) if M else 0):
+        pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
@@ -115,7 +109,17 @@ def rref(rows):
         r += 1
         if r == len(M):
             break
-    return [tuple(Fraction(x, d) for x in row) for row in M[:r]], pivots
+    return M[:r], pivots, d
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (nonzero rows, pivot column list).
+
+    `integer_rref` divided by its scale d; the reduced form is unique, so it
+    is the one elimination over Fractions gives.
+    """
+    M, pivots, d = integer_rref(rows)
+    return [tuple(Fraction(x, d) for x in row) for row in M], pivots
 
 
 def integer_scaled(v):
@@ -181,66 +185,80 @@ def solve(rows, rhs):
     return tuple(x)
 
 
+def integer_kernel(rows):
+    """(K, s): int vectors K spanning the right kernel of `rows`, one per
+    free column f of `integer_rref` (M, d), with s = |d| at f, 0 at the
+    other free columns and -M_i[f] sign(d) at the pivots."""
+    M, pivots, d = integer_rref(rows)
+    sign = 1 if d > 0 else -1
+    n = len(rows[0])
+    K = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [0] * n
+        x[f] = sign * d
+        for p, row in zip(pivots, M):
+            x[p] = -sign * row[f]
+        K.append(x)
+    return K, sign * d
+
+
 def kernel_basis(rows):
-    """Basis of the right kernel {x : (rows) x = 0}."""
+    """Basis of the right kernel {x : (rows) x = 0}: `integer_kernel` over
+    its scale, 1 on its own free column and 0 on the others."""
     if not rows:
         return []
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            x[c] = -red[i][f]
-        basis.append(tuple(x))
-    return basis
+    K, s = integer_kernel(rows)
+    return [tuple(Fraction(a, s) for a in x) for x in K]
+
+
+def integer_inverse(rows):
+    """(A, s): int rows A and an int s > 0 with A = s rows^-1, or None if
+    the square matrix `rows` is singular.  A is the right half of
+    `integer_rref` of [rows | I], whose scale is s up to sign."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("square matrix required")
+    M, pivots, d = integer_rref([list(r) + [int(i == j) for j in range(n)]
+                                 for i, r in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
+        return None
+    sign = 1 if d > 0 else -1
+    return [[sign * x for x in row[n:]] for row in M], sign * d
 
 
 def invert_matrix(rows):
     """Inverse of a square matrix given as rows, or None if singular."""
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("square matrix required")
-    aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    inv = integer_inverse(rows)
+    if inv is None:
         return None
-    return [tuple(red[i][n:]) for i in range(n)]
+    A, s = inv
+    return [tuple(Fraction(x, s) for x in row) for row in A]
 
 
 def independent_subset(vectors):
-    """Greedy indices of a maximal Q-linearly independent subset.
+    """Greedy indices of a maximal Q-linearly independent subset: vector i
+    is kept when it is outside the span of the vectors before it.
 
-    Incremental: each candidate is reduced against the echelon rows kept so
-    far (each zero on the pivots of the rows before it) and joins them when
-    a nonzero remainder is left.
+    These are the `pivot_columns` of the matrix whose columns are the
+    vectors: scaling its rows to ints moves no pivot, and no Fraction is
+    made.
     """
-    chosen = []
-    kept = []  # (pivot column, row scaled to 1 there)
-    for i, v in enumerate(vectors):
-        w = list(vec(v))
-        for c, row in kept:
-            f = w[c]
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        c = next((j for j, a in enumerate(w) if a), None)
-        if c is not None:
-            kept.append((c, [a / w[c] for a in w]))
-            chosen.append(i)
-    return chosen
+    return pivot_columns(list(zip(*vectors)))
+
+
+def primitive(v):
+    """The entries read exactly, scaled to coprime ints with the direction
+    kept, as a tuple; the zero vector stays zero."""
+    ints = _int_rows([tuple(v)])[0]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
 
 def canonical_ray(v):
-    """Scale a nonzero rational vector to coprime integers, direction kept."""
-    fr = vec(v)
-    if is_zero_vec(fr):
-        return fr
-    ints, _ = integer_scaled(fr)
-    g = gcd(*ints)
-    return tuple(Fraction(a // g) for a in ints)
+    """`primitive` as Fractions."""
+    return tuple(Fraction(a) for a in primitive(v))
 
 
 def canonical_line(v):

@@ -525,9 +525,11 @@ def log_primes_basis(limit: int) -> SemigroupBasis:
 
 
 def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
-    """The element log n over a log-primes basis."""
+    """The element log n over a log-primes basis; n is an int >= 1."""
     if basis.mode != FREE:
         raise ValidationError("log elements need a free basis")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"log element needs an int n >= 1, got n = {n!r}")
     labels = basis.label_ids
     exps = []
     for p, k in factorize(n).items():

@@ -1043,3 +1043,169 @@ def scan_kronecker_t(instance):
     mx = max(errs)
     return KroneckerResult(best_t, errs, mx, steps, mx > theta)
 
+
+
+# -- the cone layer on Fractions, as it was before it ran on ints -------------
+# Verbatim copies (imports aside) of `ratlin.independent_subset`, the set-up
+# of `cones.dual_cone`, `cones._span_coordinates` and
+# `exact_lp.fourier_motzkin` from before their eliminations moved to Python
+# ints.  The double-description loop itself is the package's.
+
+
+def fraction_canonical_ray(v):
+    """Scale a nonzero rational vector to coprime integers, direction kept."""
+    from dirichlet_forge.ratlin import integer_scaled, vec
+    fr = vec(v)
+    if all(a == 0 for a in fr):
+        return fr
+    ints, _ = integer_scaled(fr)
+    g = math.gcd(*ints)
+    return tuple(Fraction(a // g) for a in ints)
+
+
+def fraction_independent_subset(vectors):
+    """Greedy indices of a maximal Q-linearly independent subset.
+
+    Incremental: each candidate is reduced against the echelon rows kept so
+    far (each zero on the pivots of the rows before it) and joins them when
+    a nonzero remainder is left.
+    """
+    from dirichlet_forge.ratlin import vec
+    chosen = []
+    kept = []  # (pivot column, row scaled to 1 there)
+    for i, v in enumerate(vectors):
+        w = list(vec(v))
+        for c, row in kept:
+            f = w[c]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        c = next((j for j, a in enumerate(w) if a), None)
+        if c is not None:
+            kept.append((c, [a / w[c] for a in w]))
+            chosen.append(i)
+    return chosen
+
+
+def fraction_dual_cone(generators, dim=None):
+    """`cones.dual_cone` with its set-up on Fractions: the start rays are the
+    canonical columns of B^T (B B^T)^-1 from `invert_matrix`, and the
+    lineality basis is `kernel_basis` of B made canonical."""
+    from dirichlet_forge.cones import DualConeResult, _double_description, _vecs
+    from dirichlet_forge.errors import ValidationError
+    from dirichlet_forge.ratlin import dot, invert_matrix, kernel_basis
+    F = Fraction
+    gens = _vecs(generators)
+    if dim is None:
+        if not gens:
+            raise ValidationError("need generators or an explicit dimension")
+        dim = len(gens[0])
+    for g in gens:
+        if len(g) != dim:
+            raise ValidationError("generator dimension mismatch")
+    canon = list(dict.fromkeys(fraction_canonical_ray(g) for g in gens
+                               if any(x != 0 for x in g)))
+    basis = fraction_independent_subset(canon)
+    brows = [canon[i] for i in basis]
+    if brows:
+        lineality = [fraction_canonical_ray(v) for v in kernel_basis(brows)]
+        ginv = invert_matrix([[dot(a, b) for b in brows] for a in brows])
+        start = [fraction_canonical_ray(
+                     [sum(ginv[i][j] * b[k] for i, b in enumerate(brows))
+                      for k in range(dim)])
+                 for j in range(len(brows))]
+        pointed = _double_description(
+            [tuple(x.numerator for x in g) for g in canon], basis,
+            [tuple(x.numerator for x in y) for y in start])
+    else:
+        lineality = [tuple(F(int(j == i)) for j in range(dim)) for i in range(dim)]
+        pointed = []
+    rays = sorted(pointed) + sorted(lineality + [tuple(-x for x in v) for v in lineality])
+    return DualConeResult(dim=dim, rays=tuple(tuple(F(x) for x in r) for r in rays),
+                          lineality_dim=len(lineality))
+
+
+def fraction_span_coordinates(gens):
+    """(basis rows of span, forward map vec -> coords, inverse map coords -> vec).
+
+    The rows are the RREF of gens, so v's coordinates are its pivot entries;
+    the forward map gives None when they do not rebuild v (v outside the span).
+    """
+    from dirichlet_forge.ratlin import rref, vec
+    F = Fraction
+    basis_rows, pivots = rref(gens)
+
+    def to_coords(v):
+        v = vec(v)
+        if len(v) != len(basis_rows[0]):
+            raise ValueError("dimension mismatch")
+        cs = tuple(v[p] for p in pivots)
+        return cs if from_coords(cs) == v else None
+
+    def from_coords(cs):
+        out = [F(0)] * len(basis_rows[0])
+        for c, row in zip(cs, basis_rows):
+            for j, rj in enumerate(row):
+                out[j] += c * rj
+        return tuple(out)
+
+    return basis_rows, to_coords, from_coords
+
+
+def fraction_fourier_motzkin(A, b):
+    """Feasibility of A x <= b over Q^d with witness, by variable elimination
+    on Fraction rows.  Returns (True, x) with A x <= b exactly, or (False,
+    None); the row cap is `exact_lp.FM_ROW_CAP`."""
+    from dirichlet_forge import exact_lp
+    from dirichlet_forge.errors import CapExceededError
+    from dirichlet_forge.exactnum import as_fraction
+    if not A:
+        return True, []
+    n = len(A[0])
+    sys_rows = [[as_fraction(v) for v in row] + [as_fraction(bi)]
+                for row, bi in zip(A, b)]
+    stack = []
+    for k in range(n - 1, -1, -1):
+        lows, ups, rest = [], [], []
+        for row in sys_rows:
+            a = row[k]
+            if a > 0:
+                ups.append(row)
+            elif a < 0:
+                lows.append(row)
+            else:
+                rest.append(row)
+        if len(rest) + len(ups) * len(lows) > exact_lp.FM_ROW_CAP:
+            raise CapExceededError("Fourier-Motzkin row cap")
+        new_rows = list(rest)
+        for u in ups:
+            au = u[k]
+            for low in lows:
+                al = low[k]
+                comb = [(-al) * uv + au * lv for uv, lv in zip(u, low)]
+                new_rows.append(comb)
+        stack.append((k, lows, ups))
+        sys_rows = new_rows
+        for row in sys_rows:
+            if all(v == 0 for v in row[:n]) and row[-1] < 0:
+                return False, None
+    for row in sys_rows:
+        if row[-1] < 0:
+            return False, None
+    x = [Fraction(0)] * n
+    for k, lows, ups in reversed(stack):
+        lo = hi = None
+        for row in lows:
+            val = (row[-1] - sum(row[j] * x[j] for j in range(n) if j != k)) / row[k]
+            lo = val if lo is None else max(lo, val)
+        for row in ups:
+            val = (row[-1] - sum(row[j] * x[j] for j in range(n) if j != k)) / row[k]
+            hi = val if hi is None else min(hi, val)
+        if lo is None and hi is None:
+            x[k] = Fraction(0)
+        elif lo is None:
+            x[k] = min(Fraction(0), hi)
+        elif hi is None:
+            x[k] = max(Fraction(0), lo)
+        else:
+            x[k] = (lo + hi) / 2
+    return True, x

@@ -20,13 +20,13 @@ from dirichlet_forge.cones import (
     minimal_face_containing,
     separate,
     separate_cross_checked,
-    sign_covering_zero_witness,
 )
 from dirichlet_forge.errors import CapExceededError, PreconditionError, ValidationError
 from dirichlet_forge.exact_lp import nonneg_combination
 from dirichlet_forge.ratlin import dot, rank
 from tests.oracles import (brute_basis_through_point, brute_dual_cone,
-                           brute_minimal_face, in_cone_brute)
+                           brute_minimal_face, fraction_dual_cone,
+                           fraction_span_coordinates, in_cone_brute)
 
 F = Fraction
 small = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=3)
@@ -73,32 +73,6 @@ def test_separate_json_shapes():
     assert js["separated"] is True and "functional" in js
     js = separate([(1,), (-1,)]).to_json()
     assert js["separated"] is False and "zero_coefficients" in js
-
-
-# -- sign covering ------------------------------------------------------------
-
-def test_sign_covering_one_dimensional_example():
-    cs = sign_covering_zero_witness([(F(2),), (F(-3),)])
-    assert cs == (F(3, 5), F(2, 5))
-
-
-def test_sign_covering_two_dimensional():
-    vs = [(1, 1), (1, -1), (-1, 1), (-1, -2)]
-    cs = sign_covering_zero_witness(vs)
-    assert sum(cs) == 1
-    assert all(c >= 0 for c in cs)
-    for d in range(2):
-        assert sum(c * F(v[d]) for c, v in zip(cs, vs)) == 0
-
-
-def test_sign_covering_rejects_zero_entries():
-    with pytest.raises(ValidationError):
-        sign_covering_zero_witness([(1, 0), (-1, -1), (1, -1), (-1, 1)])
-
-
-def test_sign_covering_rejects_missing_pattern():
-    with pytest.raises(ValidationError):
-        sign_covering_zero_witness([(1, 1), (-1, 1)])  # no negative second sign
 
 
 # -- dual cones ---------------------------------------------------------------
@@ -220,6 +194,55 @@ def test_dual_cone_matches_lp_pruned_oracle(case):
         for i in range(cut):
             others = got.rays[:i] + got.rays[i + 1:]
             assert not _in_cone([got.rays[i]], others)
+
+
+@st.composite
+def _mixed_generator_lists(draw):
+    """`_generator_lists` with some generators given as floats: scaled by a
+    dyadic factor (the direction is kept exactly) or by 0.1 (the direction
+    moves by a rounding)."""
+    d, gens = draw(_generator_lists())
+    out = []
+    for g in gens:
+        f = draw(st.sampled_from([None, None, 0.5, 1.25, 0.1]))
+        out.append(g if f is None else tuple(f * x for x in g))
+    return d, out
+
+
+@given(_mixed_generator_lists())
+@example((3, [(0, 0, 0), (1, 2, 0), (2, 4, 0), (0, 0.5, 0)]))    # lineality 1
+@example((2, [(0, 0), (0, 0)]))                                 # no nonzero generator
+@settings(max_examples=300, deadline=None)
+def test_dual_cone_matches_fraction_setup(case):
+    """Rays and lineality equal those of the Fraction set-up (a Gram inverse,
+    a Fraction kernel basis), on zero, duplicate, float and spanning or
+    non-spanning generators."""
+    d, gens = case
+    got = dual_cone(gens, dim=d)
+    assert got == fraction_dual_cone(gens, dim=d)
+    assert all(type(x) is F for r in got.rays for x in r)
+
+
+@given(_mixed_generator_lists(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_span_coordinates_match_fraction_rebuild(case, data):
+    """to_coords gives the coordinates, or None outside the span, exactly as
+    rebuilding the vector in Fractions does; the basis rows are equal."""
+    d, gens = case
+    assume(any(any(x != 0 for x in g) for g in gens))
+    rows, to_coords, from_coords = cones._span_coordinates(gens)
+    want_rows, want_to, want_from = fraction_span_coordinates(gens)
+    assert rows == want_rows
+    coord = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
+    cs = data.draw(st.lists(coord, min_size=len(gens), max_size=len(gens)))
+    inside = tuple(sum(c * F(g[j]) for c, g in zip(cs, gens)) for j in range(d))
+    anywhere = tuple(data.draw(st.one_of(coord, st.floats(-3, 3, width=32)))
+                     for _ in range(d))
+    for v in (inside, anywhere, gens[0]):
+        cs = to_coords(v)
+        assert cs == want_to(v)
+        assert cs is None or (all(type(c) is F for c in cs) and from_coords(cs) == want_from(cs))
+    assert to_coords(inside) is not None
 
 
 def _neighbourly(d, m):

@@ -19,7 +19,7 @@ from dirichlet_forge.exact_lp import (
     solve_standard,
 )
 from dirichlet_forge.ratlin import integer_pivot
-from tests.oracles import brute_solve_standard
+from tests.oracles import brute_solve_standard, fraction_fourier_motzkin
 
 F = Fraction
 small = st.fractions(min_value=F(-5), max_value=F(5), max_denominator=4)
@@ -322,3 +322,33 @@ def test_fourier_motzkin_row_cap(monkeypatch):
     assert "of x0" in str(exc.value)
     assert "1 of 2 variables eliminated (x1), 9 rows held" in str(exc.value)
 
+
+
+_fm_entry = st.one_of(small, st.integers(-4, 4),
+                      st.floats(min_value=-4, max_value=4, allow_nan=False, width=32))
+
+
+@st.composite
+def fm_systems(draw):
+    """(A, b) with 1 <= d <= 3 variables and up to 7 rows of fractions, ints
+    and floats."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+    A = [[draw(_fm_entry) for _ in range(d)] for _ in range(m)]
+    return A, [draw(_fm_entry) for _ in range(m)]
+
+
+@given(fm_systems())
+@settings(max_examples=300, deadline=None)
+@example(([[1], [-1]], [2, -1]))              # d = 1: int rows, Fraction witness
+@example(([[0.5, -1.5]], [0.25]))
+def test_fourier_motzkin_matches_fraction_rows(case):
+    """The integer-row elimination gives the Fraction elimination's verdict
+    and witness, a witness of Fractions that satisfies A x <= b exactly."""
+    A, b = case
+    ok, x = fourier_motzkin(A, b)
+    assert (ok, x) == fraction_fourier_motzkin(A, b)
+    if ok:
+        assert all(type(v) is F for v in x)
+        for row, bi in zip(A, b):
+            assert sum(F(a) * v for a, v in zip(row, x)) <= F(bi)

@@ -10,11 +10,13 @@ from dirichlet_forge.ratlin import (
     dot,
     independent_subset,
     integer_left_kernel,
+    integer_rref,
     integer_scaled,
     invert_matrix,
     kernel_basis,
     lll_reduce,
     pivot_columns,
+    primitive,
     rank,
     reduce_modulo_image,
     rref,
@@ -23,7 +25,7 @@ from dirichlet_forge.ratlin import (
     vscale,
     vsub,
 )
-from tests.oracles import brute_rref
+from tests.oracles import brute_rref, fraction_independent_subset
 
 F = Fraction
 small_frac = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=6)
@@ -84,6 +86,13 @@ def test_canonical_ray():
     assert canonical_ray([F(2, 3), F(4, 3)]) == (F(1), F(2))
     assert canonical_ray([F(-2), F(-4)]) == (F(-1), F(-2))
     assert canonical_ray([F(0), F(6)]) == (F(0), F(1))
+
+
+def test_primitive_returns_coprime_ints():
+    assert primitive([F(2, 3), F(-4, 3)]) == (1, -2)
+    assert primitive([0.5, 1.5, 0]) == (1, 3, 0)
+    assert primitive([0, 0]) == (0, 0) and primitive([]) == ()
+    assert all(type(x) is int for x in primitive([F(6), F(-9)]))
 
 
 def test_canonical_line_fixes_sign():
@@ -193,6 +202,49 @@ def test_rref_reads_floats_exactly(rows):
     reduced, pivots = rref(rows)
     assert (reduced, pivots) == brute_rref([[F(x) for x in r] for r in rows])
     assert all(isinstance(x, F) for r in reduced for x in r)
+
+
+@given(st.one_of(matrices(max_n=6), deficient_matrices(), st.just([])))
+@settings(max_examples=300, deadline=None)
+def test_rref_is_integer_rref_over_its_scale(rows):
+    M, pivots, d = integer_rref(rows)
+    assert d != 0 and all(type(x) is int for row in M for x in row)
+    for i, row in enumerate(M):
+        assert [row[p] for p in pivots] == [d if j == i else 0 for j in range(len(pivots))]
+    assert rref(rows) == ([tuple(F(x, d) for x in row) for row in M], pivots)
+
+
+@given(st.one_of(deficient_matrices(), matrices(max_n=6),
+                 st.integers(1, 4).flatmap(lambda n: st.lists(
+                     st.lists(st.one_of(_float, st.integers(-3, 3)), min_size=n, max_size=n),
+                     max_size=6))))
+@settings(max_examples=300, deadline=None)
+def test_independent_subset_matches_fraction_loop(vectors):
+    """Zero, repeated, dependent and float vectors: the same greedy indices
+    as the incremental Fraction reduction."""
+    assert independent_subset(vectors) == fraction_independent_subset(vectors)
+
+
+@given(st.one_of(matrices(max_n=6), deficient_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_kernel_and_inverse_match_fraction_elimination(rows):
+    """kernel_basis is 1 on its free column and minus the Fraction RREF's
+    entries on the pivots; invert_matrix of a square block is the right
+    half of the Fraction RREF of [block | I]."""
+    n = len(rows[0])
+    red, pivots = brute_rref(rows)
+    want = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [F(int(c == f)) for c in range(n)]
+        for row, c in zip(red, pivots):
+            x[c] = -row[f]
+        want.append(tuple(x))
+    assert kernel_basis(rows) == want
+    k = min(n, len(rows))
+    block = [list(r[:k]) for r in rows[:k]]
+    red, pivots = brute_rref([r + [F(int(i == j)) for j in range(k)] for i, r in enumerate(block)])
+    want = [tuple(r[k:]) for r in red] if pivots[:k] == list(range(k)) else None
+    assert invert_matrix(block) == want
 
 
 @given(st.one_of(matrices(max_n=6), deficient_matrices(), st.just([])))

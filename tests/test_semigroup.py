@@ -75,6 +75,12 @@ def test_log_element_of_one_is_identity():
     assert e.l1() == 0.0
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.0, True])
+def test_log_element_rejects_n_that_is_not_a_positive_int(n):
+    with pytest.raises(ValidationError, match=r"n = "):
+        log_element(log_primes_basis(10), n)
+
+
 def test_element_addition_and_subtraction():
     b = free_rational_basis([(F(1), F(0)), (F(0), F(1))], labels=["x", "y"])
     e = b.element(exponents={0: 2, 1: 1})
