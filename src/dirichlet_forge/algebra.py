@@ -4,6 +4,15 @@ Elements are maps lambda -> coefficient over a shared semigroup basis, with
 convolution (a*b)(lambda) = sum over lambda' + lambda'' = lambda.  Two
 coefficient backends: "exact" (complex rationals, identity-grade) and
 "float" (complex doubles, analysis-grade), chosen per element.
+
+An element stores its terms by element key (`SemigroupElement.key`):
+integers that multiply over a free basis (log n over the log-primes basis
+is keyed by n), the elements themselves, which add, over an embedded
+basis.  Products, inverses and sums run on these keys and build no
+`SemigroupElement`.  `coeffs` is the edge view {SemigroupElement: value}:
+the elements a caller passed in, or, for a computed element, elements
+built from their keys when it is first read, then cached.  Magnitudes are
+computed once per key, from its exponent map.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ import numpy as np
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
 from .exactnum import QC, coeff_abs, coeff_is_zero, coeff_to_complex, format_frac, parse_frac
-from .semigroup import (SemigroupBasis, SemigroupElement, enumerate_monoid, key_combine,
-                        row_end)
+from .semigroup import (FREE, KeyedElements, SemigroupBasis, SemigroupElement, cutoff,
+                        enumerate_monoid, key_combine, row_end)
 from .weights import ONE, WeightFn, one as weight_one
 
 EXACT = "exact"
@@ -37,42 +46,98 @@ def _coerce(value, backend):
 
 
 class AlgebraElement:
-    """Immutable finitely supported coefficient map over a basis."""
+    """Immutable finitely supported coefficient map over a basis.
 
-    __slots__ = ("basis", "coeffs", "backend", "truncation", "dropped_mass")
+    `terms` maps element keys to values, in the order the terms were made;
+    `coeffs` is the same map keyed by SemigroupElement (see the module
+    docstring).  Each is built from the other on first read.  Both are
+    read-only."""
+
+    __slots__ = ("basis", "backend", "truncation", "dropped_mass", "_terms", "_mags", "_exps",
+                 "_coeffs")
 
     def __init__(self, basis: SemigroupBasis, coeffs: dict, backend: str = FLOAT,
                  truncation: Optional[float] = None, dropped_mass: float = 0.0,
                  _trusted: bool = False):
         if backend not in (EXACT, FLOAT):
             raise ValidationError(f"unknown backend {backend!r}")
-        self.basis = basis
-        self.backend = backend
         self.truncation = None if truncation is None else float(truncation)
-        self.dropped_mass = float(dropped_mass)
-        if _trusted:
-            self.coeffs = coeffs
-            return
-        clean = {}
-        for lam, v in coeffs.items():
-            if not isinstance(lam, SemigroupElement):
-                raise ValidationError("coefficient keys must be semigroup elements")
-            if lam.basis is not basis and lam.basis != basis:
-                raise BasisMismatchError("coefficient key over a different basis")
-            if self.truncation is not None and lam.l1() > self.truncation + 1e-12:
-                raise ValidationError("support element beyond declared truncation")
-            cv = _coerce(v, backend)
-            if not coeff_is_zero(cv):
-                clean[lam] = cv
-        self.coeffs = clean
+        if not _trusted:
+            limit = None if truncation is None else cutoff(self.truncation)
+            clean = {}
+            for lam, v in coeffs.items():
+                if not isinstance(lam, SemigroupElement):
+                    raise ValidationError("coefficient keys must be semigroup elements")
+                if lam.basis is not basis and lam.basis != basis:
+                    raise BasisMismatchError("coefficient key over a different basis")
+                if limit is not None and lam.l1() > limit:
+                    raise ValidationError("support element beyond declared truncation")
+                cv = _coerce(v, backend)
+                if not coeff_is_zero(cv):
+                    clean[lam] = cv
+            coeffs = clean
+        self.basis, self.backend, self.dropped_mass = basis, backend, float(dropped_mass)
+        self._terms, self._mags, self._exps, self._coeffs = None, None, None, coeffs
+
+    @classmethod
+    def _keyed(cls, basis: SemigroupBasis, terms: dict, backend: str,
+               truncation: Optional[float] = None, dropped_mass: float = 0.0,
+               mags: Optional[dict] = None, exps: Optional[dict] = None) -> "AlgebraElement":
+        """An element from validated terms by key.  `mags` and `exps`, when
+        given, map at least every key to its magnitude and exponent map."""
+        out = cls(basis, {}, backend, truncation, dropped_mass, _trusted=True)
+        out._terms, out._mags, out._exps, out._coeffs = terms, mags, exps, None
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """{key: value} in term order."""
+        if self._terms is None:
+            self._terms = {lam.key(): v for lam, v in self._coeffs.items()}
+        return self._terms
+
+    @property
+    def coeffs(self) -> dict:
+        """{SemigroupElement: value} in term order, built once."""
+        if self._coeffs is None:
+            mags, exps = self._mags or {}, self._exponent_maps()
+            element = self.basis.key_element
+            self._coeffs = {element(k, mags.get(k), exps.get(k)): v
+                            for k, v in self.terms.items()}
+        return self._coeffs
+
+    def _exponent_maps(self) -> dict:
+        """{key: exponent map} over the terms of a free element, read off
+        the caller's elements or found once (a key's quotient by one prime
+        usually comes before it); {} over an embedded basis."""
+        if self._exps is None:
+            self._exps = exps = {}
+            if self.basis.mode == FREE and self._coeffs is not None:
+                self._exps = {k: lam.exponents for k, lam in zip(self.terms, self._coeffs)}
+            elif self.basis.mode == FREE:
+                for k in self.terms:
+                    exps[k] = self.basis.key_exponents(k, exps)
+        return self._exps
+
+    def _magnitudes(self) -> dict:
+        """{key: |lambda|_1} over the terms, computed once per key."""
+        if self._mags is None:
+            if self._coeffs is not None:
+                self._mags = {k: lam.l1() for k, lam in zip(self.terms, self._coeffs)}
+            else:
+                exps, mag = self._exponent_maps(), self.basis.key_magnitude
+                self._mags = {k: mag(k, exps) for k in self.terms}
+        return self._mags
 
     # -- basic structure ----------------------------------------------------
 
     def support(self):
-        return sorted(self.coeffs.keys(), key=lambda e: e.sort_key())
+        return sorted(self.coeffs, key=lambda e: e.sort_key())
 
     def __getitem__(self, lam: SemigroupElement):
-        v = self.coeffs.get(lam)
+        v = None
+        if lam.basis is self.basis or lam.basis == self.basis:
+            v = self.terms.get(lam.key())
         if v is None:
             return QC(0) if self.backend == EXACT else 0j
         return v
@@ -83,12 +148,10 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.basis != other.basis or set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
+        return self.basis == other.basis and self.terms == other.terms
 
     def __repr__(self):
-        return f"AlgebraElement({len(self.coeffs)} terms, backend={self.backend})"
+        return f"AlgebraElement({len(self.terms)} terms, backend={self.backend})"
 
     # -- linear ops ---------------------------------------------------------
 
@@ -98,18 +161,18 @@ class AlgebraElement:
         from the sum's is coerced."""
         _check_bases(self, other)
         backend = EXACT if self.backend == other.backend == EXACT else FLOAT
-        out = dict(_coeffs_in(self, backend))
-        for lam, v in _coeffs_in(other, backend).items():
-            cur = out.get(lam)
+        out = dict(_terms_in(self, backend))
+        for k, v in _terms_in(other, backend).items():
+            cur = out.get(k)
             if cur is not None:
                 v = cur + v
                 if coeff_is_zero(v):
-                    del out[lam]
+                    del out[k]
                     continue
-            out[lam] = v
-        return AlgebraElement(self.basis, out, backend,
-                              _min_trunc(self.truncation, other.truncation),
-                              self.dropped_mass + other.dropped_mass, _trusted=True)
+            out[k] = v
+        return AlgebraElement._keyed(self.basis, out, backend,
+                                     _min_trunc(self.truncation, other.truncation),
+                                     self.dropped_mass + other.dropped_mass)
 
     def scale(self, c) -> "AlgebraElement":
         """c * self; values are coerced only when the backend changes (an
@@ -122,12 +185,12 @@ class AlgebraElement:
         # products instead of QC x QC's four
         mul = cc.re if backend == EXACT and cc.im == 0 else cc
         out = {}
-        for lam, v in _coeffs_in(self, backend).items():
+        for k, v in _terms_in(self, backend).items():
             nv = v * mul
             if not coeff_is_zero(nv):
-                out[lam] = nv
-        return AlgebraElement(self.basis, out, backend, self.truncation,
-                              self.dropped_mass * coeff_abs(cc), _trusted=True)
+                out[k] = nv
+        return AlgebraElement._keyed(self.basis, out, backend, self.truncation,
+                                     self.dropped_mass * coeff_abs(cc), self._mags, self._exps)
 
     def negate(self) -> "AlgebraElement":
         return self.scale(-1)
@@ -135,9 +198,9 @@ class AlgebraElement:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        entries = []
+        coeffs, entries = self.coeffs, []
         for lam in self.support():
-            v = self.coeffs[lam]
+            v = coeffs[lam]
             if self.backend == EXACT:
                 entry = {"element": lam.to_json(),
                          "re": format_frac(v.re), "im": format_frac(v.im)}
@@ -150,43 +213,46 @@ class AlgebraElement:
     @classmethod
     def from_json(cls, data: dict, basis: Optional[SemigroupBasis] = None) -> "AlgebraElement":
         """The element `to_json` wrote.  One pass: each support element is
-        checked (ids, signs, truncation, duplicates) as it is read and zero
-        coefficients are dropped, so __init__ validates nothing again."""
+        read as its key and checked (ids, signs, truncation, duplicates), and
+        zero coefficients are dropped; no SemigroupElement is built."""
         try:
             if basis is None:
                 basis = SemigroupBasis.from_json(data["basis"])
             backend = data.get("backend", FLOAT)
             truncation = data.get("truncation")
-            limit = None if truncation is None else float(truncation) + 1e-12
-            coeffs, zeros = {}, []
+            limit = None if truncation is None else cutoff(float(truncation))
+            terms, zeros, mags, exps = {}, [], {}, {}
             for entry in data["coeffs"]:
-                lam = SemigroupElement.from_json(basis, entry["element"])
+                k = basis.json_key(entry["element"])
                 re, im = entry["re"], entry["im"]
                 if backend == EXACT:
                     v = QC(parse_frac(re) if isinstance(re, str) else Fraction(re),
                            parse_frac(im) if isinstance(im, str) else Fraction(im))
                 else:
                     v = complex(float(re), float(im))
-                size = len(coeffs)
-                coeffs[lam] = v
-                if len(coeffs) == size:
+                size = len(terms)
+                terms[k] = v
+                if len(terms) == size:
                     raise ValidationError("duplicate support element in JSON")
-                if limit is not None and lam.l1() > limit:
-                    raise ValidationError("support element beyond declared truncation")
+                if limit is not None:
+                    mags[k] = basis.key_magnitude(k, exps)
+                    if mags[k] > limit:
+                        raise ValidationError("support element beyond declared truncation")
                 if coeff_is_zero(v):
-                    zeros.append(lam)
-            for lam in zeros:
-                del coeffs[lam]
-            return cls(basis, coeffs, backend, truncation, _trusted=True)
+                    zeros.append(k)
+            for k in zeros:
+                del terms[k]
+            return cls._keyed(basis, terms, backend, truncation, mags=mags or None,
+                              exps=exps or None)
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed algebra element JSON: {e}") from e
 
 
-def _coeffs_in(a: AlgebraElement, backend: str) -> dict:
-    """a's coefficients in `backend`: its own map when it is already there."""
+def _terms_in(a: AlgebraElement, backend: str) -> dict:
+    """a's terms with values in `backend`: its own map when already there."""
     if a.backend == backend:
-        return a.coeffs
-    return {lam: _coerce(v, backend) for lam, v in a.coeffs.items()}
+        return a.terms
+    return {k: _coerce(v, backend) for k, v in a.terms.items()}
 
 
 def _check_bases(a: AlgebraElement, b: AlgebraElement):
@@ -229,38 +295,37 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     which it first reaches them.
     """
     _check_bases(a, b)
-    backend, T, sa, sb, out, born, lost = _product(a, b)
-    dropped = a.dropped_mass + b.dropped_mass + lost
-    ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
+    backend, T, sa, sb, out, lost = _product(a, b)
     den, gauss = sa.den * sb.den, sa.gauss
-    coeffs = {}
-    for k, v in out.items():
-        if _nonzero(v, gauss):
-            ka, kb = born[k]
-            coeffs[ea[ka] + eb[kb]] = _value(v, den, gauss, backend)
-    return AlgebraElement(a.basis, coeffs, backend, T, dropped, _trusted=True)
+    terms = {k: _value(v, den, gauss, backend) for k, v in out.items() if _nonzero(v, gauss)}
+    return AlgebraElement._keyed(a.basis, terms, backend, T,
+                                 a.dropped_mass + b.dropped_mass + lost)
 
 
 def _product(a: AlgebraElement, b: AlgebraElement):
     """a * b on keys: (backend, truncation, a's side, b's side, numerators
-    by key, first pair by key, dropped mass)."""
+    by key, dropped mass)."""
     backend = EXACT if a.backend == b.backend == EXACT else FLOAT
     T = _min_trunc(a.truncation, b.truncation)
-    limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
+    limit = None if T is None else cutoff(T)
     cut = limit is not None
-    sa, sb = _unify(_side(a.coeffs.items(), backend),
-                    _side(b.coeffs.items(), backend, by_mag=cut, mags=cut))
-    out, born = {}, {}
-    lost = _pair_kernel(zip(sa.keys, sa.mags, sa.vals), sb, limit, out,
-                        key_combine(a.basis), born, sa.den)
-    return backend, T, sa, sb, out, born, lost
+    sa, sb = _unify(_side(_terms_in(a, backend).items(), backend,
+                          a._magnitudes() if cut else None),
+                    _side(_terms_in(b, backend).items(), backend,
+                          b._magnitudes() if cut else None, by_mag=True))
+    out = {}
+    lost = _pair_kernel(zip(sa.keys, sa.mags if cut else repeat(0.0), sa.vals), sb, limit,
+                        out, key_combine(a.basis), sa.den)
+    return backend, T, sa, sb, out, lost
 
 
 def weighted_norm(a: AlgebraElement, w: Optional[WeightFn] = None) -> float:
     """||a||_w = sum |a(lambda)| w(lambda)   (float; norms are analysis-grade)."""
     if w is None:
         w = weight_one()
-    return sum(coeff_abs(v) * w.eval(lam) for lam, v in a.coeffs.items())
+    mags = None if w.kind == ONE else a._magnitudes()  # the unit weight is 1.0
+    return sum(coeff_abs(v) * (1.0 if mags is None else w.eval_mag(mags[k]))
+               for k, v in a.terms.items())
 
 
 @dataclass
@@ -370,54 +435,47 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
         _accumulate(acc, term, powers.side.den, powers.side.gauss)
         acc_dropped += powers.dropped
         tail *= q
-    elems = powers.elems
     if a.backend == EXACT:
         # b = acc * inv_a0 on numerators, one QC per coefficient
         (nu,), nu_den, nu_gauss = _numerators([inv_a0])
         acc_gauss = powers.side.gauss
         gauss = acc_gauss or nu_gauss
         den = powers.den * nu_den
-        coeffs = {}
+        terms = {}
         for k, v in acc.items():
             if gauss:
                 v = _gauss_mul(v if acc_gauss else (v, 0), nu if nu_gauss else (nu, 0))
             else:
                 v = v * nu
             if _nonzero(v, gauss):
-                coeffs[elems[k]] = _value(v, den, gauss, EXACT)
+                terms[k] = _value(v, den, gauss, EXACT)
     else:
-        coeffs = {elems[k]: v * inv_a0 for k, v in acc.items()}
-        coeffs = {k: v for k, v in coeffs.items() if v != 0}
-    b = AlgebraElement(a.basis, coeffs, a.backend, u.truncation if J else None,
-                       acc_dropped * coeff_abs(inv_a0), _trusted=True)
+        terms = {k: v * inv_a0 for k, v in acc.items()}
+        terms = {k: v for k, v in terms.items() if v != 0}
+    b = AlgebraElement._keyed(a.basis, terms, a.backend, u.truncation if J else None,
+                              acc_dropped * coeff_abs(inv_a0), powers.mags)
     cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / coeff_abs(a0),
                               residual_norm=_unit_residual(a, b, w), weight=w)
     return b, cert
 
 
 def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
-    """||a * b - eps||_w, the norm of `convolve(a, b) - eps` taken on keys.
-
-    It skips building the difference, and under the unit weight the
-    product's support elements too, which take longer than the products
-    themselves.  Another weight is evaluated on each product element, as
+    """||a * b - eps||_w, the norm of `convolve(a, b) - eps` taken on the
+    product's keys, without building the difference.  A weight other than
+    the unit is evaluated at each nonzero key's magnitude, as
     `weighted_norm` does.
     """
-    backend, _, sa, sb, out, born, _ = _product(a, b)
-    zk = a.basis.zero().key()
+    backend, _, sa, sb, out, _ = _product(a, b)
+    zk = a.basis.zero_key
     den, gauss = sa.den * sb.den, sa.gauss
     v0 = out.get(zk, (0, 0) if gauss else 0)
     out[zk] = (v0[0] - den, v0[1]) if gauss else v0 - den  # eps is den / den
-    weight = None
-    if w.kind != ONE:
-        ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
-        weight = {k: w.eval(ea[ka] + eb[kb]) for k, (ka, kb) in born.items()}
-        weight.setdefault(zk, w.eval(a.basis.zero()))
+    mag = None if w.kind == ONE else a.basis.key_magnitude
     total = 0
     for k, v in out.items():
-        m = coeff_abs(_value(v, den, gauss, backend))
+        m = abs(v) if backend == FLOAT else coeff_abs(_value(v, den, gauss, backend))
         if m != 0.0:
-            total += m if weight is None else m * weight[k]
+            total += m if mag is None else m * w.eval_mag(mag(k))
     return total
 
 
@@ -446,16 +504,20 @@ def graded_invert(a: AlgebraElement, truncation: float,
     if coeff_is_zero(a0):
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     inv_a0 = _invert_scalar(a0, a.backend)
-    zero = a.basis.zero()
-    support = [(lam, v) for lam, v in a.coeffs.items() if not lam.is_zero()]
+    zk = a.basis.zero_key
+    support = [(k, v) for k, v in a.terms.items() if k != zk]
     if not support:
-        return AlgebraElement(a.basis, {zero: inv_a0}, a.backend, truncation, _trusted=True)
-    den = _common_den(a.coeffs.values()) if a.backend == EXACT else None
-    side = _side(support, a.backend, by_mag=True, den=den)
-    elements = enumerate_monoid(side.elems, truncation, cap)
-    limit = truncation + 1e-9 * (1.0 + abs(truncation))
+        return AlgebraElement._keyed(a.basis, {zk: inv_a0}, a.backend, truncation)
+    den = _common_den(a.terms.values()) if a.backend == EXACT else None
+    side = _side(support, a.backend, a._magnitudes(), by_mag=True, den=den)
+    exps = a._exponent_maps()
+    elements = enumerate_monoid(KeyedElements(a.basis, side.keys, side.mags,
+                                              [exps[k] for k in side.keys] if exps else None),
+                                truncation, cap)
+    keys, mags = elements.keys, elements.mags
+    limit = cutoff(truncation)
     if a.backend == EXACT:
-        side, first, solve, finish = _fraction_free(a0, den, side, len(elements), limit)
+        side, first, solve, finish = _fraction_free(a0, den, side, len(keys), limit)
     else:
         first, finish = inv_a0, None
 
@@ -467,26 +529,27 @@ def graded_invert(a: AlgebraElement, truncation: float,
     gauss = side.gauss
 
     def outer():
-        for lam in elements:
-            k = lam.key()
-            if lam.is_zero():
+        for k, m in zip(keys, mags):
+            if k == zk:
                 blam = first
             else:
                 s = acc.get(k)
                 if s is None:
                     continue  # not reachable as support-sum (cannot happen by construction)
                 blam = solve(s)
-                b[lam] = blam
+                b[k] = blam
             if _nonzero(blam, gauss):
-                yield k, lam.l1(), blam
+                yield k, m, blam
 
     # pairs past the truncation have no part in the inverse: no dropped mass
     _pair_kernel(outer(), side, limit, acc, key_combine(a.basis))
-    out = {zero: inv_a0}
-    for lam, v in b.items():
+    out = {zk: inv_a0}
+    for k, v in b.items():
         if _nonzero(v, gauss):
-            out[lam] = v if finish is None else finish(v)
-    return AlgebraElement(a.basis, out, a.backend, truncation, _trusted=True)
+            out[k] = v if finish is None else finish(v)
+    exps = elements.exponents
+    return AlgebraElement._keyed(a.basis, out, a.backend, truncation, mags=dict(zip(keys, mags)),
+                                 exps=exps and dict(zip(keys, exps)))
 
 
 def _fraction_free(a0, den: int, side: "_Side", n_elements: int, limit: float):
@@ -551,8 +614,7 @@ def _fraction_free(a0, den: int, side: "_Side", n_elements: int, limit: float):
 
 
 class _Side(NamedTuple):
-    """One operand: elements, keys, magnitudes and values, index-aligned."""
-    elems: list
+    """One operand: keys, magnitudes and values, index-aligned."""
     keys: list
     mags: Optional[list]
     vals: list
@@ -560,23 +622,23 @@ class _Side(NamedTuple):
     gauss: bool              # exact numerators are (re, im) pairs, else ints
 
 
-def _side(items, backend: str, by_mag: bool = False, den: Optional[int] = None,
-          mags: bool = True) -> _Side:
-    """Operand from (element, value) pairs, in the given order or stably
-    sorted by magnitude (`by_mag`), with values in the kernel's form for
-    `backend`.  `mags=False` skips reading magnitudes (no cutoff to test)."""
+def _side(items, backend: str, mags: Optional[dict] = None, by_mag: bool = False,
+          den: Optional[int] = None) -> _Side:
+    """Operand from (key, value) pairs with values in `backend`, turned into
+    the kernel's form.  Given `mags` ({key: magnitude}; none when there is
+    no cutoff to test), it carries the magnitudes, and `by_mag` sorts the
+    pairs stably by them; otherwise the given order stays."""
     items = list(items)
-    if by_mag:
-        items.sort(key=lambda kv: kv[0].l1())
-    elems = [lam for lam, _ in items]
+    if by_mag and mags is not None:
+        items.sort(key=lambda kv: mags[kv[0]])
+    keys = [k for k, _ in items]
     vals = [v for _, v in items]
-    ms = [lam.l1() for lam in elems] if mags or by_mag else None
-    keys = [lam.key() for lam in elems]
+    ms = None if mags is None else [mags[k] for k in keys]
     if backend == EXACT:
         vals, den, gauss = _numerators(vals, den)
     else:
-        vals, den, gauss = [coeff_to_complex(v) for v in vals], 1, False
-    return _Side(elems, keys, ms, vals, den, gauss)
+        den, gauss = 1, False
+    return _Side(keys, ms, vals, den, gauss)
 
 
 def _unify(s1: _Side, s2: _Side):
@@ -639,7 +701,7 @@ def _num_abs(v, gauss: bool, den: int) -> float:
 
 
 def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine,
-                 born: Optional[dict] = None, outer_den: Optional[int] = None) -> float:
+                 outer_den: Optional[int] = None) -> float:
     """out[combine(ka, kb)] += va * vb over the pairs with ma + mb <= limit.
 
     `outer` yields (key, magnitude, value) and is consumed in order, one
@@ -649,9 +711,8 @@ def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine
     The pairs past it are dropped.  Given `outer_den`, the common
     denominator of the outer values, their mass (|va| times a suffix sum of
     |vb|, both as values) is returned; without it, 0.0.  Keys within one
-    row are distinct, so each sum runs in outer order.  `born`, when given,
-    records the first pair (ka, kb) behind every new key, in the order the
-    keys are first reached.
+    row are distinct, so each sum runs in outer order, and `out` holds the
+    keys in the order they are first reached.
     """
     pairs = list(zip(inner.keys, inner.vals))
     n, gauss, mags = len(pairs), inner.gauss, inner.mags
@@ -676,23 +737,13 @@ def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine
                 k = combine(ka, kb)
                 pr, pi = ar * br - ai * bi, ar * bi + ai * br
                 cur = get(k)
-                if cur is None:
-                    out[k] = (pr, pi)
-                    if born is not None:
-                        born[k] = (ka, kb)
-                else:
-                    out[k] = (cur[0] + pr, cur[1] + pi)
+                out[k] = (pr, pi) if cur is None else (cur[0] + pr, cur[1] + pi)
         else:
             for kb, vb in row:
                 k = combine(ka, kb)
                 p = va * vb
                 cur = get(k)
-                if cur is None:
-                    out[k] = p
-                    if born is not None:
-                        born[k] = (ka, kb)
-                else:
-                    out[k] = cur + p
+                out[k] = p if cur is None else cur + p
     return dropped
 
 
@@ -701,39 +752,39 @@ class _Powers:
     composition.  After `step`, `term` holds the numerators of the current
     power over `den` (a power of u's denominator), in the order the kernel
     first reached their keys, and `dropped` its dropped mass as `convolve`
-    would carry it.  `elems` maps every key reached to its element, built
-    once when the key is born; it also gives the outer magnitudes."""
+    would carry it.  Under a cutoff, `mags` holds the magnitude of every
+    key a power has held, computed once per key."""
 
     def __init__(self, u: AlgebraElement):
         T = u.truncation
-        self.limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
-        cut = self.limit is not None
-        self.side = _side(u.coeffs.items(), u.backend, by_mag=cut, mags=cut)
-        self.u_elems = dict(zip(self.side.keys, self.side.elems))
+        self.limit = None if T is None else cutoff(T)
+        self.mags = None if T is None else dict(u._magnitudes())
+        self.side = _side(u.terms.items(), u.backend, self.mags, by_mag=True)
         self.combine = key_combine(u.basis)
+        self.magnitude = u.basis.key_magnitude
         self.u_dropped = u.dropped_mass
-        zero = u.basis.zero()
-        zk = zero.key()
+        zk = u.basis.zero_key
         one = 1 + 0j if u.backend == FLOAT else 1
         self.term = {zk: (one, 0) if self.side.gauss else one}
-        self.elems = {zk: zero}
+        if self.mags is not None:
+            self.mags[zk] = 0.0
         self.den = 1
         self.dropped = 0.0
 
     def step(self) -> dict:
-        side, elems = self.side, self.elems
-        if self.limit is None:
+        side, mags = self.side, self.mags
+        if mags is None:
             outer = zip(self.term, repeat(0.0), self.term.values())
         else:
-            outer = ((k, elems[k].l1(), v) for k, v in self.term.items())
-        nxt, born = {}, {}
-        lost = _pair_kernel(outer, side, self.limit, nxt, self.combine, born, self.den)
+            outer = ((k, mags[k], v) for k, v in self.term.items())
+        nxt = {}
+        lost = _pair_kernel(outer, side, self.limit, nxt, self.combine, self.den)
         self.dropped = self.dropped + self.u_dropped + lost
         self.den *= side.den
-        for k, (ka, kb) in born.items():
-            if k not in elems:
-                elems[k] = elems[ka] + self.u_elems[kb]
         self.term = {k: v for k, v in nxt.items() if _nonzero(v, side.gauss)}
+        if mags is not None:
+            for k in self.term.keys() - mags.keys():
+                mags[k] = self.magnitude(k)
         return self.term
 
 
@@ -937,7 +988,7 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
     ratio = q / f.radius if math.isfinite(f.radius) else 0.0
     C = _series_majorant(f)
     first = unit(a.basis, a.backend).scale(f.coeff(0))
-    acc = {lam.key(): v for lam, v in first.coeffs.items()}
+    acc = dict(first.terms)
     backend, dropped, touched = first.backend, first.dropped_mass, False
     powers = _Powers(u)  # u is float: f.center is complex
     K = 0
@@ -965,9 +1016,8 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
             _accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
             dropped += powers.dropped * abs(cc)
             touched = True
-    elems = powers.elems
-    c = AlgebraElement(a.basis, {elems[k]: v for k, v in acc.items() if not coeff_is_zero(v)},
-                       backend, u.truncation if touched else None, dropped, _trusted=True)
+    c = AlgebraElement._keyed(a.basis, {k: v for k, v in acc.items() if not coeff_is_zero(v)},
+                              backend, u.truncation if touched else None, dropped, powers.mags)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 
 

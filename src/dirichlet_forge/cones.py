@@ -444,13 +444,16 @@ def _span_coordinates(gens):
 
     The rows are the RREF of gens, so v's coordinates are its pivot entries;
     the forward map gives None when they do not rebuild v (v outside the span).
-    Both tests run on ints: with the integer RREF (M, d) and v scaled to ints
-    w, v is in the span iff w d == sum_i w[p_i] M_i, checked off the pivots.
+    Both maps run on ints: with the integer RREF (M, d) and v scaled to ints
+    w, v is in the span iff w d == sum_i w[p_i] M_i, checked off the pivots;
+    coordinates c = w / den rebuild sum_i w_i M_i / (den d), one Fraction
+    per entry.
     """
     M, pivots, d = integer_rref(gens)
     basis_rows = [tuple(F(x, d) for x in row) for row in M]
     n = len(M[0])
     free = [j for j in range(n) if j not in pivots]
+    columns = list(zip(*M))
 
     def to_coords(v):
         w, den = integer_scaled(v)
@@ -463,11 +466,8 @@ def _span_coordinates(gens):
         return tuple(F(c, den) for c in cs)
 
     def from_coords(cs):
-        out = [F(0)] * n
-        for c, row in zip(cs, basis_rows):
-            for j, rj in enumerate(row):
-                out[j] += c * rj
-        return tuple(out)
+        w, den = integer_scaled(cs)
+        return tuple(F(sum(map(mul, w, col)), den * d) for col in columns)
 
     return basis_rows, to_coords, from_coords
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -89,8 +90,106 @@ class SemigroupBasis:
         return {g.id: p for g, p in zip(self.generators, primes)}
 
     @cached_property
+    def _prime_ids(self) -> dict:
+        """Key prime -> generator id, primes ascending."""
+        return {p: gid for gid, p in self.key_primes.items()}
+
+    @cached_property
     def label_ids(self) -> dict:
         return {g.label: g.id for g in self.generators}
+
+    @cached_property
+    def zero_key(self):
+        return self.zero().key()
+
+    def key_exponents(self, key: int, known: Optional[dict] = None) -> tuple:
+        """The sorted exponent map of the free element keyed `key`: its
+        factorization over the key primes.  `known` maps keys to their maps
+        already found; when it holds the quotient by the smallest key prime
+        dividing `key`, that map is extended by one step instead."""
+        if known is not None and key in known:
+            return known[key]
+        exps = []
+        for p, gid in self._prime_ids.items():
+            if key == 1:
+                break
+            if p * p > key:  # what is left is a single key prime
+                exps.append((self._prime_ids[key], 1))
+                break
+            if key % p == 0:
+                q = None if known is None or exps else known.get(key // p)
+                if q is not None:
+                    if q and q[0][0] == gid:
+                        return ((gid, q[0][1] + 1),) + q[1:]
+                    if not q or q[0][0] > gid:
+                        return ((gid, 1),) + q
+                n = 0
+                while key % p == 0:
+                    key //= p
+                    n += 1
+                exps.append((gid, n))
+        exps.sort()
+        return tuple(exps)
+
+    def magnitude(self, exponents) -> float:
+        """|lambda|_1 of the free element with these sorted exponents: the
+        float sum of its embedded value, itself summed in generator order."""
+        if self.r != 1:
+            return float(sum(self._free_value(exponents)))
+        acc, line = 0.0, self._line  # the same sums as for r = 1, with no tuple
+        for gid, n in exponents:
+            acc += n * line[gid]
+        return acc
+
+    @cached_property
+    def _line(self) -> dict:
+        return {g.id: g.value[0] for g in self.generators}
+
+    def _free_value(self, exponents) -> tuple:
+        by_id, r = self.by_id, self.r
+        acc = [0.0] * r
+        for gid, n in exponents:
+            gv = by_id[gid].value
+            for k in range(r):
+                acc[k] += n * gv[k]
+        return tuple(acc)
+
+    def key_magnitude(self, key, known: Optional[dict] = None) -> float:
+        """|lambda|_1 of the element keyed `key`; over a free basis its
+        exponent map is found as `key_exponents` does and put in `known`."""
+        if self.mode != FREE:
+            return key.l1()
+        exps = self.key_exponents(key, known)
+        if known is not None:
+            known[key] = exps
+        return self.magnitude(exps)
+
+    def key_element(self, key, mag: Optional[float] = None, exponents=None):
+        """The element keyed `key` (see `SemigroupElement.key`); its
+        magnitude and exponent map are taken as given when known."""
+        if self.mode != FREE:
+            return key
+        return SemigroupElement._trusted(self, exponents or self.key_exponents(key), None, key,
+                                         mag)
+
+    def json_key(self, data: dict):
+        """The key of the element `SemigroupElement.from_json` reads from
+        `data`, without building it; malformed data goes to that method,
+        which raises."""
+        try:
+            if self.mode == FREE:
+                # a dict, so that the later of two keys naming one id counts
+                exps = {int(g): int(n) for g, n in data["exponents"].items()}
+                key, primes = 1, self.key_primes
+                for gid, n in exps.items():
+                    if n < 0 or gid not in primes:
+                        break
+                    key *= primes[gid] ** n
+                else:
+                    return key
+        except (KeyError, TypeError, ValueError, AttributeError):
+            pass
+        return SemigroupElement.from_json(self, data).key()
 
     @cached_property
     def _hash(self) -> int:
@@ -185,11 +284,11 @@ class SemigroupElement:
         self._key = None
 
     @classmethod
-    def _trusted(cls, basis, exponents, coords, key=None) -> "SemigroupElement":
+    def _trusted(cls, basis, exponents, coords, key=None, mag=None) -> "SemigroupElement":
         """An element from already validated parts (sorted positive exponents)."""
         out = object.__new__(cls)
         out.basis, out.exponents, out.coords = basis, exponents, coords
-        out._mag, out._val, out._key = None, None, key
+        out._mag, out._val, out._key = mag, None, key
         return out
 
     def key(self):
@@ -209,14 +308,10 @@ class SemigroupElement:
 
     def embedded_value(self) -> tuple:
         if self._val is None:
-            if self.basis.mode == FREE:
-                by_id, r = self.basis.by_id, self.basis.r
-                acc = [0.0] * r
-                for gid, n in self.exponents:
-                    gv = by_id[gid].value
-                    for k in range(r):
-                        acc[k] += n * gv[k]
-                self._val = tuple(acc)
+            if self.basis.mode == FREE and self.basis.r == 1:
+                self._val = (self.l1(),)  # the same sum (see `SemigroupBasis.magnitude`)
+            elif self.basis.mode == FREE:
+                self._val = self.basis._free_value(self.exponents)
             else:
                 self._val = tuple(float(c) for c in self.coords)
         return self._val
@@ -239,7 +334,10 @@ class SemigroupElement:
         generator order, so equal elements report equal magnitudes however
         they were built."""
         if self._mag is None:
-            self._mag = float(sum(self.embedded_value()))
+            if self.basis.mode == FREE:
+                self._mag = self.basis.magnitude(self.exponents)
+            else:
+                self._mag = float(sum(self.embedded_value()))
         return self._mag
 
     def is_zero(self) -> bool:
@@ -256,15 +354,15 @@ class SemigroupElement:
         if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("elements belong to different bases")
         if self.basis.mode == FREE:
+            key = None
+            if self._key is not None and other._key is not None:
+                key = self._key * other._key
             merged = dict(self.exponents)
             for gid, n in other.exponents:
                 merged[gid] = merged.get(gid, 0) + n
             exps = tuple(merged.items())
             if len(exps) != len(self.exponents):  # a generator new to self
                 exps = tuple(sorted(exps))
-            key = None
-            if self._key is not None and other._key is not None:
-                key = self._key * other._key
             return SemigroupElement._trusted(self.basis, exps, None, key)
         return SemigroupElement._trusted(
             self.basis, None, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -318,25 +416,10 @@ class SemigroupElement:
         try:
             if "exponents" not in data:
                 return basis.element(coords=[parse_frac(s) for s in data["coords"]])
-            exps = data["exponents"]
-            pairs = sorted((int(k), int(v)) for k, v in exps.items())
-            if basis.mode != FREE or (len(pairs) > 1 and len({g for g, _ in pairs}) < len(pairs)):
-                # the errors, and the later of two keys naming one id, as
-                # `basis.element` gives them
-                return basis.element(exponents={int(k): int(v) for k, v in exps.items()})
+            # a dict, so that the later of two keys naming one id counts
+            return basis.element(exponents={int(k): int(v) for k, v in data["exponents"].items()})
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed element JSON: {e}") from e
-        # one sort, then the checks of __init__ in the same order
-        by_id = basis.by_id
-        out = []
-        for gid, n in pairs:
-            if n:
-                if gid not in by_id:
-                    raise ValidationError(f"unknown generator id {gid}")
-                if n < 0:
-                    raise ValidationError("exponents must be nonnegative")
-                out.append((gid, n))
-        return cls._trusted(basis, tuple(out), None)
 
     def __repr__(self):
         if self.basis.mode == FREE:
@@ -442,47 +525,92 @@ def row_end(mags, m: float, limit: float) -> int:
     return j
 
 
+def cutoff(truncation: float) -> float:
+    """The largest magnitude kept under `truncation`: T + 1e-12 (1 + |T|).
+    The slack covers the rounding of float magnitude sums.  Every
+    truncation test (enumeration, products, inversion, and the check that a
+    declared truncation holds) compares against it."""
+    return truncation + 1e-12 * (1.0 + abs(truncation))
+
+
+class KeyedElements(Sequence):
+    """Elements of one basis held by key (`SemigroupElement.key`), with
+    their magnitudes and, over a free basis, exponent maps (or None),
+    index-aligned.  An element is built each time it is read."""
+
+    __slots__ = ("basis", "keys", "mags", "exponents")
+
+    def __init__(self, basis: SemigroupBasis, keys: list, mags: list, exponents=None):
+        self.basis, self.keys, self.mags, self.exponents = basis, keys, mags, exponents
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> "SemigroupElement":
+        exps = None if self.exponents is None else self.exponents[i]
+        return self.basis.key_element(self.keys[i], self.mags[i], exps)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+
 def key_combine(basis: SemigroupBasis):
     """How keys of two elements combine into the key of their sum."""
     return operator.mul if basis.mode == FREE else operator.add
 
 
-def enumerate_monoid(support, truncation: float, cap: int = 200_000):
+def enumerate_monoid(support, truncation: float, cap: int = 200_000) -> KeyedElements:
     """All sums of `support` elements with |.|_1 <= truncation, sorted.
 
     Sorted by (|.|_1, exponent key); includes zero.  `cap` bounds the number
-    of enumerated elements.  The breadth-first search tests membership by
-    element key (`SemigroupElement.key`) and builds each element once, when
-    its key is first reached.
+    of enumerated elements.  `support` is a basis (its generators), a list
+    of elements or a `KeyedElements`.  The breadth-first search runs on
+    element keys: each key reached gets its canonical magnitude once (over
+    a free basis from its exponent map, found from a quotient's), and no
+    element is built until the returned sequence is read.
     """
     if isinstance(support, SemigroupBasis):
-        basis = support
-        support = [basis.generator_element(g.id) for g in basis.generators]
-    if not support:
+        support = [support.generator_element(g.id) for g in support.generators]
+    if not len(support):
         raise ValidationError("empty support")
-    basis = support[0].basis
-    gens = sorted((s for s in support if not s.is_zero()), key=lambda e: e.sort_key())
-    gmags = [s.l1() for s in gens]
-    rows = [(s.key(), s) for s in gens]
-    limit = truncation + 1e-9 * (1.0 + abs(truncation))
+    if not isinstance(support, KeyedElements):
+        basis = support[0].basis
+        support = KeyedElements(basis, [e.key() for e in support], [e.l1() for e in support],
+                                [e.exponents for e in support] if basis.mode == FREE else None)
+    basis = support.basis
+    free = basis.mode == FREE
+    zk, keys, mags = basis.zero_key, support.keys, support.mags
+    exps = {zk: ()}  # free: key -> exponent map, found once per key
+    if free:
+        ties = support.exponents or [basis.key_exponents(k, exps) for k in keys]
+    else:
+        ties = [k.coords for k in keys]
+    gens = sorted((i for i, k in enumerate(keys) if k != zk),  # by sort_key
+                  key=lambda i: (mags[i], ties[i]))
+    gmags = [mags[i] for i in gens]
+    gkeys = [keys[i] for i in gens]
+    limit = cutoff(truncation)
     combine = key_combine(basis)
-    zero = basis.zero()
-    elems = {zero.key(): zero}
-    frontier = [zero]
+    found = {zk: 0.0}  # key -> magnitude
+    frontier = [zk]
     while frontier:
         nxt = []
-        for mu in frontier:
-            mk = mu.key()
-            for sk, s in rows[:row_end(gmags, mu.l1(), limit)]:  # gens sorted by magnitude
+        for mk in frontier:
+            for sk in gkeys[:row_end(gmags, found[mk], limit)]:  # gens sorted by magnitude
                 nu = combine(mk, sk)
-                if nu not in elems:
-                    elems[nu] = e = mu + s
-                    if len(elems) > cap:
+                if nu not in found:
+                    found[nu] = basis.key_magnitude(nu, exps if free else None)
+                    if len(found) > cap:
                         raise CapExceededError(
                             f"monoid enumeration exceeded cap {cap} below cutoff {truncation}")
-                    nxt.append(e)
+                    nxt.append(nu)
         frontier = nxt
-    return sorted(elems.values(), key=lambda e: e.sort_key())
+    order = sorted(found, key=(lambda k: (found[k], exps[k])) if free else
+                   (lambda k: (found[k], k.coords)))
+    return KeyedElements(basis, order, [found[k] for k in order],
+                         [exps[k] for k in order] if free else None)
 
 
 # --- basis factories -------------------------------------------------------
@@ -530,12 +658,13 @@ def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
         raise ValidationError("log elements need a free basis")
     if type(n) is not int or n < 1:
         raise ValidationError(f"log element needs an int n >= 1, got n = {n!r}")
-    labels = basis.label_ids
-    exps = []
+    labels, primes = basis.label_ids, basis.key_primes
+    exps, keyed_by_n = [], True
     for p, k in factorize(n).items():
         gid = labels.get(f"log{p}")
         if gid is None:
             raise ValidationError(f"prime {p} outside basis range")
         exps.append((gid, k))
+        keyed_by_n = keyed_by_n and primes[gid] == p
     exps.sort()
-    return SemigroupElement._trusted(basis, tuple(exps), None)
+    return SemigroupElement._trusted(basis, tuple(exps), None, n if keyed_by_n else None)

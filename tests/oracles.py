@@ -1209,3 +1209,518 @@ def fraction_fourier_motzkin(A, b):
         else:
             x[k] = (lo + hi) / 2
     return True, x
+
+
+# -- the algebra when every term was a SemigroupElement ---------------------
+# Verbatim copies of `enumerate_monoid`, `convolve`, `graded_invert`,
+# `neumann_invert` and `compose_series`, with the private helpers they
+# called, from when the pair kernel ran on element keys but every monoid
+# point and result term was a SemigroupElement: `enumerate_monoid` built one
+# per key it reached, and the kernel recorded the first pair behind each
+# new key (`born`) to build the result's elements.  Names gain an
+# `element_` prefix; the code is otherwise unchanged.
+
+from itertools import repeat  # noqa: E402
+from typing import NamedTuple, Optional  # noqa: E402
+
+from dirichlet_forge.algebra import (  # noqa: E402
+    EXACT, FLOAT, AlgebraElement, CompositionCertificate, NeumannCertificate,
+    NEUMANN_SUPPORT_CAP, _check_bases, _common_den, _gauss_mul, _invert_scalar, _min_trunc,
+    _nonzero, _num_abs, _numerators, _series_majorant, _value, unit)
+from dirichlet_forge.errors import (  # noqa: E402
+    CapExceededError, NeumannInapplicableError, SingularElementError, ValidationError)
+from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero, coeff_to_complex  # noqa: E402
+from dirichlet_forge.semigroup import (  # noqa: E402
+    SemigroupBasis, key_combine, row_end)
+from dirichlet_forge.weights import ONE, WeightFn, one as weight_one  # noqa: E402
+
+
+def element_enumerate_monoid(support, truncation: float, cap: int = 200_000):
+    """All sums of `support` elements with |.|_1 <= truncation, sorted.
+
+    Sorted by (|.|_1, exponent key); includes zero.  `cap` bounds the number
+    of enumerated elements.  The breadth-first search tests membership by
+    element key (`SemigroupElement.key`) and builds each element once, when
+    its key is first reached.
+    """
+    if isinstance(support, SemigroupBasis):
+        basis = support
+        support = [basis.generator_element(g.id) for g in basis.generators]
+    if not support:
+        raise ValidationError("empty support")
+    basis = support[0].basis
+    gens = sorted((s for s in support if not s.is_zero()), key=lambda e: e.sort_key())
+    gmags = [s.l1() for s in gens]
+    rows = [(s.key(), s) for s in gens]
+    limit = truncation + 1e-9 * (1.0 + abs(truncation))
+    combine = key_combine(basis)
+    zero = basis.zero()
+    elems = {zero.key(): zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            mk = mu.key()
+            for sk, s in rows[:row_end(gmags, mu.l1(), limit)]:  # gens sorted by magnitude
+                nu = combine(mk, sk)
+                if nu not in elems:
+                    elems[nu] = e = mu + s
+                    if len(elems) > cap:
+                        raise CapExceededError(
+                            f"monoid enumeration exceeded cap {cap} below cutoff {truncation}")
+                    nxt.append(e)
+        frontier = nxt
+    return sorted(elems.values(), key=lambda e: e.sort_key())
+
+
+def element_convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """(a*b)(lambda) = sum_{lambda'+lambda''=lambda} a(lambda') b(lambda'').
+
+    Finite supports make the sum finite.  If either operand declares a
+    truncation, products beyond min(T_a, T_b) are dropped and the dropped
+    mass (sum of |a||b| over dropped pairs) is recorded in metadata.  The
+    pairs run through `_element_pair_kernel`; the result's terms keep the order in
+    which it first reaches them.
+    """
+    _check_bases(a, b)
+    backend, T, sa, sb, out, born, lost = _element_product(a, b)
+    dropped = a.dropped_mass + b.dropped_mass + lost
+    ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
+    den, gauss = sa.den * sb.den, sa.gauss
+    coeffs = {}
+    for k, v in out.items():
+        if _nonzero(v, gauss):
+            ka, kb = born[k]
+            coeffs[ea[ka] + eb[kb]] = _value(v, den, gauss, backend)
+    return AlgebraElement(a.basis, coeffs, backend, T, dropped, _trusted=True)
+
+
+def _element_product(a: AlgebraElement, b: AlgebraElement):
+    """a * b on keys: (backend, truncation, a's side, b's side, numerators
+    by key, first pair by key, dropped mass)."""
+    backend = EXACT if a.backend == b.backend == EXACT else FLOAT
+    T = _min_trunc(a.truncation, b.truncation)
+    limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
+    cut = limit is not None
+    sa, sb = _element_unify(_element_side(a.coeffs.items(), backend),
+                    _element_side(b.coeffs.items(), backend, by_mag=cut, mags=cut))
+    out, born = {}, {}
+    lost = _element_pair_kernel(zip(sa.keys, sa.mags, sa.vals), sb, limit, out,
+                        key_combine(a.basis), born, sa.den)
+    return backend, T, sa, sb, out, born, lost
+
+
+def _element_weighted_norm(a: AlgebraElement, w: Optional[WeightFn] = None) -> float:
+    """||a||_w = sum |a(lambda)| w(lambda)   (float; norms are analysis-grade)."""
+    if w is None:
+        w = weight_one()
+    return sum(coeff_abs(v) * w.eval(lam) for lam, v in a.coeffs.items())
+
+
+def element_neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
+                   tol: float = 1e-12, max_terms: int = 10_000):
+    """Inverse via the geometric series around a(0), with certified tail.
+
+    Requires q = ||a - a(0) eps||_w / |a(0)| < 1.  Truncates after J terms
+    once the geometric tail q^(J+1) / ((1-q) |a(0)|) < tol.  Returns
+    (element, NeumannCertificate).  A partial sum whose support would grow
+    past NEUMANN_SUPPORT_CAP raises CapExceededError.
+    """
+    if w is None:
+        w = weight_one()
+    a0 = a.constant_term()
+    if coeff_is_zero(a0):
+        raise SingularElementError("constant term vanishes; no inverse in the algebra")
+    rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
+    q = _element_weighted_norm(rest, w) / coeff_abs(a0)
+    if q >= 1.0:
+        raise NeumannInapplicableError(q)
+    inv_a0 = _invert_scalar(a0, a.backend)
+    # b = (1/a0) sum_j u^{*j},  u = eps - a / a0
+    u = rest.scale(inv_a0).negate()
+    powers = _ElementPowers(u)
+    acc = dict(powers.term)  # numerators over powers.den
+    acc_dropped = 0.0
+    cap = NEUMANN_SUPPORT_CAP
+    tail = q / (1.0 - q)  # bound for sum_{j>J} q^j at J=0
+    J = 0
+    while tail / coeff_abs(a0) >= tol:
+        J += 1
+        if J > max_terms:
+            raise CapExceededError(f"Neumann series needs more than {max_terms} terms")
+        term = powers.step()
+        if len(acc) + len(term.keys() - acc.keys()) > cap:
+            raise CapExceededError(
+                f"Neumann support would pass NEUMANN_SUPPORT_CAP = {cap}: {J - 1} terms "
+                f"used, {len(acc)} support elements held")
+        _element_accumulate(acc, term, powers.side.den, powers.side.gauss)
+        acc_dropped += powers.dropped
+        tail *= q
+    elems = powers.elems
+    if a.backend == EXACT:
+        # b = acc * inv_a0 on numerators, one QC per coefficient
+        (nu,), nu_den, nu_gauss = _numerators([inv_a0])
+        acc_gauss = powers.side.gauss
+        gauss = acc_gauss or nu_gauss
+        den = powers.den * nu_den
+        coeffs = {}
+        for k, v in acc.items():
+            if gauss:
+                v = _gauss_mul(v if acc_gauss else (v, 0), nu if nu_gauss else (nu, 0))
+            else:
+                v = v * nu
+            if _nonzero(v, gauss):
+                coeffs[elems[k]] = _value(v, den, gauss, EXACT)
+    else:
+        coeffs = {elems[k]: v * inv_a0 for k, v in acc.items()}
+        coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    b = AlgebraElement(a.basis, coeffs, a.backend, u.truncation if J else None,
+                       acc_dropped * coeff_abs(inv_a0), _trusted=True)
+    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / coeff_abs(a0),
+                              residual_norm=_element_unit_residual(a, b, w), weight=w)
+    return b, cert
+
+
+def _element_unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
+    """||a * b - eps||_w, the norm of `element_convolve(a, b) - eps` taken on keys.
+
+    It skips building the difference, and under the unit weight the
+    product's support elements too, which take longer than the products
+    themselves.  Another weight is evaluated on each product element, as
+    `_element_weighted_norm` does.
+    """
+    backend, _, sa, sb, out, born, _ = _element_product(a, b)
+    zk = a.basis.zero().key()
+    den, gauss = sa.den * sb.den, sa.gauss
+    v0 = out.get(zk, (0, 0) if gauss else 0)
+    out[zk] = (v0[0] - den, v0[1]) if gauss else v0 - den  # eps is den / den
+    weight = None
+    if w.kind != ONE:
+        ea, eb = dict(zip(sa.keys, sa.elems)), dict(zip(sb.keys, sb.elems))
+        weight = {k: w.eval(ea[ka] + eb[kb]) for k, (ka, kb) in born.items()}
+        weight.setdefault(zk, w.eval(a.basis.zero()))
+    total = 0
+    for k, v in out.items():
+        m = coeff_abs(_value(v, den, gauss, backend))
+        if m != 0.0:
+            total += m if weight is None else m * weight[k]
+    return total
+
+
+def element_graded_invert(a: AlgebraElement, truncation: float,
+                  cap: int = 200_000) -> AlgebraElement:
+    """Inverse by recursion in increasing |lambda|_1 over the support monoid.
+
+    b(0) = 1/a(0); for each reachable lambda (a sum of support elements with
+    |lambda|_1 <= truncation, enumerated in increasing magnitude with
+    lexicographic tie-break),
+        b(lambda) = -(1/a(0)) sum_{lambda'+lambda''=lambda, lambda''!=lambda}
+                     a(lambda') b(lambda'').
+    Contributions are pushed forward from each determined b(lambda'') over
+    the magnitude-sorted support, with early break at the cutoff, so the
+    cost is the number of reachable pairs rather than |support| x |monoid|.
+    Exact in the rational backend, on Gaussian integers with no Fraction in
+    the loop (`_element_fraction_free`).
+    """
+    a0 = a.constant_term()
+    if coeff_is_zero(a0):
+        raise SingularElementError("constant term vanishes; no inverse in the algebra")
+    inv_a0 = _invert_scalar(a0, a.backend)
+    zero = a.basis.zero()
+    support = [(lam, v) for lam, v in a.coeffs.items() if not lam.is_zero()]
+    if not support:
+        return AlgebraElement(a.basis, {zero: inv_a0}, a.backend, truncation, _trusted=True)
+    den = _common_den(a.coeffs.values()) if a.backend == EXACT else None
+    side = _element_side(support, a.backend, by_mag=True, den=den)
+    elements = element_enumerate_monoid(side.elems, truncation, cap)
+    limit = truncation + 1e-9 * (1.0 + abs(truncation))
+    if a.backend == EXACT:
+        side, first, solve, finish = _element_fraction_free(a0, den, side, len(elements), limit)
+    else:
+        first, finish = inv_a0, None
+
+        def solve(s):
+            return -(inv_a0 * s)
+
+    acc: dict = {}
+    b: dict = {}
+    gauss = side.gauss
+
+    def outer():
+        for lam in elements:
+            k = lam.key()
+            if lam.is_zero():
+                blam = first
+            else:
+                s = acc.get(k)
+                if s is None:
+                    continue  # not reachable as support-sum (cannot happen by construction)
+                blam = solve(s)
+                b[lam] = blam
+            if _nonzero(blam, gauss):
+                yield k, lam.l1(), blam
+
+    # pairs past the truncation have no part in the inverse: no dropped mass
+    _element_pair_kernel(outer(), side, limit, acc, key_combine(a.basis))
+    out = {zero: inv_a0}
+    for lam, v in b.items():
+        if _nonzero(v, gauss):
+            out[lam] = v if finish is None else finish(v)
+    return AlgebraElement(a.basis, out, a.backend, truncation, _trusted=True)
+
+
+def _element_fraction_free(a0, den: int, side: "_ElementSide", n_elements: int, limit: float):
+    """The exact graded recursion on Gaussian integers.
+
+    With a = alpha / den and 1/alpha(0) = c / n0 (c = 1, n0 = alpha(0) for
+    a real series; c = conj alpha(0), n0 = |alpha(0)|^2 otherwise), the
+    recursion b(lambda) = -(c / n0) sum alpha b runs on beta = n0^H b,
+    where H is at least the longest chain of support steps plus one: then
+    every beta is a Gaussian integer and each division by n0 is exact,
+    which is checked.  Returns the operand in matching form, beta(0), the
+    step s -> beta and the map beta -> QC.
+    """
+    (alpha0,), _, gauss0 = _numerators([a0], den)
+    if gauss0 and not side.gauss:
+        side = side._replace(vals=[(v, 0) for v in side.vals], gauss=True)
+    if side.gauss:
+        a0r, a0i = alpha0 if gauss0 else (alpha0, 0)
+        cr, ci, n0 = a0r, -a0i, a0r * a0r + a0i * a0i
+    else:
+        cr, ci, n0 = 1, 0, alpha0
+    H = 1
+    if abs(n0) != 1:
+        # a chain of k steps below the cutoff has k <= limit / (smallest
+        # support magnitude), and k < n_elements
+        H = n_elements
+        if side.mags[0] > 0.0:
+            H = min(H, int(limit / side.mags[0] * (1.0 + 1e-9)) + 2)
+    scale0 = den * n0 ** (H - 1)
+    nH = n0 ** H
+
+    def divide(t):
+        if abs(n0) == 1:
+            return t * n0
+        quot, rem = divmod(t, n0)
+        if rem:
+            raise AssertionError("element_graded_invert: inexact division by n0")
+        return quot
+
+    if side.gauss:
+        def solve(s):
+            sr, si = s
+            return divide(ci * si - cr * sr), divide(-(cr * si + ci * sr))
+
+        first = (cr * scale0, ci * scale0)
+    else:
+        def solve(s):
+            return divide(-s)
+
+        first = scale0
+    return side, first, solve, lambda v: _value(v, nH, side.gauss, EXACT)
+
+
+class _ElementSide(NamedTuple):
+    """One operand: elements, keys, magnitudes and values, index-aligned."""
+    elems: list
+    keys: list
+    mags: Optional[list]
+    vals: list
+    den: int                 # common denominator of exact numerators; 1 for float
+    gauss: bool              # exact numerators are (re, im) pairs, else ints
+
+
+def _element_side(items, backend: str, by_mag: bool = False, den: Optional[int] = None,
+          mags: bool = True) -> _ElementSide:
+    """Operand from (element, value) pairs, in the given order or stably
+    sorted by magnitude (`by_mag`), with values in the kernel's form for
+    `backend`.  `mags=False` skips reading magnitudes (no cutoff to test)."""
+    items = list(items)
+    if by_mag:
+        items.sort(key=lambda kv: kv[0].l1())
+    elems = [lam for lam, _ in items]
+    vals = [v for _, v in items]
+    ms = [lam.l1() for lam in elems] if mags or by_mag else None
+    keys = [lam.key() for lam in elems]
+    if backend == EXACT:
+        vals, den, gauss = _numerators(vals, den)
+    else:
+        vals, den, gauss = [coeff_to_complex(v) for v in vals], 1, False
+    return _ElementSide(elems, keys, ms, vals, den, gauss)
+
+
+def _element_unify(s1: _ElementSide, s2: _ElementSide):
+    """Both operands in the same numerator form (pairs if either has them)."""
+    if s1.gauss == s2.gauss:
+        return s1, s2
+    if s1.gauss:
+        return s1, s2._replace(vals=[(v, 0) for v in s2.vals], gauss=True)
+    return s1._replace(vals=[(v, 0) for v in s1.vals], gauss=True), s2
+
+
+def _element_pair_kernel(outer, inner: _ElementSide, limit: Optional[float], out: dict, combine,
+                 born: Optional[dict] = None, outer_den: Optional[int] = None) -> float:
+    """out[combine(ka, kb)] += va * vb over the pairs with ma + mb <= limit.
+
+    `outer` yields (key, magnitude, value) and is consumed in order, one
+    term at a time (graded inversion derives each term from `out` as it
+    goes); `inner` is sorted by magnitude unless limit is None (no cutoff).
+    `row_end` finds where each row breaks, by the float sum ma + mb itself.
+    The pairs past it are dropped.  Given `outer_den`, the common
+    denominator of the outer values, their mass (|va| times a suffix sum of
+    |vb|, both as values) is returned; without it, 0.0.  Keys within one
+    row are distinct, so each sum runs in outer order.  `born`, when given,
+    records the first pair (ka, kb) behind every new key, in the order the
+    keys are first reached.
+    """
+    pairs = list(zip(inner.keys, inner.vals))
+    n, gauss, mags = len(pairs), inner.gauss, inner.mags
+    mass = limit is not None and outer_den is not None
+    if mass:
+        tail = [0.0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            tail[j] = tail[j + 1] + _num_abs(inner.vals[j], gauss, inner.den)
+    dropped = 0.0
+    get = out.get
+    for ka, ma, va in outer:
+        row = pairs
+        if limit is not None:
+            j = row_end(mags, ma, limit)
+            if j < n:
+                if mass:
+                    dropped += _num_abs(va, gauss, outer_den) * tail[j]
+                row = pairs[:j]
+        if gauss:
+            ar, ai = va
+            for kb, (br, bi) in row:
+                k = combine(ka, kb)
+                pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                cur = get(k)
+                if cur is None:
+                    out[k] = (pr, pi)
+                    if born is not None:
+                        born[k] = (ka, kb)
+                else:
+                    out[k] = (cur[0] + pr, cur[1] + pi)
+        else:
+            for kb, vb in row:
+                k = combine(ka, kb)
+                p = va * vb
+                cur = get(k)
+                if cur is None:
+                    out[k] = p
+                    if born is not None:
+                        born[k] = (ka, kb)
+                else:
+                    out[k] = cur + p
+    return dropped
+
+
+class _ElementPowers:
+    """u^{*1}, u^{*2}, ... on element keys, for Neumann series and
+    composition.  After `step`, `term` holds the numerators of the current
+    power over `den` (a power of u's denominator), in the order the kernel
+    first reached their keys, and `dropped` its dropped mass as `element_convolve`
+    would carry it.  `elems` maps every key reached to its element, built
+    once when the key is born; it also gives the outer magnitudes."""
+
+    def __init__(self, u: AlgebraElement):
+        T = u.truncation
+        self.limit = None if T is None else T + 1e-12 * (1.0 + abs(T))
+        cut = self.limit is not None
+        self.side = _element_side(u.coeffs.items(), u.backend, by_mag=cut, mags=cut)
+        self.u_elems = dict(zip(self.side.keys, self.side.elems))
+        self.combine = key_combine(u.basis)
+        self.u_dropped = u.dropped_mass
+        zero = u.basis.zero()
+        zk = zero.key()
+        one = 1 + 0j if u.backend == FLOAT else 1
+        self.term = {zk: (one, 0) if self.side.gauss else one}
+        self.elems = {zk: zero}
+        self.den = 1
+        self.dropped = 0.0
+
+    def step(self) -> dict:
+        side, elems = self.side, self.elems
+        if self.limit is None:
+            outer = zip(self.term, repeat(0.0), self.term.values())
+        else:
+            outer = ((k, elems[k].l1(), v) for k, v in self.term.items())
+        nxt, born = {}, {}
+        lost = _element_pair_kernel(outer, side, self.limit, nxt, self.combine, born, self.den)
+        self.dropped = self.dropped + self.u_dropped + lost
+        self.den *= side.den
+        for k, (ka, kb) in born.items():
+            if k not in elems:
+                elems[k] = elems[ka] + self.u_elems[kb]
+        self.term = {k: v for k, v in nxt.items() if _nonzero(v, side.gauss)}
+        return self.term
+
+
+def _element_accumulate(acc: dict, term: dict, den: int, gauss: bool):
+    """acc <- acc * den + term on numerators (acc moves to the next power's
+    denominator first); a float sum is acc + term, as `AlgebraElement.add`."""
+    if den != 1:
+        for k, v in acc.items():
+            acc[k] = (v[0] * den, v[1] * den) if gauss else v * den
+    for k, v in term.items():
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = v
+        else:
+            acc[k] = (cur[0] + v[0], cur[1] + v[1]) if gauss else cur + v
+
+
+def element_compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = None,
+                   tol: float = 1e-12, max_terms: int = 2_000):
+    """c = sum_k f_k (a - c0 eps)^{*k}, truncated by a geometric tail bound.
+
+    Requires q = ||a - c0 eps||_w < radius.  The tail uses the majorant
+    C_K = max_{k<=K} |f_k| R^k (exact for polynomial f, Cauchy-estimate
+    shaped for analytic f): sum_{k>K} |f_k| q^k <= C_K (q/R)^{K+1}/(1-q/R).
+    Returns (element, CompositionCertificate).
+    """
+    if w is None:
+        w = weight_one()
+    u = a.add(unit(a.basis, a.backend).scale(complex(f.center)).negate())
+    q = _element_weighted_norm(u, w)
+    if not q < f.radius:
+        raise PreconditionError(
+            f"composition outside convergence radius: ||a - c0||_w = {q} >= {f.radius}"
+            f" (gap {q - f.radius})")
+    ratio = q / f.radius if math.isfinite(f.radius) else 0.0
+    C = _series_majorant(f)
+    first = unit(a.basis, a.backend).scale(f.coeff(0))
+    acc = {lam.key(): v for lam, v in first.coeffs.items()}
+    backend, dropped, touched = first.backend, first.dropped_mass, False
+    powers = _ElementPowers(u)  # u is float: f.center is complex
+    K = 0
+    while True:
+        if f.finite():
+            # polynomial: sum every term, tail is exactly zero
+            if K >= max(len(f.coeff_list) - 1, 0):
+                tail = 0.0
+                break
+        else:
+            tail = C * ratio ** (K + 1) / (1.0 - ratio) if ratio > 0 else 0.0
+            if tail < tol:
+                break
+        K += 1
+        if K > max_terms:
+            raise CapExceededError(f"composition needs more than {max_terms} terms")
+        power = powers.step()
+        fk = f.coeff(K)
+        if fk != 0:
+            cc = coeff_to_complex(fk)
+            if backend == EXACT:
+                acc = {k: coeff_to_complex(v) for k, v in acc.items()}
+                backend = FLOAT
+            # acc.add(power.scale(fk))
+            _element_accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
+            dropped += powers.dropped * abs(cc)
+            touched = True
+    elems = powers.elems
+    c = AlgebraElement(a.basis, {elems[k]: v for k, v in acc.items() if not coeff_is_zero(v)},
+                       backend, u.truncation if touched else None, dropped, _trusted=True)
+    return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
+

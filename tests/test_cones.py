@@ -227,7 +227,8 @@ def test_dual_cone_matches_fraction_setup(case):
 @settings(max_examples=300, deadline=None)
 def test_span_coordinates_match_fraction_rebuild(case, data):
     """to_coords gives the coordinates, or None outside the span, exactly as
-    rebuilding the vector in Fractions does; the basis rows are equal."""
+    rebuilding the vector in Fractions does; the basis rows are equal, and
+    from_coords rebuilds any rational coordinates to the same Fractions."""
     d, gens = case
     assume(any(any(x != 0 for x in g) for g in gens))
     rows, to_coords, from_coords = cones._span_coordinates(gens)
@@ -243,6 +244,10 @@ def test_span_coordinates_match_fraction_rebuild(case, data):
         assert cs == want_to(v)
         assert cs is None or (all(type(c) is F for c in cs) and from_coords(cs) == want_from(cs))
     assert to_coords(inside) is not None
+    for cs in (data.draw(st.lists(st.one_of(coord, st.integers(-5, 5)), min_size=len(rows),
+                                  max_size=len(rows))), [0] * len(rows)):
+        got = from_coords(cs)
+        assert got == want_from(cs) and all(type(x) is F for x in got)
 
 
 def _neighbourly(d, m):
