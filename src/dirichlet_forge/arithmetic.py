@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .algebra import min_modulus_on_disk
 from .errors import PreconditionError, ValidationError
-from .sieves import primes_upto, spf_sieve
+from .sieves import factorize, primes_upto, spf_sieve
 
 __all__ = [
     "PrimeSystem",
@@ -183,20 +183,8 @@ class MultiplicativeFunction:
         if not (isinstance(n, int) and 1 <= n <= self.system.x):
             raise ValidationError(f"n must be an integer in [1, {self.system.x}]")
         out = Fraction(1)
-        m = n
-        for i, p in enumerate(self.system.primes):
-            if p * p > m:
-                break
-            if m % p == 0:
-                k = 0
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                out = out * self.prime_power(i, k)
-                if out == 0:
-                    return out
-        if m > 1:
-            out = out * self.prime_power(self.system.index_of(m), 1)
+        for p, k in factorize(n).items():
+            out *= self.prime_power(self.system.index_of(p), k)
         return out
 
     def values_up_to(self, limit: Optional[int] = None) -> list:

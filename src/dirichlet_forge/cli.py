@@ -305,7 +305,7 @@ def _cmd_density_search(args):
     else:
         psi = Character.from_json(a.basis, psi_data)
     rep = density.approximate_functional(
-        a, psi, theta=args.theta, budget=int(args.budget), seed=args.seed
+        a, psi, theta=args.theta, budget=args.budget, seed=args.seed
     )
     return rep, 3 if rep.exhausted else 0
 
@@ -317,7 +317,7 @@ def _cmd_kronecker(args):
             betas=inst.betas,
             targets=inst.targets,
             theta=args.theta if args.theta is not None else inst.theta,
-            t_budget=int(args.budget) if args.budget is not None else inst.t_budget,
+            t_budget=args.budget if args.budget is not None else inst.t_budget,
         )
     res = density.kronecker_t(inst)
     return res, 3 if res.exhausted else 0

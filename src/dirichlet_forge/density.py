@@ -14,10 +14,9 @@ bounded-character functional on a finitely supported element: trim the
 support so the neglected mass stays below theta, match moduli through sigma
 and phases through kronecker_t wherever the same gate admits the instance,
 then sweep a sigma ladder in t chunks with Newton from the best point of
-every chunk, and polish with budgeted local simplex refinement.  The same
-kind of precision cap bounds the t of the search.  Success is always
-certified by re-evaluating the distance independently of the search
-internals.
+every chunk.  The same kind of precision cap bounds the t of the search.
+Success is always certified by re-evaluating the distance independently of
+the search internals.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class KroneckerInstance:
             raise ValidationError("theta must be positive")
         object.__setattr__(self, "betas", bs)
         object.__setattr__(self, "targets", tuple(zs))
-        object.__setattr__(self, "t_budget", int(self.t_budget))
+        object.__setattr__(self, "t_budget", _step_budget(self.t_budget))
 
     def to_json(self) -> dict:
         return {"betas": list(self.betas),
@@ -78,8 +77,16 @@ class KroneckerInstance:
                        tuple(complex(z["re"], z["im"]) for z in data["targets"]),
                        float(data.get("theta", 1e-2)),
                        int(data.get("t_budget", 10 ** 6)))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValidationError(f"malformed Kronecker instance JSON: {e}") from e
+
+
+def _step_budget(budget) -> int:
+    """The budget as a whole number of steps; inf and nan have none."""
+    try:
+        return int(budget)
+    except (OverflowError, ValueError) as e:
+        raise ValidationError(f"malformed budget {budget!r}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -380,23 +387,18 @@ def approximate_functional(a: AlgebraElement, psi: Character,
 
     The search, in order, stopping as soon as it is within theta:
     - quick paths: a character that is a point evaluation, and moduli
-      consistent with one sigma, whose phases go to kronecker_t;
-    - a Kronecker-seeded start, with Newton from it, at each sigma that
-      matches one generator's modulus;
-    - a sweep over a fixed sigma ladder in chunks of `CHUNK` t values,
-      running Newton from the best point of every chunk, with a budgeted
-      Nelder-Mead polish after every round and once at the end.
-
-    Kronecker starts are asked for only where `_gate` admits the instance.
-    Where it refuses, kronecker_t would spend its budget on a scan that
-    cannot reach the start's theta, so the start is skipped.  Newton from
-    the sweep's chunks certifies what those starts would have.
+      consistent with one sigma, whose phases go to kronecker_t where
+      `_gate` admits the instance;
+    - a sweep over a fixed sigma ladder (the sigmas matching each
+      generator's modulus first) in chunks of `CHUNK` t values, running
+      Newton from the best point of every chunk.
 
     Float evaluation at s loses about |t| max(mag) 2^-52 of phase, so no
     point with |t| max(mag) 2^-52 > theta / 8 becomes the incumbent (the
     cap kronecker_t uses), and the sweep ends, `exhausted`, when its next
     chunk would start past that t.  Every evaluation counts against the
-    budget, Kronecker steps included.
+    budget, Kronecker steps included; a budget that is not a finite number
+    is a ValidationError.
     """
     if a.basis.r != 1:
         raise PreconditionError("the s-search is one-dimensional; basis must have r = 1")
@@ -404,7 +406,7 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         raise ValidationError("character over a different basis")
     if not theta > 0:
         raise ValidationError("theta must be positive")
-    budget = int(budget)
+    budget = _step_budget(budget)
     flags = []
     target = functional(psi, a)
 
@@ -452,16 +454,6 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     zvals = [vm[g] for g in gen_ids]
     sigma_max = 40.0 / min(betas) if betas else 1.0
 
-    def kronecker_start(phases, theta_k: float, budget_k: int):
-        """kronecker_t's t for the phases, or None when `_gate` refuses the
-        instance: its scan could not reach theta_k, so it is not paid for."""
-        inst = KroneckerInstance(tuple(betas), phases, theta_k, budget_k)
-        if len(betas) > 1 and not _gate(inst)[3]:
-            return None
-        kr = kronecker_t(inst)
-        bud.used += kr.steps
-        return kr.t
-
     def finish():
         s = complex(max(bud.best[1], 0.0), bud.best[2])
         err = abs(evaluate_series(a, s)[0] - target)
@@ -476,10 +468,9 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         if bud.best[0] <= theta:
             return finish()
 
-    # quick path: moduli consistent with a single sigma
-    degree = max((sum(n for _, n in (lam.exponents or ())) for lam in gamma_used),
-                 default=0)
-    mass = float(np.abs(coefs).sum())
+    # quick path: moduli consistent with a single sigma, whose phases go to
+    # kronecker_t where `_gate` admits the instance (where it refuses, the
+    # scan could not reach the instance's theta, so it is not paid for)
     sigma_cands = []
     if betas and all(abs(zv) > 0 for zv in zvals):
         sigs = [min(-math.log(abs(zv)) / bt, sigma_max)
@@ -487,12 +478,16 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         sigma_cands = sorted(set(sigs))
         if max(sigs) - min(sigs) <= 1e-9 * (1.0 + abs(sigs[0])):
             sstar = sigs[0]
-            t = kronecker_start(
-                tuple(zv * cmath.exp(complex(bt * sstar, 0)) / abs(zv * cmath.exp(complex(bt * sstar, 0)))
-                      for bt, zv in zip(betas, zvals)),
-                theta / (1.0 + mass * degree), min(budget - bud.used, max(budget // 4, 1)))
-            if t is not None:
-                bud.eval_one(sstar, t)
+            degree = max(sum(n for _, n in (lam.exponents or ())) for lam in gamma_used)
+            mass = float(np.abs(coefs).sum())
+            units = [zv * math.exp(bt * sstar) for bt, zv in zip(betas, zvals)]
+            inst = KroneckerInstance(tuple(betas), tuple(u / abs(u) for u in units),
+                                     theta / (1.0 + mass * degree),
+                                     min(budget - bud.used, max(budget // 4, 1)))
+            if len(betas) == 1 or _gate(inst)[3]:
+                kr = kronecker_t(inst)
+                bud.used += kr.steps
+                bud.eval_one(sstar, kr.t)
                 if bud.best[0] <= theta:
                     return finish()
     elif betas and all(zv == 0 for zv in zvals):
@@ -500,21 +495,8 @@ def approximate_functional(a: AlgebraElement, psi: Character,
         if bud.best[0] <= theta:
             return finish()
 
-    # kronecker-seeded starts at each moduli-derived sigma; the instance (the
-    # unit phases) does not depend on sigma, so its t is asked for once
-    if sigma_cands and not bud.exhausted() and bud.best[0] > theta:
-        t = kronecker_start(tuple(zv / abs(zv) for zv in zvals),
-                            max(theta / (1.0 + mass * degree), 1e-6),
-                            max(min(20000, budget - bud.used), 1))
-        for sc in sigma_cands:
-            if t is None or bud.exhausted() or bud.best[0] <= theta:
-                break
-            bud.eval_one(sc, t)
-            _newton(bud, mags, coefs, inner_target, complex(sc, t))
-
     # deterministic sweep: fixed sigma ladder, expanding t windows, Newton
-    # from the best point of every chunk and budgeted simplex polish after
-    # every full round; it ends where the t cap starts
+    # from the best point of every chunk; it ends where the t cap starts
     rng = random.Random(seed)
     ladder = sigma_cands + [0.0] + [sigma_max * i / 16.0 for i in range(1, 17)]
     seen = set()
@@ -524,9 +506,7 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     h_t = max(theta / (2.0 * lip + 1.0), 1e-4)
 
     round_no = 0
-    while not bud.exhausted() and bud.best[0] > theta:
-        if h_t * round_no * CHUNK > t_cap:
-            break
+    while not bud.exhausted() and bud.best[0] > theta and h_t * round_no * CHUNK <= t_cap:
         for sg in ladder:
             if bud.exhausted() or bud.best[0] <= theta:
                 break
@@ -535,18 +515,8 @@ def approximate_functional(a: AlgebraElement, psi: Character,
             i = bud.eval_batch(np.full(len(ts), sg), ts)
             if i is not None and bud.best[0] > theta:
                 _newton(bud, mags, coefs, inner_target, complex(sg, ts[i]))
-        if bud.best[0] <= theta or bud.exhausted():
-            break
-        _polish(bud, maxfev=min(256, bud.limit - bud.used))
         round_no += 1
-
-    if bud.best[0] > theta and not bud.exhausted():
-        _polish(bud, maxfev=min(512, bud.limit - bud.used))
     return finish()
-
-
-class _OutOfBudget(Exception):
-    pass
 
 
 def _newton(bud: _Budget, mags, coefs, target: complex, s0: complex,
@@ -574,28 +544,3 @@ def _newton(bud: _Budget, mags, coefs, target: complex, s0: complex,
         s = s - step
         if s.real < 0.0:
             s = complex(0.0, s.imag)
-
-
-def _polish(bud: _Budget, maxfev: int):
-    """Nelder-Mead around the incumbent; sigma < 0 is folded back with a
-    penalty so the result stays in the closed right half plane."""
-    if maxfev <= 2:
-        return
-    from scipy.optimize import minimize
-
-    def obj(x):
-        if bud.exhausted():
-            raise _OutOfBudget
-        sg, t = float(x[0]), float(x[1])
-        pen = 0.0
-        if sg < 0.0:
-            pen = -sg * 10.0
-            sg = 0.0
-        return bud.eval_one(sg, t) + pen
-
-    start = np.array([bud.best[1], bud.best[2]])
-    try:
-        minimize(obj, start, method="Nelder-Mead",
-                 options={"maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14})
-    except _OutOfBudget:
-        pass

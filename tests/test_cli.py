@@ -252,18 +252,41 @@ class TestSubcommands:
         ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": []}'),
         ("kronecker", '{"betas": [1.0], "targets": [null]}'),
         ("kronecker", '{"betas": [1.0], "targets": [{"re": 1.0}]}'),
+        ("kronecker", '{"betas": [1.0], "targets": [{"re": 1.0, "im": 0.0}], '
+                      '"t_budget": 1e400}'),
         ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": true}, '
                          '"values": [{"p": 2, "k": 1, "value": "abc"}]}'),
         ("p3-decompose", '{"system": {"primes": [2], "x": 4, "rational": true}, '
                          '"values": [{"p": 2, "value": "1/2"}]}'),
+    ] + [
+        pytest.param(cmd, (inputs, ("--budget", budget)), id=f"{cmd}-budget-{budget}")
+        for cmd, inputs in (("kronecker", ("kron.json",)),
+                            ("density-search", ("elem.json", "psi.json")))
+        for budget in ("inf", "nan")
     ])
     def test_malformed_input_is_exit_2(self, files, capsys, cmd, payload):
-        p = files.dir / "malformed.json"
-        p.write_text(payload)
-        code, out, _ = invoke(capsys, cmd, str(p))
+        """A string payload is the input file; a pair (fixture names, flags)
+        puts the malformed part in the flags."""
+        if isinstance(payload, str):
+            p = files.dir / "malformed.json"
+            p.write_text(payload)
+            argv = [str(p)]
+        else:
+            argv = [*map(files, payload[0]), *payload[1]]
+        code, out, _ = invoke(capsys, cmd, *argv)
         assert code == 2
         error = json.loads(out)["error"]
         assert error["type"] == "ValidationError" and error["message"].startswith("malformed")
+
+    @pytest.mark.parametrize("cmd, inputs", [
+        ("kronecker", ("kron.json",)),
+        ("density-search", ("elem.json", "psi.json")),
+    ])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_exhausted(self, files, capsys, cmd, inputs, budget):
+        code, out, _ = invoke(capsys, cmd, *map(files, inputs), "--budget", budget)
+        rep = json.loads(out)
+        assert code == 3 and rep["exhausted"] and rep["steps"] == 0
 
     def test_density_search_success(self, files, capsys):
         code, out, _ = invoke(capsys, "density-search", files("elem.json"),

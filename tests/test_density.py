@@ -31,6 +31,12 @@ def test_kronecker_validation():
         KroneckerInstance((1.0,), (1.0, 1.0))      # length mismatch
     with pytest.raises(ValidationError):
         KroneckerInstance((1.0,), (1.0,), theta=0.0)
+    for budget in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            KroneckerInstance((1.0,), (1.0,), t_budget=budget)
+    with pytest.raises(ValidationError):
+        KroneckerInstance.from_json({"betas": [1.0], "targets": [{"re": 1.0, "im": 0.0}],
+                                     "t_budget": 1e400})
 
 
 def test_kronecker_closed_form_minus_one():
@@ -356,27 +362,22 @@ def test_density_asks_kronecker_only_past_the_gate(monkeypatch):
     assert all(len(inst.betas) == 1 or _gate(inst)[3] for inst in asked)
 
 
-def test_density_asks_the_seeded_kronecker_start_once(monkeypatch):
-    """Three sigma candidates share one Kronecker instance (the unit phases of
-    the character values), so it is asked for once, not once per sigma.  A
+def test_density_searches_on_one_path(monkeypatch):
+    """The moduli fit no single sigma, so the search is the sweep with Newton
+    from every chunk alone: no Kronecker start, no simplex polish.  A
     search-certify density op (seed 1, its 36th density op), rounded to 6
-    digits; asking per sigma cost two more 20 000-step scans that returned
-    the same t."""
-    asked = []
+    digits."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the density search has no such stage")
 
-    def recording(inst):
-        asked.append(inst)
-        return kronecker_t(inst)
-
-    monkeypatch.setattr(density, "kronecker_t", recording)
+    monkeypatch.setattr(density, "kronecker_t", forbidden)
+    monkeypatch.setattr("scipy.optimize.minimize", forbidden)
     a, ch = _pinned([59, 6, 32],
                     [0.540716-0.923561j, 0.016127+0.456286j, 0.827495+0.643484j],
                     {2: 0.035078+0.199004j, 3: 0.019042-0.404395j,
                      59: -0.031747-0.826555j})
     rep = approximate_functional(a, ch, 1e-3, 10 ** 6, seed=448)
-    assert len(asked) == 1 and asked[0].t_budget == 20000
-    # the report asking per sigma gave, less its two repeated scans
-    assert rep.steps == 64158 - 2 * 20000 and not rep.exhausted
+    assert rep.steps == 4126 and not rep.exhausted
     assert rep.s == pytest.approx(0.015024922968272863 + 3340.786201848314j, rel=1e-12)
     assert rep.achieved_error < 1e-3
 
@@ -387,6 +388,9 @@ def test_density_validation():
     psi = Character(nb, (0.5, 0.5))
     with pytest.raises(ValidationError):
         approximate_functional(a, psi, 0.0)
+    for budget in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            approximate_functional(a, psi, 1e-2, budget)
     other = log_primes_basis(5)
     with pytest.raises(ValidationError):
         approximate_functional(a, Character(other, (0.5, 0.5, 0.5)), 1e-2)

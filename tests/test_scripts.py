@@ -1,4 +1,4 @@
-"""The demo scripts and the CLI audit run end to end on small arguments."""
+"""The demo scripts and the CLI and density audits run end to end on small arguments."""
 
 import json
 import os
@@ -11,6 +11,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _script(name, *args):
+    """Run scripts/<name> on this checkout's `src`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("argv, line", [
     (["mobius_demo.py", "--limit", "200", "--show", "3"],
      " 0 mismatches against the sieve"),
@@ -19,24 +28,15 @@ ROOT = Path(__file__).resolve().parent.parent
      "independent re-evaluation:"),
 ], ids=["mobius", "extension-roundtrip", "density-search"])
 def test_demo_script_runs(argv, line):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _script(*argv)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout
     assert "(budget exhausted)" not in proc.stdout
 
 
 def test_cli_audit_records_every_distinct_invocation(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = tmp_path / "audit.jsonl"
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_audit.py"),
-                           "--seeds", "1", "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _script("cli_audit.py", "--seeds", 1, "--out", out)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in out.read_text().splitlines()]
     argvs = [tuple(r["argv"]) for r in records]
@@ -47,3 +47,16 @@ def test_cli_audit_records_every_distinct_invocation(tmp_path):
     assert {r["code"] for r in records} == {0, 2, 3}
     assert all(str(tmp_path) not in a for argv in argvs for a in argv)
     assert any(a.startswith("{fixtures}/") for argv in argvs for a in argv)
+
+
+def test_density_audit_records_every_density_op(tmp_path):
+    out = tmp_path / "density.jsonl"
+    proc = _script("density_audit.py", "--seeds", 1, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    # the search-certify schedule has one density op per 7-op cycle, 60 cycles
+    assert [r["index"] for r in records] == list(range(0, 420, 7))
+    assert all(set(r) == {"seed", "index", "steps", "exhausted", "achieved_error", "check"}
+               and r["seed"] == 1 for r in records)
+    assert all(r["check"] and not r["exhausted"] and r["achieved_error"] < 3e-3
+               for r in records)
