@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
-from .exactnum import QC, coeff_abs, coeff_is_zero, coeff_to_complex, format_frac, parse_frac
+from .exactnum import (QC, as_fraction, coeff_abs, coeff_is_zero, coeff_to_complex, format_frac,
+                       parse_frac)
 from .semigroup import (FREE, KeyedElements, SemigroupBasis, SemigroupElement, cutoff,
                         enumerate_monoid, key_combine, row_end)
 from .weights import ONE, WeightFn, one as weight_one
@@ -226,8 +227,8 @@ class AlgebraElement:
                 k = basis.json_key(entry["element"])
                 re, im = entry["re"], entry["im"]
                 if backend == EXACT:
-                    v = QC(parse_frac(re) if isinstance(re, str) else Fraction(re),
-                           parse_frac(im) if isinstance(im, str) else Fraction(im))
+                    v = QC(parse_frac(re) if isinstance(re, str) else as_fraction(re),
+                           parse_frac(im) if isinstance(im, str) else as_fraction(im))
                 else:
                     v = complex(float(re), float(im))
                 size = len(terms)

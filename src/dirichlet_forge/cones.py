@@ -2,13 +2,15 @@
 
 Separation of finite point sets from the origin, dual cones by double
 description, extreme rays, minimal faces, and construction of an independent
-generating set through a prescribed interior direction.  Dual cones are
-computed on primitive integer rays with combinatorial adjacency, without LP,
+generating set through a prescribed interior direction.  A ray is a
+primitive integer tuple (`ratlin.primitive`) throughout: dual cones are
+computed and returned as such rays, with combinatorial adjacency and no LP,
 and their set-up (independent subset, start rays, lineality basis) runs on
 Python ints too; minimal faces and the basis walk read every decision off
-them, and span coordinates are tested on the integer RREF.  The exact
-simplex decides `separate`, `is_pointed`, `RationalCone.contains` and
-`extreme_rays` (the independent route dual cones are checked against).
+them, and span coordinates are tested on the integer RREF.  Fractions are
+made only for the walk's points and the returned vectors and coefficients.
+The exact simplex decides `separate`, `is_pointed`, `RationalCone.contains`
+and `extreme_rays` (the independent route dual cones are checked against).
 Floats appear only at the boundary (measured inputs), where an explicit
 interval policy turns them into exact intervals before any comparison.
 """
@@ -25,15 +27,19 @@ from . import ratlin
 from .errors import CapExceededError, PreconditionError, ValidationError
 from .exactnum import as_fraction, format_frac
 from .exact_lp import feasible_geq_one, fourier_motzkin, nonneg_combination
-from .ratlin import (canonical_ray, dot, independent_subset, integer_inverse,
-                     integer_kernel, integer_rref, integer_scaled, primitive, rank,
-                     vec)
+from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
+                     integer_rref, integer_scaled, primitive, rank, vec)
 
 F = Fraction
 
 
 def _vecs(vs) -> list:
     return [vec(v) for v in vs]
+
+
+def _rays(generators) -> list:
+    """The distinct primitive rays of the nonzero generators, in order."""
+    return list(dict.fromkeys(r for r in map(primitive, generators) if any(r)))
 
 
 def vec_to_json(v) -> list:
@@ -149,8 +155,9 @@ def separate_cross_checked(points) -> SeparationResult:
 @dataclass
 class DualConeResult:
     dim: int
-    rays: tuple          # generating rays of {y : y . g >= 0 for all g}: the
-                         # pointed ones, then +- a lineality basis (dual_cone)
+    rays: tuple          # generating rays of {y : y . g >= 0 for all g} as
+                         # primitive int tuples: the pointed ones, then +- a
+                         # lineality basis (dual_cone)
     lineality_dim: int   # dimension of the contained linear subspace
 
     def to_json(self) -> dict:
@@ -177,13 +184,13 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
     combined only when it is adjacent: the pair has at least r - 2 common
     zeros, and no third ray's zero set contains their common zero set.  The
     lineality basis is read off the integer RREF of B.  No LP runs, and no
-    Fraction is made before the returned rays.
+    Fraction is made.
 
-    rays: the canonical extreme rays of the part inside V, sorted, then +- a
-    canonical basis of the lineality space ker(generators), sorted.  When the
-    generators span Q^dim the dual is pointed and the rays are exactly its
-    canonical extreme rays.  More than DD_RAY_CAP rays raise
-    CapExceededError.
+    rays: the extreme rays of the part inside V as primitive int tuples,
+    sorted, then +- a primitive basis of the lineality space
+    ker(generators), sorted.  When the generators span Q^dim the dual is
+    pointed and the rays are exactly its extreme rays.  More than DD_RAY_CAP
+    rays raise CapExceededError.
     """
     gens = [primitive(g) for g in generators]
     if dim is None:
@@ -203,8 +210,7 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
         lineality = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
         pointed = []
     rays = sorted(pointed) + sorted(lineality + [tuple(-x for x in v) for v in lineality])
-    return DualConeResult(dim=dim, rays=tuple(tuple(F(x) for x in r) for r in rays),
-                          lineality_dim=len(lineality))
+    return DualConeResult(dim=dim, rays=tuple(rays), lineality_dim=len(lineality))
 
 
 def _start_rays(brows):
@@ -213,7 +219,7 @@ def _start_rays(brows):
     row of B but the j-th.  `integer_inverse` of the Gram matrix G = B B^T
     gives s G^-1 with s > 0, a positive multiple of adj(G) (G is positive
     definite), so these are the primitive columns of B^T (B B^T)^-1."""
-    A, _ = integer_inverse([[sum(map(mul, a, b)) for b in brows] for a in brows])
+    A, _ = integer_inverse([[dot(a, b) for b in brows] for a in brows])
     return [primitive([sum(row[j] * b[k] for row, b in zip(A, brows))
                        for k in range(len(brows[0]))])
             for j in range(len(brows))]
@@ -299,61 +305,46 @@ def conv_contains_zero(points):
 
 def is_pointed(generators) -> bool:
     """cone(generators) contains no line iff 0 is outside conv of the
-    (nonzero, canonicalized) generators."""
-    gens = [g for g in _vecs(generators) if any(x != 0 for x in g)]
+    (nonzero, primitive) generators."""
+    gens = _rays(generators)
     if not gens:
         return True
-    inside, _ = conv_contains_zero([canonical_ray(g) for g in gens])
+    inside, _ = conv_contains_zero(gens)
     return not inside
 
 
 def extreme_rays(generators):
-    """Canonical extreme rays of a pointed cone.
+    """Extreme rays of a pointed cone, as sorted primitive int tuples.
 
     Raises PreconditionError when the cone contains a line (extreme rays do
     not generate it then).  A ray is extreme iff it is not a nonnegative
     combination of the other rays.
     """
-    gens = [canonical_ray(g) for g in _vecs(generators) if any(x != 0 for x in g)]
-    gens = list(dict.fromkeys(gens))
+    gens = _rays(generators)
     if not gens:
         return []
     if not is_pointed(gens):
         raise PreconditionError("cone contains a line; no extreme-ray description")
-    out = []
-    for i, g in enumerate(gens):
-        others = gens[:i] + gens[i + 1:]
-        if not others:
-            out.append(g)
-            continue
-        t, _ = nonneg_combination(others, g)
-        if t is None:
-            out.append(g)
-    return sorted(out)
+    return sorted(g for i, g in enumerate(gens) if len(gens) == 1
+                  or nonneg_combination(gens[:i] + gens[i + 1:], g)[0] is None)
 
 
 def extreme_rays_from_dual(generators, dual: DualConeResult):
-    """Canonical extreme rays of a pointed cone, read off its dual cone.
+    """`extreme_rays` of a pointed cone, read off its dual cone.
 
     dual: `dual_cone(generators)`.  Its pointed rays (all but the last
     2 * lineality_dim) are the facet normals of the cone inside its span,
-    of dimension r.  A canonical generator is extreme iff the pointed rays
+    of dimension r.  A primitive generator is extreme iff the pointed rays
     vanishing on it have rank r - 1.  No LP runs; pointedness is the
     caller's precondition (`extreme_rays` checks it, this does not).
     """
-    gens = list(dict.fromkeys(canonical_ray(g) for g in _vecs(generators)
-                              if any(x != 0 for x in g)))
+    gens = _rays(generators)
     if not gens:
         return []
-    # both sides are primitive integer vectors: dot products on numerators
-    pointed = [[x.numerator for x in y] for y in _pointed_rays(dual)]
+    pointed = _pointed_rays(dual)
     r = rank(gens)
-    out = []
-    for g in gens:
-        gi = [x.numerator for x in g]
-        if rank([y for y in pointed if not sum(map(mul, y, gi))]) == r - 1:
-            out.append(g)
-    return sorted(out)
+    return sorted(g for g in gens
+                  if rank([y for y in pointed if not dot(y, g)]) == r - 1)
 
 
 # -- minimal faces ------------------------------------------------------------
@@ -515,8 +506,7 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         """Returns a list of independent coordinate vectors in cone(gcs_cur)
         whose nonnegative span contains eta_cur; dual is dual_cone(gcs_cur),
         or None to compute it here."""
-        gcs_cur = [canonical_ray(g) for g in gcs_cur if any(x != 0 for x in g)]
-        gcs_cur = list(dict.fromkeys(gcs_cur))
+        gcs_cur = _rays(gcs_cur)
         if all(x == 0 for x in eta_cur):
             return []
         if len(gcs_cur) == 1 or rank(gcs_cur) == 1:
@@ -528,9 +518,10 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
             b1 = tuple(lead)
         else:
             b1 = gcs_cur[0]  # deterministic: lowest-index generator
-        # scale b1 onto the slice {y . chi = eta . chi}
-        target = dot(eta_cur, chi)
-        b1k = tuple(x * target / dot(b1, chi) for x in b1)
+        # scale b1 onto the slice {y . chi = eta . chi}; chi and a generator
+        # b1 are ints, so the scale is made a Fraction explicitly
+        scale = F(dot(eta_cur, chi), dot(b1, chi))
+        b1k = tuple(scale * x for x in b1)
         direction = tuple(e - b for e, b in zip(eta_cur, b1k))
         if all(x == 0 for x in direction):
             return [b1]  # eta is on the b1 ray

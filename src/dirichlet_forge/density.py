@@ -132,8 +132,9 @@ def kronecker_t(instance: KroneckerInstance) -> KroneckerResult:
     k = len(betas)
     t0, period1, n_cap, log_scales = _gate(instance)
     if k == 1:
+        # the closed form costs one step, when one is left
         errs = _kron_errors(betas, targets, t0)
-        return KroneckerResult(t0, errs, max(errs), 1, False)
+        return KroneckerResult(t0, errs, max(errs), int(budget > 0), False)
 
     best_err, best_t = math.inf, t0
     steps = 0
@@ -354,11 +355,9 @@ class _Budget:
             self._best_key = key
             self.best = (err, sigma, t)
 
-    def eval_one(self, sigma: float, t: float) -> float:
-        self.used += 1
-        err = self.fn(np.array([sigma]), np.array([t]))[0]
-        self.offer(float(err), sigma, t)
-        return float(err)
+    def eval_one(self, sigma: float, t: float):
+        """Evaluate one point, when the budget allows it."""
+        self.eval_batch(np.array([sigma]), np.array([t]))
 
     def eval_batch(self, sigmas: np.ndarray, ts: np.ndarray):
         """Evaluate as much of the chunk as the budget allows; the index of

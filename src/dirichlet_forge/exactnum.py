@@ -15,12 +15,15 @@ _COERCIBLE = (int, Fraction)
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion; floats convert via their binary expansion."""
+    """Exact conversion; floats convert via their binary expansion, and a
+    non-finite float is a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"not a finite number: {x!r}")
         return Fraction(x)
     if isinstance(x, str):
         return parse_frac(x)
@@ -28,11 +31,15 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_frac(s: str) -> Fraction:
-    """Parse 'num/den' or plain integer strings."""
+    """Parse 'num/den' or plain integer strings; a zero denominator is a
+    ValueError."""
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        den = int(den)
+        if not den:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(int(num), den)
     return Fraction(int(s))
 
 

@@ -38,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .ratlin import (dot, independent_subset, integer_left_kernel, integer_scaled,
-                     invert_matrix, kernel_basis, reduce_modulo_image, vadd, vec,
-                     vscale)
+from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
+                     integer_left_kernel, integer_scaled, kernel_basis,
+                     reduce_modulo_image, vec)
 from .exact_lp import feasible_functional
 from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
                     basis_through_point, dual_cone, extreme_rays_from_dual,
@@ -179,9 +179,10 @@ def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx,
 
     One exact LP feasibility problem in homogeneous form: with U a basis of
     those functionals and v_j the current values, find (tau, t) with
-    tau >= 1 and tau v_j + t . (U gamma_j) >= 0; the move is U t / tau.
+    tau >= 1 and tau v_j + t . (U gamma_j) >= 0; the move is U t / tau.  U
+    is `integer_kernel`'s int basis: its one positive scale only rescales t.
     """
-    U = kernel_basis([list(gamma[i]) for i in fixed_idx])
+    U = integer_kernel([list(gamma[i]) for i in fixed_idx])[0]
     if not U:
         return None
     weak = [(F(fit.values[j]),) + tuple(dot(u, gamma[j]) for u in U) for j in free_idx]
@@ -208,14 +209,16 @@ def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> Vanish
 
     Works in exact quotient coordinates modulo the span of the positive set,
     so the vanishing conditions hold identically, and solves one LP
-    feasibility problem for the remaining sign conditions.
+    feasibility problem for the remaining sign conditions.  The quotient
+    coordinates are int functionals (`integer_kernel`, one positive scale);
+    theta is renormalised to a minimum of 1 on the strict set anyway.
     """
     d = len(gamma[0])
     pos_rows = [list(gamma[i]) for i in sorted(positive_idx)]
     if pos_rows:
-        quot = kernel_basis(pos_rows)       # functionals vanishing on the span
+        quot = integer_kernel(pos_rows)[0]  # functionals vanishing on the span
     else:
-        quot = [tuple(F(1) if j == i else F(0) for j in range(d)) for i in range(d)]
+        quot = [[int(j == i) for j in range(d)] for i in range(d)]
     proj = {i: tuple(dot(q, gamma[i]) for q in quot) for i in range(len(gamma))}
 
     zero_tuple = tuple(sorted(zero_idx))
@@ -239,10 +242,7 @@ def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> Vanish
             "prescribed zero set admits no nonnegative vanishing functional; "
             "a convex combination of the required-positive generators cancels "
             "against the rest")
-    theta = [F(0)] * d
-    for c, q in zip(chi, quot):
-        if c != 0:
-            theta = vadd(theta, vscale(c, q))
+    theta = [dot(chi, col) for col in zip(*quot)]
     values = [dot(theta, g) for g in gamma]
     mn = min(values[i] for i in strict)     # >= 1 by the LP
     theta = tuple(x / mn for x in theta)
@@ -341,32 +341,29 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
         from scipy.optimize import nnls
         M = np.array([[float(y[j]) for y in face_rays] for j in range(d)])
         coeff, _ = nnls(M, np.array(zeta_vec, dtype=float))
-        eta = tuple(F(0) for _ in range(d))
-        for cl, y in zip(coeff, face_rays):
-            eta = vadd(eta, vscale(F(float(cl)).limit_denominator(10 ** 9), y))
-        # nudge into the relative interior so a leading vector survives
-        for y in face_rays:
-            eta = vadd(eta, vscale(F(1, 10 ** 6), y))
+        # the rounded coefficients, nudged into the relative interior so a
+        # leading vector survives
+        w = [F(float(cl)).limit_denominator(10 ** 9) + F(1, 10 ** 6) for cl in coeff]
+        eta = tuple(dot(w, col) for col in zip(*face_rays))
         lead = theta if theta_in_face else None
         gens = list(face_rays) + ([theta] if lead is not None else [])
         walk_vectors = list(basis_through_point(gens, eta, first=lead).vectors)
 
-    order = ([tuple(theta)] if theta_nonzero else []) + walk_vectors + list(dual)
-    seen = set()
-    uniq = [v for v in order if not (tuple(v) in seen or seen.add(tuple(v)))]
+    order = ([theta] if theta_nonzero else []) + walk_vectors + list(dual)
+    uniq = list(dict.fromkeys(map(tuple, order)))
     chosen = independent_subset(uniq)
-    bstar = [tuple(uniq[i]) for i in chosen]
-    dropped = [tuple(v) for i, v in enumerate(uniq) if i not in chosen]
-    if theta_nonzero and walk_vectors and tuple(theta) != tuple(walk_vectors[0]) \
-            and any(tuple(v) in dropped for v in walk_vectors):
+    bstar = [uniq[i] for i in chosen]
+    dropped = [v for i, v in enumerate(uniq) if i not in chosen]
+    if theta_nonzero and walk_vectors and tuple(theta) != walk_vectors[0] \
+            and any(v in dropped for v in walk_vectors):
         flags.append("vanishing functional displaced a walk vector in the basis")
     if len(bstar) != d:
         raise PreconditionError(
             "dual cone is not full-dimensional; generators span a degenerate cone")
 
     scaled, exponents = _integer_rescale(bstar, gamma)
-    binv = invert_matrix([list(r) for r in scaled])
-    basis_vectors = tuple(tuple(binv[j][i] for j in range(d)) for i in range(d))
+    A, s = integer_inverse(scaled)
+    basis_vectors = tuple(tuple(F(A[j][i], s) for j in range(d)) for i in range(d))
 
     theta_on_basis = tuple(dot(theta, b) for b in basis_vectors)
     zeta_on_basis = tuple(sum(z * float(x) for z, x in zip(zeta_vec, b))

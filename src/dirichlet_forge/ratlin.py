@@ -1,4 +1,4 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact rational linear algebra on tuples of ints and Fractions.
 
 Small dense routines (rref, solve, kernel, inverse) — inputs here are
 desk-scale matrices coming from cone and character-extension problems.
@@ -7,8 +7,8 @@ Fractions are made only for the outputs.  The exact simplex in `exact_lp`
 pivots with the same step.  `integer_rref` is the Gauss-Jordan elimination
 on ints, of which `rref` is the quotient by the common scale;
 `independent_subset` is the `pivot_columns` of the vectors taken as
-columns; `primitive` scales a vector to coprime ints, and `canonical_ray`
-is that as Fractions.
+columns; `primitive` scales a vector to coprime ints, the one form of a
+ray in the cone layer.  `dot` of two int vectors is an int.
 """
 
 from __future__ import annotations
@@ -26,21 +26,9 @@ def vec(xs) -> tuple:
     return tuple(as_fraction(x) for x in xs)
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c, v):
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    return tuple(c * a for a in v)
+def dot(u, v):
+    """The exact inner product; an int when both vectors hold ints."""
+    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def integer_pivot(M, r, col, d):
@@ -228,15 +216,6 @@ def integer_inverse(rows):
     return [[sign * x for x in row[n:]] for row in M], sign * d
 
 
-def invert_matrix(rows):
-    """Inverse of a square matrix given as rows, or None if singular."""
-    inv = integer_inverse(rows)
-    if inv is None:
-        return None
-    A, s = inv
-    return [tuple(Fraction(x, s) for x in row) for row in A]
-
-
 def independent_subset(vectors):
     """Greedy indices of a maximal Q-linearly independent subset: vector i
     is kept when it is outside the span of the vectors before it.
@@ -254,22 +233,6 @@ def primitive(v):
     ints = _int_rows([tuple(v)])[0]
     g = gcd(*ints)
     return tuple(a // g for a in ints) if g > 1 else tuple(ints)
-
-
-def canonical_ray(v):
-    """`primitive` as Fractions."""
-    return tuple(Fraction(a) for a in primitive(v))
-
-
-def canonical_line(v):
-    """Like canonical_ray but sign-normalized: first nonzero entry positive."""
-    r = canonical_ray(v)
-    for a in r:
-        if a != 0:
-            if a < 0:
-                return tuple(-x for x in r)
-            break
-    return r
 
 
 # -- integer lattices ---------------------------------------------------------

@@ -229,7 +229,7 @@ def brute_dual_cone(generators, dim=None):
     from dirichlet_forge.cones import DualConeResult
     from dirichlet_forge.errors import ValidationError
     from dirichlet_forge.exactnum import as_fraction
-    from dirichlet_forge.ratlin import canonical_ray, dot, rank
+    from dirichlet_forge.ratlin import dot, rank
     F = Fraction
     gens = [tuple(as_fraction(x) for x in g) for g in generators]
     if dim is None:
@@ -257,8 +257,8 @@ def brute_dual_cone(generators, dim=None):
                 bq = dot(rn, g)
                 comb = tuple(a * x - bq * y for x, y in zip(rn, rp))
                 if any(x != 0 for x in comb):
-                    new.append(canonical_ray(comb))
-        rays = _prune_redundant_rays([canonical_ray(r) for r in new])
+                    new.append(fraction_canonical_ray(comb))
+        rays = _prune_redundant_rays([fraction_canonical_ray(r) for r in new])
     # lineality of the dual = orthogonal complement of the generator span
     lin = dim - rank(gens) if gens else dim
     rays.sort()
@@ -793,7 +793,7 @@ def brute_basis_through_point(generators, eta, first=None):
                                        extreme_rays, is_pointed, separate)
     from dirichlet_forge.errors import PreconditionError, ValidationError
     from dirichlet_forge.exact_lp import nonneg_combination
-    from dirichlet_forge.ratlin import canonical_ray, dot, rank, vec
+    from dirichlet_forge.ratlin import dot, rank, vec
     gens = [g for g in _vecs(generators) if any(x != 0 for x in g)]
     if not gens:
         raise ValidationError("no nonzero generators")
@@ -820,7 +820,7 @@ def brute_basis_through_point(generators, eta, first=None):
     def walk(gcs_cur, eta_cur, lead):
         """Returns a list of independent coordinate vectors in cone(gcs_cur)
         whose nonnegative span contains eta_cur."""
-        gcs_cur = [canonical_ray(g) for g in gcs_cur if any(x != 0 for x in g)]
+        gcs_cur = [fraction_canonical_ray(g) for g in gcs_cur if any(x != 0 for x in g)]
         gcs_cur = list(dict.fromkeys(gcs_cur))
         if all(x == 0 for x in eta_cur):
             return []
@@ -1086,13 +1086,24 @@ def fraction_independent_subset(vectors):
     return chosen
 
 
+def fraction_inverse(rows):
+    """The inverse of a square matrix as Fraction rows, or None if it is
+    singular: `integer_inverse`'s s rows^-1 over s."""
+    from dirichlet_forge.ratlin import integer_inverse
+    inv = integer_inverse(rows)
+    if inv is None:
+        return None
+    A, s = inv
+    return [tuple(Fraction(x, s) for x in row) for row in A]
+
+
 def fraction_dual_cone(generators, dim=None):
     """`cones.dual_cone` with its set-up on Fractions: the start rays are the
-    canonical columns of B^T (B B^T)^-1 from `invert_matrix`, and the
+    canonical columns of B^T (B B^T)^-1 from `fraction_inverse`, and the
     lineality basis is `kernel_basis` of B made canonical."""
     from dirichlet_forge.cones import DualConeResult, _double_description, _vecs
     from dirichlet_forge.errors import ValidationError
-    from dirichlet_forge.ratlin import dot, invert_matrix, kernel_basis
+    from dirichlet_forge.ratlin import dot, kernel_basis
     F = Fraction
     gens = _vecs(generators)
     if dim is None:
@@ -1108,7 +1119,7 @@ def fraction_dual_cone(generators, dim=None):
     brows = [canon[i] for i in basis]
     if brows:
         lineality = [fraction_canonical_ray(v) for v in kernel_basis(brows)]
-        ginv = invert_matrix([[dot(a, b) for b in brows] for a in brows])
+        ginv = fraction_inverse([[dot(a, b) for b in brows] for a in brows])
         start = [fraction_canonical_ray(
                      [sum(ginv[i][j] * b[k] for i, b in enumerate(brows))
                       for k in range(dim)])

@@ -36,6 +36,10 @@ def files(tmp_path):
         cmath.exp(1j * (0.7 + 1.3 * i)) * math.exp(-0.2 * (i % 3))
         for i in range(len(lb.generators))
     )
+    # moduli consistent with one sigma: the search's quick path, where the
+    # one-frequency closed form of kronecker_t answers
+    lb3 = log_primes_basis(3)
+    quick = algebra.from_coeffs(lb3, [(log_element(lb3, 2), 1.0)])
     sys_ = PrimeSystem.rational_primes(10000)
     f_ref = MultiplicativeFunction.from_rule(
         sys_,
@@ -45,6 +49,8 @@ def files(tmp_path):
         "geo.json": geo.to_json(),
         "elem.json": elem.to_json(),
         "psi.json": Character(lb, vals).to_json(),
+        "quick_elem.json": quick.to_json(),
+        "quick_psi.json": Character(lb3, (0.5j, 0.3)).to_json(),
         "one.json": MultiplicativeFunction.one(sys_).to_json(),
         "fref.json": f_ref.to_json(),
         "points.json": {"points": [["1", "0"], ["0", "1"]]},
@@ -245,6 +251,21 @@ class TestSubcommands:
         ("separate", '{"points": 3}'),
         ("separate", '{"points": [["1", "0"], ["1"]]}'),
         ("dual", '{"generators": [[null]]}'),
+        ("dual", '{"generators": [["1/0", "1"]]}'),
+        ("dual", '{"generators": [[Infinity, 1]]}'),
+        ("dual", '{"generators": [[1e400, 1]]}'),
+        ("separate", '{"points": [["1/0", "1"]]}'),
+        ("separate", '{"points": [[Infinity, 1]]}'),
+        ("separate", '{"points": [[1e400, 1]]}'),
+        ("extend-character", '{"dim": 1, "generators": [["1/0"]]}'),
+        ("invert", '{"basis": {"mode": "free", "r": 1, "generators": '
+                   '[{"id": 0, "value": [1.0], "exact": ["1"], "label": "1"}]}, '
+                   '"coeffs": [{"element": {"exponents": {}}, "re": "1/0", "im": "0"}], '
+                   '"backend": "exact"}'),
+        ("invert", '{"basis": {"mode": "free", "r": 1, "generators": '
+                   '[{"id": 0, "value": [1.0], "exact": ["1"], "label": "1"}]}, '
+                   '"coeffs": [{"element": {"exponents": {}}, "re": Infinity, "im": 0}], '
+                   '"backend": "exact"}'),
         ("extend-character", '{"dim": 1, "generators": [["1"]], '
                              '"prescribed": {"0": {"re": "abc", "im": 0}}}'),
         ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": {"0": null}}'),
@@ -258,6 +279,10 @@ class TestSubcommands:
                          '"values": [{"p": 2, "k": 1, "value": "abc"}]}'),
         ("p3-decompose", '{"system": {"primes": [2], "x": 4, "rational": true}, '
                          '"values": [{"p": 2, "value": "1/2"}]}'),
+        ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": true}, '
+                         '"values": [{"p": 2, "k": 1, "value": "1/0"}]}'),
+        ("p3-decompose", '{"system": {"primes": [2], "x": 4, "rational": true}, '
+                         '"values": [{"p": 2, "k": 1, "value": "1/0"}]}'),
     ] + [
         pytest.param(cmd, (inputs, ("--budget", budget)), id=f"{cmd}-budget-{budget}")
         for cmd, inputs in (("kronecker", ("kron.json",)),
@@ -281,6 +306,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("cmd, inputs", [
         ("kronecker", ("kron.json",)),
         ("density-search", ("elem.json", "psi.json")),
+        ("density-search", ("quick_elem.json", "quick_psi.json")),
     ])
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_exhausted(self, files, capsys, cmd, inputs, budget):

@@ -434,3 +434,37 @@ def test_density_random_instances(seed):
     assert abs(rep.achieved_error - check) < 1e-12
     if not rep.exhausted:
         assert rep.achieved_error < 3e-2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["from_s", "quick", "quick_two", "zero", "random"]),
+       st.integers(-5, 40), st.sampled_from([1e-2, 1e-5]), st.integers(0, 10 ** 6))
+def test_every_report_stays_within_its_budget(kind, budget, theta, seed):
+    """steps <= max(budget, 0) on every path of the search, the quick paths
+    and kronecker_t's one-frequency closed form included."""
+    rng = random.Random(seed)
+    nb = log_primes_basis(29)
+    ns = (2,) if kind == "quick" else rng.sample(range(2, 30), rng.randint(1, 4))
+    a = from_coeffs(nb, {log_element(nb, n): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                         for n in ns})
+    k = len(nb.generators)
+    if kind == "from_s":
+        psi = Character.from_s(nb, complex(rng.uniform(0, 2), rng.uniform(-5, 5)))
+    elif kind in ("quick", "quick_two"):
+        # moduli p^-sigma: consistent with one sigma
+        sigma = rng.uniform(0.1, 1.0)
+        psi = Character(nb, tuple(math.exp(-sigma * g.value[0])
+                                  * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                                  for g in nb.generators))
+    elif kind == "zero":
+        psi = Character(nb, (0.0,) * k)
+    else:
+        psi = Character(nb, tuple(math.sqrt(rng.random()) * cmath.exp(1j * rng.uniform(-3, 3))
+                                  for _ in range(k)))
+    rep = approximate_functional(a, psi, theta, budget, seed=seed)
+    assert 0 <= rep.steps <= max(budget, 0)
+    if rep.steps == 0 and rep.gamma_used:
+        assert rep.exhausted
+    betas = tuple(g.value[0] for g in nb.generators[:rng.randint(1, 3)])
+    res = kronecker_t(KroneckerInstance(betas, (1.0,) * len(betas), theta, budget))
+    assert 0 <= res.steps <= max(budget, 0)

@@ -36,6 +36,16 @@ def test_as_fraction_accepts_common_inputs():
     assert as_fraction(0.5) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("x", ["1/0", "-3/0", float("inf"), float("-inf"), float("nan")])
+def test_malformed_numbers_are_value_errors(x):
+    # the JSON readers turn a ValueError into a "malformed" ValidationError
+    with pytest.raises(ValueError):
+        as_fraction(x)
+    if isinstance(x, str):
+        with pytest.raises(ValueError):
+            parse_frac(x)
+
+
 def test_arithmetic_small_cases():
     a = QC(Fraction(1, 2), Fraction(1, 3))
     b = QC(Fraction(2), Fraction(-1))

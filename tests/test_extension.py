@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge import exact_lp
+from dirichlet_forge.cones import basis_through_point, dual_cone
 from dirichlet_forge.errors import PreconditionError, ValidationError
 from dirichlet_forge.extension import (PHASE_TOL, CharacterExtensionProblem,
                                        CharacterExtensionResult, build_dual_basis,
@@ -416,3 +417,43 @@ def test_roundtrip_property(seed):
                 z01 = 0j if zb == 0 else z01 * zb ** e
         prod = r.phi_gamma[0] * r.phi_gamma[1]
         assert abs(z01 - prod) < 1e-9 * (1.0 + abs(prod))
+
+
+_nonneg = st.fractions(min_value=F(0), max_value=F(4), max_denominator=3)
+
+
+@st.composite
+def _orthant_cones(draw):
+    """Nonzero rational generators in the nonnegative orthant of Q^d, d <= 4,
+    and a nonnegative combination of them."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[_nonneg] * d).filter(any), min_size=1, max_size=6))
+    cs = draw(st.lists(_nonneg, min_size=len(gens), max_size=len(gens)))
+    return d, gens, tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(d))
+
+
+def _exact(xs):
+    return all(type(x) in (int, F) for x in xs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), _orthant_cones())
+def test_exact_outputs_hold_no_float(seed, cone):
+    """Dual rays are ints; walk results, dual bases and theta are ints or
+    Fractions, and the walk's coefficients rebuild its point exactly."""
+    d, gens, eta = cone
+    for g in (gens, gens + [tuple(-x for x in gens[0])]):    # pointed, and a line
+        assert all(type(x) is int for r in dual_cone(g, dim=d).rays for x in r)
+    if any(eta):
+        for first in (None, gens[0]):
+            res = basis_through_point(gens, eta, first=first)
+            assert all(_exact(v) for v in res.vectors) and _exact(res.coefficients)
+            assert tuple(sum(c * v[j] for c, v in zip(res.coefficients, res.vectors))
+                         for j in range(d)) == eta
+    try:
+        r = extend_character(_random_roundtrip(seed))
+    except PreconditionError:
+        return
+    assert all(_exact(b) for b in r.basis_vectors)
+    assert all(_exact(row) for row in r.dual_functionals)
+    assert _exact(r.theta_basis)

@@ -5,14 +5,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge.ratlin import (
-    canonical_line,
-    canonical_ray,
     dot,
     independent_subset,
+    integer_inverse,
     integer_left_kernel,
     integer_rref,
     integer_scaled,
-    invert_matrix,
     kernel_basis,
     lll_reduce,
     pivot_columns,
@@ -21,9 +19,6 @@ from dirichlet_forge.ratlin import (
     reduce_modulo_image,
     rref,
     solve,
-    vadd,
-    vscale,
-    vsub,
 )
 from tests.oracles import brute_rref, fraction_independent_subset
 
@@ -70,22 +65,10 @@ def test_kernel_basis_matches_rank():
         assert dot(mat([[0, 0, 1]])[0], v) == 0
 
 
-def test_invert_matrix_known():
-    inv = invert_matrix(mat([[2, 1], [1, 1]]))
-    assert [list(r) for r in inv] == [[F(1), F(-1)], [F(-1), F(2)]]
-    assert invert_matrix(mat([[1, 2], [2, 4]])) is None
-
-
 def test_independent_subset_picks_first_maximal():
     vs = mat([[1, 0], [2, 0], [0, 1], [1, 1]])
     idx = independent_subset(vs)
     assert idx == [0, 2]
-
-
-def test_canonical_ray():
-    assert canonical_ray([F(2, 3), F(4, 3)]) == (F(1), F(2))
-    assert canonical_ray([F(-2), F(-4)]) == (F(-1), F(-2))
-    assert canonical_ray([F(0), F(6)]) == (F(0), F(1))
 
 
 def test_primitive_returns_coprime_ints():
@@ -93,12 +76,6 @@ def test_primitive_returns_coprime_ints():
     assert primitive([0.5, 1.5, 0]) == (1, 3, 0)
     assert primitive([0, 0]) == (0, 0) and primitive([]) == ()
     assert all(type(x) is int for x in primitive([F(6), F(-9)]))
-
-
-def test_canonical_line_fixes_sign():
-    assert canonical_line([F(-1), F(-2)]) == (F(1), F(2))
-    assert canonical_line([F(1), F(2)]) == (F(1), F(2))
-    assert canonical_line([F(0), F(-3)]) == (F(0), F(1))
 
 
 @st.composite
@@ -153,10 +130,9 @@ def test_independent_subset_is_independent_and_spanning(vs):
 
 def test_vector_helpers():
     a, b = [F(1), F(2)], [F(3), F(-1)]
-    assert list(vadd(a, b)) == [F(4), F(1)]
-    assert list(vsub(a, b)) == [F(-2), F(3)]
-    assert list(vscale(F(2), a)) == [F(2), F(4)]
-    assert dot(a, b) == F(1)
+    assert dot(a, b) == F(1) and type(dot(a, b)) is F
+    # int rays give an int, exactly
+    assert dot((1, 2), (3, -1)) == 1 and type(dot((1, 2), (3, -1))) is int
 
 
 # -- fraction-free rref against the Fraction elimination it replaced ----------
@@ -229,8 +205,8 @@ def test_independent_subset_matches_fraction_loop(vectors):
 @settings(max_examples=200, deadline=None)
 def test_kernel_and_inverse_match_fraction_elimination(rows):
     """kernel_basis is 1 on its free column and minus the Fraction RREF's
-    entries on the pivots; invert_matrix of a square block is the right
-    half of the Fraction RREF of [block | I]."""
+    entries on the pivots; integer_inverse of a square block over its scale
+    is the right half of the Fraction RREF of [block | I]."""
     n = len(rows[0])
     red, pivots = brute_rref(rows)
     want = []
@@ -244,7 +220,12 @@ def test_kernel_and_inverse_match_fraction_elimination(rows):
     block = [list(r[:k]) for r in rows[:k]]
     red, pivots = brute_rref([r + [F(int(i == j)) for j in range(k)] for i, r in enumerate(block)])
     want = [tuple(r[k:]) for r in red] if pivots[:k] == list(range(k)) else None
-    assert invert_matrix(block) == want
+    inv = integer_inverse(block)
+    if inv is None:
+        assert want is None
+    else:
+        A, s = inv
+        assert s > 0 and [tuple(F(x, s) for x in row) for row in A] == want
 
 
 @given(st.one_of(matrices(max_n=6), deficient_matrices(), st.just([])))
