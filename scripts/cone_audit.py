@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Record what every op of the cone-extend benchmark returns.
+
+    PYTHONPATH=src python3 scripts/cone_audit.py --seeds 1 2 3 --out cone.jsonl
+
+For each seed, the cone-extend schedule of `bench/workloads.py` is replayed
+in order, as the benchmark runs it: round-trips, separations, and each dual
+op followed by its double dual, which reads the rays the dual op stored.
+One JSON line per op holds the seed, the op's index in the schedule, its
+kind, `check`, the workload's own verdict on the output, and `sha256`, the
+digest of `cli._dumps(output)` or, when the op raises, of the error's type
+and message.  Two library versions compute alike when their audit files are
+identical: run the script once with each version's `src` on PYTHONPATH and
+`diff` the files.  `bench/` is only imported.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+# one BLAS thread, as in the benchmark, so sums round the same way every run
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import workloads  # noqa: E402
+from dirichlet_forge import cli  # noqa: E402
+
+
+def audit(seed: int) -> list:
+    """One record per op of the seed's schedule, in schedule order."""
+    w = workloads.ConeExtend()
+    records = []
+    for index, op in enumerate(w.schedule(seed)):
+        try:
+            out = w.run(op)
+        except Exception as e:  # a failed op is recorded by its error
+            check, text = False, f"{type(e).__name__}: {e}"
+        else:
+            text = cli._dumps(out)
+            try:
+                check = bool(w.check(op, out))
+            except Exception:  # a check that cannot run counts as failed
+                check = False
+        records.append({"seed": seed, "index": index, "kind": op[0], "check": check,
+                        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
+    return records
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--out", required=True, help="JSON-lines file to write")
+    args = ap.parse_args()
+    records = [r for seed in args.seeds for r in audit(seed)]
+    Path(args.out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+                              encoding="utf-8")
+    print(f"{len(records)} cone-extend ops over seeds {args.seeds}: "
+          f"{sum(r['check'] for r in records)} pass their check -> {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
-from .exactnum import (QC, as_fraction, coeff_abs, coeff_is_zero, coeff_to_complex, format_frac,
-                       parse_frac)
+from .exactnum import QC, as_fraction, format_frac, parse_frac
 from .semigroup import (FREE, KeyedElements, SemigroupBasis, SemigroupElement, cutoff,
                         enumerate_monoid, key_combine, row_end)
 from .weights import ONE, WeightFn, one as weight_one
@@ -43,7 +42,7 @@ FLOAT = "float"
 def _coerce(value, backend):
     if backend == EXACT:
         return QC.from_value(value)
-    return coeff_to_complex(value)
+    return complex(value)
 
 
 class AlgebraElement:
@@ -74,7 +73,7 @@ class AlgebraElement:
                 if limit is not None and lam.l1() > limit:
                     raise ValidationError("support element beyond declared truncation")
                 cv = _coerce(v, backend)
-                if not coeff_is_zero(cv):
+                if cv != 0:
                     clean[lam] = cv
             coeffs = clean
         self.basis, self.backend, self.dropped_mass = basis, backend, float(dropped_mass)
@@ -167,7 +166,7 @@ class AlgebraElement:
             cur = out.get(k)
             if cur is not None:
                 v = cur + v
-                if coeff_is_zero(v):
+                if v == 0:
                     del out[k]
                     continue
             out[k] = v
@@ -188,10 +187,10 @@ class AlgebraElement:
         out = {}
         for k, v in _terms_in(self, backend).items():
             nv = v * mul
-            if not coeff_is_zero(nv):
+            if nv != 0:
                 out[k] = nv
         return AlgebraElement._keyed(self.basis, out, backend, self.truncation,
-                                     self.dropped_mass * coeff_abs(cc), self._mags, self._exps)
+                                     self.dropped_mass * abs(cc), self._mags, self._exps)
 
     def negate(self) -> "AlgebraElement":
         return self.scale(-1)
@@ -239,7 +238,7 @@ class AlgebraElement:
                     mags[k] = basis.key_magnitude(k, exps)
                     if mags[k] > limit:
                         raise ValidationError("support element beyond declared truncation")
-                if coeff_is_zero(v):
+                if v == 0:
                     zeros.append(k)
             for k in zeros:
                 del terms[k]
@@ -325,7 +324,7 @@ def weighted_norm(a: AlgebraElement, w: Optional[WeightFn] = None) -> float:
     if w is None:
         w = weight_one()
     mags = None if w.kind == ONE else a._magnitudes()  # the unit weight is 1.0
-    return sum(coeff_abs(v) * (1.0 if mags is None else w.eval_mag(mags[k]))
+    return sum(abs(v) * (1.0 if mags is None else w.eval_mag(mags[k]))
                for k, v in a.terms.items())
 
 
@@ -347,7 +346,7 @@ def evaluate_series(a: AlgebraElement, s, w: Optional[WeightFn] = None,
     sv = _s_vector(a.basis, s)
     total = 0j
     for lam in a.support():
-        total += coeff_to_complex(a.coeffs[lam]) * _char_exp(lam, sv)
+        total += complex(a.coeffs[lam]) * _char_exp(lam, sv)
     tail = None
     if all(z.real >= 0 for z in sv):
         if w is None:
@@ -355,7 +354,7 @@ def evaluate_series(a: AlgebraElement, s, w: Optional[WeightFn] = None,
         if ell is None:
             ell = a.truncation if a.truncation is not None else max(
                 (lam.l1() for lam in a.coeffs), default=0.0)
-        mass = sum(coeff_abs(v) * w.eval(lam) for lam, v in a.coeffs.items()
+        mass = sum(abs(v) * w.eval(lam) for lam, v in a.coeffs.items()
                    if lam.l1() >= ell - 1e-12)
         tail = TailBound(cutoff=float(ell), bound=mass / w.eval_mag(float(ell)), weight=w)
     return total, tail
@@ -409,10 +408,10 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     if w is None:
         w = weight_one()
     a0 = a.constant_term()
-    if coeff_is_zero(a0):
+    if a0 == 0:
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
-    q = weighted_norm(rest, w) / coeff_abs(a0)
+    q = weighted_norm(rest, w) / abs(a0)
     if q >= 1.0:
         raise NeumannInapplicableError(q)
     inv_a0 = _invert_scalar(a0, a.backend)
@@ -424,7 +423,7 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     cap = NEUMANN_SUPPORT_CAP
     tail = q / (1.0 - q)  # bound for sum_{j>J} q^j at J=0
     J = 0
-    while tail / coeff_abs(a0) >= tol:
+    while tail / abs(a0) >= tol:
         J += 1
         if J > max_terms:
             raise CapExceededError(f"Neumann series needs more than {max_terms} terms")
@@ -454,8 +453,8 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
         terms = {k: v * inv_a0 for k, v in acc.items()}
         terms = {k: v for k, v in terms.items() if v != 0}
     b = AlgebraElement._keyed(a.basis, terms, a.backend, u.truncation if J else None,
-                              acc_dropped * coeff_abs(inv_a0), powers.mags)
-    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / coeff_abs(a0),
+                              acc_dropped * abs(inv_a0), powers.mags)
+    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / abs(a0),
                               residual_norm=_unit_residual(a, b, w), weight=w)
     return b, cert
 
@@ -474,7 +473,7 @@ def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
     mag = None if w.kind == ONE else a.basis.key_magnitude
     total = 0
     for k, v in out.items():
-        m = abs(v) if backend == FLOAT else coeff_abs(_value(v, den, gauss, backend))
+        m = abs(v) if backend == FLOAT else abs(_value(v, den, gauss, backend))
         if m != 0.0:
             total += m if mag is None else m * w.eval_mag(mag(k))
     return total
@@ -483,7 +482,7 @@ def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
 def _invert_scalar(v, backend):
     if backend == EXACT:
         return QC(1) / QC.from_value(v)
-    return 1.0 / coeff_to_complex(v)
+    return 1.0 / complex(v)
 
 
 def graded_invert(a: AlgebraElement, truncation: float,
@@ -502,7 +501,7 @@ def graded_invert(a: AlgebraElement, truncation: float,
     the loop (`_fraction_free`).
     """
     a0 = a.constant_term()
-    if coeff_is_zero(a0):
+    if a0 == 0:
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     inv_a0 = _invert_scalar(a0, a.backend)
     zk = a.basis.zero_key
@@ -878,7 +877,7 @@ def _half_plane_min(a: AlgebraElement, grid: GridSpec):
     sig = np.linspace(0.0, grid.sigma_max, grid.n_sigma)
     ts = np.linspace(-grid.t_max, grid.t_max, grid.n_t)
     mu = np.array([sum(lam.embedded_value()) for lam in a.coeffs], dtype=float)
-    c = np.array([coeff_to_complex(v) for v in a.coeffs.values()], dtype=complex)
+    c = np.array([complex(v) for v in a.coeffs.values()], dtype=complex)
     vals = np.zeros((sig.size, ts.size), dtype=complex)
     block = max(1, _HALF_PLANE_BLOCK // (sig.size + ts.size))
     for lo in range(0, mu.size, block):
@@ -894,7 +893,7 @@ def _disk_witness(a: AlgebraElement, grid: GridSpec) -> WitnessReport:
     coeffs: dict[int, complex] = {}
     for lam, v in a.coeffs.items():
         n = dict(lam.exponents).get(gid, 0)
-        coeffs[n] = coeffs.get(n, 0j) + coeff_to_complex(v)
+        coeffs[n] = coeffs.get(n, 0j) + complex(v)
     d = _disk_minimum(coeffs, grid.disk_step, grid.disk_boundary)
     return WitnessReport(min_modulus=d.minimum, argmin_s=d.argmin,
                          certified=d.lower_bound > 0.0, lower_bound=d.lower_bound,
@@ -1009,15 +1008,15 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
         power = powers.step()
         fk = f.coeff(K)
         if fk != 0:
-            cc = coeff_to_complex(fk)
+            cc = complex(fk)
             if backend == EXACT:
-                acc = {k: coeff_to_complex(v) for k, v in acc.items()}
+                acc = {k: complex(v) for k, v in acc.items()}
                 backend = FLOAT
             # acc.add(power.scale(fk))
             _accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
             dropped += powers.dropped * abs(cc)
             touched = True
-    c = AlgebraElement._keyed(a.basis, {k: v for k, v in acc.items() if not coeff_is_zero(v)},
+    c = AlgebraElement._keyed(a.basis, {k: v for k, v in acc.items() if v != 0},
                               backend, u.truncation if touched else None, dropped, powers.mags)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 

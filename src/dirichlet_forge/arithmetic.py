@@ -64,9 +64,16 @@ class PrimeSystem:
         if self.primes and self.primes[-1] > self.x:
             raise ValidationError("largest prime exceeds the truncation bound")
         if self.rational:
-            for p in self.primes:
-                if not (isinstance(p, int) and p >= 2):
-                    raise ValidationError("rational system requires integer primes")
+            if not all(isinstance(p, int) and p >= 2 for p in self.primes):
+                raise ValidationError("rational system requires integer primes")
+            # one sieve where it costs no more than trial division of each entry
+            top = self.primes[-1] if self.primes else 1
+            if top <= len(self.primes) * math.isqrt(top):
+                composite = set(self.primes).difference(primes_upto(top))
+            else:
+                composite = {p for p in self.primes if factorize(p) != {p: 1}}
+            if composite:
+                raise ValidationError(f"rational system entry {min(composite)} is not a prime")
         # position of each prime, built once for index_of
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.primes)})
 
@@ -95,14 +102,10 @@ class PrimeSystem:
     def iter_prime_powers(self):
         """Yield (index, k, p^k) for every prime power <= x, k >= 1."""
         for i, p in enumerate(self.primes):
-            v = p
-            k = 1
-            while True:
-                yield i, k, v
-                if v * p > self.x * (1 + 1e-12):
-                    break
+            v = 1
+            for k in range(1, self.max_power(i) + 1):
                 v *= p
-                k += 1
+                yield i, k, v
 
     def to_json(self) -> dict:
         return {
@@ -191,7 +194,8 @@ class MultiplicativeFunction:
         """List v with v[n] = f(n) for 0 <= n <= limit (v[0] = 0).
 
         Rational systems only; materializes via a smallest-prime-factor
-        sieve so the cost is O(limit log limit).
+        sieve so the cost is O(limit log limit).  A prime <= limit that the
+        system lacks raises PreconditionError.
         """
         if not self.system.rational:
             raise PreconditionError(
@@ -201,17 +205,22 @@ class MultiplicativeFunction:
         if N > self.system.x:
             raise ValidationError("limit exceeds the system truncation")
         spf = spf_sieve(N)
-        idx = {p: i for i, p in enumerate(self.system.primes)}
+        idx = self.system._index
         vals: list = [Fraction(0)] * (N + 1)
         if N >= 1:
             vals[1] = Fraction(1)
         for n in range(2, N + 1):
             p = spf[n]
+            i = idx.get(p)
+            if i is None:  # then n = p, the smallest prime the system lacks
+                raise PreconditionError(
+                    f"the system lacks the prime {p} <= {N}; values up to {N} "
+                    "need every prime up to it")
             k, m = 0, n
             while m % p == 0:
                 m //= p
                 k += 1
-            vals[n] = vals[m] * self.prime_power(idx[p], k)
+            vals[n] = vals[m] * self.prime_power(i, k)
         return vals
 
     # --- factories ---

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ValidationError, BasisMismatchError
-from .exactnum import coeff_to_complex
 from .semigroup import SemigroupBasis, SemigroupElement, FREE
 from .algebra import AlgebraElement, _char_exp, _s_vector
 from .weights import WeightFn
@@ -118,7 +117,7 @@ def functional(psi: Character, a: AlgebraElement) -> complex:
         raise BasisMismatchError("element and character over different bases")
     total = 0j
     for lam in a.support():
-        total += coeff_to_complex(a.coeffs[lam]) * psi.apply(lam)
+        total += complex(a.coeffs[lam]) * psi.apply(lam)
     return total
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import ratlin
 from .errors import CapExceededError, PreconditionError, ValidationError
-from .exactnum import as_fraction, format_frac
+from .exactnum import format_frac
 from .exact_lp import feasible_geq_one, fourier_motzkin, nonneg_combination
 from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
                      integer_rref, integer_scaled, primitive, rank, vec)
@@ -64,10 +64,7 @@ class RationalCone:
         object.__setattr__(self, "generators", gens)
 
     def contains(self, x) -> bool:
-        xv = vec(x)
-        if not self.generators:
-            return all(v == 0 for v in xv)
-        t, _ = nonneg_combination(self.generators, xv)
+        t, _ = nonneg_combination(self.generators, vec(x))
         return t is not None
 
     def to_json(self) -> dict:
@@ -127,10 +124,7 @@ def separate(points) -> SeparationResult:
         return SeparationResult(zero_coefficients=tuple(ci / total for ci in coeffs))
     rho, coeffs = feasible_geq_one(pts)
     if rho is not None:
-        vals = [dot(rho, p) for p in pts]
-        mn = min(vals)
-        rho = tuple(r / mn for r in rho)  # canonical: min value exactly 1
-        return SeparationResult(functional=rho)
+        return SeparationResult(functional=tuple(rho))
     return SeparationResult(zero_coefficients=tuple(coeffs))
 
 
@@ -197,6 +191,8 @@ def dual_cone(generators, dim: Optional[int] = None) -> DualConeResult:
         if not gens:
             raise ValidationError("need generators or an explicit dimension")
         dim = len(gens[0])
+    elif isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise ValidationError(f"dimension must be a nonnegative integer, not {dim!r}")
     for g in gens:
         if len(g) != dim:
             raise ValidationError("generator dimension mismatch")
@@ -321,12 +317,10 @@ def extreme_rays(generators):
     combination of the other rays.
     """
     gens = _rays(generators)
-    if not gens:
-        return []
     if not is_pointed(gens):
         raise PreconditionError("cone contains a line; no extreme-ray description")
-    return sorted(g for i, g in enumerate(gens) if len(gens) == 1
-                  or nonneg_combination(gens[:i] + gens[i + 1:], g)[0] is None)
+    return sorted(g for i, g in enumerate(gens)
+                  if nonneg_combination(gens[:i] + gens[i + 1:], g)[0] is None)
 
 
 def extreme_rays_from_dual(generators, dual: DualConeResult):
@@ -339,8 +333,6 @@ def extreme_rays_from_dual(generators, dual: DualConeResult):
     caller's precondition (`extreme_rays` checks it, this does not).
     """
     gens = _rays(generators)
-    if not gens:
-        return []
     pointed = _pointed_rays(dual)
     r = rank(gens)
     return sorted(g for g in gens
@@ -356,6 +348,25 @@ def extreme_rays_from_dual(generators, dual: DualConeResult):
 # larger face, and flags it.
 TIGHT_RUNG = F(1, 10 ** 12)
 LOOSE_RUNG = F(1, 10 ** 7)
+
+
+def tight_normals(normals, x):
+    """(tight, n_ambiguous): the int normals n with |n . x| <= R sum|n|
+    (max|x| + 1) at R = TIGHT_RUNG, and the count of the others that pass at
+    LOOSE_RUNG.  The float point x is read exactly as w / den
+    (`integer_scaled`), so the test runs on ints:
+    |n . w| R.denominator <= sum|n| (max|w| + den) R.numerator."""
+    w, den = integer_scaled(x)
+    scale = max(map(abs, w), default=0) + den
+    tight, ambiguous = [], 0
+    for nv in normals:
+        val = abs(dot(nv, w))
+        bound = sum(map(abs, nv)) * scale
+        if val * TIGHT_RUNG.denominator <= bound * TIGHT_RUNG.numerator:
+            tight.append(nv)
+        elif val * LOOSE_RUNG.denominator <= bound * LOOSE_RUNG.numerator:
+            ambiguous += 1  # resolved toward non-tight: the larger face
+    return tight, ambiguous
 
 
 @dataclass
@@ -381,13 +392,13 @@ def minimal_face_containing(cone: RationalCone, x, exact: Optional[bool] = None)
     lineality rays included) tight at x vanishes; x lies in its relative
     interior.  Exact rational x: a ray is tight when it is 0 at x, and a
     negative value means x is outside the cone.  Float x (exact=False or
-    float entries): tightness on the interval hull of x, two-rung policy above.
+    float entries): `tight_normals`, the two-rung policy above.
     """
     gens = list(cone.generators)
     if exact is None:
         exact = not any(isinstance(v, float) for v in x)
     dual = dual_cone(gens, cone.dim)
-    ambiguous = False
+    ambiguous = 0
     if exact:
         xv = vec(x)
         if all(v == 0 for v in xv):
@@ -397,21 +408,11 @@ def minimal_face_containing(cone: RationalCone, x, exact: Optional[bool] = None)
             raise PreconditionError("x is not in the cone")
         tight = [nv for nv, v in zip(dual.rays, vals) if v == 0]
     else:
-        # exact intervals around the measured coordinates
-        xf = [as_fraction(float(v)) for v in x]
-        scale = max((abs(v) for v in xf), default=F(0)) + F(1)
-        tight = []
-        for nv in dual.rays:
-            val = abs(dot(nv, xf))
-            bound = sum(abs(c) for c in nv) * scale
-            if val <= TIGHT_RUNG * bound:
-                tight.append(nv)
-            elif val <= LOOSE_RUNG * bound:
-                ambiguous = True  # resolved toward non-tight: the larger face
+        tight, ambiguous = tight_normals(dual.rays, [float(v) for v in x])
     idx = tuple(i for i, g in enumerate(gens)
                 if all(dot(nv, g) == 0 for nv in tight))
     return FaceResult(idx, tuple(gens[i] for i in idx), tuple(tight),
-                      ambiguous=ambiguous,
+                      ambiguous=ambiguous > 0,
                       note="interval policy on float input" if ambiguous else "")
 
 
@@ -554,17 +555,13 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         return [b1] + sub
 
     vecs_c = walk(gcs, eta_c, first_c, top)
-    # complete to a basis of the span by extreme rays
-    extended = []
-    if rank(vecs_c) < ell:
-        for r in extreme_rays_from_dual(gcs, top):
-            if rank(vecs_c + [r]) > rank(vecs_c):
-                extended.append(len(vecs_c))
-                vecs_c.append(r)
-            if rank(vecs_c) == ell:
-                break
-    if rank(vecs_c) != len(vecs_c):
+    # complete to a basis of the span by extreme rays, greedily
+    k = len(vecs_c)
+    vecs_c += extreme_rays_from_dual(gcs, top) if k < ell else []
+    keep = independent_subset(vecs_c)
+    if keep[:k] != list(range(k)):
         raise AssertionError("walk produced dependent vectors")
+    vecs_c = [vecs_c[i] for i in keep]
     # eta coefficients over the final independent set (unique)
     rows = [[vecs_c[i][j] for i in range(len(vecs_c))] for j in range(ell)]
     coeff = ratlin.solve(rows, list(eta_c))
@@ -572,4 +569,4 @@ def basis_through_point(generators, eta, first=None) -> ConeBasisResult:
         raise AssertionError("eta left the cone of the walk output")
     vecs = tuple(from_coords(v) for v in vecs_c)
     return ConeBasisResult(vectors=vecs, coefficients=tuple(coeff),
-                           extended=tuple(extended))
+                           extended=tuple(range(k, len(keep))))

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .algebra import AlgebraElement, coeff_abs, coeff_to_complex, evaluate_series
+from .algebra import AlgebraElement, evaluate_series
 from .characters import FROM_S, Character, functional
 from .ratlin import lll_reduce
 
@@ -48,11 +48,13 @@ class KroneckerInstance:
 
     def __post_init__(self):
         bs = tuple(float(b) for b in self.betas)
-        if not bs or any(b <= 0 for b in bs):
-            raise ValidationError("betas must be positive")
+        if not bs or not all(0 < b < math.inf for b in bs):
+            raise ValidationError("betas must be positive and finite")
         zs = []
         for z in self.targets:
             z = complex(z)
+            if not cmath.isfinite(z):
+                raise ValidationError(f"target {z} is not finite")
             m = abs(z)
             if abs(m - 1.0) > 1e-9:
                 raise ValidationError(f"target {z} is not unimodular")
@@ -413,7 +415,7 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     items = sorted(a.coeffs.items(), key=lambda kv: kv[0].sort_key())
     dropped_mass, cut = 0.0, len(items)
     while cut > 0:
-        m = coeff_abs(items[cut - 1][1])
+        m = abs(items[cut - 1][1])
         if dropped_mass + m >= theta:
             break
         dropped_mass += m
@@ -432,7 +434,7 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     inner_target = functional(psi, trimmed)
 
     mags = np.array([lam.embedded_value()[0] for lam, _ in kept])
-    coefs = np.array([coeff_to_complex(v) for _, v in kept])
+    coefs = np.array([complex(v) for _, v in kept])
 
     def inner_err(sigmas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         ss = sigmas + 1j * ts

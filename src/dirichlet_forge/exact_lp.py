@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import CapExceededError
 from .exactnum import as_fraction
-from .ratlin import integer_pivot, integer_scaled, pivot_row
+from .ratlin import dot, integer_pivot, integer_scaled, pivot_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,11 +60,6 @@ def solve_standard(c, A, b) -> LPResult:
     for row in rows:
         if len(row) != n:
             raise ValueError("ragged constraint matrix")
-
-    if m == 0:
-        if any(cj > 0 for cj in c):
-            return LPResult(UNBOUNDED, x=[Fraction(0)] * n)
-        return LPResult(OPTIMAL, x=[Fraction(0)] * n, objective=Fraction(0))
 
     # Row signs flipped so the rhs is nonnegative; remembered for certificates.
     signs = [-1 if v < 0 else 1 for v in rhs]
@@ -136,14 +131,9 @@ def solve_standard(c, A, b) -> LPResult:
                 redundant.append(i)  # 0 = 0 row
             else:
                 pivot(i, col)
-    if redundant:
-        for i in sorted(redundant, reverse=True):
-            del M[i]
-            del basis[i]
-        if not M:
-            if any(cj > 0 for cj in c):
-                return LPResult(UNBOUNDED, x=[Fraction(0)] * n)
-            return LPResult(OPTIMAL, x=[Fraction(0)] * n, objective=Fraction(0))
+    for i in reversed(redundant):
+        del M[i]
+        del basis[i]
 
     # Phase 2: original objective (times the lcm of its denominators),
     # artificial columns barred from entering.
@@ -156,7 +146,7 @@ def solve_standard(c, A, b) -> LPResult:
             x[basis[i]] = Fraction(row[-1], d)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, x=x)
-    obj = sum(cv * xv for cv, xv in zip(c, x))
+    obj = sum((cv * xv for cv, xv in zip(c, x)), Fraction(0))
     return LPResult(OPTIMAL, x=x, objective=obj)
 
 
@@ -205,40 +195,21 @@ def max_coordinate(vectors, target, index, cap=Fraction(1)):
 def feasible_geq_one(points):
     """rho with rho . x >= 1 for every x, or exact convex coefficients for 0.
 
-    The dichotomy: either such a functional exists, or 0 is a convex
-    combination of the points.  Returns (rho, None) or (None, coeffs) with
-    coeffs summing to 1, nonnegative, sum coeffs_i x_i = 0.
+    `feasible_functional(points, [])`: rho has min_i rho . x_i = 1 exactly;
+    otherwise its multipliers, normalised to sum 1, combine the points to 0.
     """
-    pts = [[as_fraction(v) for v in p] for p in points]
-    if not pts:
-        raise ValueError("no points")
-    d = len(pts[0])
-    k = len(pts)
-    # rho = u - v with u, v >= 0;  x_i . rho - w_i = 1,  w >= 0
-    ncols = 2 * d + k
-    A = []
-    for i, p in enumerate(pts):
-        row = list(p) + [-v for v in p] + [Fraction(-1) if j == i else Fraction(0)
-                                           for j in range(k)]
-        A.append(row)
-    b = [Fraction(1)] * k
-    res = solve_standard([Fraction(0)] * ncols, A, b)
-    if res.status != INFEASIBLE:
-        x = res.x
-        rho = [x[i] - x[d + i] for i in range(d)]
+    rho, cert = feasible_functional(points, [])
+    if rho is not None:
         return rho, None
-    # Farkas y: y.A <= 0 gives  sum y_i x_i = 0 (from the +-X blocks),
-    # y >= 0 (from the -I block), and y.b = sum y_i > 0.
-    y = res.farkas
-    total = sum(y)
-    coeffs = [yi / total for yi in y]
-    return None, coeffs
+    total = sum(cert[0])
+    return None, [y / total for y in cert[0]]
 
 
 def feasible_functional(strict_points, weak_points):
     """chi with chi . s >= 1 on strict_points and chi . v >= 0 on weak_points.
 
-    Returns (chi, None) on success.  On failure returns (None, (ys, yw)):
+    Returns (chi, None) on success, chi scaled so that min chi . s over the
+    strict points is exactly 1.  On failure returns (None, (ys, yw)):
     nonnegative multipliers with sum ys_i s_i + sum yw_j v_j = 0 and
     sum ys_i > 0, certifying that no such functional exists.
     """
@@ -257,12 +228,14 @@ def feasible_functional(strict_points, weak_points):
         A.append(row)
     b = [Fraction(1)] * ks + [Fraction(0)] * kw
     res = solve_standard([Fraction(0)] * ncols, A, b)
-    if res.status != INFEASIBLE:
-        x = res.x
-        chi = [x[i] - x[d + i] for i in range(d)]
-        return chi, None
-    y = res.farkas
-    return None, (y[:ks], y[ks:])
+    if res.status == INFEASIBLE:
+        y = res.farkas
+        return None, (y[:ks], y[ks:])
+    chi = [u - v for u, v in zip(res.x, res.x[d:2 * d])]
+    if spts:
+        mn = min(dot(chi, s) for s in spts)
+        chi = [x / mn for x in chi]
+    return chi, None
 
 
 # Most rows fourier_motzkin may hold after one elimination.  Eliminating a

@@ -164,21 +164,3 @@ class QC:
             return f"QC({format_frac(self.re)})"
         return f"QC({format_frac(self.re)}, {format_frac(self.im)})"
 
-
-def coeff_abs(v) -> float:
-    """|v| as float for either backend's coefficient values."""
-    if isinstance(v, QC):
-        return abs(v)
-    return abs(complex(v))
-
-
-def coeff_is_zero(v) -> bool:
-    if isinstance(v, QC):
-        return v.is_zero()
-    return v == 0
-
-
-def coeff_to_complex(v) -> complex:
-    if isinstance(v, QC):
-        return complex(v)
-    return complex(v)

@@ -42,9 +42,8 @@ from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
                      integer_left_kernel, integer_scaled, kernel_basis,
                      reduce_modulo_image, vec)
 from .exact_lp import feasible_functional
-from .cones import (TIGHT_RUNG, LOOSE_RUNG, _span_coordinates,
-                    basis_through_point, dual_cone, extreme_rays_from_dual,
-                    vec_from_json, vec_to_json)
+from .cones import (_span_coordinates, basis_through_point, dual_cone,
+                    extreme_rays_from_dual, tight_normals, vec_from_json, vec_to_json)
 from .semigroup import free_rational_basis
 from .characters import Character
 
@@ -179,8 +178,9 @@ def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx,
 
     One exact LP feasibility problem in homogeneous form: with U a basis of
     those functionals and v_j the current values, find (tau, t) with
-    tau >= 1 and tau v_j + t . (U gamma_j) >= 0; the move is U t / tau.  U
-    is `integer_kernel`'s int basis: its one positive scale only rescales t.
+    tau >= 1 and tau v_j + t . (U gamma_j) >= 0; `feasible_functional`
+    scales tau to 1, and the move is U t.  U is `integer_kernel`'s int
+    basis: its one positive scale only rescales t.
     """
     U = integer_kernel([list(gamma[i]) for i in fixed_idx])[0]
     if not U:
@@ -189,8 +189,8 @@ def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx,
     chi, _ = feasible_functional([(F(1),) + (F(0),) * len(U)], weak)
     if chi is None:
         return None
-    tau, t = chi[0], chi[1:]
-    functional = tuple(f + float(sum(tl * u[k] for tl, u in zip(t, U)) / tau)
+    t = chi[1:]
+    functional = tuple(f + float(sum(tl * u[k] for tl, u in zip(t, U)))
                        for k, f in enumerate(fit.functional))
     values = tuple(sum(f * float(x) for f, x in zip(functional, g)) for g in gamma)
     return replace(fit, functional=functional, values=values)
@@ -210,8 +210,8 @@ def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> Vanish
     Works in exact quotient coordinates modulo the span of the positive set,
     so the vanishing conditions hold identically, and solves one LP
     feasibility problem for the remaining sign conditions.  The quotient
-    coordinates are int functionals (`integer_kernel`, one positive scale);
-    theta is renormalised to a minimum of 1 on the strict set anyway.
+    coordinates are int functionals (`integer_kernel`, one positive scale),
+    and theta has the LP's minimum of exactly 1 on the strict set.
     """
     d = len(gamma[0])
     pos_rows = [list(gamma[i]) for i in sorted(positive_idx)]
@@ -242,12 +242,8 @@ def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> Vanish
             "prescribed zero set admits no nonnegative vanishing functional; "
             "a convex combination of the required-positive generators cancels "
             "against the rest")
-    theta = [dot(chi, col) for col in zip(*quot)]
-    values = [dot(theta, g) for g in gamma]
-    mn = min(values[i] for i in strict)     # >= 1 by the LP
-    theta = tuple(x / mn for x in theta)
-    values = tuple(v / mn for v in values)
-    return VanishingFit(theta, values, tuple(strict))
+    theta = tuple(dot(chi, col) for col in zip(*quot))
+    return VanishingFit(theta, tuple(dot(theta, g) for g in gamma), tuple(strict))
 
 
 def combine_zeta(rho_values, theta_values, tol: float = BOUND_TOL):
@@ -304,13 +300,13 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     """Basis of dual-cone vectors (theta leading when nonzero), dualized.
 
     The minimal face of the dual cone containing zeta is located through the
-    primal extreme rays zeta annihilates (interval test on the float values),
-    a rational point near zeta inside that face is walked to an independent
-    subset, and the completed set is rescaled so every generator gets integer
-    exponents over the inverse basis.  gamma must span a pointed cone (it
-    does when its generators are nonzero and coordinatewise >= 0, as
-    `CharacterExtensionProblem` checks); its extreme rays are read off the
-    dual cone, with no LP.
+    primal extreme rays zeta annihilates (`cones.tight_normals`, exact on the
+    float values), a rational point near zeta inside that face is walked to
+    an independent subset, and the completed set is rescaled so every
+    generator gets integer exponents over the inverse basis.  gamma must span
+    a pointed cone (it does when its generators are nonzero and
+    coordinatewise >= 0, as `CharacterExtensionProblem` checks); its extreme
+    rays are read off the dual cone, with no LP.
     """
     d = len(gamma[0])
     flags = []
@@ -318,18 +314,10 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     prim = extreme_rays_from_dual(gamma, dres)
     dual = dres.rays
 
-    zmax = max(abs(z) for z in zeta_vec) + 1.0
-    tight, ambiguous = [], []
-    for r in prim:
-        v = sum(z * float(x) for z, x in zip(zeta_vec, r))
-        bound = sum(abs(float(x)) for x in r) * zmax
-        if abs(v) <= float(TIGHT_RUNG) * bound:
-            tight.append(r)
-        elif abs(v) <= float(LOOSE_RUNG) * bound:
-            ambiguous.append(r)
+    tight, ambiguous = tight_normals(prim, zeta_vec)
     if ambiguous:
         flags.append("ambiguous tightness on %d extreme rays; treated as "
-                     "non-tight (larger face)" % len(ambiguous))
+                     "non-tight (larger face)" % ambiguous)
     face_rays = [y for y in dual
                  if all(dot(y, r) == 0 for r in tight)]
 

@@ -162,9 +162,6 @@ def solve(rows, rhs):
     n = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
     red, pivots = rref(aug)
-    for row in red:
-        if all(a == 0 for a in row[:-1]) and row[-1] != 0:
-            return None
     if n in pivots:  # pivot in the rhs column == inconsistent
         return None
     x = [Fraction(0)] * n

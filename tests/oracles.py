@@ -13,6 +13,33 @@ import json
 import math
 from fractions import Fraction
 
+from dirichlet_forge.exactnum import QC
+
+
+# -- the coefficient helpers the frozen copies below call --------------------
+# Verbatim copies of `exactnum.coeff_abs`, `coeff_is_zero` and
+# `coeff_to_complex`.  The package now writes abs(v), v == 0 and complex(v),
+# which give the same values on its QC and complex coefficients.
+
+
+def coeff_abs(v) -> float:
+    """|v| as float for either backend's coefficient values."""
+    if isinstance(v, QC):
+        return abs(v)
+    return abs(complex(v))
+
+
+def coeff_is_zero(v) -> bool:
+    if isinstance(v, QC):
+        return v.is_zero()
+    return v == 0
+
+
+def coeff_to_complex(v) -> complex:
+    if isinstance(v, QC):
+        return complex(v)
+    return complex(v)
+
 
 def mobius_sieve(x: int) -> list[int]:
     """mu(0..x) via a factor-count sieve with squarefreeness tracking."""
@@ -318,7 +345,6 @@ def brute_convolve(a, b):
     """
     from dirichlet_forge.algebra import (EXACT, FLOAT, AlgebraElement, _check_bases,
                                          _coerce, _min_trunc)
-    from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero
     _check_bases(a, b)
     backend = EXACT if a.backend == b.backend == EXACT else FLOAT
     T = _min_trunc(a.truncation, b.truncation)
@@ -351,7 +377,6 @@ def brute_neumann_invert(a, w=None, tol: float = 1e-12, max_terms: int = 10_000)
                                          weighted_norm)
     from dirichlet_forge.errors import (CapExceededError, NeumannInapplicableError,
                                         SingularElementError)
-    from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero
     from dirichlet_forge.weights import one as weight_one
     if w is None:
         w = weight_one()
@@ -398,7 +423,6 @@ def brute_graded_invert(a, truncation: float, cap: int = 200_000):
     """
     from dirichlet_forge.algebra import AlgebraElement, _invert_scalar
     from dirichlet_forge.errors import SingularElementError
-    from dirichlet_forge.exactnum import coeff_is_zero
     a0 = a.constant_term()
     if coeff_is_zero(a0):
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
@@ -754,6 +778,34 @@ def brute_minimal_face(cone, x, exact=None):
                       note="interval policy on float input" if ambiguous else "")
 
 
+
+# -- the float tightness test on Fractions ----------------------------------
+# A verbatim copy of the float branch of `cones.minimal_face_containing` from
+# before `cones.tight_normals` ran it on ints.  The loop reads `normals`
+# where it read the dual rays, and it counts the ambiguous normals where it
+# set a flag.
+
+
+def brute_tight_normals(normals, x):
+    """(tight, n_ambiguous) of the two-rung policy, on exact Fractions."""
+    from dirichlet_forge.cones import LOOSE_RUNG, TIGHT_RUNG
+    from dirichlet_forge.exactnum import as_fraction
+    from dirichlet_forge.ratlin import dot
+    F = Fraction
+    # exact intervals around the measured coordinates
+    xf = [as_fraction(float(v)) for v in x]
+    scale = max((abs(v) for v in xf), default=F(0)) + F(1)
+    tight = []
+    ambiguous = 0
+    for nv in normals:
+        val = abs(dot(nv, xf))
+        bound = sum(abs(c) for c in nv) * scale
+        if val <= TIGHT_RUNG * bound:
+            tight.append(nv)
+        elif val <= LOOSE_RUNG * bound:
+            ambiguous += 1  # resolved toward non-tight: the larger face
+    return tight, ambiguous
+
 def brute_span_coordinates(gens):
     """(basis rows of span, forward map vec -> coords, inverse map coords -> vec)."""
     from dirichlet_forge import ratlin
@@ -975,7 +1027,6 @@ def brute_scale(a, c):
     """`AlgebraElement.scale` as it was: every value coerced again, even when
     the backend does not change."""
     from dirichlet_forge.algebra import EXACT, FLOAT, AlgebraElement, _coerce
-    from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero
     backend = a.backend
     if backend == EXACT and isinstance(c, complex):
         backend = FLOAT
@@ -1240,7 +1291,6 @@ from dirichlet_forge.algebra import (  # noqa: E402
     _nonzero, _num_abs, _numerators, _series_majorant, _value, unit)
 from dirichlet_forge.errors import (  # noqa: E402
     CapExceededError, NeumannInapplicableError, SingularElementError, ValidationError)
-from dirichlet_forge.exactnum import coeff_abs, coeff_is_zero, coeff_to_complex  # noqa: E402
 from dirichlet_forge.semigroup import (  # noqa: E402
     SemigroupBasis, key_combine, row_end)
 from dirichlet_forge.weights import ONE, WeightFn, one as weight_one  # noqa: E402

@@ -74,6 +74,15 @@ class TestPrimeSystem:
         with pytest.raises(ValidationError):
             PrimeSystem(primes=(2, 3), x=2)  # 3 > x
 
+    def test_rational_system_entries_must_be_prime(self):
+        with pytest.raises(ValidationError, match="entry 4 is not a prime"):
+            PrimeSystem(primes=(2, 4), x=10, rational=True)
+        # a sparse system is tested entry by entry, with no sieve up to x
+        with pytest.raises(ValidationError, match="entry 1000001 is not a prime"):
+            PrimeSystem(primes=(2, 1000001), x=10 ** 7, rational=True)
+        assert PrimeSystem(primes=(2, 1000003), x=10 ** 7, rational=True).primes[-1] == 1000003
+        assert PrimeSystem(primes=(2,), x=4, rational=True).primes == (2,)  # may skip primes
+
     def test_beurling_system_allowed(self):
         s = PrimeSystem(primes=(1.5, 2.5, 3.7), x=20.0)
         assert s.max_power(0) == 7  # 1.5^7 ~ 17.1
@@ -84,6 +93,17 @@ class TestPrimeSystem:
 
 
 class TestMultiplicativeFunction:
+    def test_values_up_to_names_the_first_missing_prime(self):
+        f = MultiplicativeFunction(PrimeSystem(primes=(2, 5), x=20, rational=True),
+                                   {(0, 1): F(-1)})
+        assert f.values_up_to(2) == [0, 1, -1]
+        with pytest.raises(PreconditionError, match="lacks the prime 3 <= 20"):
+            f.values_up_to(20)
+        g = MultiplicativeFunction.one(PrimeSystem(primes=(2, 3), x=20, rational=True))
+        assert g.values_up_to(4) == [0, 1, 1, 1, 1]
+        with pytest.raises(PreconditionError, match="lacks the prime 5 <= 20"):
+            g.values_up_to()
+
     def test_unit_values(self):
         eps = MultiplicativeFunction.unit(SYS)
         vals = eps.values_up_to(50)

@@ -303,6 +303,40 @@ class TestSubcommands:
         error = json.loads(out)["error"]
         assert error["type"] == "ValidationError" and error["message"].startswith("malformed")
 
+    @pytest.mark.parametrize("cmd, payload, flags, error, fragment", [
+        ("euler-invert", '{"system": {"primes": [2, 5], "x": 20, "rational": true}, '
+                         '"values": [{"p": 2, "k": 1, "value": -1}]}', ("--x", "20"),
+         "PreconditionError", "lacks the prime 3 <= 20"),
+        ("euler-invert", '{"system": {"primes": [2, 3], "x": 20, "rational": true}, '
+                         '"values": [{"p": 2, "k": 1, "value": -1}]}', ("--x", "20"),
+         "PreconditionError", "lacks the prime 5 <= 20"),
+        ("p3-decompose", '{"system": {"primes": [2, 3], "x": 20, "rational": true}, '
+                         '"values": [{"p": 2, "k": 1, "value": "1/2"}]}', (),
+         "PreconditionError", "lacks the prime 5 <= 20"),
+        ("euler-invert", '{"system": {"primes": [2, 4], "x": 20, "rational": true}, '
+                         '"values": []}', (), "ValidationError", "4 is not a prime"),
+        ("kronecker", '{"betas": [Infinity], "targets": [{"re": 1.0, "im": 0.0}]}', (),
+         "ValidationError", "finite"),
+        ("kronecker", '{"betas": [1.0, Infinity], "targets": [{"re": 1.0, "im": 0.0}, '
+                      '{"re": 1.0, "im": 0.0}]}', (), "ValidationError", "finite"),
+        ("kronecker", '{"betas": [1.0], "targets": [{"re": NaN, "im": 0}]}', (),
+         "ValidationError", "not finite"),
+        ("dual", '{"generators": [], "dim": "x"}', (), "ValidationError", "dimension"),
+        ("dual", '{"generators": [], "dim": -2}', (), "ValidationError", "dimension"),
+    ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
+            "second-beta-inf", "target-nan", "dim-string", "dim-negative"])
+    def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
+                                      fragment):
+        """Inputs that parse but cannot be used: a rational system that skips
+        a prime it needs or lists a composite, non-finite Kronecker data and
+        a dual-cone dimension that is not a nonnegative int."""
+        p = files.dir / "unusable.json"
+        p.write_text(payload)
+        code, out, _ = invoke(capsys, cmd, str(p), *flags)
+        assert code == 2
+        got = json.loads(out)["error"]
+        assert got["type"] == error and fragment in got["message"]
+
     @pytest.mark.parametrize("cmd, inputs", [
         ("kronecker", ("kron.json",)),
         ("density-search", ("elem.json", "psi.json")),

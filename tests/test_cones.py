@@ -20,12 +20,13 @@ from dirichlet_forge.cones import (
     minimal_face_containing,
     separate,
     separate_cross_checked,
+    tight_normals,
 )
 from dirichlet_forge.errors import CapExceededError, PreconditionError, ValidationError
 from dirichlet_forge.exact_lp import nonneg_combination
 from dirichlet_forge.ratlin import dot, rank
 from tests.oracles import (brute_basis_through_point, brute_dual_cone,
-                           brute_minimal_face, fraction_dual_cone,
+                           brute_minimal_face, brute_tight_normals, fraction_dual_cone,
                            fraction_span_coordinates, in_cone_brute)
 
 F = Fraction
@@ -396,6 +397,31 @@ def test_minimal_face_float_policy_ambiguous_goes_large():
     face = minimal_face_containing(cone, (2.0, 1e-9))
     assert face.ambiguous
     assert face.generator_indices == (0, 1)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_tight_normals_matches_the_fraction_loop(data):
+    """The int rule gives the tight normals and the ambiguous count of the
+    Fraction loop it replaced, on points nudged off a hyperplane by 10^-k,
+    so every rung is met."""
+    d = data.draw(st.integers(1, 4))
+    ints = st.integers(-9, 9)
+    normals = data.draw(st.lists(st.tuples(*[ints] * d), min_size=1, max_size=8))
+    n0, base = normals[0], data.draw(st.tuples(*[ints] * d))
+    nn = dot(n0, n0)
+    on = [F(b) - (F(dot(n0, base), nn) * a if nn else 0) for a, b in zip(n0, base)]
+    k = data.draw(st.sampled_from([0, 4, 6, 7, 8, 9, 11, 12, 13, 16]))
+    mag = 10.0 ** data.draw(st.integers(-3, 5))
+    noise = data.draw(st.tuples(*[st.floats(-1, 1)] * d))
+    x = [mag * (float(v) + e * 10.0 ** -k) for v, e in zip(on, noise)]
+    assert tight_normals(normals, x) == brute_tight_normals(normals, x)
+
+
+@pytest.mark.parametrize("dim", ["x", -2, True, 2.0])
+def test_dual_cone_rejects_a_malformed_dimension(dim):
+    with pytest.raises(ValidationError, match="dimension"):
+        dual_cone([], dim=dim)
 
 
 @given(st.integers(0, 10 ** 6))

@@ -12,13 +12,14 @@ from dirichlet_forge.exact_lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    feasible_functional,
     feasible_geq_one,
     fourier_motzkin,
     max_coordinate,
     nonneg_combination,
     solve_standard,
 )
-from dirichlet_forge.ratlin import integer_pivot
+from dirichlet_forge.ratlin import dot, integer_pivot
 from tests.oracles import brute_solve_standard, fraction_fourier_motzkin
 
 F = Fraction
@@ -114,6 +115,36 @@ def test_feasible_geq_one_zero_in_hull():
     mix = [sum(c * p[d] for c, p in zip(coeffs, [(1, 0), (-1, 0), (0, 1)]))
            for d in range(2)]
     assert mix == [F(0), F(0)]
+
+
+@st.composite
+def strict_and_weak_points(draw):
+    d = draw(st.integers(1, 4))
+    point = st.tuples(*[small] * d)
+    return (draw(st.lists(point, min_size=1, max_size=5)),
+            draw(st.lists(point, max_size=5)))
+
+
+@given(strict_and_weak_points())
+@settings(max_examples=200, deadline=None)
+@example(([(F(1), F(0)), (F(1), F(1))], []))
+@example(([(F(2),)], [(F(-1),)]))
+def test_feasible_functional_scaling_or_certificate(case):
+    """Success: min chi . s over the strict points is exactly 1 and chi . w
+    >= 0 on the weak ones.  Failure: nonnegative multipliers, a positive
+    strict sum, combining the points to 0."""
+    strict, weak = case
+    chi, cert = feasible_functional(strict, weak)
+    if chi is not None:
+        assert cert is None
+        assert min(dot(chi, s) for s in strict) == 1
+        assert all(dot(chi, w) >= 0 for w in weak)
+        return
+    ys, yw = cert
+    assert len(ys) == len(strict) and len(yw) == len(weak)
+    assert all(y >= 0 for y in ys + yw) and sum(ys) > 0
+    assert all(sum(y * p[j] for y, p in zip(ys + yw, strict + weak)) == 0
+               for j in range(len(strict[0])))
 
 
 def test_feasible_geq_one_one_dimensional():

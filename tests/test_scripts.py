@@ -1,4 +1,5 @@
-"""The demo scripts and the CLI and density audits run end to end on small arguments."""
+"""The demo scripts and the CLI, density and cone audits run end to end on small
+arguments."""
 
 import json
 import os
@@ -60,3 +61,19 @@ def test_density_audit_records_every_density_op(tmp_path):
                and r["seed"] == 1 for r in records)
     assert all(r["check"] and not r["exhausted"] and r["achieved_error"] < 3e-3
                for r in records)
+
+
+def test_cone_audit_records_every_cone_extend_op(tmp_path):
+    out = tmp_path / "cone.jsonl"
+    proc = _script("cone_audit.py", "--seeds", 1, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    # the cone-extend schedule: 40 cycles of 13 ops, each dual op followed
+    # by its double dual
+    assert [r["index"] for r in records] == list(range(520))
+    kinds = [r["kind"] for r in records]
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        "roundtrip": 240, "separate": 120, "dual": 80, "ddual": 80}
+    assert all(kinds[i - 1] == "dual" for i, k in enumerate(kinds) if k == "ddual")
+    assert all(set(r) == {"seed", "index", "kind", "check", "sha256"} and r["seed"] == 1
+               and r["check"] and len(r["sha256"]) == 64 for r in records)
