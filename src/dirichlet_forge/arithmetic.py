@@ -66,14 +66,6 @@ class PrimeSystem:
         if self.rational:
             if not all(isinstance(p, int) and p >= 2 for p in self.primes):
                 raise ValidationError("rational system requires integer primes")
-            # one sieve where it costs no more than trial division of each entry
-            top = self.primes[-1] if self.primes else 1
-            if top <= len(self.primes) * math.isqrt(top):
-                composite = set(self.primes).difference(primes_upto(top))
-            else:
-                composite = {p for p in self.primes if factorize(p) != {p: 1}}
-            if composite:
-                raise ValidationError(f"rational system entry {min(composite)} is not a prime")
         # position of each prime, built once for index_of
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.primes)})
 
@@ -194,8 +186,9 @@ class MultiplicativeFunction:
         """List v with v[n] = f(n) for 0 <= n <= limit (v[0] = 0).
 
         Rational systems only; materializes via a smallest-prime-factor
-        sieve so the cost is O(limit log limit).  A prime <= limit that the
-        system lacks raises PreconditionError.
+        sieve so the cost is O(limit log limit).  The sieve also checks the
+        system up to limit: an entry that is not a prime raises
+        ValidationError, a prime the system lacks PreconditionError.
         """
         if not self.system.rational:
             raise PreconditionError(
@@ -205,6 +198,11 @@ class MultiplicativeFunction:
         if N > self.system.x:
             raise ValidationError("limit exceeds the system truncation")
         spf = spf_sieve(N)
+        for p in self.system.primes:
+            if p > N:
+                break
+            if spf[p] != p:
+                raise ValidationError(f"rational system entry {p} is not a prime")
         idx = self.system._index
         vals: list = [Fraction(0)] * (N + 1)
         if N >= 1:

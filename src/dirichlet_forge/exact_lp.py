@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import CapExceededError
 from .exactnum import as_fraction
-from .ratlin import dot, integer_pivot, integer_scaled, pivot_row
+from .ratlin import integer_pivot, integer_scaled, pivot_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -208,8 +208,11 @@ def feasible_geq_one(points):
 def feasible_functional(strict_points, weak_points):
     """chi with chi . s >= 1 on strict_points and chi . v >= 0 on weak_points.
 
-    Returns (chi, None) on success, chi scaled so that min chi . s over the
-    strict points is exactly 1.  On failure returns (None, (ys, yw)):
+    Returns (chi, None) on success, where min chi . s over the strict points
+    is exactly 1: the simplex returns a vertex, and at a vertex some strict
+    surplus is 0, since with every strict surplus positive the point would
+    lie inside the segment t * (u, v, weak surpluses), t near 1.  On failure
+    returns (None, (ys, yw)):
     nonnegative multipliers with sum ys_i s_i + sum yw_j v_j = 0 and
     sum ys_i > 0, certifying that no such functional exists.
     """
@@ -231,11 +234,7 @@ def feasible_functional(strict_points, weak_points):
     if res.status == INFEASIBLE:
         y = res.farkas
         return None, (y[:ks], y[ks:])
-    chi = [u - v for u, v in zip(res.x, res.x[d:2 * d])]
-    if spts:
-        mn = min(dot(chi, s) for s in spts)
-        chi = [x / mn for x in chi]
-    return chi, None
+    return [u - v for u, v in zip(res.x, res.x[d:2 * d])], None
 
 
 # Most rows fourier_motzkin may hold after one elimination.  Eliminating a

@@ -75,13 +75,17 @@ class TestPrimeSystem:
             PrimeSystem(primes=(2, 3), x=2)  # 3 > x
 
     def test_rational_system_entries_must_be_prime(self):
+        # values_up_to checks the entries on its own sieve
+        f = MultiplicativeFunction.one(PrimeSystem(primes=(2, 4), x=10, rational=True))
+        assert f.values_up_to(2) == [0, 1, 1]
         with pytest.raises(ValidationError, match="entry 4 is not a prime"):
-            PrimeSystem(primes=(2, 4), x=10, rational=True)
-        # a sparse system is tested entry by entry, with no sieve up to x
-        with pytest.raises(ValidationError, match="entry 1000001 is not a prime"):
-            PrimeSystem(primes=(2, 1000001), x=10 ** 7, rational=True)
-        assert PrimeSystem(primes=(2, 1000003), x=10 ** 7, rational=True).primes[-1] == 1000003
+            f.values_up_to(10)
         assert PrimeSystem(primes=(2,), x=4, rational=True).primes == (2,)  # may skip primes
+        # a 19-digit entry costs construction nothing: no test runs up to it
+        m61 = 2 ** 61 - 1
+        g = MultiplicativeFunction.one(PrimeSystem(primes=(2, 3, 5, 7, m61), x=m61,
+                                                   rational=True))
+        assert g.values_up_to(10) == [0] + [1] * 10
 
     def test_beurling_system_allowed(self):
         s = PrimeSystem(primes=(1.5, 2.5, 3.7), x=20.0)
