@@ -210,9 +210,9 @@ def feasible_functional(strict_points, weak_points):
 
     Returns (chi, None) on success, where min chi . s over the strict points
     is exactly 1: the simplex returns a vertex, and at a vertex some strict
-    surplus is 0, since with every strict surplus positive the point would
-    lie inside the segment t * (u, v, weak surpluses), t near 1.  On failure
-    returns (None, (ys, yw)):
+    surplus is 0.  Were every strict surplus positive, scaling u, v and the
+    weak surpluses by t near 1 (strict surpluses t chi . s - 1) would stay
+    feasible on both sides of t = 1.  On failure returns (None, (ys, yw)):
     nonnegative multipliers with sum ys_i s_i + sum yw_j v_j = 0 and
     sum ys_i > 0, certifying that no such functional exists.
     """

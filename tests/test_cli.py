@@ -367,19 +367,6 @@ class TestSubcommands:
         vals = json.loads(out)["values"]
         assert [int(F(v)) for v in vals] == mobius_sieve(100)[1:]
 
-    def test_euler_invert_large_prime_entry(self, files, capsys):
-        """A 19-digit entry (2^61 - 1) is read at once: no primality test
-        runs beyond the --x the values are asked for."""
-        m61 = 2 ** 61 - 1
-        p = files.dir / "m61.json"
-        p.write_text(json.dumps({"system": {"primes": [2, 3, 5, 7, m61], "x": m61,
-                                            "rational": True},
-                                 "values": [{"p": 2, "k": 1, "value": -1}]}))
-        code, out, _ = invoke(capsys, "euler-invert", str(p), "--x", "10")
-        assert code == 0
-        # the inverse of 1 - 2^-s is 1 on the powers of 2 and 0 elsewhere
-        assert [int(F(v)) for v in json.loads(out)["values"]] == [1, 1, 0, 1, 0, 0, 0, 1, 0, 0]
-
     def test_euler_invert_certify(self, files, capsys):
         code, out, _ = invoke(capsys, "euler-invert", files("fref.json"),
                               "--certify")
