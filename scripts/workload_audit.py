@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Record what every op of the cone-extend benchmark returns.
+"""Record what every op of a replayed benchmark workload returns.
 
-    PYTHONPATH=src python3 scripts/cone_audit.py --seeds 1 2 3 --out cone.jsonl
+    PYTHONPATH=src python3 scripts/workload_audit.py --workload cone-extend \
+        --seeds 1 2 3 --out cone.jsonl
 
-For each seed, the cone-extend schedule of `bench/workloads.py` is replayed
-in order, as the benchmark runs it: round-trips, separations, and each dual
-op followed by its double dual, which reads the rays the dual op stored.
+For each seed, the workload's schedule in `bench/workloads.py` is replayed
+in order, as the benchmark runs it (for cone-extend, each dual op is
+followed by its double dual, which reads the rays the dual op stored).
 One JSON line per op holds the seed, the op's index in the schedule, its
 kind, `check`, the workload's own verdict on the output, and `sha256`, the
 digest of `cli._dumps(output)` or, when the op raises, of the error's type
@@ -32,9 +33,12 @@ import workloads  # noqa: E402
 from dirichlet_forge import cli  # noqa: E402
 
 
-def audit(seed: int) -> list:
-    """One record per op of the seed's schedule, in schedule order."""
-    w = workloads.ConeExtend()
+WORKLOADS = ("cone-extend", "series-invert")
+
+
+def audit(name: str, seed: int) -> list:
+    """One record per op of the workload's schedule for `seed`, in order."""
+    w = workloads.make(name, ROOT)
     records = []
     for index, op in enumerate(w.schedule(seed)):
         try:
@@ -54,13 +58,14 @@ def audit(seed: int) -> list:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=WORKLOADS, required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--out", required=True, help="JSON-lines file to write")
     args = ap.parse_args()
-    records = [r for seed in args.seeds for r in audit(seed)]
+    records = [r for seed in args.seeds for r in audit(args.workload, seed)]
     Path(args.out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
                               encoding="utf-8")
-    print(f"{len(records)} cone-extend ops over seeds {args.seeds}: "
+    print(f"{len(records)} {args.workload} ops over seeds {args.seeds}: "
           f"{sum(r['check'] for r in records)} pass their check -> {args.out}")
 
 

@@ -40,6 +40,9 @@ FLOAT = "float"
 
 
 def _coerce(value, backend):
+    """`value` as a coefficient of `backend`; a non-finite one is a ValidationError."""
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ValidationError(f"coefficient {value!r} is not finite")
     if backend == EXACT:
         return QC.from_value(value)
     return complex(value)
@@ -229,7 +232,7 @@ class AlgebraElement:
                     v = QC(parse_frac(re) if isinstance(re, str) else as_fraction(re),
                            parse_frac(im) if isinstance(im, str) else as_fraction(im))
                 else:
-                    v = complex(float(re), float(im))
+                    v = _coerce(complex(float(re), float(im)), FLOAT)
                 size = len(terms)
                 terms[k] = v
                 if len(terms) == size:
@@ -244,7 +247,7 @@ class AlgebraElement:
                 del terms[k]
             return cls._keyed(basis, terms, backend, truncation, mags=mags or None,
                               exps=exps or None)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValidationError(f"malformed algebra element JSON: {e}") from e
 
 
@@ -412,7 +415,7 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
     q = weighted_norm(rest, w) / abs(a0)
-    if q >= 1.0:
+    if not q < 1.0:  # NaN too
         raise NeumannInapplicableError(q)
     inv_a0 = _invert_scalar(a0, a.backend)
     # b = (1/a0) sum_j u^{*j},  u = eps - a / a0

@@ -24,10 +24,15 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"not a finite number: {x!r}")
-        return Fraction(x)
+        return _float_fraction(x)
     if isinstance(x, str):
         return parse_frac(x)
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+
+
+def _float_fraction(x: float) -> Fraction:
+    """Fraction(x), from int(x) when x is integral: the same value, faster."""
+    return Fraction(int(x)) if x.is_integer() else Fraction(x)
 
 
 def parse_frac(s: str) -> Fraction:
@@ -65,7 +70,7 @@ class QC:
         if isinstance(v, QC):
             return v
         if isinstance(v, complex):
-            return cls(Fraction(v.real), Fraction(v.imag))
+            return cls(_float_fraction(v.real), _float_fraction(v.imag))
         return cls(as_fraction(v))
 
     def __add__(self, other):

@@ -13,6 +13,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,7 @@ from typing import Optional
 from .errors import ValidationError, BasisMismatchError, CapExceededError
 from .exactnum import as_fraction, format_frac, parse_frac
 from . import ratlin
-from .sieves import primes_upto, factorize
+from .sieves import factorize, primes_upto, spf_sieve
 
 FREE = "free"
 EMBEDDED = "embedded"
@@ -83,10 +84,7 @@ class SemigroupBasis:
     def key_primes(self) -> dict:
         """Generator id -> the prime of its position (2 for the first, 3 for
         the second, ...): the Goedel numbering behind element keys."""
-        bound, primes = 16, primes_upto(16)
-        while len(primes) < len(self.generators):
-            bound *= 2
-            primes = primes_upto(bound)
+        primes = primes_upto(_prime_bound(len(self.generators)))
         return {g.id: p for g, p in zip(self.generators, primes)}
 
     @cached_property
@@ -95,8 +93,18 @@ class SemigroupBasis:
         return {p: gid for gid, p in self.key_primes.items()}
 
     @cached_property
-    def label_ids(self) -> dict:
-        return {g.label: g.id for g in self.generators}
+    def _log_table(self) -> tuple:
+        """(prime p -> id of the generator labelled exactly f"log{p}", an
+        SPF table up to the largest such p), built on first use by
+        `log_element`.  The table stops at the bound on the
+        len(generators)-th prime, so no label can make it large."""
+        ids = {}
+        for g in self.generators:
+            digits = g.label[3:] if isinstance(g.label, str) and g.label[:3] == "log" else ""
+            if digits.isascii() and digits.isdigit() and digits[0] != "0":
+                with suppress(ValueError):  # past int's digit limit: no n reaches such a factor
+                    ids[int(digits)] = g.id
+        return ids, spf_sieve(min(max(ids, default=1), _prime_bound(len(self.generators))))
 
     @cached_property
     def zero_key(self):
@@ -567,8 +575,9 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000) -> KeyedEle
     Sorted by (|.|_1, exponent key); includes zero.  `cap` bounds the number
     of enumerated elements.  `support` is a basis (its generators), a list
     of elements or a `KeyedElements`.  The breadth-first search runs on
-    element keys: each key reached gets its canonical magnitude once (over
-    a free basis from its exponent map, found from a quotient's), and no
+    element keys: a support key keeps the support's magnitude and exponent
+    map, any other key reached gets its canonical magnitude once (over a
+    free basis from its exponent map, found from a quotient's), and no
     element is built until the returned sequence is read.
     """
     if isinstance(support, SemigroupBasis):
@@ -585,8 +594,10 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000) -> KeyedEle
     exps = {zk: ()}  # free: key -> exponent map, found once per key
     if free:
         ties = support.exponents or [basis.key_exponents(k, exps) for k in keys]
+        exps.update(zip(keys, ties))
     else:
         ties = [k.coords for k in keys]
+    given = dict(zip(keys, mags))  # canonical, as key_magnitude would find them
     gens = sorted((i for i, k in enumerate(keys) if k != zk),  # by sort_key
                   key=lambda i: (mags[i], ties[i]))
     gmags = [mags[i] for i in gens]
@@ -601,7 +612,8 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000) -> KeyedEle
             for sk in gkeys[:row_end(gmags, found[mk], limit)]:  # gens sorted by magnitude
                 nu = combine(mk, sk)
                 if nu not in found:
-                    found[nu] = basis.key_magnitude(nu, exps if free else None)
+                    m = given.get(nu)
+                    found[nu] = basis.key_magnitude(nu, exps if free else None) if m is None else m
                     if len(found) > cap:
                         raise CapExceededError(
                             f"monoid enumeration exceeded cap {cap} below cutoff {truncation}")
@@ -641,27 +653,35 @@ def embedded_basis(columns, labels=None) -> SemigroupBasis:
     return SemigroupBasis(EMBEDDED, r, tuple(gens))
 
 
+def _prime_bound(n: int) -> int:
+    """A bound on the n-th prime: p_n < n (ln n + ln ln n) for n >= 6 (Rosser), p_5 = 11."""
+    return 11 if n < 6 else int(n * (math.log(n) + math.log(math.log(n))))
+
+
 def log_primes_basis(limit: int) -> SemigroupBasis:
     """Lambda = {log n}: free generators log p for primes p <= limit.
 
     The log p are Q-linearly independent (unique factorization), so the
     basis is declared free with exact=None.
     """
+    if type(limit) is not int:
+        raise ValidationError(f"log-primes basis needs an int limit, got limit = {limit!r}")
     ps = primes_upto(limit)
     gens = tuple(Generator(i, (math.log(p),), None, f"log{p}") for i, p in enumerate(ps))
     return SemigroupBasis(FREE, 1, gens)
 
 
 def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
-    """The element log n over a log-primes basis; n is an int >= 1."""
+    """The element log n over a log-primes basis; n is an int >= 1, factored
+    on the basis's `_log_table` (by trial division past its end)."""
     if basis.mode != FREE:
         raise ValidationError("log elements need a free basis")
     if type(n) is not int or n < 1:
         raise ValidationError(f"log element needs an int n >= 1, got n = {n!r}")
-    labels, primes = basis.label_ids, basis.key_primes
+    (ids, spf), primes = basis._log_table, basis.key_primes
     exps, keyed_by_n = [], True
-    for p, k in factorize(n).items():
-        gid = labels.get(f"log{p}")
+    for p, k in factorize(n, spf).items():
+        gid = ids.get(p)
         if gid is None:
             raise ValidationError(f"prime {p} outside basis range")
         exps.append((gid, k))

@@ -1785,3 +1785,31 @@ def element_compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[Weight
                        backend, u.truncation if touched else None, dropped, _trusted=True)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 
+
+
+# -- log elements by label lookup ----------------------------------------------
+# A verbatim copy of `semigroup.log_element` as it was before it factored on
+# the basis's SPF table: trial division, then one `log{p}` label lookup per
+# prime factor.  The basis's `label_ids` map, gone from the package, is
+# inlined as `labels`.
+
+from dirichlet_forge.semigroup import FREE, SemigroupElement  # noqa: E402
+from dirichlet_forge.sieves import factorize  # noqa: E402
+
+
+def label_log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
+    """The element log n over a log-primes basis; n is an int >= 1."""
+    if basis.mode != FREE:
+        raise ValidationError("log elements need a free basis")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"log element needs an int n >= 1, got n = {n!r}")
+    labels, primes = {g.label: g.id for g in basis.generators}, basis.key_primes
+    exps, keyed_by_n = [], True
+    for p, k in factorize(n).items():
+        gid = labels.get(f"log{p}")
+        if gid is None:
+            raise ValidationError(f"prime {p} outside basis range")
+        exps.append((gid, k))
+        keyed_by_n = keyed_by_n and primes[gid] == p
+    exps.sort()
+    return SemigroupElement._trusted(basis, tuple(exps), None, n if keyed_by_n else None)

@@ -36,7 +36,8 @@ from dirichlet_forge.errors import (
 from dirichlet_forge.exactnum import QC
 from dirichlet_forge.semigroup import (embedded_basis, free_rational_basis, log_element,
                                       log_primes_basis, natural_basis)
-from dirichlet_forge.weights import one as w_one, poly as w_poly
+from dirichlet_forge.semigroup import SemigroupBasis
+from dirichlet_forge.weights import one as w_one, poly as w_poly, table as w_table
 from tests.oracles import (brute_disk_min, brute_exp_sum, brute_half_plane_min,
                           brute_poly_inverse, brute_poly_mul, mobius_sieve)
 
@@ -164,6 +165,53 @@ def test_neumann_rejects_q_geq_one():
     with pytest.raises(NeumannInapplicableError) as ei:
         neumann_invert(a)
     assert ei.value.payload()["q"] == pytest.approx(1.0)
+
+
+def test_neumann_rejects_nan_contraction_ratio():
+    # a NaN weight makes q NaN, which is no contraction
+    with pytest.raises(NeumannInapplicableError):
+        neumann_invert(nat_elem([2, -1], backend=FLOAT), w_table([(1.0, math.nan)]))
+
+
+@pytest.mark.parametrize("backend", [FLOAT, EXACT])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                 complex(math.inf, 1)], ids=str)
+def test_non_finite_coefficient_is_rejected(backend, bad):
+    b = log_primes_basis(3)
+    pairs = [(b.zero(), 1.0), (log_element(b, 2), bad)]
+    with pytest.raises(ValidationError, match="not finite"):
+        from_coeffs(b, pairs, backend)
+    with pytest.raises(ValidationError, match="not finite"):
+        AlgebraElement(b, dict(pairs), backend, truncation=2.0)
+
+
+@pytest.mark.parametrize("backend", [FLOAT, EXACT])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+def test_non_finite_json_coefficient_is_rejected(backend, bad):
+    b = log_primes_basis(3)
+    data = from_coeffs(b, [(b.zero(), 1), (log_element(b, 2), 2)], backend).to_json()
+    data["coeffs"][1]["re"] = bad
+    with pytest.raises(ValidationError, match="not a finite number|not finite"):
+        AlgebraElement.from_json(json.loads(json.dumps(data)))
+
+
+def test_graded_invert_finds_no_support_magnitude_again(monkeypatch):
+    """The monoid search takes the support's magnitudes as given: only keys
+    outside the support have theirs found."""
+    b = log_primes_basis(300)
+    ns = [1, 4, 6, 10] + [p for p in range(2, 301) if all(p % d for d in range(2, p))]
+    a = from_coeffs(b, [(log_element(b, n), (-1) ** n) for n in ns], EXACT)
+    seen = []
+    key_magnitude = SemigroupBasis.key_magnitude
+
+    def counted(self, key, known=None):
+        seen.append(key)
+        return key_magnitude(self, key, known)
+
+    monkeypatch.setattr(SemigroupBasis, "key_magnitude", counted)
+    inv = graded_invert(a, truncation=math.log(300))
+    assert len(inv.terms) > len(ns) and seen
+    assert not set(seen) & set(a.terms)
 
 
 def test_neumann_rejects_zero_constant_term():

@@ -82,6 +82,18 @@ def files(tmp_path):
     return path
 
 
+def _log3_element(re):
+    """The JSON of a float element over log_primes_basis(3), coefficients
+    1, re and 0.2 log 3, truncation 2 (json writes a non-finite re as NaN
+    or Infinity)."""
+    b = log_primes_basis(3)
+    a = algebra.from_coeffs(b, [(b.zero(), 1.0), (log_element(b, 2), 0.3 * math.log(2)),
+                                (log_element(b, 3), 0.2 * math.log(3))], truncation=2)
+    data = a.to_json()
+    data["coeffs"][1]["re"] = re
+    return json.dumps(data)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -258,6 +270,7 @@ class TestSubcommands:
         ("separate", '{"points": [[Infinity, 1]]}'),
         ("separate", '{"points": [[1e400, 1]]}'),
         ("extend-character", '{"dim": 1, "generators": [["1/0"]]}'),
+        pytest.param("invert", _log3_element(10**400), id="invert-re-past-float"),
         ("invert", '{"basis": {"mode": "free", "r": 1, "generators": '
                    '[{"id": 0, "value": [1.0], "exact": ["1"], "label": "1"}]}, '
                    '"coeffs": [{"element": {"exponents": {}}, "re": "1/0", "im": "0"}], '
@@ -323,13 +336,22 @@ class TestSubcommands:
          "ValidationError", "not finite"),
         ("dual", '{"generators": [], "dim": "x"}', (), "ValidationError", "dimension"),
         ("dual", '{"generators": [], "dim": -2}', (), "ValidationError", "dimension"),
+        ("invert", _log3_element(math.nan), ("--method", "neumann"), "ValidationError",
+         "not finite"),
+        ("invert", _log3_element(math.inf), ("--method", "neumann"), "ValidationError",
+         "not finite"),
+        ("compose", _log3_element(0.3 * math.log(2)),
+         ("--series", '{"kind": "coeffs", "coeffs": [{"re": NaN, "im": 0}]}'),
+         "ValidationError", "not finite"),
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
-            "second-beta-inf", "target-nan", "dim-string", "dim-negative"])
+            "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
+            "coefficient-inf", "series-coefficient-nan"])
     def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
                                       fragment):
         """Inputs that parse but cannot be used: a rational system that skips
-        a prime it needs or lists a composite, non-finite Kronecker data and
-        a dual-cone dimension that is not a nonnegative int."""
+        a prime it needs or lists a composite, non-finite Kronecker data, a
+        dual-cone dimension that is not a nonnegative int and non-finite
+        series coefficients."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
         code, out, _ = invoke(capsys, cmd, str(p), *flags)

@@ -93,6 +93,31 @@ def test_from_value_conversions():
     assert v == QC(Fraction(1), Fraction(2))
 
 
+_FLOAT_PARTS = [0.0, -0.0, 2.0**53 + 2, 1e300, -1e300, -2.0, 7.0, 0.5, -1 / 3, 5e-324,
+                -2.2250738585072014e-308 / 3]
+
+
+def _check_parts(x, y):
+    """QC.from_value(x + yi) and as_fraction(x) hold exactly Fraction(x) and
+    Fraction(y), as Fractions."""
+    got = QC.from_value(complex(x, y))
+    assert got == QC(Fraction(x), Fraction(y))
+    assert type(got.re) is type(got.im) is Fraction
+    assert as_fraction(x) == Fraction(x)
+
+
+def test_from_value_of_a_complex_is_the_fraction_of_each_part():
+    for x in _FLOAT_PARTS:
+        for y in _FLOAT_PARTS:
+            _check_parts(x, y)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_from_value_of_any_finite_complex_is_exact(re, im):
+    _check_parts(re, im)
+
+
 @given(qcs, qcs, qcs)
 def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)

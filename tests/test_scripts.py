@@ -1,5 +1,5 @@
-"""The demo scripts and the CLI, density and cone audits run end to end on small
-arguments."""
+"""The demo scripts and the CLI, density and workload audits run end to end on
+small arguments."""
 
 import json
 import os
@@ -65,7 +65,7 @@ def test_density_audit_records_every_density_op(tmp_path):
 
 def test_cone_audit_records_every_cone_extend_op(tmp_path):
     out = tmp_path / "cone.jsonl"
-    proc = _script("cone_audit.py", "--seeds", 1, "--out", out)
+    proc = _script("workload_audit.py", "--workload", "cone-extend", "--seeds", 1, "--out", out)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in out.read_text().splitlines()]
     # the cone-extend schedule: 40 cycles of 13 ops, each dual op followed
@@ -75,5 +75,21 @@ def test_cone_audit_records_every_cone_extend_op(tmp_path):
     assert {k: kinds.count(k) for k in set(kinds)} == {
         "roundtrip": 240, "separate": 120, "dual": 80, "ddual": 80}
     assert all(kinds[i - 1] == "dual" for i, k in enumerate(kinds) if k == "ddual")
+    assert all(set(r) == {"seed", "index", "kind", "check", "sha256"} and r["seed"] == 1
+               and r["check"] and len(r["sha256"]) == 64 for r in records)
+
+
+def test_workload_audit_records_every_series_invert_op(tmp_path):
+    out = tmp_path / "series.jsonl"
+    proc = _script("workload_audit.py", "--workload", "series-invert", "--seeds", 1,
+                   "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    # the series-invert schedule: 60 cycles of exact and float inversion,
+    # convolution, Neumann inversion and composition
+    assert [r["index"] for r in records] == list(range(300))
+    assert [r["kind"] for r in records[:5]] * 60 == [r["kind"] for r in records]
+    assert [r["kind"] for r in records[:5]] == ["invert", "invert", "convolve", "neumann",
+                                                 "compose"]
     assert all(set(r) == {"seed", "index", "kind", "check", "sha256"} and r["seed"] == 1
                and r["check"] and len(r["sha256"]) == 64 for r in records)

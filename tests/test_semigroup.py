@@ -22,7 +22,8 @@ from dirichlet_forge.semigroup import (
     membership,
     natural_basis,
 )
-from tests.oracles import brute_membership, brute_small_relation
+from tests.oracles import (brute_membership, brute_primes_upto, brute_small_relation,
+                           label_log_element)
 
 F = Fraction
 
@@ -79,6 +80,79 @@ def test_log_element_of_one_is_identity():
 def test_log_element_rejects_n_that_is_not_a_positive_int(n):
     with pytest.raises(ValidationError, match=r"n = "):
         log_element(log_primes_basis(10), n)
+
+
+@pytest.mark.parametrize("limit", [10.5, 10.0, True, False, "10", None])
+def test_log_primes_basis_rejects_limit_that_is_not_an_int(limit):
+    with pytest.raises(ValidationError, match=r"limit = "):
+        log_primes_basis(limit)
+
+
+@pytest.mark.parametrize("limit", [-5, 0, 1])
+def test_log_primes_basis_below_two_is_empty(limit):
+    assert log_primes_basis(limit).generators == ()
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 6, 7, 30, 430, 1229, 2000])
+def test_key_primes_are_the_first_primes(k):
+    b = SemigroupBasis(FREE, 1, tuple(Generator(i, (1.0 + i,)) for i in range(k)))
+    assert list(b.key_primes.values()) == brute_primes_upto(20_000)[:k]
+
+
+def test_log_table_is_built_on_first_use_and_bounded():
+    b = log_primes_basis(100)
+    enumerate_monoid(b, truncation=3.0)
+    assert "_log_table" not in vars(b)
+    log_element(b, 6)
+    ids, spf = b._log_table
+    assert len(ids) == 25 and len(spf) == 98  # up to the largest labelled prime, 97
+    # a label past the bound on the third prime leaves the table small, and
+    # its prime is still found by trial division
+    decoy = SemigroupBasis.from_json({"mode": "free", "r": 1, "generators": [
+        {"id": i, "value": [1.0 + i], "label": label}
+        for i, label in enumerate(["log2", "log3", "log10007"])]})
+    assert log_element(decoy, 6 * 10007).exponents == ((0, 1), (1, 1), (2, 1))
+    assert len(decoy._log_table[1]) == 12
+
+
+def _log_outcome(f, basis, n):
+    """(exponents, key) of f(basis, n), or (error type, message)."""
+    try:
+        e = f(basis, n)
+    except Exception as exc:  # compared with the oracle's exception
+        return type(exc), str(exc)
+    return e.exponents, e.key()
+
+
+_LOG_LABELS = ["log02", "log4", "log+3", "log\u0663", "log\u00b2", "log", "", "log 5",
+               "log3", "log7", "log10007", "3", "log1_1", "log" + "7" * 5000]
+
+
+@st.composite
+def _log_bases(draw):
+    """log_primes_basis(limit), an embedded basis, or a JSON-built free basis
+    with shuffled ids, missing primes and decoy labels."""
+    kind = draw(st.sampled_from(["primes", "json", "embedded"]))
+    if kind == "primes":
+        return log_primes_basis(draw(st.integers(0, 300)))
+    if kind == "embedded":
+        return embedded_basis([(F(1),), (F(2),)], labels=["log2", "log3"])
+    primes = draw(st.lists(st.sampled_from(brute_primes_upto(60)), unique=True, max_size=12))
+    labels = draw(st.permutations([f"log{p}" for p in primes]
+                                  + draw(st.lists(st.sampled_from(_LOG_LABELS), max_size=4))))
+    ids = draw(st.lists(st.integers(0, 99), min_size=len(labels), max_size=len(labels),
+                        unique=True))
+    return SemigroupBasis.from_json({"mode": "free", "r": 1, "generators": [
+        {"id": i, "value": [1.0 + k], "exact": None, "label": label}
+        for k, (i, label) in enumerate(zip(ids, labels))]})
+
+
+@given(_log_bases(), st.one_of(
+    st.integers(-2, 400),
+    st.sampled_from([2**40, 3**25, 2 * 10007, 10007**2, 10**9 + 7, True, False, 2.0, "6"])))
+@settings(max_examples=300, deadline=None)
+def test_log_element_matches_label_lookup_oracle(basis, n):
+    assert _log_outcome(log_element, basis, n) == _log_outcome(label_log_element, basis, n)
 
 
 def test_element_addition_and_subtraction():
