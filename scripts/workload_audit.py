@@ -4,9 +4,10 @@
     PYTHONPATH=src python3 scripts/workload_audit.py --workload cone-extend \
         --seeds 1 2 3 --out cone.jsonl
 
-For each seed, the workload's schedule in `bench/workloads.py` is replayed
-in order, as the benchmark runs it (for cone-extend, each dual op is
-followed by its double dual, which reads the rays the dual op stored).
+For each seed, the schedule of the workload (cone-extend, search-certify or
+series-invert) in `bench/workloads.py` is replayed in order, as the
+benchmark runs it (for cone-extend, each dual op is followed by its double
+dual, which reads the rays the dual op stored).
 One JSON line per op holds the seed, the op's index in the schedule, its
 kind, `check`, the workload's own verdict on the output, and `sha256`, the
 digest of `cli._dumps(output)` or, when the op raises, of the error's type
@@ -33,7 +34,7 @@ import workloads  # noqa: E402
 from dirichlet_forge import cli  # noqa: E402
 
 
-WORKLOADS = ("cone-extend", "series-invert")
+WORKLOADS = ("cone-extend", "search-certify", "series-invert")
 
 
 def audit(name: str, seed: int) -> list:

@@ -18,7 +18,6 @@ computed once per key, from its exponent map.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .disk import DISK_GRID_CAP, _UNDERFLOW, _UNIT_ROUNDOFF, _grid_argmin
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
 from .exactnum import QC, as_fraction, format_frac, parse_frac
@@ -40,12 +40,16 @@ FLOAT = "float"
 
 
 def _coerce(value, backend):
-    """`value` as a coefficient of `backend`; a non-finite one is a ValidationError."""
+    """`value` as a coefficient of `backend`; a non-finite one, or one too
+    large for a complex double in the float backend, is a ValidationError."""
     if isinstance(value, (float, complex)) and not cmath.isfinite(value):
         raise ValidationError(f"coefficient {value!r} is not finite")
     if backend == EXACT:
         return QC.from_value(value)
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValidationError("coefficient is too large for the float backend") from None
 
 
 class AlgebraElement:
@@ -1039,12 +1043,6 @@ def _series_majorant(f: PowerSeries) -> float:
 
 # -- the disk minimum (witnesses and the multiplicative layer) --------------
 
-# most grid points one disk minimum evaluates: 16 MB per complex array
-DISK_GRID_CAP = 1 << 20
-
-_UNIT_ROUNDOFF = 2.0 ** -53
-_UNDERFLOW = 2.0 ** -1074  # the smallest subnormal: absolute error per rounded operation
-
 
 class DiskMinimum(NamedTuple):
     minimum: float
@@ -1052,6 +1050,7 @@ class DiskMinimum(NamedTuple):
     lower_bound: float
     lipschitz: float
     mesh: float
+    points: int  # evaluations of p the scan made, cluster anchors included
 
 
 def min_modulus_on_disk(poly_coeffs, step: float = 0.02, boundary: int = 512):
@@ -1066,11 +1065,12 @@ def min_modulus_on_disk(poly_coeffs, step: float = 0.02, boundary: int = 512):
 def _disk_minimum(terms: dict, step: float, boundary: int) -> DiskMinimum:
     """Minimum of |p(z)| over the disk grid, with a rigorous lower bound.
 
-    p(z) = sum over terms {k: a_k} of a_k z^k.  The grid (`_disk_grid`) is
-    the square lattice of step h, with the points outside the disk pulled
-    radially onto the unit circle, followed by `boundary` equally spaced
-    circle points.  p is evaluated by Horner's rule over the whole grid;
-    the first minimum in grid order is returned.
+    p(z) = sum over terms {k: a_k} of a_k z^k.  The grid (`disk._disk_grid`)
+    is the square lattice of step h, with the points outside the disk
+    pulled radially onto the unit circle, followed by `boundary` equally
+    spaced circle points.  The first minimum in grid order of |p| evaluated
+    by Horner's rule is returned; `disk._grid_argmin` finds it without
+    evaluating the grid clusters that cannot hold it.
 
     Every point of the disk lies within h*sqrt(2) of a lattice point (the
     radial pull does not increase that distance), and |p'| <= L =
@@ -1119,57 +1119,12 @@ def _disk_minimum(terms: dict, step: float, boundary: int) -> DiskMinimum:
     terms = {n: c for n, c in terms.items() if c != 0}
     if not all(cmath.isfinite(c) for c in terms.values()):
         raise ValidationError("disk polynomial coefficients must be finite")
-    grid = _disk_grid(step, boundary)
-    mods = np.abs(_horner(terms, grid))
-    i = int(np.argmin(mods))
     n = max(terms, default=0)
     L = sum(m * abs(c) for m, c in terms.items())
     A = sum(abs(c) for c in terms.values())
+    argmin, best, points = _grid_argmin(terms, n, A, step, boundary)
     mm = (4 * n + 2) * _UNIT_ROUNDOFF
     rho = mm / (1.0 - mm) * (A + L)
     mesh = step * math.sqrt(2.0)
     tau = (26 * n + 38) * _UNDERFLOW if terms else 0.0
-    best = float(mods[i])
-    return DiskMinimum(best, complex(grid[i]), best - L * mesh - rho - tau, L, mesh)
-
-
-@functools.lru_cache(maxsize=4)
-def _disk_grid(step: float, boundary: int) -> np.ndarray:
-    """Read-only disk grid in scan order: real part outer, imaginary part
-    inner, then the circle points."""
-    k = math.ceil(1.0 / step)
-    x = np.arange(-k, k + 1) * step
-    re, im = np.repeat(x, x.size), np.tile(x, x.size)
-    r = np.hypot(re, im)
-    out = r > 1.0
-    re[out] /= r[out]
-    im[out] /= r[out]
-    circle = np.exp(1j * (2.0 * math.pi * np.arange(boundary) / boundary))
-    grid = np.concatenate([re + 1j * im, circle])
-    grid.flags.writeable = False
-    return grid
-
-
-def _horner(terms: dict, z: np.ndarray) -> np.ndarray:
-    """sum a_k z^k by Horner's rule over descending degrees; a gap of g
-    degrees multiplies by z^g from binary powering (at most g - 1 products),
-    so the product count never exceeds the degree."""
-    acc = np.zeros(z.shape, dtype=complex)
-    degs = sorted(terms, reverse=True)
-    for hi, lo in zip(degs, degs[1:] + [0]):
-        acc += terms[hi]
-        if hi > lo:
-            acc *= _power(z, hi - lo)
-    return acc
-
-
-def _power(z: np.ndarray, g: int) -> np.ndarray:
-    """z^g for g >= 1 by binary powering."""
-    out, base = None, z
-    while True:
-        if g & 1:
-            out = base if out is None else out * base
-        g >>= 1
-        if not g:
-            return out
-        base = base * base
+    return DiskMinimum(best, argmin, best - L * mesh - rho - tau, L, mesh, points)

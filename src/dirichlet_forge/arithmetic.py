@@ -83,10 +83,12 @@ class PrimeSystem:
             raise ValidationError(f"{p} is not a prime of this system") from None
 
     def max_power(self, i: int) -> int:
-        """Largest k with p_i^k <= x."""
+        """Largest k with p_i^k <= x: exactly for a rational system, within a
+        relative 1e-12 of x for real primes, whose powers round."""
         p = self.primes[i]
+        x = self.x if self.rational else self.x * (1 + 1e-12)
         k, v = 0, 1
-        while v * p <= self.x * (1 + 1e-12):
+        while v * p <= x:
             v *= p
             k += 1
         return k

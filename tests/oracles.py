@@ -1813,3 +1813,95 @@ def label_log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
         keyed_by_n = keyed_by_n and primes[gid] == p
     exps.sort()
     return SemigroupElement._trusted(basis, tuple(exps), None, n if keyed_by_n else None)
+
+
+# -- the disk minimum over the whole grid ------------------------------------
+# A verbatim copy of `algebra._disk_minimum` from before it skipped the grid
+# clusters whose bound shows they cannot hold the minimum: p is evaluated at
+# every grid point.  Renamed `full_grid_disk_minimum`; the grid and Horner's
+# rule are the package's own, which the pruned scan shares.
+
+import numbers  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from dirichlet_forge.disk import (  # noqa: E402
+    DISK_GRID_CAP, _UNDERFLOW, _UNIT_ROUNDOFF, _disk_grid, _horner)
+
+
+class DiskMinimum(NamedTuple):
+    minimum: float
+    argmin: complex
+    lower_bound: float
+    lipschitz: float
+    mesh: float
+
+
+def full_grid_disk_minimum(terms: dict, step: float, boundary: int) -> DiskMinimum:
+    """Minimum of |p(z)| over the disk grid, with a rigorous lower bound.
+
+    p(z) = sum over terms {k: a_k} of a_k z^k.  The grid (`_disk_grid`) is
+    the square lattice of step h, with the points outside the disk pulled
+    radially onto the unit circle, followed by `boundary` equally spaced
+    circle points.  p is evaluated by Horner's rule over the whole grid;
+    the first minimum in grid order is returned.
+
+    Every point of the disk lies within h*sqrt(2) of a lattice point (the
+    radial pull does not increase that distance), and |p'| <= L =
+    sum k |a_k| on the disk.  So with n the degree, A = sum |a_k|, u the
+    unit roundoff and gamma_m = m u / (1 - m u),
+
+        lower_bound = min_grid - L h sqrt(2) - rho - tau,
+        rho = gamma_(4n+2) (A + L),
+        tau = (26n + 38) eta,  eta = 2^-1074.
+
+    rho bounds the floating-point error of complex Horner evaluation on
+    |z| <= 1 (at most n complex products, each within sqrt(2) gamma_2 <=
+    gamma_3, and n sums, each within u: gamma_(4n) A; Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 5.1), the rounding of |.| and
+    of the final subtractions, and the rounding of the grid points and of
+    L, both of which enter through L.
+
+    tau is the underflow term of Higham's model (sec. 2.1): at subnormal
+    scale a rounded operation also errs by an absolute amount of at most
+    eta = 2^-1074, and the relative terms above, L h sqrt(2) and rho can
+    all round to 0.  The rounded operations number at most 13n + 19:
+    8n + 2 in Horner's rule at a point (n complex products of 6, n + 1
+    complex sums of 2), 1 for |.|, 3(n + 1) for L and 2(n + 1) for A (a
+    modulus, a product and a sum per term), 5 for rho, 3 for the mesh term
+    and 3 for the subtractions.  Each error reaches the bound multiplied by
+    less than 2 (by |z| <= 1 + 2u and factors 1 + delta, by h sqrt(2) <=
+    sqrt(2) + u, or by gamma_(4n+2)), so tau covers them all.
+
+    A positive lower bound certifies that p has no zero on the closed
+    disk.  The zero polynomial (no rounded operation) gives minimum 0 and
+    lower bound 0.
+    """
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not 0.0 < step <= 1.0:
+        raise ValidationError(f"disk step must be a finite number in (0, 1], got {step!r}")
+    if isinstance(boundary, bool) or not isinstance(boundary, numbers.Integral) or boundary < 0:
+        raise ValidationError(f"disk boundary must be an int >= 0, got {boundary!r}")
+    step, boundary = float(step), int(boundary)
+    # 1/step overflows to inf for the smallest subnormal steps; count those exactly
+    inv = 1.0 / step
+    k = math.ceil(inv if inv < math.inf else 1 / Fraction(step))
+    points = (2 * k + 1) ** 2 + boundary
+    if points > DISK_GRID_CAP:
+        raise CapExceededError(f"disk grid needs {points} points, above "
+                               f"DISK_GRID_CAP = {DISK_GRID_CAP}")
+    terms = {n: complex(c) for n, c in terms.items()}
+    terms = {n: c for n, c in terms.items() if c != 0}
+    if not all(cmath.isfinite(c) for c in terms.values()):
+        raise ValidationError("disk polynomial coefficients must be finite")
+    grid = _disk_grid(step, boundary)
+    mods = np.abs(_horner(terms, grid))
+    i = int(np.argmin(mods))
+    n = max(terms, default=0)
+    L = sum(m * abs(c) for m, c in terms.items())
+    A = sum(abs(c) for c in terms.values())
+    mm = (4 * n + 2) * _UNIT_ROUNDOFF
+    rho = mm / (1.0 - mm) * (A + L)
+    mesh = step * math.sqrt(2.0)
+    tau = (26 * n + 38) * _UNDERFLOW if terms else 0.0
+    best = float(mods[i])
+    return DiskMinimum(best, complex(grid[i]), best - L * mesh - rho - tau, L, mesh)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from dirichlet_forge.algebra import (
     unit,
     weighted_norm,
 )
+from dirichlet_forge.algebra import _disk_minimum
 from dirichlet_forge.errors import (
     CapExceededError,
     NeumannInapplicableError,
@@ -39,7 +41,8 @@ from dirichlet_forge.semigroup import (embedded_basis, free_rational_basis, log_
 from dirichlet_forge.semigroup import SemigroupBasis
 from dirichlet_forge.weights import one as w_one, poly as w_poly, table as w_table
 from tests.oracles import (brute_disk_min, brute_exp_sum, brute_half_plane_min,
-                          brute_poly_inverse, brute_poly_mul, mobius_sieve)
+                          brute_poly_inverse, brute_poly_mul, full_grid_disk_minimum,
+                          mobius_sieve)
 
 F = Fraction
 
@@ -183,6 +186,22 @@ def test_non_finite_coefficient_is_rejected(backend, bad):
         from_coeffs(b, pairs, backend)
     with pytest.raises(ValidationError, match="not finite"):
         AlgebraElement(b, dict(pairs), backend, truncation=2.0)
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, Fraction(10 ** 400, 3)], ids=["int", "fraction"])
+def test_coefficient_beyond_double_range(huge):
+    # the float backend cannot hold it; the exact backend keeps it as is
+    b = log_primes_basis(3)
+    pairs = [(b.zero(), 1), (log_element(b, 2), huge)]
+    with pytest.raises(ValidationError, match="too large for the float backend"):
+        from_coeffs(b, pairs, FLOAT)
+    with pytest.raises(ValidationError, match="too large for the float backend"):
+        AlgebraElement(b, dict(pairs), FLOAT)
+    with pytest.raises(ValidationError, match="too large for the float backend"):
+        from_coeffs(b, pairs[:1], FLOAT).scale(huge)
+    a = from_coeffs(b, pairs, EXACT)
+    assert a.coeffs[log_element(b, 2)] == QC.from_value(huge)
+    assert AlgebraElement(b, dict(pairs), EXACT).terms == a.terms
 
 
 @pytest.mark.parametrize("backend", [FLOAT, EXACT])
@@ -374,6 +393,66 @@ def test_disk_grid_cap_refuses_before_allocating():
         min_modulus_on_disk([1.0], boundary=DISK_GRID_CAP)
     best, _, _ = min_modulus_on_disk([1.0], step=0.002)  # just under the cap
     assert best == 1.0
+
+
+@st.composite
+def _disk_polynomials(draw):
+    """{degree: coefficient} for the pruned disk scan: dense and sparse up to
+    degree 40, ties, a dominant constant term and the zero polynomial, at
+    scales from subnormal to 1e300."""
+    shape = draw(st.sampled_from(["dense", "sparse", "ties", "dominant", "zero"]))
+    if shape == "zero":
+        return {}
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(-300, 300))
+    else:
+        scale = 5e-324 * draw(st.integers(1, 2 ** 20))
+    if shape == "ties":  # c z^k, c + z^k with |c| = 1: minima repeat around the disk
+        k = draw(st.integers(1, 40))
+        return {0: draw(st.sampled_from([0, 1, -1, 1j])) * scale,
+                k: draw(st.sampled_from([1, -1, 1j, -1j])) * scale}
+    n = draw(st.integers(0, 40))
+    degrees = range(n + 1) if shape != "sparse" else draw(
+        st.sets(st.integers(0, n), max_size=4)) | {n}
+    unit = st.floats(-1.0, 1.0)
+    terms = {k: complex(draw(unit), draw(unit)) * scale for k in degrees}
+    if shape == "dominant":
+        terms[0] = 1.5 * sum(abs(c) for k, c in terms.items() if k) + scale
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_disk_polynomials(), st.sampled_from([1, 0.5, 0.1, 0.02, 0.013]),
+       st.sampled_from([0, 1, 7, 512]))
+# subnormal linear factors, where the computed values differ from the exact
+# ones by whole multiples of 2^-1074: pruning without the rounding slack
+# loses the first minimum of both
+@example({0: 2.77e-322 - 2.2e-322j, 1: 1.2e-322 - 1.14e-322j}, 0.013, 512)
+@example({0: -5e-324 - 2.3e-322j, 1: 1.14e-322 + 4e-323j}, 0.1, 512)
+@example({0: 1.0, 2: 1.0}, 0.02, 512)
+def test_pruned_disk_scan_is_the_full_grid_scan(terms, step, boundary):
+    got = _disk_minimum(terms, step, boundary)
+    want = full_grid_disk_minimum(terms, step, boundary)
+    assert got[:5] == tuple(want)
+    assert repr(got[:5]) == repr(tuple(want))  # signed zeros too
+    assert 1 <= got.points
+
+
+def test_disk_minimum_counts_its_evaluations():
+    # a constant takes one point, a degree above the anchors' power table
+    # (32) the whole grid, and degree-<=2 local factors of the search-certify
+    # shape (f(p^k) = r/d, |r| <= 4, 2 <= d <= 9) a tenth of it at most
+    grid = 101 ** 2 + 512
+    assert _disk_minimum({0: 2.0}, 0.02, 512).points == 1
+    assert _disk_minimum({0: 2.0, 60: 1.0}, 0.02, 512).points == grid
+    rng = random.Random(1)
+    calls = evaluated = 0
+    for degree in (1, 2):
+        for _ in range(300):
+            coeffs = [1] + [F(rng.randint(-4, 4), rng.randint(2, 9)) for _ in range(degree)]
+            evaluated += _disk_minimum(dict(enumerate(coeffs)), 0.02, 512).points
+            calls += 1
+    assert evaluated <= 0.1 * grid * calls
 
 
 def test_witness_certificate_subtracts_mesh_and_rounding():

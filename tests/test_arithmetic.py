@@ -52,6 +52,16 @@ class TestPrimeSystem:
         assert s.max_power(1) == 4  # 3^4 = 81
         assert s.max_power(s.index_of(97)) == 1
 
+    @pytest.mark.parametrize("x", [2 ** 50 - 1, 10 ** 18])
+    def test_max_power_is_exact_for_large_rational_bounds(self, x):
+        # the float slack of a real system would admit 2^50 = x + 1 here
+        s = PrimeSystem(primes=(2, 3, 999983, 10 ** 9 + 7), x=x, rational=True)
+        for i, p in enumerate(s.primes):
+            k = s.max_power(i)
+            assert p ** k <= x < p ** (k + 1)
+        assert s.max_power(0) == (49 if x == 2 ** 50 - 1 else 59)
+        assert all(v <= x for _, _, v in s.iter_prime_powers())
+
     def test_index_of_every_prime(self):
         s = PrimeSystem.rational_primes(10 ** 4)
         for i, p in enumerate(brute_primes_upto(10 ** 4)):

@@ -93,3 +93,19 @@ def test_workload_audit_records_every_series_invert_op(tmp_path):
                                                  "compose"]
     assert all(set(r) == {"seed", "index", "kind", "check", "sha256"} and r["seed"] == 1
                and r["check"] and len(r["sha256"]) == 64 for r in records)
+
+
+def test_workload_audit_records_every_search_certify_op(tmp_path):
+    out = tmp_path / "search.jsonl"
+    proc = _script("workload_audit.py", "--workload", "search-certify", "--seeds", 1,
+                   "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    # the search-certify schedule: 60 cycles of a density search, three disk
+    # witnesses, two Euler reports and a Kronecker search
+    assert [r["index"] for r in records] == list(range(420))
+    assert [r["kind"] for r in records[:7]] == ["density", "witness", "euler", "kronecker",
+                                                 "witness", "witness", "euler"]
+    assert [r["kind"] for r in records[:7]] * 60 == [r["kind"] for r in records]
+    assert all(set(r) == {"seed", "index", "kind", "check", "sha256"} and r["seed"] == 1
+               and r["check"] and len(r["sha256"]) == 64 for r in records)
