@@ -10,7 +10,7 @@ benchmark runs it (for cone-extend, each dual op is followed by its double
 dual, which reads the rays the dual op stored).
 One JSON line per op holds the seed, the op's index in the schedule, its
 kind, `check`, the workload's own verdict on the output, and `sha256`, the
-digest of `cli._dumps(output)` or, when the op raises, of the error's type
+digest of `digest_text(output)` or, when the op raises, of the error's type
 and message.  Two library versions compute alike when their audit files are
 identical: run the script once with each version's `src` on PYTHONPATH and
 `diff` the files.  `bench/` is only imported.
@@ -31,10 +31,19 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
 import workloads  # noqa: E402
-from dirichlet_forge import cli  # noqa: E402
+from dirichlet_forge import algebra, cli  # noqa: E402
 
 
 WORKLOADS = ("cone-extend", "search-certify", "series-invert")
+
+
+def digest_text(out) -> str:
+    """`cli._dumps(out)`, then one line with the repr of the dropped mass of
+    each algebra element the op returned, itself or in a returned tuple
+    (`to_json` leaves the dropped mass out)."""
+    items = out if isinstance(out, tuple) else (out,)
+    return cli._dumps(out) + "".join(f"\ndropped_mass {x.dropped_mass!r}" for x in items
+                                     if isinstance(x, algebra.AlgebraElement))
 
 
 def audit(name: str, seed: int) -> list:
@@ -47,7 +56,7 @@ def audit(name: str, seed: int) -> list:
         except Exception as e:  # a failed op is recorded by its error
             check, text = False, f"{type(e).__name__}: {e}"
         else:
-            text = cli._dumps(out)
+            text = digest_text(out)
             try:
                 check = bool(w.check(op, out))
             except Exception:  # a check that cannot run counts as failed

@@ -8,11 +8,14 @@ coefficient backends: "exact" (complex rationals, identity-grade) and
 An element stores its terms by element key (`SemigroupElement.key`):
 integers that multiply over a free basis (log n over the log-primes basis
 is keyed by n), the elements themselves, which add, over an embedded
-basis.  Products, inverses and sums run on these keys and build no
-`SemigroupElement`.  `coeffs` is the edge view {SemigroupElement: value}:
-the elements a caller passed in, or, for a computed element, elements
-built from their keys when it is first read, then cached.  Magnitudes are
-computed once per key, from its exponent map.
+basis.  An exact element stores its values fraction-free, as integer
+numerators over one least common denominator: plain ints when every value
+is real, (re, im) pairs otherwise.  Products, inverses and sums run on
+these keys and numerators and build no `SemigroupElement` and no
+`Fraction`.  `coeffs` is the edge view {SemigroupElement: value}, with
+exact values as `QC`s: the elements a caller passed in, or, for a computed
+element, elements built from their keys, made when it is first read, then
+cached.  Magnitudes are computed once per key, from its exponent map.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,7 +33,7 @@ import numpy as np
 from .disk import DISK_GRID_CAP, _UNDERFLOW, _UNIT_ROUNDOFF, _grid_argmin
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
-from .exactnum import QC, as_fraction, format_frac, parse_frac
+from .exactnum import QC, _as_ratio, format_frac
 from .semigroup import (FREE, KeyedElements, SemigroupBasis, SemigroupElement, cutoff,
                         enumerate_monoid, key_combine, row_end)
 from .weights import ONE, WeightFn, one as weight_one
@@ -39,78 +42,94 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-def _coerce(value, backend):
-    """`value` as a coefficient of `backend`; a non-finite one, or one too
-    large for a complex double in the float backend, is a ValidationError."""
-    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
-        raise ValidationError(f"coefficient {value!r} is not finite")
-    if backend == EXACT:
-        return QC.from_value(value)
-    try:
-        return complex(value)
-    except OverflowError:
-        raise ValidationError("coefficient is too large for the float backend") from None
-
-
 class AlgebraElement:
     """Immutable finitely supported coefficient map over a basis.
 
-    `terms` maps element keys to values, in the order the terms were made;
-    `coeffs` is the same map keyed by SemigroupElement (see the module
-    docstring).  Each is built from the other on first read.  Both are
-    read-only."""
+    `_nums` maps element keys, in the order the terms were made, to
+    numerators over `_den`: float values over 1, or exact ints, (re, im)
+    int pairs when some value is not real (`_gauss`), over the least
+    denominator (coprime to them all, 1 for the empty element).  An
+    element made from the caller's elements holds the same numerators by
+    those elements (`_by_elem`) and is keyed on first read of `_nums`.
+    `terms` ({key: value}) and `coeffs` ({SemigroupElement: value}, see the
+    module docstring) are the edge views, exact values as `QC`s; each is
+    built on first read.  Both are read-only."""
 
-    __slots__ = ("basis", "backend", "truncation", "dropped_mass", "_terms", "_mags", "_exps",
-                 "_coeffs")
+    __slots__ = ("basis", "backend", "truncation", "dropped_mass", "_by_key", "_den", "_gauss",
+                 "_by_elem", "_terms", "_coeffs", "_mags", "_exps")
 
     def __init__(self, basis: SemigroupBasis, coeffs: dict, backend: str = FLOAT,
                  truncation: Optional[float] = None, dropped_mass: float = 0.0,
                  _trusted: bool = False):
-        if backend not in (EXACT, FLOAT):
-            raise ValidationError(f"unknown backend {backend!r}")
-        self.truncation = None if truncation is None else float(truncation)
+        limit = None if _trusted or truncation is None else cutoff(float(truncation))
         if not _trusted:
-            limit = None if truncation is None else cutoff(self.truncation)
-            clean = {}
-            for lam, v in coeffs.items():
+            for lam in coeffs:
                 if not isinstance(lam, SemigroupElement):
                     raise ValidationError("coefficient keys must be semigroup elements")
                 if lam.basis is not basis and lam.basis != basis:
                     raise BasisMismatchError("coefficient key over a different basis")
                 if limit is not None and lam.l1() > limit:
                     raise ValidationError("support element beyond declared truncation")
-                cv = _coerce(v, backend)
-                if cv != 0:
-                    clean[lam] = cv
-            coeffs = clean
+        # by position until zeros are dropped: ints hash faster than elements
+        self._set(basis, backend, truncation, dropped_mass,
+                  *_stored(enumerate(coeffs.values()), backend))
+        elems = list(coeffs)
+        self._by_elem, self._by_key = {elems[i]: v for i, v in self._by_key.items()}, None
+
+    def _set(self, basis, backend, truncation, dropped_mass, nums, den, gauss,
+             mags=None, exps=None):
+        if backend not in (EXACT, FLOAT):
+            raise ValidationError(f"unknown backend {backend!r}")
+        if backend == EXACT:
+            nums, den, gauss = _reduced(nums, den, gauss)
+        else:
+            nums = {k: v for k, v in nums.items() if v != 0}
         self.basis, self.backend, self.dropped_mass = basis, backend, float(dropped_mass)
-        self._terms, self._mags, self._exps, self._coeffs = None, None, None, coeffs
+        self.truncation = None if truncation is None else float(truncation)
+        self._by_key, self._den, self._gauss, self._mags, self._exps = nums, den, gauss, mags, exps
+        self._by_elem = self._terms = self._coeffs = None
 
     @classmethod
-    def _keyed(cls, basis: SemigroupBasis, terms: dict, backend: str,
+    def _keyed(cls, basis: SemigroupBasis, nums: dict, backend: str,
                truncation: Optional[float] = None, dropped_mass: float = 0.0,
-               mags: Optional[dict] = None, exps: Optional[dict] = None) -> "AlgebraElement":
-        """An element from validated terms by key.  `mags` and `exps`, when
-        given, map at least every key to its magnitude and exponent map."""
-        out = cls(basis, {}, backend, truncation, dropped_mass, _trusted=True)
-        out._terms, out._mags, out._exps, out._coeffs = terms, mags, exps, None
+               mags: Optional[dict] = None, exps: Optional[dict] = None, den: int = 1,
+               gauss: bool = False) -> "AlgebraElement":
+        """An element from numerators by key over `den` (pairs when `gauss`);
+        zeros are dropped, exact numerators reduced to least form.  `mags`
+        and `exps`, when given, map at least every key to its magnitude and
+        exponent map."""
+        out = object.__new__(cls)
+        out._set(basis, backend, truncation, dropped_mass, nums, den, gauss, mags, exps)
         return out
+
+    @property
+    def _nums(self) -> dict:
+        if self._by_key is None:
+            self._by_key = {lam.key(): v for lam, v in self._by_elem.items()}
+        return self._by_key
 
     @property
     def terms(self) -> dict:
         """{key: value} in term order."""
         if self._terms is None:
-            self._terms = {lam.key(): v for lam, v in self._coeffs.items()}
+            den, gauss = self._den, self._gauss
+            self._terms = self._nums if self.backend == FLOAT else {
+                k: _qc(v, den, gauss) for k, v in self._nums.items()}
         return self._terms
 
     @property
     def coeffs(self) -> dict:
         """{SemigroupElement: value} in term order, built once."""
         if self._coeffs is None:
-            mags, exps = self._mags or {}, self._exponent_maps()
-            element = self.basis.key_element
-            self._coeffs = {element(k, mags.get(k), exps.get(k)): v
-                            for k, v in self.terms.items()}
+            if self._by_elem is not None:
+                den, gauss = self._den, self._gauss
+                self._coeffs = self._by_elem if self.backend == FLOAT else {
+                    lam: _qc(v, den, gauss) for lam, v in self._by_elem.items()}
+            else:
+                mags, exps = self._mags or {}, self._exponent_maps()
+                element = self.basis.key_element
+                self._coeffs = {element(k, mags.get(k), exps.get(k)): v
+                                for k, v in self.terms.items()}
         return self._coeffs
 
     def _exponent_maps(self) -> dict:
@@ -119,21 +138,21 @@ class AlgebraElement:
         usually comes before it); {} over an embedded basis."""
         if self._exps is None:
             self._exps = exps = {}
-            if self.basis.mode == FREE and self._coeffs is not None:
-                self._exps = {k: lam.exponents for k, lam in zip(self.terms, self._coeffs)}
+            if self.basis.mode == FREE and self._by_elem is not None:
+                self._exps = {k: lam.exponents for k, lam in zip(self._nums, self._by_elem)}
             elif self.basis.mode == FREE:
-                for k in self.terms:
+                for k in self._nums:
                     exps[k] = self.basis.key_exponents(k, exps)
         return self._exps
 
     def _magnitudes(self) -> dict:
         """{key: |lambda|_1} over the terms, computed once per key."""
         if self._mags is None:
-            if self._coeffs is not None:
-                self._mags = {k: lam.l1() for k, lam in zip(self.terms, self._coeffs)}
+            if self._by_elem is not None:
+                self._mags = {k: lam.l1() for k, lam in zip(self._nums, self._by_elem)}
             else:
                 exps, mag = self._exponent_maps(), self.basis.key_magnitude
-                self._mags = {k: mag(k, exps) for k in self.terms}
+                self._mags = {k: mag(k, exps) for k in self._nums}
         return self._mags
 
     # -- basic structure ----------------------------------------------------
@@ -144,10 +163,10 @@ class AlgebraElement:
     def __getitem__(self, lam: SemigroupElement):
         v = None
         if lam.basis is self.basis or lam.basis == self.basis:
-            v = self.terms.get(lam.key())
+            v = self._nums.get(lam.key())
         if v is None:
             return QC(0) if self.backend == EXACT else 0j
-        return v
+        return v if self.backend == FLOAT else _qc(v, self._den, self._gauss)
 
     def constant_term(self):
         return self[self.basis.zero()]
@@ -155,10 +174,14 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
+        if self.basis != other.basis:
+            return False
+        if self.backend == other.backend:  # least forms: equal values, equal numerators
+            return self._den == other._den and self._nums == other._nums
+        return self.terms == other.terms
 
     def __repr__(self):
-        return f"AlgebraElement({len(self.terms)} terms, backend={self.backend})"
+        return f"AlgebraElement({len(self._nums)} terms, backend={self.backend})"
 
     # -- linear ops ---------------------------------------------------------
 
@@ -168,39 +191,40 @@ class AlgebraElement:
         from the sum's is coerced."""
         _check_bases(self, other)
         backend = EXACT if self.backend == other.backend == EXACT else FLOAT
-        out = dict(_terms_in(self, backend))
-        for k, v in _terms_in(other, backend).items():
+        na, da, ga = _terms_in(self, backend)
+        nb, db, gb = _terms_in(other, backend)
+        den, gauss = math.lcm(da, db), ga or gb
+        out = dict(_lifted(na, den // da, ga, gauss))
+        for k, v in _lifted(nb, den // db, gb, gauss).items():
             cur = out.get(k)
-            if cur is not None:
-                v = cur + v
-                if v == 0:
-                    del out[k]
-                    continue
-            out[k] = v
+            out[k] = v if cur is None else (cur[0] + v[0], cur[1] + v[1]) if gauss else cur + v
         return AlgebraElement._keyed(self.basis, out, backend,
                                      _min_trunc(self.truncation, other.truncation),
-                                     self.dropped_mass + other.dropped_mass)
+                                     self.dropped_mass + other.dropped_mass, den=den, gauss=gauss)
 
     def scale(self, c) -> "AlgebraElement":
         """c * self; values are coerced only when the backend changes (an
         exact element scaled by a complex becomes float)."""
-        backend = self.backend
-        if backend == EXACT and isinstance(c, complex):
-            backend = FLOAT
-        cc = _coerce(c, backend)
-        # an exact real scalar multiplies each term by its Fraction: two
-        # products instead of QC x QC's four
-        mul = cc.re if backend == EXACT and cc.im == 0 else cc
-        out = {}
-        for k, v in _terms_in(self, backend).items():
-            nv = v * mul
-            if nv != 0:
-                out[k] = nv
-        return AlgebraElement._keyed(self.basis, out, backend, self.truncation,
-                                     self.dropped_mass * abs(cc), self._mags, self._exps)
+        backend = FLOAT if isinstance(c, complex) else self.backend
+        nums, den, gauss = _stored([(0, c)], backend)
+        return self._times((nums[0], den, gauss), backend)
 
     def negate(self) -> "AlgebraElement":
         return self.scale(-1)
+
+    def _times(self, c, backend: str) -> "AlgebraElement":
+        """self times the scalar c = (numerator, denominator, gauss) of
+        `backend`, term by term."""
+        cn, cd, cg = c
+        nums, den, gauss = _terms_in(self, backend)
+        if gauss or cg:
+            cn = cn if cg else (cn, 0)
+            out = {k: _gauss_mul(v if gauss else (v, 0), cn) for k, v in nums.items()}
+        else:
+            out = {k: v * cn for k, v in nums.items()}
+        return AlgebraElement._keyed(self.basis, out, backend, self.truncation,
+                                     self.dropped_mass * _num_abs(c[0], cg, cd), self._mags,
+                                     self._exps, den * cd, gauss or cg)
 
     # -- serialization ------------------------------------------------------
 
@@ -220,46 +244,124 @@ class AlgebraElement:
     @classmethod
     def from_json(cls, data: dict, basis: Optional[SemigroupBasis] = None) -> "AlgebraElement":
         """The element `to_json` wrote.  One pass: each support element is
-        read as its key and checked (ids, signs, truncation, duplicates), and
-        zero coefficients are dropped; no SemigroupElement is built."""
+        read as its key and checked (ids, signs, truncation, duplicates),
+        an exact value as the ints of its parts (`exactnum._as_ratio`), and
+        a boolean part is malformed; zero coefficients are dropped, and
+        neither a SemigroupElement nor a Fraction is made."""
         try:
             if basis is None:
                 basis = SemigroupBasis.from_json(data["basis"])
             backend = data.get("backend", FLOAT)
             truncation = data.get("truncation")
             limit = None if truncation is None else cutoff(float(truncation))
-            terms, zeros, mags, exps = {}, [], {}, {}
+            values, mags, exps = {}, {}, {}
             for entry in data["coeffs"]:
                 k = basis.json_key(entry["element"])
                 re, im = entry["re"], entry["im"]
-                if backend == EXACT:
-                    v = QC(parse_frac(re) if isinstance(re, str) else as_fraction(re),
-                           parse_frac(im) if isinstance(im, str) else as_fraction(im))
-                else:
-                    v = _coerce(complex(float(re), float(im)), FLOAT)
-                size = len(terms)
-                terms[k] = v
-                if len(terms) == size:
+                if isinstance(re, bool) or isinstance(im, bool):
+                    raise TypeError("a boolean is not a coefficient")
+                size = len(values)
+                values[k] = (*_as_ratio(re), *_as_ratio(im)) if backend == EXACT else \
+                    _complex(complex(float(re), float(im)))
+                if len(values) == size:
                     raise ValidationError("duplicate support element in JSON")
                 if limit is not None:
                     mags[k] = basis.key_magnitude(k, exps)
                     if mags[k] > limit:
                         raise ValidationError("support element beyond declared truncation")
-                if v == 0:
-                    zeros.append(k)
-            for k in zeros:
-                del terms[k]
-            return cls._keyed(basis, terms, backend, truncation, mags=mags or None,
-                              exps=exps or None)
+            nums, den, gauss = _over_lcm(values) if backend == EXACT else (values, 1, False)
+            return cls._keyed(basis, nums, backend, truncation, mags=mags or None,
+                              exps=exps or None, den=den, gauss=gauss)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValidationError(f"malformed algebra element JSON: {e}") from e
 
 
-def _terms_in(a: AlgebraElement, backend: str) -> dict:
-    """a's terms with values in `backend`: its own map when already there."""
+# -- exact values as integer numerators over one denominator -----------------
+
+
+def _stored(items, backend: str):
+    """(numerators by key, denominator, gauss) of (key, value) pairs:
+    complex doubles over 1, or exact values over the lcm of their
+    denominators."""
+    if backend == EXACT:
+        return _over_lcm({k: _parts(v) for k, v in items})
+    return {k: _complex(v) for k, v in items}, 1, False
+
+
+def _complex(v) -> complex:
+    """v as a float coefficient; a non-finite one, or one too large for a
+    complex double, is a ValidationError."""
+    if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        raise ValidationError(f"coefficient {v!r} is not finite")
+    try:
+        return complex(v)
+    except OverflowError:
+        raise ValidationError("coefficient is too large for the float backend") from None
+
+
+def _parts(v) -> tuple:
+    """(re numerator, re denominator, im numerator, im denominator) of an
+    exact coefficient: a QC, a finite float or complex, or a real
+    `exactnum._as_ratio` reads."""
+    if isinstance(v, (float, complex)):
+        v = _complex(v)
+    re, im = (v.re, v.im) if isinstance(v, QC) else (v.real, v.imag) if isinstance(v, complex) \
+        else (v, 0)
+    return (*_as_ratio(re), *_as_ratio(im))
+
+
+def _over_lcm(parts: dict):
+    """(numerators, lcm of the denominators, gauss) of {key: `_parts`}."""
+    den = math.lcm(*(d for p in parts.values() for d in p[1::2]))
+    if any(p[2] for p in parts.values()):
+        return {k: (a * (den // b), c * (den // d)) for k, (a, b, c, d) in parts.items()}, den, True
+    return {k: a * (den // b) for k, (a, b, _, _) in parts.items()}, den, False
+
+
+def _reduced(nums: dict, den: int, gauss: bool):
+    """Exact numerators over den in least form: zeros dropped, ints unless
+    some value is not real, and den > 0 coprime to them all (1 when there
+    is none)."""
+    nums = {k: v for k, v in nums.items() if (v[0] or v[1] if gauss else v)}
+    if gauss and not any(v[1] for v in nums.values()):
+        nums, gauss = {k: v[0] for k, v in nums.items()}, False
+    g = math.gcd(den, *(chain.from_iterable(nums.values()) if gauss else nums.values()))
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = {k: (v[0] // g, v[1] // g) if gauss else v // g for k, v in nums.items()}
+    return nums, den, gauss
+
+
+def _qc(v, den: int, gauss: bool) -> QC:
+    """The value of the numerator v over den."""
+    re, im = v if gauss else (v, 0)
+    return QC(Fraction(re, den), Fraction(im, den))
+
+
+def _lifted(nums: dict, m: int, gauss: bool, to_gauss: bool) -> dict:
+    """The numerators times the int m (their values over m times their
+    denominator), as pairs when `to_gauss`."""
+    if m == 1 and gauss == to_gauss:
+        return nums
+    if gauss:
+        return {k: (v[0] * m, v[1] * m) for k, v in nums.items()}
+    return {k: (v * m, 0) if to_gauss else v * m for k, v in nums.items()}
+
+
+def _terms_in(a: AlgebraElement, backend: str):
+    """a's (numerators, denominator, gauss) in `backend`: its own, or an
+    exact element's values as complex doubles, each part numerator / den
+    rounded once."""
     if a.backend == backend:
-        return a.terms
-    return {k: _coerce(v, backend) for k, v in a.terms.items()}
+        return a._nums, a._den, a._gauss
+    den, g = a._den, a._gauss
+    try:
+        return {k: complex(v[0] / den, v[1] / den) if g else complex(v / den, 0.0)
+                for k, v in a._nums.items()}, 1, False
+    except OverflowError:
+        raise ValidationError("coefficient is too large for the float backend") from None
 
 
 def _check_bases(a: AlgebraElement, b: AlgebraElement):
@@ -303,10 +405,9 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """
     _check_bases(a, b)
     backend, T, sa, sb, out, lost = _product(a, b)
-    den, gauss = sa.den * sb.den, sa.gauss
-    terms = {k: _value(v, den, gauss, backend) for k, v in out.items() if _nonzero(v, gauss)}
-    return AlgebraElement._keyed(a.basis, terms, backend, T,
-                                 a.dropped_mass + b.dropped_mass + lost)
+    return AlgebraElement._keyed(a.basis, out, backend, T,
+                                 a.dropped_mass + b.dropped_mass + lost,
+                                 den=sa.den * sb.den, gauss=sa.gauss)
 
 
 def _product(a: AlgebraElement, b: AlgebraElement):
@@ -316,10 +417,10 @@ def _product(a: AlgebraElement, b: AlgebraElement):
     T = _min_trunc(a.truncation, b.truncation)
     limit = None if T is None else cutoff(T)
     cut = limit is not None
-    sa, sb = _unify(_side(_terms_in(a, backend).items(), backend,
-                          a._magnitudes() if cut else None),
-                    _side(_terms_in(b, backend).items(), backend,
-                          b._magnitudes() if cut else None, by_mag=True))
+    (na, da, ga), (nb, db, gb) = _terms_in(a, backend), _terms_in(b, backend)
+    gauss = ga or gb  # both operands as pairs if either has them
+    sa = _side(_lifted(na, 1, ga, gauss), da, gauss, a._magnitudes() if cut else None)
+    sb = _side(_lifted(nb, 1, gb, gauss), db, gauss, b._magnitudes() if cut else None, by_mag=True)
     out = {}
     lost = _pair_kernel(zip(sa.keys, sa.mags if cut else repeat(0.0), sa.vals), sb, limit,
                         out, key_combine(a.basis), sa.den)
@@ -331,8 +432,9 @@ def weighted_norm(a: AlgebraElement, w: Optional[WeightFn] = None) -> float:
     if w is None:
         w = weight_one()
     mags = None if w.kind == ONE else a._magnitudes()  # the unit weight is 1.0
-    return sum(abs(v) * (1.0 if mags is None else w.eval_mag(mags[k]))
-               for k, v in a.terms.items())
+    den, gauss = a._den, a._gauss
+    return sum(_num_abs(v, gauss, den) * (1.0 if mags is None else w.eval_mag(mags[k]))
+               for k, v in a._nums.items())
 
 
 @dataclass
@@ -414,23 +516,27 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     """
     if w is None:
         w = weight_one()
-    a0 = a.constant_term()
-    if a0 == 0:
+    zk = a.basis.zero_key
+    a0 = a._nums.get(zk)
+    if a0 is None:
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
-    rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
-    q = weighted_norm(rest, w) / abs(a0)
+    abs_a0 = _num_abs(a0, a._gauss, a._den)
+    rest = AlgebraElement._keyed(a.basis, {k: v for k, v in a._nums.items() if k != zk},
+                                 a.backend, a.truncation, a.dropped_mass, a._mags, a._exps,
+                                 a._den, a._gauss)  # a - a(0) eps
+    q = weighted_norm(rest, w) / abs_a0
     if not q < 1.0:  # NaN too
         raise NeumannInapplicableError(q)
-    inv_a0 = _invert_scalar(a0, a.backend)
+    inv_a0 = _inverse(a0, a._den, a._gauss, a.backend)
     # b = (1/a0) sum_j u^{*j},  u = eps - a / a0
-    u = rest.scale(inv_a0).negate()
+    u = rest._times(inv_a0, a.backend).negate()
     powers = _Powers(u)
     acc = dict(powers.term)  # numerators over powers.den
     acc_dropped = 0.0
     cap = NEUMANN_SUPPORT_CAP
     tail = q / (1.0 - q)  # bound for sum_{j>J} q^j at J=0
     J = 0
-    while tail / abs(a0) >= tol:
+    while tail / abs_a0 >= tol:
         J += 1
         if J > max_terms:
             raise CapExceededError(f"Neumann series needs more than {max_terms} terms")
@@ -442,26 +548,11 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
         _accumulate(acc, term, powers.side.den, powers.side.gauss)
         acc_dropped += powers.dropped
         tail *= q
-    if a.backend == EXACT:
-        # b = acc * inv_a0 on numerators, one QC per coefficient
-        (nu,), nu_den, nu_gauss = _numerators([inv_a0])
-        acc_gauss = powers.side.gauss
-        gauss = acc_gauss or nu_gauss
-        den = powers.den * nu_den
-        terms = {}
-        for k, v in acc.items():
-            if gauss:
-                v = _gauss_mul(v if acc_gauss else (v, 0), nu if nu_gauss else (nu, 0))
-            else:
-                v = v * nu
-            if _nonzero(v, gauss):
-                terms[k] = _value(v, den, gauss, EXACT)
-    else:
-        terms = {k: v * inv_a0 for k, v in acc.items()}
-        terms = {k: v for k, v in terms.items() if v != 0}
-    b = AlgebraElement._keyed(a.basis, terms, a.backend, u.truncation if J else None,
-                              acc_dropped * abs(inv_a0), powers.mags)
-    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / abs(a0),
+    total = AlgebraElement._keyed(a.basis, acc, a.backend, u.truncation if J else None,
+                                  acc_dropped, powers.mags, den=powers.den,
+                                  gauss=powers.side.gauss)
+    b = total._times(inv_a0, a.backend)
+    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / abs_a0,
                               residual_norm=_unit_residual(a, b, w), weight=w)
     return b, cert
 
@@ -472,7 +563,7 @@ def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
     the unit is evaluated at each nonzero key's magnitude, as
     `weighted_norm` does.
     """
-    backend, _, sa, sb, out, _ = _product(a, b)
+    _, _, sa, sb, out, _ = _product(a, b)
     zk = a.basis.zero_key
     den, gauss = sa.den * sb.den, sa.gauss
     v0 = out.get(zk, (0, 0) if gauss else 0)
@@ -480,16 +571,23 @@ def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
     mag = None if w.kind == ONE else a.basis.key_magnitude
     total = 0
     for k, v in out.items():
-        m = abs(v) if backend == FLOAT else abs(_value(v, den, gauss, backend))
+        m = _num_abs(v, gauss, den)
         if m != 0.0:
             total += m if mag is None else m * w.eval_mag(mag(k))
     return total
 
 
-def _invert_scalar(v, backend):
-    if backend == EXACT:
-        return QC(1) / QC.from_value(v)
-    return 1.0 / complex(v)
+def _inverse(a0, den: int, gauss: bool, backend: str):
+    """1 / (a0 / den) as a scalar (numerator, denominator > 0, gauss) of
+    `backend`, for `AlgebraElement._times`.  Exact, it is den c / n0 with
+    c = conj a0 and n0 = |a0|^2 for a pair, c = sign a0 and n0 = |a0| for
+    an int."""
+    if backend == FLOAT:
+        return 1.0 / a0, 1, False
+    if gauss:
+        re, im = a0
+        return (re * den, -im * den), re * re + im * im, True
+    return (den if a0 > 0 else -den), abs(a0), False
 
 
 def graded_invert(a: AlgebraElement, truncation: float,
@@ -507,16 +605,16 @@ def graded_invert(a: AlgebraElement, truncation: float,
     Exact in the rational backend, on Gaussian integers with no Fraction in
     the loop (`_fraction_free`).
     """
-    a0 = a.constant_term()
-    if a0 == 0:
-        raise SingularElementError("constant term vanishes; no inverse in the algebra")
-    inv_a0 = _invert_scalar(a0, a.backend)
     zk = a.basis.zero_key
-    support = [(k, v) for k, v in a.terms.items() if k != zk]
+    a0 = a._nums.get(zk)
+    if a0 is None:
+        raise SingularElementError("constant term vanishes; no inverse in the algebra")
+    support = {k: v for k, v in a._nums.items() if k != zk}
     if not support:
-        return AlgebraElement._keyed(a.basis, {zk: inv_a0}, a.backend, truncation)
-    den = _common_den(a.terms.values()) if a.backend == EXACT else None
-    side = _side(support, a.backend, a._magnitudes(), by_mag=True, den=den)
+        num, den, gauss = _inverse(a0, a._den, a._gauss, a.backend)
+        return AlgebraElement._keyed(a.basis, {zk: num}, a.backend, truncation, den=den,
+                                     gauss=gauss)
+    side = _side(support, a._den, a._gauss, a._magnitudes(), by_mag=True)
     exps = a._exponent_maps()
     elements = enumerate_monoid(KeyedElements(a.basis, side.keys, side.mags,
                                               [exps[k] for k in side.keys] if exps else None),
@@ -524,15 +622,15 @@ def graded_invert(a: AlgebraElement, truncation: float,
     keys, mags = elements.keys, elements.mags
     limit = cutoff(truncation)
     if a.backend == EXACT:
-        side, first, solve, finish = _fraction_free(a0, den, side, len(keys), limit)
+        first, solve, den = _fraction_free(a0, a._den, side, len(keys), limit)
     else:
-        first, finish = inv_a0, None
+        first, den = 1.0 / a0, 1
 
         def solve(s):
-            return -(inv_a0 * s)
+            return -(first * s)
 
     acc: dict = {}
-    b: dict = {}
+    out = {zk: first}
     gauss = side.gauss
 
     def outer():
@@ -543,71 +641,52 @@ def graded_invert(a: AlgebraElement, truncation: float,
                 s = acc.get(k)
                 if s is None:
                     continue  # not reachable as support-sum (cannot happen by construction)
-                blam = solve(s)
-                b[k] = blam
+                blam = out[k] = solve(s)
             if _nonzero(blam, gauss):
                 yield k, m, blam
 
     # pairs past the truncation have no part in the inverse: no dropped mass
     _pair_kernel(outer(), side, limit, acc, key_combine(a.basis))
-    out = {zk: inv_a0}
-    for k, v in b.items():
-        if _nonzero(v, gauss):
-            out[k] = v if finish is None else finish(v)
     exps = elements.exponents
     return AlgebraElement._keyed(a.basis, out, a.backend, truncation, mags=dict(zip(keys, mags)),
-                                 exps=exps and dict(zip(keys, exps)))
+                                 exps=exps and dict(zip(keys, exps)), den=den, gauss=gauss)
 
 
-def _fraction_free(a0, den: int, side: "_Side", n_elements: int, limit: float):
+def _fraction_free(alpha0, den: int, side: "_Side", n_elements: int, limit: float):
     """The exact graded recursion on Gaussian integers.
 
-    With a = alpha / den and 1/alpha(0) = c / n0 (c = 1, n0 = alpha(0) for
-    a real series; c = conj alpha(0), n0 = |alpha(0)|^2 otherwise), the
+    With a = alpha / den and 1/alpha(0) = c / n0 (`_inverse`), the
     recursion b(lambda) = -(c / n0) sum alpha b runs on beta = n0^H b,
     where H is at least the longest chain of support steps plus one: then
     every beta is a Gaussian integer and each division by n0 is exact,
-    which is checked.  Returns the operand in matching form, beta(0), the
-    step s -> beta and the map beta -> QC.
+    which is checked.  Returns beta(0), the step s -> beta and n0^H, the
+    denominator of every beta.
     """
-    (alpha0,), _, gauss0 = _numerators([a0], den)
-    if gauss0 and not side.gauss:
-        side = side._replace(vals=[(v, 0) for v in side.vals], gauss=True)
-    if side.gauss:
-        a0r, a0i = alpha0 if gauss0 else (alpha0, 0)
-        cr, ci, n0 = a0r, -a0i, a0r * a0r + a0i * a0i
-    else:
-        cr, ci, n0 = 1, 0, alpha0
+    c, n0, _ = _inverse(alpha0, 1, side.gauss, EXACT)
     H = 1
-    if abs(n0) != 1:
+    if n0 != 1:
         # a chain of k steps below the cutoff has k <= limit / (smallest
         # support magnitude), and k < n_elements
         H = n_elements
         if side.mags[0] > 0.0:
             H = min(H, int(limit / side.mags[0] * (1.0 + 1e-9)) + 2)
     scale0 = den * n0 ** (H - 1)
-    nH = n0 ** H
 
     def divide(t):
-        if abs(n0) == 1:
-            return t * n0
         quot, rem = divmod(t, n0)
         if rem:
             raise AssertionError("graded_invert: inexact division by n0")
         return quot
 
     if side.gauss:
+        cr, ci = c
+
         def solve(s):
             sr, si = s
             return divide(ci * si - cr * sr), divide(-(cr * si + ci * sr))
 
-        first = (cr * scale0, ci * scale0)
-    else:
-        def solve(s):
-            return divide(-s)
-
-        first = scale0
-    return side, first, solve, lambda v: _value(v, nH, side.gauss, EXACT)
+        return (cr * scale0, ci * scale0), solve, n0 ** H
+    return c * scale0, lambda s: divide(-c * s), n0 ** H
 
 
 # -- the pair kernel --------------------------------------------------------
@@ -615,9 +694,8 @@ def _fraction_free(a0, den: int, side: "_Side", n_elements: int, limit: float):
 # Every product loop of the algebra runs on element keys
 # (`SemigroupElement.key`): integers that multiply over a free basis (the key
 # of log n over the log-primes basis is n), the elements themselves, which
-# add, over an embedded basis.  An exact operand becomes Gaussian-integer
-# numerators over one common denominator, plain ints when it is real, so no
-# Fraction is made inside a loop.
+# add, over an embedded basis.  An exact operand enters as the numerators it
+# stores, over its own denominator, so no Fraction is made inside a loop.
 
 
 class _Side(NamedTuple):
@@ -629,54 +707,18 @@ class _Side(NamedTuple):
     gauss: bool              # exact numerators are (re, im) pairs, else ints
 
 
-def _side(items, backend: str, mags: Optional[dict] = None, by_mag: bool = False,
-          den: Optional[int] = None) -> _Side:
-    """Operand from (key, value) pairs with values in `backend`, turned into
-    the kernel's form.  Given `mags` ({key: magnitude}; none when there is
-    no cutoff to test), it carries the magnitudes, and `by_mag` sorts the
-    pairs stably by them; otherwise the given order stays."""
-    items = list(items)
+def _side(nums: dict, den: int, gauss: bool, mags: Optional[dict] = None,
+          by_mag: bool = False) -> _Side:
+    """Operand from {key: numerator} over `den` (`_terms_in`).  Given
+    `mags` ({key: magnitude}; none when there is no cutoff to test), it
+    carries the magnitudes, and `by_mag` sorts the terms stably by them;
+    otherwise their order stays."""
+    items = list(nums.items())
     if by_mag and mags is not None:
         items.sort(key=lambda kv: mags[kv[0]])
     keys = [k for k, _ in items]
-    vals = [v for _, v in items]
     ms = None if mags is None else [mags[k] for k in keys]
-    if backend == EXACT:
-        vals, den, gauss = _numerators(vals, den)
-    else:
-        den, gauss = 1, False
-    return _Side(keys, ms, vals, den, gauss)
-
-
-def _unify(s1: _Side, s2: _Side):
-    """Both operands in the same numerator form (pairs if either has them)."""
-    if s1.gauss == s2.gauss:
-        return s1, s2
-    if s1.gauss:
-        return s1, s2._replace(vals=[(v, 0) for v in s2.vals], gauss=True)
-    return s1._replace(vals=[(v, 0) for v in s1.vals], gauss=True), s2
-
-
-def _common_den(values) -> int:
-    dens = set()
-    for v in values:
-        v = QC.from_value(v)
-        dens.add(v.re.denominator)
-        dens.add(v.im.denominator)
-    return math.lcm(*dens)
-
-
-def _numerators(values, den: Optional[int] = None):
-    """(numerators, D, gauss) with value = numerator / D exactly: ints when
-    every value is real, else (re, im) pairs.  D is the least common
-    denominator unless given."""
-    qs = [QC.from_value(v) for v in values]
-    if den is None:
-        den = _common_den(qs)
-    if all(v.im == 0 for v in qs):
-        return [v.re.numerator * (den // v.re.denominator) for v in qs], den, False
-    return [(v.re.numerator * (den // v.re.denominator),
-             v.im.numerator * (den // v.im.denominator)) for v in qs], den, True
+    return _Side(keys, ms, [v for _, v in items], den, gauss)
 
 
 def _gauss_mul(x, y):
@@ -685,17 +727,6 @@ def _gauss_mul(x, y):
 
 def _nonzero(v, gauss: bool) -> bool:
     return bool(v[0] or v[1]) if gauss else v != 0
-
-
-def _value(v, den: int, gauss: bool, backend: str):
-    """A kernel value as a coefficient: numerator / den as a QC (exact), or
-    the complex itself (float)."""
-    if backend != EXACT:
-        return v
-    re, im = v if gauss else (v, 0)
-    if den == 1:
-        return QC(Fraction(re), Fraction(im))
-    return QC(Fraction(re, den), Fraction(im, den))
 
 
 def _num_abs(v, gauss: bool, den: int) -> float:
@@ -766,7 +797,7 @@ class _Powers:
         T = u.truncation
         self.limit = None if T is None else cutoff(T)
         self.mags = None if T is None else dict(u._magnitudes())
-        self.side = _side(u.terms.items(), u.backend, self.mags, by_mag=True)
+        self.side = _side(u._nums, u._den, u._gauss, self.mags, by_mag=True)
         self.combine = key_combine(u.basis)
         self.magnitude = u.basis.key_magnitude
         self.u_dropped = u.dropped_mass
@@ -995,8 +1026,7 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
     ratio = q / f.radius if math.isfinite(f.radius) else 0.0
     C = _series_majorant(f)
     first = unit(a.basis, a.backend).scale(f.coeff(0))
-    acc = dict(first.terms)
-    backend, dropped, touched = first.backend, first.dropped_mass, False
+    acc, dropped = None, first.dropped_mass  # acc: the float sum from the first f_k != 0, k >= 1
     powers = _Powers(u)  # u is float: f.center is complex
     K = 0
     while True:
@@ -1016,15 +1046,13 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
         fk = f.coeff(K)
         if fk != 0:
             cc = complex(fk)
-            if backend == EXACT:
-                acc = {k: complex(v) for k, v in acc.items()}
-                backend = FLOAT
+            if acc is None:
+                acc = dict(_terms_in(first, FLOAT)[0])
             # acc.add(power.scale(fk))
             _accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
             dropped += powers.dropped * abs(cc)
-            touched = True
-    c = AlgebraElement._keyed(a.basis, {k: v for k, v in acc.items() if v != 0},
-                              backend, u.truncation if touched else None, dropped, powers.mags)
+    c = first if acc is None else AlgebraElement._keyed(a.basis, acc, FLOAT, u.truncation,
+                                                        dropped, powers.mags)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 
 

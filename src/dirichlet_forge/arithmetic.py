@@ -43,9 +43,48 @@ def _weight_at(omega, value: float) -> float:
     return float(omega.eval_mag(math.log(value)))
 
 
+# the first 13 primes: trial divisors, then Miller-Rabin bases; they
+# decide every n < 43^2 by trial division, so those are looked up
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMES_BELOW_43_SQUARED = frozenset(primes_upto(43 * 43 - 1))
+# (psi_t, t): no composite n < psi_t is a strong probable prime to all of the
+# first t prime bases (Jaeschke 1993; Sorenson and Webster 2017)
+_MR_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+              (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+              (318665857834031151167461, 12), (3317044064679887385961981, 13))
+
+
+def _is_prime(n: int) -> bool:
+    """Whether the int n is a prime: looked up below 43^2; above, trial
+    division by the first 13 primes, then the strong probable-prime test to
+    the fewest of them as bases that `_MR_BOUNDS` proves enough for n's
+    size.  Below psi_13 ~ 3.3e24 the answer is certain; above it, n is
+    tested to all 13 bases, a probable-prime test that a composite may
+    pass."""
+    if n < 43 * 43:
+        return n in _PRIMES_BELOW_43_SQUARED
+    if any(n % p == 0 for p in _SMALL_PRIMES):
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    t = next((t for psi, t in _MR_BOUNDS if n < psi), len(_SMALL_PRIMES))
+    for a in _SMALL_PRIMES[:t]:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a strong probable prime meets -1 among a^(d 2^r), r < s
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeSystem:
-    """Finite list of primes (> 1, strictly increasing) truncated at x."""
+    """Finite list of primes (> 1, strictly increasing) truncated at x.  A
+    rational system's entries must pass `_is_prime` (a proof below 3.3e24)."""
 
     primes: tuple
     x: float
@@ -66,6 +105,9 @@ class PrimeSystem:
         if self.rational:
             if not all(isinstance(p, int) and p >= 2 for p in self.primes):
                 raise ValidationError("rational system requires integer primes")
+            for p in self.primes:
+                if not _is_prime(p):
+                    raise ValidationError(f"rational system entry {p} is not a prime")
         # position of each prime, built once for index_of
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.primes)})
 
@@ -188,9 +230,8 @@ class MultiplicativeFunction:
         """List v with v[n] = f(n) for 0 <= n <= limit (v[0] = 0).
 
         Rational systems only; materializes via a smallest-prime-factor
-        sieve so the cost is O(limit log limit).  The sieve also checks the
-        system up to limit: an entry that is not a prime raises
-        ValidationError, a prime the system lacks PreconditionError.
+        sieve so the cost is O(limit log limit).  A prime up to limit that
+        the system lacks raises PreconditionError.
         """
         if not self.system.rational:
             raise PreconditionError(
@@ -200,11 +241,6 @@ class MultiplicativeFunction:
         if N > self.system.x:
             raise ValidationError("limit exceeds the system truncation")
         spf = spf_sieve(N)
-        for p in self.system.primes:
-            if p > N:
-                break
-            if spf[p] != p:
-                raise ValidationError(f"rational system entry {p} is not a prime")
         idx = self.system._index
         vals: list = [Fraction(0)] * (N + 1)
         if N >= 1:

@@ -15,37 +15,40 @@ _COERCIBLE = (int, Fraction)
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion; floats convert via their binary expansion, and a
-    non-finite float is a ValueError."""
+    """Exact conversion (`_as_ratio`); floats convert via their binary
+    expansion, and a non-finite float is a ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"not a finite number: {x!r}")
-        return _float_fraction(x)
+    return Fraction(x) if isinstance(x, int) else Fraction(*_as_ratio(x))
+
+
+def _as_ratio(x) -> tuple:
+    """(numerator, denominator > 0) of an exact real, as ints and without a
+    Fraction: an int, a Fraction, a finite float (its binary expansion) or
+    a 'num/den' or plain integer string (`_parse_ratio`)."""
     if isinstance(x, str):
-        return parse_frac(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
-
-
-def _float_fraction(x: float) -> Fraction:
-    """Fraction(x), from int(x) when x is integral: the same value, faster."""
-    return Fraction(int(x)) if x.is_integer() else Fraction(x)
+        return _parse_ratio(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"not a finite number: {x!r}")
+    if not isinstance(x, (int, float, Fraction)):
+        raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
+    return x.as_integer_ratio()
 
 
 def parse_frac(s: str) -> Fraction:
     """Parse 'num/den' or plain integer strings; a zero denominator is a
     ValueError."""
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        den = int(den)
-        if not den:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(num), den)
-    return Fraction(int(s))
+    return Fraction(*_parse_ratio(s))
+
+
+def _parse_ratio(s: str) -> tuple:
+    """(numerator, denominator > 0) of 'num/den' or a plain integer string,
+    as ints, without a Fraction; a zero denominator is a ValueError."""
+    num, slash, den = s.partition("/")
+    p, q = int(num), int(den) if slash else 1
+    if not q:
+        raise ValueError(f"zero denominator in {s!r}")
+    return (-p, -q) if q < 0 else (p, q)
 
 
 def format_frac(q: Fraction) -> str:
@@ -70,7 +73,7 @@ class QC:
         if isinstance(v, QC):
             return v
         if isinstance(v, complex):
-            return cls(_float_fraction(v.real), _float_fraction(v.imag))
+            return cls(v.real, v.imag)
         return cls(as_fraction(v))
 
     def __add__(self, other):

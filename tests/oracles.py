@@ -343,8 +343,7 @@ def brute_convolve(a, b):
     truncation, products beyond min(T_a, T_b) are dropped and the dropped
     mass (sum of |a||b| over dropped pairs) is recorded in metadata.
     """
-    from dirichlet_forge.algebra import (EXACT, FLOAT, AlgebraElement, _check_bases,
-                                         _coerce, _min_trunc)
+    from dirichlet_forge.algebra import EXACT, FLOAT, AlgebraElement, _check_bases, _min_trunc
     _check_bases(a, b)
     backend = EXACT if a.backend == b.backend == EXACT else FLOAT
     T = _min_trunc(a.truncation, b.truncation)
@@ -373,8 +372,7 @@ def brute_neumann_invert(a, w=None, tol: float = 1e-12, max_terms: int = 10_000)
     once the geometric tail q^(J+1) / ((1-q) |a(0)|) < tol.  Returns
     (element, NeumannCertificate).
     """
-    from dirichlet_forge.algebra import (NeumannCertificate, _invert_scalar, unit,
-                                         weighted_norm)
+    from dirichlet_forge.algebra import NeumannCertificate, unit, weighted_norm
     from dirichlet_forge.errors import (CapExceededError, NeumannInapplicableError,
                                         SingularElementError)
     from dirichlet_forge.weights import one as weight_one
@@ -421,7 +419,7 @@ def brute_graded_invert(a, truncation: float, cap: int = 200_000):
     cost is the number of reachable pairs rather than |support| x |monoid|.
     Exact in the rational backend.
     """
-    from dirichlet_forge.algebra import AlgebraElement, _invert_scalar
+    from dirichlet_forge.algebra import AlgebraElement
     from dirichlet_forge.errors import SingularElementError
     a0 = a.constant_term()
     if coeff_is_zero(a0):
@@ -1026,7 +1024,7 @@ def brute_integer_rescale(rows, gamma):
 def brute_scale(a, c):
     """`AlgebraElement.scale` as it was: every value coerced again, even when
     the backend does not change."""
-    from dirichlet_forge.algebra import EXACT, FLOAT, AlgebraElement, _coerce
+    from dirichlet_forge.algebra import EXACT, FLOAT, AlgebraElement
     backend = a.backend
     if backend == EXACT and isinstance(c, complex):
         backend = FLOAT
@@ -1287,13 +1285,71 @@ from typing import NamedTuple, Optional  # noqa: E402
 
 from dirichlet_forge.algebra import (  # noqa: E402
     EXACT, FLOAT, AlgebraElement, CompositionCertificate, NeumannCertificate,
-    NEUMANN_SUPPORT_CAP, _check_bases, _common_den, _gauss_mul, _invert_scalar, _min_trunc,
-    _nonzero, _num_abs, _numerators, _series_majorant, _value, unit)
+    NEUMANN_SUPPORT_CAP, _check_bases, _gauss_mul, _min_trunc, _nonzero, _num_abs,
+    _series_majorant, unit)
 from dirichlet_forge.errors import (  # noqa: E402
     CapExceededError, NeumannInapplicableError, SingularElementError, ValidationError)
 from dirichlet_forge.semigroup import (  # noqa: E402
     SemigroupBasis, key_combine, row_end)
 from dirichlet_forge.weights import ONE, WeightFn, one as weight_one  # noqa: E402
+
+
+# The value helpers of the algebra from when an exact element stored one QC
+# per term and the pair kernel converted at its edges, verbatim: coercion
+# (also used by `brute_convolve` and `brute_scale`), the common
+# denominator, the numerators, the numerator -> QC map and 1 / a(0).
+
+
+def _coerce(value, backend):
+    """`value` as a coefficient of `backend`; a non-finite one, or one too
+    large for a complex double in the float backend, is a ValidationError."""
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ValidationError(f"coefficient {value!r} is not finite")
+    if backend == EXACT:
+        return QC.from_value(value)
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValidationError("coefficient is too large for the float backend") from None
+
+
+def _common_den(values) -> int:
+    dens = set()
+    for v in values:
+        v = QC.from_value(v)
+        dens.add(v.re.denominator)
+        dens.add(v.im.denominator)
+    return math.lcm(*dens)
+
+
+def _numerators(values, den: Optional[int] = None):
+    """(numerators, D, gauss) with value = numerator / D exactly: ints when
+    every value is real, else (re, im) pairs.  D is the least common
+    denominator unless given."""
+    qs = [QC.from_value(v) for v in values]
+    if den is None:
+        den = _common_den(qs)
+    if all(v.im == 0 for v in qs):
+        return [v.re.numerator * (den // v.re.denominator) for v in qs], den, False
+    return [(v.re.numerator * (den // v.re.denominator),
+             v.im.numerator * (den // v.im.denominator)) for v in qs], den, True
+
+
+def _value(v, den: int, gauss: bool, backend: str):
+    """A kernel value as a coefficient: numerator / den as a QC (exact), or
+    the complex itself (float)."""
+    if backend != EXACT:
+        return v
+    re, im = v if gauss else (v, 0)
+    if den == 1:
+        return QC(Fraction(re), Fraction(im))
+    return QC(Fraction(re, den), Fraction(im, den))
+
+
+def _invert_scalar(v, backend):
+    if backend == EXACT:
+        return QC(1) / QC.from_value(v)
+    return 1.0 / complex(v)
 
 
 def element_enumerate_monoid(support, truncation: float, cap: int = 200_000):

@@ -676,6 +676,18 @@ def test_element_from_json_rejects_malformed_input(data, message):
         AlgebraElement.from_json(data)
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_element_from_json_rejects_boolean_coefficients(backend, part, flag):
+    # a JSON true or false is not the number 1 or 0 in either backend
+    b = log_primes_basis(3)
+    data = from_coeffs(b, [(b.zero(), 1), (log_element(b, 2), 2)], backend).to_json()
+    data["coeffs"][1][part] = flag
+    with pytest.raises(ValidationError, match="malformed algebra element JSON: a boolean"):
+        AlgebraElement.from_json(json.loads(json.dumps(data)))
+
+
 def test_element_from_json_key_collisions_and_zeros():
     b = natural_basis()
     # "0" and "00" both name generator 0: the later key counts, as in a dict

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_forge import weights
+from dirichlet_forge import arithmetic, weights
 from dirichlet_forge.arithmetic import (
     MultiplicativeFunction,
     PrimeSystem,
@@ -85,17 +85,29 @@ class TestPrimeSystem:
             PrimeSystem(primes=(2, 3), x=2)  # 3 > x
 
     def test_rational_system_entries_must_be_prime(self):
-        # values_up_to checks the entries on its own sieve
-        f = MultiplicativeFunction.one(PrimeSystem(primes=(2, 4), x=10, rational=True))
-        assert f.values_up_to(2) == [0, 1, 1]
-        with pytest.raises(ValidationError, match="entry 4 is not a prime"):
-            f.values_up_to(10)
+        # the constructor tests every entry, with no sieve: a composite one
+        # would have its table ignored (on (2, 4), f(4) = 5 read as f(4) = 0)
+        for primes in ((2, 4), (2, 3, 561), (2, 3, 2047), (2, 3, 8321)):
+            with pytest.raises(ValidationError, match=f"entry {primes[-1]} is not a prime"):
+                PrimeSystem(primes=primes, x=primes[-1], rational=True)
         assert PrimeSystem(primes=(2,), x=4, rational=True).primes == (2,)  # may skip primes
-        # a 19-digit entry costs construction nothing: no test runs up to it
+        # a 19-digit entry is decided by Miller-Rabin
         m61 = 2 ** 61 - 1
         g = MultiplicativeFunction.one(PrimeSystem(primes=(2, 3, 5, 7, m61), x=m61,
                                                    rational=True))
         assert g.values_up_to(10) == [0] + [1] * 10
+
+    def test_primality_test_matches_a_sieve_and_its_base_bounds(self):
+        ps = set(brute_primes_upto(60_000))
+        assert [n for n in range(-2, 60_001) if arithmetic._is_prime(n)] == sorted(ps)
+        # psi_t, the least strong pseudoprime to the first t prime bases, must
+        # meet one base more; at psi_13 the thirteen bases are all there is
+        for psi, _ in arithmetic._MR_BOUNDS[:-1]:
+            assert not arithmetic._is_prime(psi)
+        assert arithmetic._is_prime(arithmetic._MR_BOUNDS[-1][0])  # a probable prime only
+        for e in (61, 89, 107, 127):  # Mersenne primes, past psi_13 from 2^89 on
+            assert arithmetic._is_prime(2 ** e - 1)
+        assert not arithmetic._is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
 
     def test_beurling_system_allowed(self):
         s = PrimeSystem(primes=(1.5, 2.5, 3.7), x=20.0)

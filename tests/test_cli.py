@@ -279,6 +279,11 @@ class TestSubcommands:
                    '[{"id": 0, "value": [1.0], "exact": ["1"], "label": "1"}]}, '
                    '"coeffs": [{"element": {"exponents": {}}, "re": Infinity, "im": 0}], '
                    '"backend": "exact"}'),
+        pytest.param("invert", '{"basis": {"mode": "free", "r": 1, "generators": '
+                     '[{"id": 0, "value": [1.0], "exact": ["1"], "label": "1"}]}, '
+                     '"coeffs": [{"element": {"exponents": {}}, "re": true, "im": 0}], '
+                     '"backend": "exact"}', id="invert-exact-re-true"),
+        pytest.param("invert", _log3_element(True), id="invert-float-re-true"),
         ("extend-character", '{"dim": 1, "generators": [["1"]], '
                              '"prescribed": {"0": {"re": "abc", "im": 0}}}'),
         ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": {"0": null}}'),

@@ -9,6 +9,7 @@ and residual norms, and equal exact values.  No element may be built until
 a caller reads `coeffs` or `support()`.
 """
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -18,12 +19,14 @@ from hypothesis import assume, given, settings, strategies as st
 from dirichlet_forge import algebra
 from dirichlet_forge.algebra import (EXACT, FLOAT, AlgebraElement, PowerSeries, compose_series,
                                      convolve, from_coeffs, graded_invert, neumann_invert)
+from dirichlet_forge.exactnum import QC, parse_frac
 from dirichlet_forge.semigroup import (SemigroupElement, cutoff, enumerate_monoid,
                                       log_element, log_primes_basis, natural_basis)
 from dirichlet_forge.weights import one, poly
-from tests.oracles import (element_compose_series, element_convolve, element_enumerate_monoid,
-                           element_graded_invert, element_neumann_invert)
-from tests.test_pair_kernel import CONSTANTS, ELEMENTS, KINDS, contractions, elements
+from tests.oracles import (_coerce, brute_scale, coeff_is_zero, element_compose_series,
+                           element_convolve, element_enumerate_monoid, element_graded_invert,
+                           element_neumann_invert)
+from tests.test_pair_kernel import BASES, CONSTANTS, ELEMENTS, KINDS, contractions, elements
 
 NATURAL = natural_basis()
 
@@ -212,3 +215,122 @@ def test_key_magnitudes_are_the_sums_of_embedded_values():
     assert [m.hex() for m in monoid.mags] == want
     assert [basis.key_magnitude(n).hex() for n in monoid.keys] == want
     assert [lam.l1().hex() for lam in monoid] == want
+
+
+# -- exact values stored as integer numerators over one least denominator --
+
+_RAW = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 6)),
+                 st.sampled_from([0.5, -0.25, 3.0, 0.1, 0.0]),
+                 st.builds(complex, st.sampled_from([0.0, -1.5, 0.75]),
+                           st.sampled_from([0.0, 0.5, -2.0])),
+                 st.builds(QC, st.builds(F, st.integers(-3, 3), st.integers(1, 6)),
+                           st.builds(F, st.integers(-3, 3), st.integers(1, 6))))
+
+
+def _least(x):
+    """x's stored form is least: exact numerators are ints, or pairs exactly
+    when some value is not real, over a den > 0 coprime to them all (1 for
+    the empty element); float values are their own numerators over 1."""
+    if x.backend == FLOAT:
+        assert x._den == 1 and not x._gauss
+        assert all(type(v) is complex and v != 0 for v in x._nums.values())
+        return
+    parts = [p for v in x._nums.values() for p in (v if x._gauss else (v,))]
+    assert all(type(p) is int for p in parts)
+    assert all(len(v) == 2 and any(v) for v in x._nums.values()) if x._gauss else all(parts)
+    assert x._gauss == any(v.im != 0 for v in x.terms.values())
+    assert x._den > 0 and math.gcd(x._den, *parts) == 1
+
+
+def _same_as(got, want):
+    """`_identical`, the same JSON, and every stored form least."""
+    _identical(got, want)
+    assert got.to_json() == want.to_json()
+    if got.backend == EXACT:
+        assert all(type(v.re) is F and type(v.im) is F for v in got.coeffs.values())
+    _least(got)
+
+
+def _old_add(a, b):
+    """`AlgebraElement.add` on per-term values, as the algebra did when it
+    stored one QC per term."""
+    backend = EXACT if a.backend == b.backend == EXACT else FLOAT
+    out = {lam: _coerce(v, backend) for lam, v in a.coeffs.items()}
+    for lam, v in b.coeffs.items():
+        v = _coerce(v, backend)
+        cur = out.get(lam)
+        if cur is not None:
+            v = cur + v
+            if coeff_is_zero(v):
+                del out[lam]
+                continue
+        out[lam] = v
+    return AlgebraElement(a.basis, out, backend, algebra._min_trunc(a.truncation, b.truncation),
+                          a.dropped_mass + b.dropped_mass, _trusted=True)
+
+
+def _unreduced_json(x, data):
+    """x's JSON with each exact part written p m / q m for a drawn m in
+    1..4, numerator and denominator negated when m is even."""
+    text = json.loads(json.dumps(x.to_json()))
+    for entry in text["coeffs"]:
+        for part in ("re", "im"):
+            v = parse_frac(entry[part])
+            m = data.draw(st.integers(1, 4))
+            sign = -1 if m % 2 == 0 else 1
+            entry[part] = f"{sign * v.numerator * m}/{sign * v.denominator * m}"
+    return text
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), KINDS, st.sampled_from([(EXACT, EXACT), (EXACT, FLOAT), (FLOAT, EXACT)]))
+def test_stored_numerators_match_the_qc_algebra(data, kind, backends):
+    # every constructor and operation on exact and mixed elements: the same
+    # values, JSON, dropped masses (bit for bit) and certificates as the
+    # algebra that stored one QC per term, and least stored forms
+    basis = BASES[kind]
+    built = []
+    for backend in backends:
+        raw = {lam: data.draw(_RAW) for lam in data.draw(st.lists(ELEMENTS[kind], max_size=5))}
+        raw[basis.zero()] = data.draw(CONSTANTS)
+        x = from_coeffs(basis, raw, backend)
+        want = {lam: _coerce(v, backend) for lam, v in raw.items()}
+        assert list(x.coeffs) == [lam for lam, v in want.items() if not coeff_is_zero(v)]
+        if backend == EXACT:
+            assert x.coeffs == {lam: v for lam, v in want.items() if not coeff_is_zero(v)}
+        else:
+            assert [_bits(v) for v in x.coeffs.values()] == \
+                [_bits(v) for v in want.values() if v != 0]
+        _least(x)
+        # JSON with unreduced fractions and negative denominators reads back
+        text = _unreduced_json(x, data) if backend == EXACT else x.to_json()
+        back = AlgebraElement.from_json(text)
+        assert back == x and back.to_json() == x.to_json()
+        if backend == EXACT:
+            assert back.coeffs == x.coeffs
+            assert [QC(parse_frac(e["re"]), parse_frac(e["im"])) for e in text["coeffs"]] == \
+                [x.coeffs[lam] for lam in x.support()]
+        _least(back)
+        built.append(x)
+    a, b = built
+    _same_as(a.add(b), _old_add(a, b))
+    _same_as(b.add(a), _old_add(b, a))
+    c = data.draw(st.one_of(_RAW, st.sampled_from([F(2, 7), QC(F(1, 3), F(-2, 5))])))
+    _same_as(a.scale(c), brute_scale(a, c))
+    _same_as(a.negate(), brute_scale(a, -1))
+    _same_as(convolve(a, b), element_convolve(a, b))
+    _same_as(convolve(b, a), element_convolve(b, a))
+    top = {"log_n": math.log(400), "natural": 14.0, "tied": 9.0, "embedded": 6.0}[kind]
+    truncation = data.draw(st.floats(0.0, top))
+    want = element_graded_invert(a, truncation)
+    if _clear_of_old_slack(truncation, [lam.l1() for lam in want.coeffs]):
+        _same_as(graded_invert(a, truncation), want)
+    n = data.draw(contractions(kind, backends[0]))
+    for w in (one(), poly(0.25)):
+        tol = 1e-6 if n.backend == EXACT else 1e-12
+        (got, cert), (want, wcert) = neumann_invert(n, w, tol=tol), \
+            element_neumann_invert(n, w, tol=tol)
+        _same_as(got, want)
+        assert [repr(getattr(cert, f)) for f in ("q", "terms_used", "tail_bound",
+                                                  "residual_norm")] == \
+            [repr(getattr(wcert, f)) for f in ("q", "terms_used", "tail_bound", "residual_norm")]

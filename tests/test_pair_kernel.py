@@ -290,7 +290,11 @@ def test_add_puts_self_first_then_the_new_terms(backends):
     backend = EXACT if backends == (EXACT, EXACT) else FLOAT
     assert got.backend == backend
     assert all(isinstance(v, QC if backend == EXACT else complex) for v in got.coeffs.values())
-    if backends[0] == backend:
+    if backend == EXACT:
+        # numerators over the least denominator: 1 once the halves cancel
+        want = {x[n].key(): v for n, v in ((3, 1), (0, 3), (4, 1), (1, 3))}
+        assert (got._nums, got._den) == (want, 1)
+    elif backends[0] == backend:
         assert got.coeffs[x[3]] is a.coeffs[x[3]]  # not coerced again
 
 

@@ -1,6 +1,7 @@
 """The demo scripts and the CLI, density and workload audits run end to end on
 small arguments."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,24 @@ def test_workload_audit_records_every_series_invert_op(tmp_path):
                                                  "compose"]
     assert all(set(r) == {"seed", "index", "kind", "check", "sha256"} and r["seed"] == 1
                and r["check"] and len(r["sha256"]) == 64 for r in records)
+    # the digest covers each output element's dropped mass, which its JSON
+    # leaves out: the first convolution (truncated) drops a nonzero mass
+    # and the first Neumann inverse returns an element in a tuple
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import workload_audit
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    w = workload_audit.workloads.make("series-invert", ROOT)
+    ops = w.schedule(1)
+    for index in (2, 3):
+        out = w.run(ops[index])
+        element = out[0] if isinstance(out, tuple) else out
+        text = workload_audit.digest_text(out)
+        assert text == (workload_audit.cli._dumps(out)
+                        + f"\ndropped_mass {element.dropped_mass!r}")
+        assert records[index]["sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert w.run(ops[2]).dropped_mass > 0.0
 
 
 def test_workload_audit_records_every_search_certify_op(tmp_path):
