@@ -25,7 +25,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, count, repeat
+from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -501,7 +502,8 @@ class NeumannCertificate:
     weight: WeightFn
 
 
-# most support elements the partial sums of a Neumann series may hold
+# most support elements the partial sums of a Neumann or composition series
+# may hold (`_power_sum`)
 NEUMANN_SUPPORT_CAP = 200_000
 
 
@@ -511,8 +513,10 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
 
     Requires q = ||a - a(0) eps||_w / |a(0)| < 1.  Truncates after J terms
     once the geometric tail q^(J+1) / ((1-q) |a(0)|) < tol.  Returns
-    (element, NeumannCertificate).  A partial sum whose support would grow
-    past NEUMANN_SUPPORT_CAP raises CapExceededError.
+    (element, NeumannCertificate).  A tol that is not > 0 (NaN included)
+    raises ValidationError; more than max_terms terms, or a partial sum
+    whose support would grow past NEUMANN_SUPPORT_CAP, raises
+    CapExceededError.
     """
     if w is None:
         w = weight_one()
@@ -528,33 +532,85 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     if not q < 1.0:  # NaN too
         raise NeumannInapplicableError(q)
     inv_a0 = _inverse(a0, a._den, a._gauss, a.backend)
-    # b = (1/a0) sum_j u^{*j},  u = eps - a / a0
+    # b = (1/a0) sum_j u^{*j},  u = eps - a / a0; each tail bound is the last times q
     u = rest._times(inv_a0, a.backend).negate()
-    powers = _Powers(u)
-    acc = dict(powers.term)  # numerators over powers.den
-    acc_dropped = 0.0
-    cap = NEUMANN_SUPPORT_CAP
-    tail = q / (1.0 - q)  # bound for sum_{j>J} q^j at J=0
-    J = 0
-    while tail / abs_a0 >= tol:
-        J += 1
-        if J > max_terms:
-            raise CapExceededError(f"Neumann series needs more than {max_terms} terms")
-        term = powers.step()
-        if len(acc) + len(term.keys() - acc.keys()) > cap:
-            raise CapExceededError(
-                f"Neumann support would pass NEUMANN_SUPPORT_CAP = {cap}: {J - 1} terms "
-                f"used, {len(acc)} support elements held")
-        _accumulate(acc, term, powers.side.den, powers.side.gauss)
-        acc_dropped += powers.dropped
-        tail *= q
-    total = AlgebraElement._keyed(a.basis, acc, a.backend, u.truncation if J else None,
-                                  acc_dropped, powers.mags, den=powers.den,
-                                  gauss=powers.side.gauss)
+    tails = (t / abs_a0 for t in accumulate(repeat(q), mul, initial=q / (1.0 - q)))
+    total, J, tail = _power_sum("Neumann", u, unit(a.basis, a.backend), None, tails, tol,
+                                max_terms)
     b = total._times(inv_a0, a.backend)
-    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail / abs_a0,
+    cert = NeumannCertificate(q=q, terms_used=J, tail_bound=tail,
                               residual_norm=_unit_residual(a, b, w), weight=w)
     return b, cert
+
+
+def _power_sum(label: str, u: AlgebraElement, start: AlgebraElement, coeff, tails, tol: float,
+               max_terms: int):
+    """start + sum_{k=1..K} f_k u^{*k} on element keys: (sum, K, tail).
+
+    K is the first count whose tail bound, as `tails` yields them for
+    K = 0, 1, ..., is below tol.  f_k is coeff(k), or 1 with coeff None,
+    when each power is added as it is.  Powers and sum keep the kernel's
+    term order and a power of u's denominator; the sum carries |f_k| times
+    each power's dropped mass.  `start` (denominator 1) is returned when
+    no power is added.  A tol not > 0, a non-finite f_k or a non-finite
+    float sum raises ValidationError; more than max_terms terms, or a sum
+    whose support would pass NEUMANN_SUPPORT_CAP, CapExceededError.
+    """
+    if not tol > 0:  # NaN too
+        raise ValidationError(f"{label} tol must be > 0, got {tol!r}")
+    T, basis = u.truncation, u.basis
+    limit = None if T is None else cutoff(T)
+    mags = None if T is None else {**u._magnitudes(), basis.zero_key: 0.0}
+    side = _side(u._nums, u._den, u._gauss, mags, by_mag=True)
+    combine, gauss = key_combine(basis), side.gauss
+    nums, _, start_gauss = _terms_in(start, u.backend)
+    acc = dict(_lifted(nums, 1, start_gauss, gauss))  # the sum's numerators over den
+    power, den = _lifted(unit(basis, u.backend)._nums, 1, False, gauss), 1  # u^0
+    power_dropped = dropped = 0.0
+    added, K = False, 0
+    for tail in tails:
+        if tail < tol:
+            break
+        K += 1
+        if K > max_terms:
+            raise CapExceededError(f"{label} series needs more than {max_terms} terms")
+        outer = zip(power, repeat(0.0), power.values()) if mags is None else \
+            ((k, mags[k], v) for k, v in power.items())
+        nxt = {}
+        lost = _pair_kernel(outer, side, limit, nxt, combine, den)
+        power_dropped = power_dropped + u.dropped_mass + lost
+        den *= side.den
+        power = {k: v for k, v in nxt.items() if _nonzero(v, gauss)}
+        if mags is not None:
+            for k in power.keys() - mags.keys():
+                mags[k] = basis.key_magnitude(k)
+        acc = _lifted(acc, side.den, gauss, gauss)  # over the power's denominator
+        # the new keys are counted only when the sum could pass the cap
+        if len(acc) + len(power) > NEUMANN_SUPPORT_CAP and \
+                len(acc) + len(power.keys() - acc.keys()) > NEUMANN_SUPPORT_CAP:
+            raise CapExceededError(
+                f"{label} support would pass NEUMANN_SUPPORT_CAP = {NEUMANN_SUPPORT_CAP}: "
+                f"{K - 1} terms used, {len(acc)} support elements held")
+        term, scale = power, 1
+        if coeff is not None:
+            fk = coeff(K)
+            if not cmath.isfinite(fk):
+                raise ValidationError(f"series coefficient f_{K} = {fk!r} is not finite")
+            if fk == 0:
+                continue
+            scale = complex(fk)
+            term = {k: nv for k, v in power.items() if (nv := v * scale) != 0}
+        for k, v in term.items():
+            cur = acc.get(k)
+            acc[k] = v if cur is None else (cur[0] + v[0], cur[1] + v[1]) if gauss else cur + v
+        dropped += power_dropped * abs(scale)
+        added = True
+    if not added:
+        return start, K, tail
+    if u.backend == FLOAT and not all(map(cmath.isfinite, acc.values())):
+        raise ValidationError(f"{label} series sum is not finite: a value passed the float range")
+    return AlgebraElement._keyed(basis, acc, u.backend, T, dropped, mags, den=den,
+                                 gauss=gauss), K, tail
 
 
 def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
@@ -785,61 +841,6 @@ def _pair_kernel(outer, inner: _Side, limit: Optional[float], out: dict, combine
     return dropped
 
 
-class _Powers:
-    """u^{*1}, u^{*2}, ... on element keys, for Neumann series and
-    composition.  After `step`, `term` holds the numerators of the current
-    power over `den` (a power of u's denominator), in the order the kernel
-    first reached their keys, and `dropped` its dropped mass as `convolve`
-    would carry it.  Under a cutoff, `mags` holds the magnitude of every
-    key a power has held, computed once per key."""
-
-    def __init__(self, u: AlgebraElement):
-        T = u.truncation
-        self.limit = None if T is None else cutoff(T)
-        self.mags = None if T is None else dict(u._magnitudes())
-        self.side = _side(u._nums, u._den, u._gauss, self.mags, by_mag=True)
-        self.combine = key_combine(u.basis)
-        self.magnitude = u.basis.key_magnitude
-        self.u_dropped = u.dropped_mass
-        zk = u.basis.zero_key
-        one = 1 + 0j if u.backend == FLOAT else 1
-        self.term = {zk: (one, 0) if self.side.gauss else one}
-        if self.mags is not None:
-            self.mags[zk] = 0.0
-        self.den = 1
-        self.dropped = 0.0
-
-    def step(self) -> dict:
-        side, mags = self.side, self.mags
-        if mags is None:
-            outer = zip(self.term, repeat(0.0), self.term.values())
-        else:
-            outer = ((k, mags[k], v) for k, v in self.term.items())
-        nxt = {}
-        lost = _pair_kernel(outer, side, self.limit, nxt, self.combine, self.den)
-        self.dropped = self.dropped + self.u_dropped + lost
-        self.den *= side.den
-        self.term = {k: v for k, v in nxt.items() if _nonzero(v, side.gauss)}
-        if mags is not None:
-            for k in self.term.keys() - mags.keys():
-                mags[k] = self.magnitude(k)
-        return self.term
-
-
-def _accumulate(acc: dict, term: dict, den: int, gauss: bool):
-    """acc <- acc * den + term on numerators (acc moves to the next power's
-    denominator first); a float sum is acc + term, as `AlgebraElement.add`."""
-    if den != 1:
-        for k, v in acc.items():
-            acc[k] = (v[0] * den, v[1] * den) if gauss else v * den
-    for k, v in term.items():
-        cur = acc.get(k)
-        if cur is None:
-            acc[k] = v
-        else:
-            acc[k] = (cur[0] + v[0], cur[1] + v[1]) if gauss else cur + v
-
-
 # -- invertibility witness --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -951,10 +952,17 @@ class PowerSeries:
 
     def coeff(self, k: int) -> complex:
         if self.kind == "exp":
-            return 1.0 / math.factorial(k)
+            try:
+                return 1.0 / math.factorial(k)
+            except OverflowError:  # k! is past the float range; 1/k! is not
+                return 1 / math.factorial(k)
         if self.kind == "reciprocal":
-            c = self.center
-            return (-1) ** k / c ** (k + 1)
+            try:
+                return (-1) ** k / self.center ** (k + 1)
+            except ZeroDivisionError:  # c^(k+1) underflows to 0
+                return complex(math.inf)
+            except OverflowError:  # c^(k+1) overflows
+                return 0j
         return self.coeff_list[k] if k < len(self.coeff_list) else 0.0
 
     def finite(self) -> bool:
@@ -1013,46 +1021,26 @@ def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = No
     Requires q = ||a - c0 eps||_w < radius.  The tail uses the majorant
     C_K = max_{k<=K} |f_k| R^k (exact for polynomial f, Cauchy-estimate
     shaped for analytic f): sum_{k>K} |f_k| q^k <= C_K (q/R)^{K+1}/(1-q/R).
-    Returns (element, CompositionCertificate).
+    Returns (element, CompositionCertificate).  A tol that is not > 0 (NaN
+    included), a non-finite f_k or a sum past the float range raises
+    ValidationError; more than max_terms terms, or a partial sum whose
+    support would grow past NEUMANN_SUPPORT_CAP, raises CapExceededError.
     """
     if w is None:
         w = weight_one()
-    u = a.add(unit(a.basis, a.backend).scale(complex(f.center)).negate())
+    u = a.add(unit(a.basis, a.backend).scale(complex(f.center)).negate())  # float
     q = weighted_norm(u, w)
     if not q < f.radius:
         raise PreconditionError(
             f"composition outside convergence radius: ||a - c0||_w = {q} >= {f.radius}"
             f" (gap {q - f.radius})")
-    ratio = q / f.radius if math.isfinite(f.radius) else 0.0
-    C = _series_majorant(f)
+    if f.finite():  # polynomial: sum every term, the tail is exactly zero
+        tails = chain(repeat(math.inf, max(len(f.coeff_list) - 1, 0)), [0.0])
+    else:
+        C, ratio = _series_majorant(f), q / f.radius  # q < radius: an infinite radius gives 0
+        tails = (C * ratio ** (K + 1) / (1.0 - ratio) if ratio > 0 else 0.0 for K in count())
     first = unit(a.basis, a.backend).scale(f.coeff(0))
-    acc, dropped = None, first.dropped_mass  # acc: the float sum from the first f_k != 0, k >= 1
-    powers = _Powers(u)  # u is float: f.center is complex
-    K = 0
-    while True:
-        if f.finite():
-            # polynomial: sum every term, tail is exactly zero
-            if K >= max(len(f.coeff_list) - 1, 0):
-                tail = 0.0
-                break
-        else:
-            tail = C * ratio ** (K + 1) / (1.0 - ratio) if ratio > 0 else 0.0
-            if tail < tol:
-                break
-        K += 1
-        if K > max_terms:
-            raise CapExceededError(f"composition needs more than {max_terms} terms")
-        power = powers.step()
-        fk = f.coeff(K)
-        if fk != 0:
-            cc = complex(fk)
-            if acc is None:
-                acc = dict(_terms_in(first, FLOAT)[0])
-            # acc.add(power.scale(fk))
-            _accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
-            dropped += powers.dropped * abs(cc)
-    c = first if acc is None else AlgebraElement._keyed(a.basis, acc, FLOAT, u.truncation,
-                                                        dropped, powers.mags)
+    c, K, tail = _power_sum("composition", u, first, f.coeff, tails, tol, max_terms)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 
 
@@ -1063,7 +1051,11 @@ def _series_majorant(f: PowerSeries) -> float:
     if f.kind == "exp":
         # radius^k / k! peaks near k = radius and decreases beyond
         top = int(math.ceil(f.radius)) + 2
-        return max(f.radius ** k / math.factorial(k) for k in range(top))
+        try:
+            return max(f.radius ** k / math.factorial(k) for k in range(top))
+        except OverflowError:
+            raise PreconditionError(
+                f"exp majorant passes the float range at working radius {f.radius}") from None
     if not math.isfinite(f.radius):
         return 0.0  # finite coefficient list: tail handled exactly
     return max((abs(c) * f.radius ** k for k, c in enumerate(f.coeff_list)), default=0.0)

@@ -369,7 +369,8 @@ SCHEMAS = {
     "convolve": {"inputs": ["a.json: element", "b.json: element"], "element": _ELEMENT,
                  "output": "element"},
     "invert": {"inputs": ["a.json: element"], "flags": {"--method": "neumann|graded",
-               "--truncation": "required for graded", "--weight": "weight JSON"},
+               "--truncation": "required for graded", "--weight": "weight JSON",
+               "--tol": "neumann tail bound, > 0, default 1e-12"},
                "output": {"inverse": "element", "certificate": "neumann only"}},
     "eval": {"inputs": ["a.json: element"], "flags": {"--s": "number | {re,im} | list",
              "--weight": "optional weight JSON"},
@@ -379,7 +380,9 @@ SCHEMAS = {
     "compose": {"inputs": ["a.json: element"],
                 "flags": {"--series": '{"kind":"exp","radius":R} | '
                           '{"kind":"reciprocal","center":{re,im}} | '
-                          '{"kind":"coeffs","coeffs":[...],"radius":R}'},
+                          '{"kind":"coeffs","coeffs":[...],"radius":R}',
+                          "--weight": "optional weight JSON",
+                          "--tol": "tail bound, > 0, default 1e-12"},
                 "output": {"element": "element", "certificate": "tail data"}},
     "separate": {"inputs": ['points.json: {"points": [[rational, ...], ...]}'],
                  "output": "inside (coefficients) or functional with rho(x) >= 1"},

@@ -541,6 +541,58 @@ def test_exp_series_requires_finite_radius():
         PowerSeries.exp(radius=math.inf)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_series_tol_must_be_positive(tol):
+    # a NaN tol used to end the Neumann loop at once and keep composition
+    # running until its term cap
+    a = nat_elem([2, -1], backend=FLOAT)
+    with pytest.raises(ValidationError, match="tol must be > 0"):
+        neumann_invert(a, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be > 0"):
+        compose_series(PowerSeries.reciprocal(2.0), a, tol=tol)
+
+
+def test_series_coefficients_past_the_float_range():
+    # 1/k! past k = 170 and 1/c^(k+1) once c^(k+1) leaves the float range
+    # are returned, not raised; the float-range cases keep their values
+    exp = PowerSeries.exp(1.0)
+    assert exp.coeff(170) == 1.0 / math.factorial(170)
+    assert exp.coeff(171) == 1 / math.factorial(171) > 0.0 and exp.coeff(200) == 0.0
+    assert PowerSeries.reciprocal(0.5).coeff(3) == -16.0
+    assert math.isinf(abs(PowerSeries.reciprocal(0.49).coeff(1074)))
+    assert PowerSeries.reciprocal(2.0).coeff(2000) == 0
+
+
+def test_compose_rejects_non_finite_values():
+    b = log_primes_basis(3)
+    a = from_coeffs(b, {b.zero(): 0.5, log_element(b, 2): 0.485})
+    # f_1023 = -2^1024 overflows although the series converges (q = 0.97 R)
+    with pytest.raises(ValidationError, match=r"f_1023 .* not finite"):
+        compose_series(PowerSeries.reciprocal(0.5), a)
+    with pytest.raises(ValidationError, match=r"f_1 .* not finite"):
+        compose_series(PowerSeries.from_coeffs([1.0, math.nan]), a)
+    # finite coefficients whose sum passes the float range
+    two = from_coeffs(b, {b.zero(): 2.0})
+    with pytest.raises(ValidationError, match="sum is not finite"):
+        compose_series(PowerSeries.from_coeffs([0.0, 1e308, 1e308]), two)
+
+
+def test_neumann_rejects_a_sum_past_the_float_range():
+    # 1/a(0) overflows for a subnormal a(0), and every value of the sum was
+    # inf or NaN
+    b = natural_basis()
+    a = from_coeffs(b, {b.zero(): 1e-320, b.generator_element(0): 1e-321})
+    with pytest.raises(ValidationError, match="Neumann series sum is not finite"):
+        neumann_invert(a)
+
+
+def test_exp_majorant_past_the_float_range_names_the_radius():
+    a = nat_elem([0, 1], backend=FLOAT)
+    assert compose_series(PowerSeries.exp(142.0), a)[1].terms_used > 0
+    with pytest.raises(PreconditionError, match="radius 143.0"):
+        compose_series(PowerSeries.exp(143.0), a)
+
+
 def test_element_json_roundtrip_exact_and_float():
     a = nat_elem([F(1, 3), 0, F(-2, 7)])
     a2 = AlgebraElement.from_json(a.to_json())

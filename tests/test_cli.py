@@ -94,6 +94,19 @@ def _log3_element(re):
     return json.dumps(data)
 
 
+def _series_element(coeffs: dict) -> str:
+    """The JSON of a float element over log_primes_basis(5), {n: coefficient
+    of n^-s}."""
+    b = log_primes_basis(5)
+    a = algebra.from_coeffs(b, [(log_element(b, n), c) for n, c in coeffs.items()])
+    return json.dumps(a.to_json())
+
+
+SMALL_SERIES = _series_element({1: 1.0, 2: 0.1, 3: 0.1, 5: 0.1})
+RECIPROCAL_AT_1 = '{"kind": "reciprocal", "center": {"re": 1.0, "im": 0.0}}'
+RECIPROCAL_AT_HALF = '{"kind": "reciprocal", "center": {"re": 0.5, "im": 0.0}}'
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -348,21 +361,53 @@ class TestSubcommands:
         ("compose", _log3_element(0.3 * math.log(2)),
          ("--series", '{"kind": "coeffs", "coeffs": [{"re": NaN, "im": 0}]}'),
          "ValidationError", "not finite"),
+        ("compose", SMALL_SERIES,
+         ("--series", '{"kind": "coeffs", "coeffs": [{"re": 1, "im": 0}, {"re": NaN, "im": 0}]}'),
+         "ValidationError", "not finite"),
+        ("compose", _series_element({1: 0.5, 2: 0.485}), ("--series", RECIPROCAL_AT_HALF),
+         "ValidationError", "not finite"),
+        ("compose", _series_element({1: 0.5, 2: 0.49}), ("--series", RECIPROCAL_AT_HALF),
+         "ValidationError", "not finite"),
+        ("compose", SMALL_SERIES, ("--series", '{"kind": "exp", "radius": 1000}'),
+         "PreconditionError", "radius 1000"),
+        ("invert", SMALL_SERIES, ("--method", "neumann", "--tol", "nan"), "ValidationError",
+         "tol must be > 0"),
+    ] + [
+        ("compose", SMALL_SERIES, ("--series", RECIPROCAL_AT_1, "--tol", tol), "ValidationError",
+         "tol must be > 0") for tol in ("nan", "0", "-1")
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
-            "coefficient-inf", "series-coefficient-nan"])
+            "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
+            "reciprocal-coefficient-overflow", "reciprocal-power-underflow",
+            "exp-majorant-overflow", "neumann-tol-nan", "compose-tol-nan", "compose-tol-0",
+            "compose-tol-negative"])
     def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
                                       fragment):
         """Inputs that parse but cannot be used: a rational system that skips
         a prime it needs or lists a composite, non-finite Kronecker data, a
-        dual-cone dimension that is not a nonnegative int and non-finite
-        series coefficients."""
+        dual-cone dimension that is not a nonnegative int, non-finite series
+        coefficients (given, or past the float range), an exp majorant past
+        the float range and a series tol that is not > 0."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
         code, out, _ = invoke(capsys, cmd, str(p), *flags)
         assert code == 2
         got = json.loads(out)["error"]
         assert got["type"] == error and fragment in got["message"]
+
+    @pytest.mark.parametrize("cmd, flags, label", [
+        ("invert", ("--method", "neumann"), "Neumann"),
+        ("compose", ("--series", RECIPROCAL_AT_1), "composition"),
+    ])
+    def test_series_support_cap_is_exit_2(self, files, capsys, monkeypatch, cmd, flags, label):
+        monkeypatch.setattr(algebra, "NEUMANN_SUPPORT_CAP", 50)
+        p = files.dir / "wide.json"
+        p.write_text(_series_element({1: 1.0, 2: 0.3, 3: 0.3, 5: 0.3}))
+        code, out, _ = invoke(capsys, cmd, str(p), *flags)
+        assert code == 2
+        got = json.loads(out)["error"]
+        assert got["type"] == "CapExceededError"
+        assert got["message"].startswith(f"{label} support would pass NEUMANN_SUPPORT_CAP = 50")
 
     @pytest.mark.parametrize("cmd, inputs", [
         ("kronecker", ("kron.json",)),

@@ -425,6 +425,52 @@ def test_neumann_support_cap_reports_terms_and_support(monkeypatch):
     assert len(b.coeffs) > 50 and cert.residual_norm < 1e-12
 
 
+def test_composition_support_cap_reports_terms_and_support(monkeypatch):
+    # the same cap bounds the partial sums of a composition
+    monkeypatch.setattr(algebra, "NEUMANN_SUPPORT_CAP", 50)
+    basis = log_primes_basis(3)
+    a = from_coeffs(basis, {basis.zero(): 1.0, basis.generator_element(0): 0.3,
+                            basis.generator_element(1): 0.3j})
+    with pytest.raises(CapExceededError) as ei:
+        compose_series(PowerSeries.reciprocal(1.0), a)
+    got = re.fullmatch(r"composition support would pass NEUMANN_SUPPORT_CAP = 50: (\d+) "
+                       r"terms used, (\d+) support elements held", str(ei.value))
+    assert got and int(got[1]) >= 1 and int(got[2]) <= 50
+    monkeypatch.setattr(algebra, "NEUMANN_SUPPORT_CAP", 200_000)
+    c, _ = compose_series(PowerSeries.reciprocal(1.0), a)
+    assert len(c.coeffs) > 50
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["log_n", "natural", "tied"]))
+def test_reciprocal_composition_is_the_neumann_inverse(data, kind):
+    # 1/z composed around a(0) with a is the Neumann series of a: the same
+    # sum (1/a0) sum_j u^j, u = -(a - a0)/a0, rounded along two routes, with
+    # tails that agree up to rounding.  Each computed value lies within
+    # gamma_n M of the exact sum, M = 1 / ((1 - q) |a0|): the j-th power
+    # majorant |u|^j has norm q^j, each of its j products sums at most
+    # len(a) complex products (gamma_(len(a) + 2) each), u, the f_k
+    # (binary powering below k = 100) and the final scaling add a few
+    # gamma_1 per power, and the sum of J + 1 terms gamma_(J + 1) (Higham
+    # 2002, sections 3.1 and 3.6).  Terms used differ by at most one, and
+    # the extra power is below the other route's tail bound.
+    a = data.draw(contractions(kind, FLOAT))
+    a0 = complex(a.constant_term())
+    b, cert = neumann_invert(a)
+    c, ccert = compose_series(PowerSeries.reciprocal(a0), a)
+    J = max(cert.terms_used, ccert.terms_used)
+    assert abs(cert.terms_used - ccert.terms_used) <= 1
+    n = (J + 1) * (len(a.terms) + 12) + J + 20
+    gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+    bound = 2.0 * gamma / ((1.0 - cert.q) * abs(a0)) + 1e-300
+    if cert.terms_used == ccert.terms_used:
+        assert set(b.terms) == set(c.terms)
+    else:
+        bound += max(cert.tail_bound, ccert.tail_bound)
+    for k in b.terms.keys() | c.terms.keys():
+        assert abs(b.terms.get(k, 0j) - c.terms.get(k, 0j)) <= bound
+
+
 def test_graded_invert_exact_division_with_non_unit_constant():
     # a = 3 - z has inverse 3^-(n+1): n0 = 9 > 1 forces the checked division
     a = from_coeffs(NATURAL, {_natural(0): 3, _natural(1): -1}, EXACT)
