@@ -11,9 +11,11 @@ dual, which reads the rays the dual op stored).
 One JSON line per op holds the seed, the op's index in the schedule, its
 kind, `check`, the workload's own verdict on the output, and `sha256`, the
 digest of `digest_text(output)` or, when the op raises, of the error's type
-and message.  Two library versions compute alike when their audit files are
-identical: run the script once with each version's `src` on PYTHONPATH and
-`diff` the files.  `bench/` is only imported.
+and message.  The line of a budgeted search that returned (the density and
+Kronecker ops of search-certify) also holds its `steps` and `exhausted`.  Two
+library versions compute alike when their audit files are identical: run
+the script once with each version's `src` on PYTHONPATH and `diff` the
+files.  `bench/` is only imported.
 """
 
 import argparse
@@ -51,18 +53,21 @@ def audit(name: str, seed: int) -> list:
     w = workloads.make(name, ROOT)
     records = []
     for index, op in enumerate(w.schedule(seed)):
+        record = {"seed": seed, "index": index, "kind": op[0]}
         try:
             out = w.run(op)
         except Exception as e:  # a failed op is recorded by its error
             check, text = False, f"{type(e).__name__}: {e}"
         else:
             text = digest_text(out)
+            if w.budgeted(op):
+                record.update(steps=out.steps, exhausted=w.exhausted(op, out))
             try:
                 check = bool(w.check(op, out))
             except Exception:  # a check that cannot run counts as failed
                 check = False
-        records.append({"seed": seed, "index": index, "kind": op[0], "check": check,
-                        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
+        record.update(check=check, sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
+        records.append(record)
     return records
 
 
@@ -75,8 +80,11 @@ def main():
     records = [r for seed in args.seeds for r in audit(args.workload, seed)]
     Path(args.out).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
                               encoding="utf-8")
+    searches = [r for r in records if "steps" in r]
     print(f"{len(records)} {args.workload} ops over seeds {args.seeds}: "
-          f"{sum(r['check'] for r in records)} pass their check -> {args.out}")
+          f"{sum(r['check'] for r in records)} pass their check, "
+          f"{sum(r['exhausted'] for r in searches)} of {len(searches)} budgeted searches "
+          f"exhausted, {sum(r['steps'] for r in searches)} steps -> {args.out}")
 
 
 if __name__ == "__main__":

@@ -471,14 +471,14 @@ def evaluate_series(a: AlgebraElement, s, w: Optional[WeightFn] = None,
 
 
 def _s_vector(basis: SemigroupBasis, s):
-    if isinstance(s, (int, float, complex)):
-        sv = (complex(s),) * basis.r if basis.r == 1 else None
-        if sv is None:
-            raise ValidationError(f"s must have {basis.r} coordinates")
-        return sv
-    sv = tuple(complex(z) for z in s)
-    if len(sv) != basis.r:
+    zs = (s,) if isinstance(s, (int, float, complex)) else tuple(s)
+    if len(zs) != basis.r:
         raise ValidationError(f"s must have {basis.r} coordinates")
+    if any(isinstance(z, bool) for z in zs):
+        raise ValidationError("s coordinates must be numbers, not booleans")
+    sv = tuple(map(complex, zs))
+    if not all(map(cmath.isfinite, sv)):
+        raise ValidationError(f"s coordinates must be finite, got {sv}")
     return sv
 
 

@@ -91,8 +91,8 @@ class PrimeSystem:
     rational: bool = False
 
     def __post_init__(self):
-        if self.x < 1:
-            raise ValidationError("truncation bound must be >= 1")
+        if not 1 <= self.x < math.inf:
+            raise ValidationError(f"truncation bound must be finite and >= 1, got {self.x}")
         prev = 1.0
         for p in self.primes:
             if not p > prev:

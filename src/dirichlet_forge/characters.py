@@ -39,8 +39,8 @@ class Character:
         if len(vals) != len(self.basis.generators):
             raise ValidationError("one value per generator required")
         for v in vals:
-            if abs(v) > 1.0 + 1e-9:
-                raise ValidationError(f"generator value {v} outside the closed unit disk")
+            if not abs(v) <= 1.0 + 1e-9:  # NaN fails this test too
+                raise ValidationError(f"generator value {v} not in the closed unit disk")
         object.__setattr__(self, "values", vals)
         if self.s is not None:
             object.__setattr__(self, "s", tuple(complex(z) for z in self.s))

@@ -75,23 +75,8 @@ def _float(x):
     return float.__repr__(x)
 
 
-def _leaf(x):
-    """JSON text of a leaf `_jsonable` returned, subclasses included."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    return _float(x)
-
-
-# JSON text of a value of exactly one of these types, by type: the leaves
-# `_jsonable` returns unchanged, without its isinstance chain
+# JSON text of a leaf `_jsonable` returns unchanged, by type; a subclass
+# takes the encoder of its first base here along its MRO (bool before int)
 _LEAVES = {
     str: _quote,
     float: _float,
@@ -118,7 +103,7 @@ def _encode(x, put, nl, lead):
     if type(x) is not dict and type(x) is not list and type(x) is not tuple:
         x = _jsonable(x)
         if not isinstance(x, (dict, list)):
-            put(lead + _leaf(x))
+            put(lead + next(_LEAVES[t] for t in type(x).__mro__ if t in _LEAVES)(x))
             return
     inner = nl + "  "
     if isinstance(x, dict):
@@ -216,14 +201,21 @@ def _weight_arg(spec: str):
 
 
 def _parse_s(spec: str):
+    """--s as a number or a list of them, each {re,im} object made complex;
+    numbers and booleans pass as they are, for `algebra._s_vector` to check."""
+    def number(z):
+        if not isinstance(z, dict):
+            return z
+        parts = (z.get("re", 0.0), z.get("im", 0.0))
+        if any(isinstance(x, bool) for x in parts):
+            raise ValidationError("--s parts must be numbers, not booleans")
+        return complex(*parts)
+
     data = _loads(spec, "--s")
-    if isinstance(data, (int, float)):
-        return complex(data)
-    if isinstance(data, dict):
-        return complex(data.get("re", 0.0), data.get("im", 0.0))
     if isinstance(data, list):
-        return [complex(z.get("re", 0.0), z.get("im", 0.0))
-                if isinstance(z, dict) else complex(z) for z in data]
+        return [number(z) for z in data]
+    if isinstance(data, (int, float, dict)):
+        return number(data)
     raise _UsageError("--s must be a number, {re,im} object, or list of them")
 
 
@@ -356,7 +348,7 @@ def _cmd_check_weight(args):
     return out, 0
 
 
-# -- schemas (printed by --schema) ------------------------------------------
+# -- the subcommands ----------------------------------------------------------
 
 _ELEMENT = {
     "basis": "semigroup basis object (mode free|embedded, generators)",
@@ -365,77 +357,87 @@ _ELEMENT = {
     "truncation": "number|null",
 }
 
-SCHEMAS = {
-    "convolve": {"inputs": ["a.json: element", "b.json: element"], "element": _ELEMENT,
-                 "output": "element"},
-    "invert": {"inputs": ["a.json: element"], "flags": {"--method": "neumann|graded",
-               "--truncation": "required for graded", "--weight": "weight JSON",
-               "--tol": "neumann tail bound, > 0, default 1e-12"},
-               "output": {"inverse": "element", "certificate": "neumann only"}},
-    "eval": {"inputs": ["a.json: element"], "flags": {"--s": "number | {re,im} | list",
-             "--weight": "optional weight JSON"},
-             "output": {"value": "{re,im}", "tail": "truncation tail bound"}},
-    "witness": {"inputs": ["a.json: element"],
-                "output": "min-modulus report; certified only for one free generator"},
-    "compose": {"inputs": ["a.json: element"],
-                "flags": {"--series": '{"kind":"exp","radius":R} | '
-                          '{"kind":"reciprocal","center":{re,im}} | '
-                          '{"kind":"coeffs","coeffs":[...],"radius":R}',
-                          "--weight": "optional weight JSON",
-                          "--tol": "tail bound, > 0, default 1e-12"},
-                "output": {"element": "element", "certificate": "tail data"}},
-    "separate": {"inputs": ['points.json: {"points": [[rational, ...], ...]}'],
-                 "output": "inside (coefficients) or functional with rho(x) >= 1"},
-    "dual": {"inputs": ['cone.json: {"generators": [[rational, ...], ...], "dim": "optional"}'],
-             "output": "dual cone rays"},
-    "extend-character": {
-        "inputs": ['problem.json: {"dim": d, "generators": [[rational,...]],'
-                   ' "prescribed": {"idx": {"re","im"}}}'],
+# Each subcommand once.  `handler` runs it; every other key is what --schema
+# prints: each input "stem.json: shape" is the positional argument `stem`, and
+# each flag's argparse keywords carry its --schema text as `help`.
+_COMMANDS = {
+    "convolve": {"handler": _cmd_convolve, "inputs": ["a.json: element", "b.json: element"],
+                 "element": _ELEMENT, "output": "element"},
+    "invert": {"handler": _cmd_invert, "inputs": ["a.json: element"], "flags": {
+        "--method": dict(help="neumann|graded", choices=["neumann", "graded"],
+                         default="neumann"),
+        "--truncation": dict(help="required for graded", type=float),
+        "--weight": dict(help="weight JSON", default=""),
+        "--tol": dict(help="neumann tail bound, > 0, default 1e-12", type=float, default=1e-12)},
+        "output": {"inverse": "element", "certificate": "neumann only"}},
+    "eval": {"handler": _cmd_eval, "inputs": ["a.json: element"], "flags": {
+        "--s": dict(help="number | {re,im} | list", required=True),
+        "--weight": dict(help="optional weight JSON", default="")},
+        "output": {"value": "{re,im}", "tail": "truncation tail bound"}},
+    "witness": {"handler": _cmd_witness, "inputs": ["a.json: element"], "flags": {
+        "--sigma-max": dict(help="grid bound on Re s, >= 0, default 10.0", type=float,
+                            default=10.0),
+        "--t-max": dict(help="grid bound on |Im s|, > 0, default 30.0", type=float,
+                        default=30.0)},
+        "output": "min-modulus report; certified only for one free generator"},
+    "compose": {"handler": _cmd_compose, "inputs": ["a.json: element"], "flags": {
+        "--series": dict(help='{"kind":"exp","radius":R} | '
+                              '{"kind":"reciprocal","center":{re,im}} | '
+                              '{"kind":"coeffs","coeffs":[...],"radius":R}', required=True),
+        "--weight": dict(help="optional weight JSON", default=""),
+        "--tol": dict(help="tail bound, > 0, default 1e-12", type=float, default=1e-12)},
+        "output": {"element": "element", "certificate": "tail data"}},
+    "separate": {"handler": _cmd_separate,
+                 "inputs": ['points.json: {"points": [[rational, ...], ...]}'], "flags": {
+        "--cross-check": dict(help="confirm by Fourier-Motzkin (dim <= 3)",
+                              action="store_true")},
+        "output": "inside (coefficients) or functional with rho(x) >= 1"},
+    "dual": {"handler": _cmd_dual, "inputs": [
+        'cone.json: {"generators": [[rational, ...], ...], "dim": "optional"}'],
+        "output": "dual cone rays"},
+    "extend-character": {"handler": _cmd_extend_character, "inputs": [
+        'problem.json: {"dim": d, "generators": [[rational,...]],'
+        ' "prescribed": {"idx": {"re","im"}}}'],
         "output": "free basis, dual functionals, exponents, extended values"},
-    "density-search": {
-        "inputs": ["a.json: element (one-dimensional basis)",
-                   "psi.json: character values (basis optional)"],
-        "flags": {"--theta": "accuracy, default 1e-2", "--budget": "default 1e6",
-                  "--seed": "default 0"},
+    "density-search": {"handler": _cmd_density_search, "inputs": [
+        "a.json: element (one-dimensional basis)",
+        "psi.json: character values (basis optional)"], "flags": {
+        "--theta": dict(help="accuracy, default 1e-2", type=float, default=1e-2),
+        "--budget": dict(help="default 1e6", type=float, default=1e6),
+        "--seed": dict(help="default 0", type=int, default=0)},
         "output": "s, achieved_error, steps, exhausted (exit 3 when exhausted)"},
-    "kronecker": {
-        "inputs": ['instance.json: {"betas": [...], "targets": [{"re","im"}...],'
-                   ' "theta": eps, "t_budget": N}'],
+    "kronecker": {"handler": _cmd_kronecker, "inputs": [
+        'instance.json: {"betas": [...], "targets": [{"re","im"}...],'
+        ' "theta": eps, "t_budget": N}'], "flags": {
+        "--theta": dict(help="accuracy, replaces the instance's theta", type=float),
+        "--budget": dict(help="step budget, replaces the instance's t_budget", type=float)},
         "output": "t, per-coordinate errors, steps, exhausted (exit 3 when exhausted)"},
-    "euler-invert": {
-        "inputs": ['f.json: {"system": {"primes": [...], "x": X, "rational": bool},'
-                   ' "values": [{"p": 2, "k": 1, "value": "1/2"}]}'],
-        "flags": {"--x": "materialize inverse values to x", "--certify":
-                  "per-prime disk minima"},
+    "euler-invert": {"handler": _cmd_euler_invert, "inputs": [
+        'f.json: {"system": {"primes": [...], "x": X, "rational": bool},'
+        ' "values": [{"p": 2, "k": 1, "value": "1/2"}]}'], "flags": {
+        "--x": dict(help="materialize inverse values to x", type=int),
+        "--certify": dict(help="per-prime disk minima", action="store_true")},
         "output": "inverse table (+ values, certificates)"},
-    "p3-decompose": {
-        "inputs": ["f.json: multiplicative function"],
-        "flags": {"--omega": 'weight JSON, e.g. {"kind":"one"}',
-                  "--x": "norm materialization bound"},
-        "output": "p0, local part, completely multiplicative b, correction h,"
-                  " certificates"},
-    "check-weight": {
-        "inputs": ["w.json: weight"],
-        "flags": {"--theta": "also report growth of w(m) exp(-theta m)",
-                  "--mag": "magnitude for root-convergence check, default 1.0"},
+    "p3-decompose": {"handler": _cmd_p3_decompose, "inputs": ["f.json: multiplicative function"],
+                     "flags": {
+        "--omega": dict(help='weight JSON, e.g. {"kind":"one"}', default=""),
+        "--x": dict(help="norm materialization bound", type=int)},
+        "output": "p0, local part, completely multiplicative b, correction h, certificates"},
+    "check-weight": {"handler": _cmd_check_weight, "inputs": ["w.json: weight"], "flags": {
+        "--theta": dict(help="also report growth of w(m) exp(-theta m)", type=float),
+        "--mag": dict(help="magnitude for root-convergence check, default 1.0", type=float,
+                      default=1.0)},
         "output": "w(0), w >= 1 flag, root convergence report"},
 }
 
-_HANDLERS = {
-    "convolve": _cmd_convolve,
-    "invert": _cmd_invert,
-    "eval": _cmd_eval,
-    "witness": _cmd_witness,
-    "compose": _cmd_compose,
-    "separate": _cmd_separate,
-    "dual": _cmd_dual,
-    "extend-character": _cmd_extend_character,
-    "density-search": _cmd_density_search,
-    "kronecker": _cmd_kronecker,
-    "euler-invert": _cmd_euler_invert,
-    "p3-decompose": _cmd_p3_decompose,
-    "check-weight": _cmd_check_weight,
-}
+
+def _schema(name: str) -> dict:
+    """What --schema prints for a subcommand: its table entry, with each
+    flag's text in place of its argparse keywords."""
+    out = {k: v for k, v in _COMMANDS[name].items() if k != "handler"}
+    if "flags" in out:
+        out["flags"] = {flag: kw["help"] for flag, kw in out["flags"].items()}
+    return out
 
 
 @functools.cache
@@ -444,47 +446,17 @@ def _parser() -> _Parser:
     state between parse_args calls, and each call returns a new Namespace."""
     p = _Parser(prog=PROG, description="weighted Dirichlet-series algebra toolkit")
     sub = p.add_subparsers(dest="cmd", metavar="subcommand")
-
-    def add(name, *positional, **flags):
+    for name, entry in _COMMANDS.items():
         sp = sub.add_parser(name, prog=f"{PROG} {name}")
-        for pos in positional:
-            sp.add_argument(pos)
-        for flag, kw in flags.items():
+        for spec in entry["inputs"]:
+            sp.add_argument(spec.split(".json", 1)[0], help=spec)
+        for flag, kw in entry.get("flags", {}).items():
             sp.add_argument(flag, **kw)
         sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
         sp.add_argument("--report", action="store_true",
                         help="human-readable text instead of JSON")
         sp.add_argument("--schema", action="store_true",
                         help="print the expected JSON shapes and exit")
-        return sp
-
-    add("convolve", "a", "b")
-    add("invert", "a",
-        **{"--method": dict(choices=["neumann", "graded"], default="neumann"),
-           "--truncation": dict(type=float, default=None),
-           "--weight": dict(default=""),
-           "--tol": dict(type=float, default=1e-12)})
-    add("eval", "a", **{"--s": dict(required=True), "--weight": dict(default="")})
-    add("witness", "a", **{"--sigma-max": dict(type=float, default=10.0),
-                           "--t-max": dict(type=float, default=30.0)})
-    add("compose", "a", **{"--series": dict(required=True),
-                           "--weight": dict(default=""),
-                           "--tol": dict(type=float, default=1e-12)})
-    add("separate", "points", **{"--cross-check": dict(action="store_true")})
-    add("dual", "cone")
-    add("extend-character", "problem")
-    add("density-search", "a", "psi",
-        **{"--theta": dict(type=float, default=1e-2),
-           "--budget": dict(type=float, default=1e6),
-           "--seed": dict(type=int, default=0)})
-    add("kronecker", "instance", **{"--theta": dict(type=float, default=None),
-                                    "--budget": dict(type=float, default=None)})
-    add("euler-invert", "f", **{"--x": dict(type=int, default=None),
-                                "--certify": dict(action="store_true")})
-    add("p3-decompose", "f", **{"--omega": dict(default=""),
-                                "--x": dict(type=int, default=None)})
-    add("check-weight", "w", **{"--theta": dict(type=float, default=None),
-                                "--mag": dict(type=float, default=1.0)})
     return p
 
 
@@ -493,8 +465,8 @@ def run(argv) -> int:
     # --schema must work without the positional inputs
     if "--schema" in argv:
         name = next((t for t in argv if not t.startswith("-")), None)
-        if name in SCHEMAS:
-            sys.stdout.write(_dumps(SCHEMAS[name]) + "\n")
+        if name in _COMMANDS:
+            sys.stdout.write(_dumps(_schema(name)) + "\n")
             return 0
         sys.stderr.write(f"{PROG}: --schema needs a known subcommand\n")
         return 1
@@ -505,7 +477,7 @@ def run(argv) -> int:
         if args.cmd is None:
             parser.print_help(sys.stderr)
             return 1
-        result, code = _HANDLERS[args.cmd](args)
+        result, code = _COMMANDS[args.cmd]["handler"](args)
         _emit(result, args)
         return code
     except _UsageError as e:

@@ -45,6 +45,9 @@ class WeightFn:
     def __post_init__(self):
         if self.kind not in (ONE, POLY, EXP, PRODUCT, TABLE):
             raise ValidationError(f"unknown weight kind {self.kind!r}")
+        if not (math.isfinite(self.c) and math.isfinite(self.rho)):
+            raise ValidationError(f"weight parameters must be finite, got c={self.c}, "
+                                  f"rho={self.rho}")
         if self.kind == POLY and self.c < 0:
             raise ValidationError("poly weight needs c >= 0")
         if self.kind == PRODUCT:
@@ -55,6 +58,8 @@ class WeightFn:
             pts = sorted((float(x), float(w)) for x, w in self.points)
             if not pts:
                 raise ValidationError("table weight needs points")
+            if not all(math.isfinite(x) and math.isfinite(w) for x, w in pts):
+                raise ValidationError("table weight points must be finite")
             xs = [x for x, _ in pts]
             if len(set(xs)) != len(xs):
                 raise ValidationError("table weight has duplicate abscissae")

@@ -39,7 +39,8 @@ from dirichlet_forge.exactnum import QC
 from dirichlet_forge.semigroup import (embedded_basis, free_rational_basis, log_element,
                                       log_primes_basis, natural_basis)
 from dirichlet_forge.semigroup import SemigroupBasis
-from dirichlet_forge.weights import one as w_one, poly as w_poly, table as w_table
+from dirichlet_forge.weights import (exp_weight as w_exp, one as w_one, poly as w_poly,
+                                     product as w_product, table as w_table)
 from tests.oracles import (brute_disk_min, brute_exp_sum, brute_half_plane_min,
                           brute_poly_inverse, brute_poly_mul, full_grid_disk_minimum,
                           mobius_sieve)
@@ -171,9 +172,14 @@ def test_neumann_rejects_q_geq_one():
 
 
 def test_neumann_rejects_nan_contraction_ratio():
-    # a NaN weight makes q NaN, which is no contraction
+    # a NaN weight is refused when it is made, but finite parts can still
+    # give one: at 1 this product is 1e300 * 1e300 * exp(-1000) = inf * 0.0,
+    # so q is NaN, which is no contraction
+    huge = w_table([(1.0, 1e300)])
+    w = w_product(huge, huge, w_exp(1000.0))
+    assert math.isnan(w.eval_mag(1.0))
     with pytest.raises(NeumannInapplicableError):
-        neumann_invert(nat_elem([2, -1], backend=FLOAT), w_table([(1.0, math.nan)]))
+        neumann_invert(nat_elem([2, -1], backend=FLOAT), w)
 
 
 @pytest.mark.parametrize("backend", [FLOAT, EXACT])

@@ -30,6 +30,19 @@ def test_character_validation():
         Character(b, (1.2,))
     with pytest.raises(ValidationError):
         Character(b, (0.5, 0.5))  # wrong arity
+    for v in (math.nan, complex(0.5, math.nan), math.inf):
+        with pytest.raises(ValidationError, match="closed unit disk"):
+            Character(b, (v,))
+
+
+def test_from_s_refuses_non_finite_or_boolean_s():
+    b = natural_basis()
+    for s in (math.nan, [math.inf], complex(0.5, math.nan)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Character.from_s(b, s)
+    for s in (True, [False]):
+        with pytest.raises(ValidationError, match="not booleans"):
+            Character.from_s(b, s)
 
 
 def test_apply_multiplicative_on_exponents():

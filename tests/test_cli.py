@@ -107,6 +107,11 @@ RECIPROCAL_AT_1 = '{"kind": "reciprocal", "center": {"re": 1.0, "im": 0.0}}'
 RECIPROCAL_AT_HALF = '{"kind": "reciprocal", "center": {"re": 0.5, "im": 0.0}}'
 
 
+SUBCOMMANDS = ("convolve", "invert", "eval", "witness", "compose", "separate", "dual",
+               "extend-character", "density-search", "kronecker", "euler-invert",
+               "p3-decompose", "check-weight")
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -266,6 +271,16 @@ class TestSubcommands:
         error = json.loads(out)["error"]
         assert error["type"] == "ValidationError" and "not finite" in error["message"]
 
+    def test_density_search_nan_character_value_is_exit_2(self, files, capsys):
+        psi = json.loads(open(files("quick_psi.json")).read())
+        psi["values"]["0"]["re"] = math.nan
+        p = files.dir / "nan_psi.json"
+        p.write_text(json.dumps(psi))
+        code, out, _ = invoke(capsys, "density-search", files("quick_elem.json"), str(p))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError" and "closed unit disk" in error["message"]
+
     @pytest.mark.parametrize("cmd, payload", [
         (cmd, payload)
         for cmd in ("separate", "dual", "extend-character", "kronecker", "euler-invert",
@@ -375,19 +390,37 @@ class TestSubcommands:
     ] + [
         ("compose", SMALL_SERIES, ("--series", RECIPROCAL_AT_1, "--tol", tol), "ValidationError",
          "tol must be > 0") for tol in ("nan", "0", "-1")
+    ] + [
+        ("eval", SMALL_SERIES, ("--s", s), "ValidationError", fragment)
+        for s, fragment in (("NaN", "must be finite"), ("[Infinity]", "must be finite"),
+                            ('{"re": 0.5, "im": NaN}', "must be finite"),
+                            ("true", "not booleans"), ("[true]", "not booleans"),
+                            ('{"re": true, "im": 0}', "not booleans"),
+                            ('[{"re": 1, "im": false}]', "not booleans"))
+    ] + [
+        ("check-weight", weight, (), "ValidationError", "must be finite")
+        for weight in ('{"kind": "poly", "c": NaN}', '{"kind": "exp", "rho": -Infinity}',
+                       '{"kind": "table", "points": [[1.0, NaN]]}')
+    ] + [
+        ("p3-decompose", '{"system": {"primes": [2, 3], "x": NaN}, "values": []}',
+         ("--omega", '{"kind": "one"}'), "ValidationError", "must be finite"),
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
             "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
             "reciprocal-coefficient-overflow", "reciprocal-power-underflow",
             "exp-majorant-overflow", "neumann-tol-nan", "compose-tol-nan", "compose-tol-0",
-            "compose-tol-negative"])
+            "compose-tol-negative", "s-nan", "s-list-inf", "s-object-nan", "s-true",
+            "s-list-true", "s-object-true", "s-list-object-false", "poly-c-nan",
+            "exp-rho-minus-inf", "table-point-nan", "system-x-nan"])
     def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
                                       fragment):
         """Inputs that parse but cannot be used: a rational system that skips
         a prime it needs or lists a composite, non-finite Kronecker data, a
         dual-cone dimension that is not a nonnegative int, non-finite series
         coefficients (given, or past the float range), an exp majorant past
-        the float range and a series tol that is not > 0."""
+        the float range, a series tol that is not > 0, an evaluation point
+        that is not finite or holds a boolean, and non-finite weight or
+        prime-system parameters."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
         code, out, _ = invoke(capsys, cmd, str(p), *flags)
@@ -508,6 +541,28 @@ class TestOutputModes:
 
     def test_schema_without_subcommand(self, capsys):
         assert invoke(capsys, "--schema")[0] == 1
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_schema_and_help_declare_every_argument(self, name, capsys):
+        """--schema lists exactly the flags the parser takes (less the output
+        flags every subcommand has), one input per positional argument, and
+        --help prints each flag's --schema text."""
+        sub = next(a for a in cli._parser()._actions if a.dest == "cmd")
+        assert set(sub.choices) == set(SUBCOMMANDS)
+        actions = sub.choices[name]._actions
+        code, out, _ = invoke(capsys, name, "--schema")
+        assert code == 0
+        schema = json.loads(out)
+        flags = schema.get("flags", {})
+        assert set(flags) == {o for a in actions for o in a.option_strings} - {
+            "-h", "--help", "--out", "--report", "--schema"}
+        assert [a.dest for a in actions if not a.option_strings] == [
+            spec.split(".json")[0] for spec in schema["inputs"]]
+        with pytest.raises(SystemExit) as stop:
+            run([name, "--help"])
+        assert stop.value.code == 0
+        printed = "".join(capsys.readouterr().out.split())
+        assert all("".join(text.split()) in printed for text in flags.values())
 
 
 def test_console_entry_point(tmp_path):
@@ -658,7 +713,7 @@ def test_budget_exhausted_payload_matches_oracle(files, capsys, monkeypatch):
         best = algebra.AlgebraElement.from_json(json.loads(open(args.a).read()))
         raise BudgetExhaustedError("ran out", best={"element": best, "error": F(1, 3)})
 
-    monkeypatch.setitem(cli._HANDLERS, "witness", exhausted)
+    monkeypatch.setitem(cli._COMMANDS["witness"], "handler", exhausted)
     code, out, _ = invoke(capsys, "witness", files("geo.json"))
     assert code == 3
     monkeypatch.setattr(cli, "_dumps", brute_dumps)
