@@ -34,7 +34,7 @@ import numpy as np
 from .disk import DISK_GRID_CAP, _UNDERFLOW, _UNIT_ROUNDOFF, _grid_argmin
 from .errors import (BasisMismatchError, PreconditionError, SingularElementError,
                      NeumannInapplicableError, ValidationError, CapExceededError)
-from .exactnum import QC, _as_ratio, format_frac
+from .exactnum import QC, _as_ratio, _complex_value, format_frac
 from .semigroup import (FREE, KeyedElements, SemigroupBasis, SemigroupElement, cutoff,
                         enumerate_monoid, key_combine, row_end)
 from .weights import ONE, WeightFn, one as weight_one
@@ -449,7 +449,8 @@ def evaluate_series(a: AlgebraElement, s, w: Optional[WeightFn] = None,
                     ell: Optional[float] = None):
     """Partial sum sum_lambda a(lambda) exp(-lambda . s) plus a tail bound.
 
-    s: complex scalar (r = 1) or sequence of r complex numbers.  The tail
+    s: complex scalar (r = 1) or sequence of r complex numbers, each a
+    number or an {re, im} object as JSON gives it.  The tail
     bound (1/w(ell)) sum_{|lambda|_1 >= ell} |a| w is valid on Re s >= 0 and
     omitted (None) otherwise.
     """
@@ -471,12 +472,13 @@ def evaluate_series(a: AlgebraElement, s, w: Optional[WeightFn] = None,
 
 
 def _s_vector(basis: SemigroupBasis, s):
-    zs = (s,) if isinstance(s, (int, float, complex)) else tuple(s)
+    zs = (s,) if isinstance(s, (numbers.Number, dict)) else tuple(s)
     if len(zs) != basis.r:
         raise ValidationError(f"s must have {basis.r} coordinates")
-    if any(isinstance(z, bool) for z in zs):
-        raise ValidationError("s coordinates must be numbers, not booleans")
-    sv = tuple(map(complex, zs))
+    try:
+        sv = tuple(complex(_complex_value(z)) for z in zs)
+    except (KeyError, TypeError) as e:
+        raise ValidationError(f"malformed s coordinate: {e}") from e
     if not all(map(cmath.isfinite, sv)):
         raise ValidationError(f"s coordinates must be finite, got {sv}")
     return sv
@@ -995,11 +997,10 @@ class PowerSeries:
             if kind == "exp":
                 return cls.exp(float(data["radius"]))
             if kind == "reciprocal":
-                return cls.reciprocal(complex(data["center"]["re"], data["center"]["im"]))
+                return cls.reciprocal(_complex_value(data["center"]))
             if kind == "coeffs":
-                coeffs = [complex(c["re"], c["im"]) for c in data["coeffs"]]
-                center = data.get("center", {"re": 0.0, "im": 0.0})
-                return cls.from_coeffs(coeffs, complex(center["re"], center["im"]),
+                return cls.from_coeffs([_complex_value(c) for c in data["coeffs"]],
+                                       _complex_value(data.get("center", 0.0)),
                                        float(data.get("radius", math.inf)))
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed power series JSON: {e}") from e

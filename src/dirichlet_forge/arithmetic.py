@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from .algebra import min_modulus_on_disk
 from .errors import PreconditionError, ValidationError
+from .exactnum import _complex_value
 from .sieves import factorize, primes_upto, spf_sieve
 
 __all__ = [
@@ -152,11 +153,10 @@ class PrimeSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "PrimeSystem":
-        return cls(
-            primes=tuple(data["primes"]),
-            x=data["x"],
-            rational=bool(data.get("rational", False)),
-        )
+        primes, x, rational = tuple(data["primes"]), data["x"], data.get("rational", False)
+        if not isinstance(rational, bool):
+            raise ValidationError(f"rational must be true or false, got {rational!r}")
+        return cls(primes=primes, x=x, rational=rational)
 
 
 def _encode_value(v):
@@ -174,11 +174,8 @@ def _encode_value(v):
 def _decode_value(v):
     if isinstance(v, str):
         return Fraction(v)
-    if isinstance(v, dict):
-        return complex(v["re"], v.get("im", 0.0))
-    if isinstance(v, int):
-        return Fraction(v)
-    return float(v)
+    v = _complex_value(v)
+    return Fraction(v) if isinstance(v, int) else v
 
 
 @dataclass(frozen=True)
@@ -362,10 +359,7 @@ def invert_multiplicative(f: MultiplicativeFunction) -> MultiplicativeFunction:
     because f(1) = 1.
     """
     ppv = {}
-    by_prime: dict[int, int] = {}
-    for i, k in f.ppv:
-        by_prime[i] = max(by_prime.get(i, 0), k)
-    for i in by_prime:
+    for i in dict.fromkeys(i for i, _ in f.ppv):
         kmax = f.system.max_power(i)
         g = [Fraction(1)] + [Fraction(0)] * kmax
         for k in range(1, kmax + 1):
@@ -638,31 +632,14 @@ def tail_decompose(
     b = MultiplicativeFunction(sys_, b_ppv, label="tail-cm")
     h = MultiplicativeFunction(sys_, h_ppv, label="tail-correction")
 
-    # exact reconstruction, prime by prime (local * b * h == f on p^k <= x)
-    ok = True
-    for i, k, _ in sys_.iter_prime_powers():
-        if i < j:
-            continue  # local factor reproduces f at small primes verbatim
-        acc = None
-        for l in range(k + 1):
-            term = b.prime_power(i, k - l) * h.prime_power(i, l)
-            acc = term if acc is None else acc + term
-        if not _close(acc, f.prime_power(i, k)):
-            ok = False
-            break
-
+    # local * b * h == f on p^k <= x; the local factor reproduces f at the
+    # primes up to p0 verbatim, so only the tail primes are compared
+    tail = [(i, k) for i, k, _ in sys_.iter_prime_powers() if i >= j]
+    bh = dirichlet_convolve(h, b)
+    ok = all(_close(bh.prime_power(i, k), f.prime_power(i, k)) for i, k in tail)
     binv = invert_multiplicative(b)
-    mob_ok = True
-    for i in range(j, len(primes)):
-        if not _close(binv.prime_power(i, 1), -b.prime_power(i, 1)):
-            mob_ok = False
-            break
-        for k in range(2, sys_.max_power(i) + 1):
-            if not _close(binv.prime_power(i, k), 0):
-                mob_ok = False
-                break
-        if not mob_ok:
-            break
+    mob_ok = all(_close(binv.prime_power(i, k), -b.prime_power(i, 1) if k == 1 else 0)
+                 for i, k in tail)
 
     hinv = invert_multiplicative(h)
     if sys_.rational:

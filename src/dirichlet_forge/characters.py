@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .errors import ValidationError, BasisMismatchError
 from .semigroup import SemigroupBasis, SemigroupElement, FREE
 from .algebra import AlgebraElement, _char_exp, _s_vector
+from .exactnum import _complex_value
 from .weights import WeightFn
 
 EXPLICIT = "explicit"
@@ -94,9 +96,8 @@ class Character:
         try:
             prov = data.get("provenance", EXPLICIT)
             if prov == FROM_S and "s" in data:
-                s = [complex(z["re"], z["im"]) for z in data["s"]]
-                return cls.from_s(basis, s)
-            vm = {int(k): complex(v["re"], v["im"]) for k, v in data["values"].items()}
+                return cls.from_s(basis, [_complex_value(z) for z in data["s"]])
+            vm = {int(k): _complex_value(v) for k, v in data["values"].items()}
             vals = []
             for g in basis.generators:
                 if g.id not in vm:
@@ -123,11 +124,6 @@ def functional(psi: Character, a: AlgebraElement) -> complex:
 
 def is_w_bounded(psi: Character, w: WeightFn, samples=()) -> bool:
     """|psi(lambda)| <= w(lambda) on generators and supplied sample elements."""
-    for g in psi.basis.generators:
-        lam = psi.basis.generator_element(g.id)
-        if abs(psi.apply(lam)) > w.eval(lam) * (1.0 + 1e-12):
-            return False
-    for lam in samples:
-        if abs(psi.apply(lam)) > w.eval(lam) * (1.0 + 1e-12):
-            return False
-    return True
+    gens = (psi.basis.generator_element(g.id) for g in psi.basis.generators)
+    return not any(abs(psi.apply(lam)) > w.eval(lam) * (1.0 + 1e-12)
+                   for lam in chain(gens, samples))

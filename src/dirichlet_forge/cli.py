@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import algebra, arithmetic, cones, density, extension, weights
 from .characters import Character
 from .errors import BudgetExhaustedError, ForgeError, ValidationError
+from .ratlin import vec
 from .semigroup import SemigroupBasis
 
 PROG = "forge"
@@ -201,22 +202,11 @@ def _weight_arg(spec: str):
 
 
 def _parse_s(spec: str):
-    """--s as a number or a list of them, each {re,im} object made complex;
-    numbers and booleans pass as they are, for `algebra._s_vector` to check."""
-    def number(z):
-        if not isinstance(z, dict):
-            return z
-        parts = (z.get("re", 0.0), z.get("im", 0.0))
-        if any(isinstance(x, bool) for x in parts):
-            raise ValidationError("--s parts must be numbers, not booleans")
-        return complex(*parts)
-
+    """--s as JSON of the right shape; `algebra._s_vector` reads its values."""
     data = _loads(spec, "--s")
-    if isinstance(data, list):
-        return [number(z) for z in data]
-    if isinstance(data, (int, float, dict)):
-        return number(data)
-    raise _UsageError("--s must be a number, {re,im} object, or list of them")
+    if not isinstance(data, (list, int, float, dict)):
+        raise _UsageError("--s must be a number, {re,im} object, or list of them")
+    return data
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -264,23 +254,23 @@ def _cmd_compose(args):
     return {"element": c, "certificate": cert}, 0
 
 
-def _cmd_separate(args):
-    data = _load(args.points)
+def _vectors(data, key: str, what: str) -> list:
+    """The exact vectors listed under data[key]."""
     try:
-        pts = [cones.vec_from_json(p) for p in data["points"]]
+        return [vec(v) for v in data[key]]
     except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"malformed points JSON: {e}") from e
+        raise ValidationError(f"malformed {what} JSON: {e}") from e
+
+
+def _cmd_separate(args):
+    pts = _vectors(_load(args.points), "points", "points")
     res = cones.separate_cross_checked(pts) if args.cross_check else cones.separate(pts)
     return res, 0
 
 
 def _cmd_dual(args):
     data = _load(args.cone)
-    try:
-        gens = [cones.vec_from_json(g) for g in data["generators"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"malformed cone JSON: {e}") from e
-    return cones.dual_cone(gens, dim=data.get("dim")), 0
+    return cones.dual_cone(_vectors(data, "generators", "cone"), dim=data.get("dim")), 0
 
 
 def _cmd_extend_character(args):
@@ -304,13 +294,10 @@ def _cmd_density_search(args):
 
 def _cmd_kronecker(args):
     inst = density.KroneckerInstance.from_json(_load(args.instance))
-    if args.theta is not None or args.budget is not None:
-        inst = density.KroneckerInstance(
-            betas=inst.betas,
-            targets=inst.targets,
-            theta=args.theta if args.theta is not None else inst.theta,
-            t_budget=args.budget if args.budget is not None else inst.t_budget,
-        )
+    flags = {k: v for k, v in (("theta", args.theta), ("t_budget", args.budget))
+             if v is not None}
+    if flags:
+        inst = dataclasses.replace(inst, **flags)
     res = density.kronecker_t(inst)
     return res, 3 if res.exhausted else 0
 

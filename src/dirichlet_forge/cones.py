@@ -46,10 +46,6 @@ def vec_to_json(v) -> list:
     return [format_frac(x) for x in v]
 
 
-def vec_from_json(data) -> tuple:
-    return vec(data)
-
-
 @dataclass(frozen=True)
 class RationalCone:
     """cone(generators) in Q^dim; generators need not be extreme or distinct."""
@@ -73,7 +69,7 @@ class RationalCone:
     @classmethod
     def from_json(cls, data: dict) -> "RationalCone":
         try:
-            return cls(int(data["dim"]), tuple(vec_from_json(g) for g in data["generators"]))
+            return cls(int(data["dim"]), tuple(map(vec, data["generators"])))
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed cone JSON: {e}") from e
 

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .algebra import AlgebraElement, evaluate_series
 from .characters import FROM_S, Character, functional
+from .exactnum import _complex_value
 from .ratlin import lll_reduce
 
 CHUNK = 2048
@@ -76,7 +77,7 @@ class KroneckerInstance:
     def from_json(cls, data: dict) -> "KroneckerInstance":
         try:
             return cls(tuple(data["betas"]),
-                       tuple(complex(z["re"], z["im"]) for z in data["targets"]),
+                       tuple(map(_complex_value, data["targets"])),
                        float(data.get("theta", 1e-2)),
                        int(data.get("t_budget", 10 ** 6)))
         except (KeyError, TypeError, ValueError, OverflowError) as e:

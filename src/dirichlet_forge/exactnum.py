@@ -9,6 +9,7 @@ instead of closeness.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 _COERCIBLE = (int, Fraction)
@@ -49,6 +50,20 @@ def _parse_ratio(s: str) -> tuple:
     if not q:
         raise ValueError(f"zero denominator in {s!r}")
     return (-p, -q) if q < 0 else (p, q)
+
+
+def _complex_value(v):
+    """A complex value read from JSON: a number, returned as it is, or an
+    {"re", "im"} object of two numbers, returned as a complex.  A boolean, a
+    string or any other value is a TypeError and a missing part a KeyError,
+    so each reader keeps its own malformed-input message; finiteness is left
+    to the constructors."""
+    parts = (v["re"], v["im"]) if isinstance(v, dict) else (v,)
+    for x in parts:
+        if isinstance(x, bool) or not isinstance(x, numbers.Number):
+            raise TypeError(f"complex parts must be numbers, not booleans or strings; "
+                            f"got {x!r}")
+    return complex(*parts) if isinstance(v, dict) else v
 
 
 def format_frac(q: Fraction) -> str:

@@ -42,8 +42,9 @@ from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
                      integer_left_kernel, integer_scaled, kernel_basis,
                      reduce_modulo_image, vec)
 from .exact_lp import feasible_functional
+from .exactnum import _complex_value
 from .cones import (_span_coordinates, basis_through_point, dual_cone,
-                    extreme_rays_from_dual, tight_normals, vec_from_json, vec_to_json)
+                    extreme_rays_from_dual, tight_normals, vec_to_json)
 from .semigroup import free_rational_basis
 from .characters import Character
 
@@ -53,12 +54,6 @@ MODULUS_RELATION_TOL = 1e-9
 PHASE_TOL = 1e-8
 TWO_PI = 2.0 * math.pi
 BOUND_TOL = 1e-9
-
-
-def _cx(v) -> complex:
-    if isinstance(v, dict):
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-    return complex(v)
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class CharacterExtensionProblem:
             i = int(i)
             if not 0 <= i < len(gs):
                 raise ValidationError(f"prescribed index {i} out of range")
-            z = _cx(v)
+            z = complex(_complex_value(v))
             if not cmath.isfinite(z):
                 raise ValidationError(f"prescribed value at {i} is not finite")
             if abs(z) > 1.0 + 1e-9:
@@ -103,9 +98,8 @@ class CharacterExtensionProblem:
     @classmethod
     def from_json(cls, data: dict) -> "CharacterExtensionProblem":
         try:
-            return cls(int(data["dim"]),
-                       tuple(vec_from_json(g) for g in data["generators"]),
-                       {int(i): _cx(v) for i, v in data.get("prescribed", {}).items()})
+            return cls(int(data["dim"]), tuple(map(vec, data["generators"])),
+                       data.get("prescribed", {}))
         except (AttributeError, KeyError, TypeError, ValueError) as e:  # a list has no .items
             raise ValidationError(f"malformed extension problem JSON: {e}") from e
 

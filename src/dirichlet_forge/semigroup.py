@@ -71,10 +71,9 @@ class SemigroupBasis:
                     raise ValidationError("embedded mode requires exact rational generators")
         # When every generator carries exact coordinates, declared freeness is
         # checkable: verify Q-linear independence by exact rank.
-        if self.mode == FREE and self.generators and all(g.exact is not None for g in self.generators):
-            vecs = [g.exact for g in self.generators]
-            if ratlin.rank(vecs) != len(vecs):
-                raise ValidationError("free basis generators are Q-linearly dependent")
+        if (self.mode == FREE and all(g.exact is not None for g in self.generators)
+                and not check_q_independence(g.exact for g in self.generators)):
+            raise ValidationError("free basis generators are Q-linearly dependent")
 
     @cached_property
     def by_id(self) -> dict:
@@ -634,23 +633,21 @@ def natural_basis() -> SemigroupBasis:
 
 def free_rational_basis(columns, labels=None) -> SemigroupBasis:
     """FREE basis from exact rational coordinate tuples."""
-    gens = []
-    for i, col in enumerate(columns):
-        ex = tuple(as_fraction(c) for c in col)
-        gens.append(Generator(i, tuple(float(c) for c in ex), ex,
-                    labels[i] if labels else ""))
-    r = len(gens[0].value) if gens else 0
-    return SemigroupBasis(FREE, r, tuple(gens))
+    return _rational_basis(FREE, columns, labels)
 
 
 def embedded_basis(columns, labels=None) -> SemigroupBasis:
+    return _rational_basis(EMBEDDED, columns, labels)
+
+
+def _rational_basis(mode: str, columns, labels) -> SemigroupBasis:
     gens = []
     for i, col in enumerate(columns):
         ex = tuple(as_fraction(c) for c in col)
         gens.append(Generator(i, tuple(float(c) for c in ex), ex,
                     labels[i] if labels else ""))
     r = len(gens[0].value) if gens else 0
-    return SemigroupBasis(EMBEDDED, r, tuple(gens))
+    return SemigroupBasis(mode, r, tuple(gens))
 
 
 def _prime_bound(n: int) -> int:

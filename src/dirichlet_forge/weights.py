@@ -83,8 +83,15 @@ class WeightFn:
             out = 1.0
             for p in self.parts:
                 out *= p.eval_mag(m)
-            return out
+            return self._not_nan(out, m)
         return self._table_eval(m)[0]
+
+    def _not_nan(self, v: float, m: float) -> float:
+        """v, unless it is NaN: inf * 0 in a product, or a table
+        interpolation whose difference overflows, has no weight to give."""
+        if v != v:
+            raise ValidationError(f"{self.kind} weight evaluates to NaN at magnitude {m}")
+        return v
 
     def _table_eval(self, m: float) -> tuple[float, bool]:
         pts = self.points
@@ -102,7 +109,7 @@ class WeightFn:
         x0, w0 = pts[lo]
         x1, w1 = pts[hi]
         t = (m - x0) / (x1 - x0)
-        return w0 + t * (w1 - w0), False
+        return self._not_nan(w0 + t * (w1 - w0), m), False
 
     def eval(self, lam) -> float:
         """w(lambda); accepts elements (via |.|_1) or raw magnitudes."""
@@ -120,7 +127,7 @@ class WeightFn:
                 v, c = p.eval_report(m)
                 out *= v
                 clamped = clamped or c
-            return out, clamped
+            return self._not_nan(out, m), clamped
         return self.eval_mag(m), False
 
     # -- serialization ------------------------------------------------------

@@ -174,11 +174,13 @@ def test_neumann_rejects_q_geq_one():
 def test_neumann_rejects_nan_contraction_ratio():
     # a NaN weight is refused when it is made, but finite parts can still
     # give one: at 1 this product is 1e300 * 1e300 * exp(-1000) = inf * 0.0,
-    # so q is NaN, which is no contraction
+    # which evaluation refuses, so no NaN q reaches the contraction test
     huge = w_table([(1.0, 1e300)])
     w = w_product(huge, huge, w_exp(1000.0))
-    assert math.isnan(w.eval_mag(1.0))
-    with pytest.raises(NeumannInapplicableError):
+    for evaluate in (w.eval_mag, w.eval_report):
+        with pytest.raises(ValidationError, match="product weight .* NaN at magnitude 1.0"):
+            evaluate(1.0)
+    with pytest.raises(ValidationError, match="evaluates to NaN"):
         neumann_invert(nat_elem([2, -1], backend=FLOAT), w)
 
 

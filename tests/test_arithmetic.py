@@ -407,6 +407,27 @@ class TestTailDecompose:
         assert dec.p0 == 2  # h(4) = 5 - 1/4 must fall into the local part
         assert dec.tail_sum <= 0.5
 
+    def test_reconstruction_certificate_can_fail(self, monkeypatch):
+        h_value = arithmetic._tail_h_value
+        monkeypatch.setattr(arithmetic, "_tail_h_value",
+                            lambda f, i, k: h_value(f, i, k) + F(1, 10**6))
+        f = MultiplicativeFunction.from_rule(PrimeSystem.rational_primes(100), self.rule)
+        dec = tail_decompose(f, W1)
+        assert not dec.reconstruction_exact and dec.b_inverse_is_mobius_b
+
+    def test_mobius_certificate_can_fail(self, monkeypatch):
+        invert = arithmetic.invert_multiplicative
+
+        def inverse_off_at_4(g):
+            inv = invert(g)
+            return MultiplicativeFunction(
+                g.system, {**inv.ppv, (0, 2): inv.prime_power(0, 2) + F(1, 10**6)})
+
+        monkeypatch.setattr(arithmetic, "invert_multiplicative", inverse_off_at_4)
+        f = MultiplicativeFunction.from_rule(PrimeSystem.rational_primes(100), self.rule)
+        dec = tail_decompose(f, W1)
+        assert dec.reconstruction_exact and not dec.b_inverse_is_mobius_b
+
     def test_decomposition_json(self):
         f = MultiplicativeFunction.from_rule(SYS, self.rule)
         blob = json.loads(json.dumps(tail_decompose(f, W1).to_json()))

@@ -45,10 +45,13 @@ def files(tmp_path):
         sys_,
         lambda p, k: F(1, p) if k == 1 else F(1, p**3) if k == 2 else F(0),
     )
+    psi = Character(lb, vals).to_json()
     payloads = {
         "geo.json": geo.to_json(),
         "elem.json": elem.to_json(),
-        "psi.json": Character(lb, vals).to_json(),
+        "psi.json": psi,
+        **{f"psi_{name}.json": {**psi, "values": {**psi["values"], "0": bad}}
+           for name, bad in (("true", True), ("re_true", {"re": True, "im": 0}))},
         "quick_elem.json": quick.to_json(),
         "quick_psi.json": Character(lb3, (0.5j, 0.3)).to_json(),
         "one.json": MultiplicativeFunction.one(sys_).to_json(),
@@ -330,6 +333,26 @@ class TestSubcommands:
         ("p3-decompose", '{"system": {"primes": [2], "x": 4, "rational": true}, '
                          '"values": [{"p": 2, "k": 1, "value": "1/0"}]}'),
     ] + [
+        # a JSON boolean or string is never a complex value
+        (cmd, template.replace("VALUE", bad))
+        for cmd, template in (
+            ("kronecker", '{"betas": [1.0], "targets": [VALUE]}'),
+            ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": {"0": VALUE}}'),
+            ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": true}, '
+                             '"values": [{"p": 2, "k": 1, "value": VALUE}]}'))
+        for bad in ("true", '{"re": true, "im": 0}')
+    ] + [
+        ("extend-character", '{"dim": 1, "generators": [["1"]], '
+                             '"prescribed": {"0": {"re": "0.5", "im": 0}}}'),
+    ] + [
+        ("compose", (("elem.json",), ("--series", series.replace("VALUE", bad))))
+        for series in ('{"kind": "coeffs", "coeffs": [VALUE]}',
+                       '{"kind": "reciprocal", "center": VALUE}')
+        for bad in ("true", '{"re": true, "im": 0}')
+    ] + [
+        ("density-search", (("elem.json", psi), ())) for psi in ("psi_true.json",
+                                                                  "psi_re_true.json")
+    ] + [
         pytest.param(cmd, (inputs, ("--budget", budget)), id=f"{cmd}-budget-{budget}")
         for cmd, inputs in (("kronecker", ("kron.json",)),
                             ("density-search", ("elem.json", "psi.json")))
@@ -396,22 +419,38 @@ class TestSubcommands:
                             ('{"re": 0.5, "im": NaN}', "must be finite"),
                             ("true", "not booleans"), ("[true]", "not booleans"),
                             ('{"re": true, "im": 0}', "not booleans"),
-                            ('[{"re": 1, "im": false}]', "not booleans"))
+                            ('[{"re": 1, "im": false}]', "not booleans"),
+                            ('["abc"]', "not booleans or strings"),
+                            ('{"re": "abc", "im": 0}', "not booleans or strings"),
+                            ('["1"]', "not booleans or strings"),
+                            ('{"re": 0.5}', "malformed s coordinate"))
     ] + [
         ("check-weight", weight, (), "ValidationError", "must be finite")
         for weight in ('{"kind": "poly", "c": NaN}', '{"kind": "exp", "rho": -Infinity}',
                        '{"kind": "table", "points": [[1.0, NaN]]}')
     ] + [
+        ("check-weight", '{"kind": "product", "parts": [{"kind": "table", "points": '
+                         '[[1.0, 1e300]]}, {"kind": "table", "points": [[1.0, 1e300]]}, '
+                         '{"kind": "exp", "rho": 1000.0}]}', (), "ValidationError",
+         "product weight evaluates to NaN at magnitude 1.0"),
+        ("check-weight", '{"kind": "table", "points": [[1.0, 1.7e308], [2.0, -1.7e308]]}',
+         (), "ValidationError", "table weight evaluates to NaN at magnitude 1.0"),
+    ] + [
         ("p3-decompose", '{"system": {"primes": [2, 3], "x": NaN}, "values": []}',
          ("--omega", '{"kind": "one"}'), "ValidationError", "must be finite"),
+        ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": "false"}, '
+                         '"values": []}', (), "ValidationError",
+         "rational must be true or false"),
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
             "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
             "reciprocal-coefficient-overflow", "reciprocal-power-underflow",
             "exp-majorant-overflow", "neumann-tol-nan", "compose-tol-nan", "compose-tol-0",
             "compose-tol-negative", "s-nan", "s-list-inf", "s-object-nan", "s-true",
-            "s-list-true", "s-object-true", "s-list-object-false", "poly-c-nan",
-            "exp-rho-minus-inf", "table-point-nan", "system-x-nan"])
+            "s-list-true", "s-object-true", "s-list-object-false", "s-list-string",
+            "s-object-string", "s-list-numeric-string", "s-object-without-im", "poly-c-nan",
+            "exp-rho-minus-inf", "table-point-nan", "product-inf-times-zero",
+            "table-difference-overflow", "system-x-nan", "system-rational-string"])
     def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
                                       fragment):
         """Inputs that parse but cannot be used: a rational system that skips
@@ -419,8 +458,10 @@ class TestSubcommands:
         dual-cone dimension that is not a nonnegative int, non-finite series
         coefficients (given, or past the float range), an exp majorant past
         the float range, a series tol that is not > 0, an evaluation point
-        that is not finite or holds a boolean, and non-finite weight or
-        prime-system parameters."""
+        that is not finite, holds a boolean or a string or lacks a part,
+        weight parameters that are not finite or values that are NaN, a
+        prime-system bound that is not finite and a rational flag that is
+        not a boolean."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
         code, out, _ = invoke(capsys, cmd, str(p), *flags)
