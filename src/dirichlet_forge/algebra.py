@@ -477,7 +477,7 @@ def _s_vector(basis: SemigroupBasis, s):
         raise ValidationError(f"s must have {basis.r} coordinates")
     try:
         sv = tuple(complex(_complex_value(z)) for z in zs)
-    except (KeyError, TypeError) as e:
+    except (KeyError, OverflowError, TypeError) as e:
         raise ValidationError(f"malformed s coordinate: {e}") from e
     if not all(map(cmath.isfinite, sv)):
         raise ValidationError(f"s coordinates must be finite, got {sv}")
@@ -1002,7 +1002,7 @@ class PowerSeries:
                 return cls.from_coeffs([_complex_value(c) for c in data["coeffs"]],
                                        _complex_value(data.get("center", 0.0)),
                                        float(data.get("radius", math.inf)))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, OverflowError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed power series JSON: {e}") from e
         raise ValidationError(f"unknown power series kind {data.get('kind')!r}")
 

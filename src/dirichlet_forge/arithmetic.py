@@ -689,16 +689,6 @@ class OmegaRelationReport:
     x: float
     note: str = "doubling-window heuristic on truncated data; not a verdict"
 
-    def to_json(self) -> dict:
-        return {
-            "h": self.h.to_json(),
-            "partial_norm": self.partial_norm,
-            "windows": list(self.windows),
-            "trend": self.trend,
-            "x": self.x,
-            "note": self.note,
-        }
-
 
 def omega_related(
     a: MultiplicativeFunction,

@@ -104,7 +104,7 @@ class Character:
                     raise ValidationError(f"missing value for generator {g.id}")
                 vals.append(vm[g.id])
             return cls(basis, tuple(vals), prov)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, OverflowError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed character JSON: {e}") from e
 
 

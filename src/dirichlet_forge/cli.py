@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, arithmetic, cones, density, extension, weights
 from .characters import Character
-from .errors import BudgetExhaustedError, ForgeError, ValidationError
+from .errors import ForgeError, ValidationError
 from .ratlin import vec
 from .semigroup import SemigroupBasis
 
@@ -470,12 +470,6 @@ def run(argv) -> int:
     except _UsageError as e:
         sys.stderr.write(f"{PROG}: error: {e}\n")
         return 1
-    except BudgetExhaustedError as e:
-        payload = e.payload()
-        if getattr(e, "best", None) is not None:
-            payload["best"] = e.best
-        sys.stdout.write(_dumps({"error": payload}) + "\n")
-        return 3
     except ForgeError as e:
         sys.stdout.write(_dumps({"error": e.payload()}) + "\n")
         return 2

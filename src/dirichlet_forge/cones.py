@@ -63,16 +63,6 @@ class RationalCone:
         t, _ = nonneg_combination(self.generators, vec(x))
         return t is not None
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "generators": [vec_to_json(g) for g in self.generators]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalCone":
-        try:
-            return cls(int(data["dim"]), tuple(map(vec, data["generators"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"malformed cone JSON: {e}") from e
-
 
 # -- separation ---------------------------------------------------------------
 
@@ -373,13 +363,6 @@ class FaceResult:
     ambiguous: bool = False     # float policy had to resolve a borderline facet
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {"generator_indices": list(self.generator_indices),
-                "generators": [vec_to_json(g) for g in self.generators],
-                "tight_normals": [vec_to_json(nv) for nv in self.tight_normals],
-                "ambiguous": self.ambiguous,
-                "note": self.note}
-
 
 def minimal_face_containing(cone: RationalCone, x, exact: Optional[bool] = None) -> FaceResult:
     """Smallest face of the cone containing x, read off its dual cone.
@@ -420,11 +403,6 @@ class ConeBasisResult:
     vectors: tuple        # Q-linearly independent, all inside the cone
     coefficients: tuple   # eta = sum coefficients_i vectors_i, all >= 0
     extended: tuple       # indices of vectors added by rank completion
-
-    def to_json(self) -> dict:
-        return {"vectors": [vec_to_json(v) for v in self.vectors],
-                "coefficients": vec_to_json(self.coefficients),
-                "extended": list(self.extended)}
 
 
 def _span_coordinates(gens):

@@ -1,6 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Validation errors map to CLI exit code 2, budget exhaustion to exit code 3.
+The CLI maps every ForgeError to exit code 2.  A search that runs out of
+budget raises nothing: it returns its best result flagged `exhausted`, and
+the CLI exits 3.
 """
 
 
@@ -42,11 +44,3 @@ class NeumannInapplicableError(PreconditionError):
 
 class CapExceededError(ForgeError):
     """A configured enumeration or precision cap was exhausted."""
-
-
-class BudgetExhaustedError(ForgeError):
-    """Search budget ran out; .best carries the best-effort result."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best

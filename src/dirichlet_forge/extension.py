@@ -18,8 +18,10 @@ The construction splits psi into modulus, zero set and phase data:
     prescribed zeros (LP feasibility in exact quotient coordinates),
   * zeta = rho + c theta with the smallest integer c >= 0 making zeta
     nonnegative on every generator,
-  * a basis of dual-cone vectors walked through zeta's minimal face with
-    theta leading, whose inverse-transpose supplies the auxiliary basis.
+  * a basis of dual-cone vectors walked, with theta leading, through zeta
+    itself: its float values read exactly and projected onto the span of
+    its minimal face; the basis's inverse-transpose supplies the auxiliary
+    basis.
 
 phi(b_j) = exp(-zeta(b_j)) [theta(b_j) = 0] exp(i omega_j) with the phases
 omega solving E omega = t mod 2 pi exactly over the integer exponent matrix E:
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
                      integer_left_kernel, integer_scaled, kernel_basis,
-                     reduce_modulo_image, vec)
+                     reduce_modulo_image, solve, vec)
 from .exact_lp import feasible_functional
 from .exactnum import _complex_value
 from .cones import (_span_coordinates, basis_through_point, dual_cone,
@@ -100,7 +102,8 @@ class CharacterExtensionProblem:
         try:
             return cls(int(data["dim"]), tuple(map(vec, data["generators"])),
                        data.get("prescribed", {}))
-        except (AttributeError, KeyError, TypeError, ValueError) as e:  # a list has no .items
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as e:  # a list has no .items
             raise ValidationError(f"malformed extension problem JSON: {e}") from e
 
 
@@ -267,8 +270,6 @@ class DualBasisResult:
     exponents: tuple         # per generator: tuple of nonnegative ints
     theta_on_basis: tuple    # exact rational values
     zeta_on_basis: tuple     # floats
-    theta_in_face: bool
-    tight_rays: tuple        # primal extreme rays annihilated by zeta
     flags: tuple
 
 
@@ -293,14 +294,16 @@ def _integer_rescale(rows, gamma):
 def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     """Basis of dual-cone vectors (theta leading when nonzero), dualized.
 
-    The minimal face of the dual cone containing zeta is located through the
-    primal extreme rays zeta annihilates (`cones.tight_normals`, exact on the
-    float values), a rational point near zeta inside that face is walked to
-    an independent subset, and the completed set is rescaled so every
-    generator gets integer exponents over the inverse basis.  gamma must span
-    a pointed cone (it does when its generators are nonzero and
-    coordinatewise >= 0, as `CharacterExtensionProblem` checks); its extreme
-    rays are read off the dual cone, with no LP.
+    zeta's floats are read exactly.  The minimal face of the dual cone
+    containing zeta is located through the primal extreme rays zeta
+    annihilates (`cones.tight_normals`) or is negative on (zeta may leave
+    the cone by rounding).  zeta's projection onto the span of that face,
+    one exact solve of the face rays' Gram system, is walked to an
+    independent subset (`cones.basis_through_point`), and the completed set
+    is rescaled so every generator gets integer exponents over the inverse
+    basis.  gamma must span a pointed cone (it does when its generators are
+    nonzero and coordinatewise >= 0, as `CharacterExtensionProblem`
+    checks); its extreme rays are read off the dual cone, with no LP.
     """
     d = len(gamma[0])
     flags = []
@@ -308,7 +311,12 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     prim = extreme_rays_from_dual(gamma, dres)
     dual = dres.rays
 
-    tight, ambiguous = tight_normals(prim, zeta_vec)
+    # zeta read exactly, as ints w up to a positive scale (the walk needs
+    # only its direction); zeta may leave the dual cone by rounding, within
+    # combine_zeta's BOUND_TOL, so a ray where it is negative is tight too
+    w, _ = integer_scaled(zeta_vec)
+    tight, ambiguous = tight_normals([r for r in prim if dot(r, w) >= 0], zeta_vec)
+    tight += [r for r in prim if dot(r, w) < 0]
     if ambiguous:
         flags.append("ambiguous tightness on %d extreme rays; treated as "
                      "non-tight (larger face)" % ambiguous)
@@ -316,18 +324,14 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
                  if all(dot(y, r) == 0 for r in tight)]
 
     theta_nonzero = any(x != 0 for x in theta)
-    theta_in_face = theta_nonzero and all(dot(theta, r) == 0 for r in tight)
-
     walk_vectors = []
     if face_rays:
-        from scipy.optimize import nnls
-        M = np.array([[float(y[j]) for y in face_rays] for j in range(d)])
-        coeff, _ = nnls(M, np.array(zeta_vec, dtype=float))
-        # the rounded coefficients, nudged into the relative interior so a
-        # leading vector survives
-        w = [F(float(cl)).limit_denominator(10 ** 9) + F(1, 10 ** 6) for cl in coeff]
-        eta = tuple(dot(w, col) for col in zip(*face_rays))
-        lead = theta if theta_in_face else None
+        # zeta projected onto the span of its face: one exact solve of the
+        # face rays' Gram system
+        c = solve([[dot(a, b) for b in face_rays] for a in face_rays],
+                  [dot(a, w) for a in face_rays])
+        eta = tuple(dot(c, col) for col in zip(*face_rays))
+        lead = theta if theta_nonzero and all(dot(theta, r) == 0 for r in tight) else None
         gens = list(face_rays) + ([theta] if lead is not None else [])
         walk_vectors = list(basis_through_point(gens, eta, first=lead).vectors)
 
@@ -351,8 +355,7 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     zeta_on_basis = tuple(sum(z * float(x) for z, x in zip(zeta_vec, b))
                           for b in basis_vectors)
     return DualBasisResult(scaled, basis_vectors, exponents,
-                           theta_on_basis, zeta_on_basis, theta_in_face,
-                           tuple(tight), tuple(flags))
+                           theta_on_basis, zeta_on_basis, tuple(flags))
 
 
 def _fit_phases(expo_rows, targets, nbasis: int, tol: float = PHASE_TOL):
@@ -389,9 +392,7 @@ def _fit_phases(expo_rows, targets, nbasis: int, tol: float = PHASE_TOL):
 
 @dataclass(frozen=True)
 class CharacterExtensionResult:
-    problem: CharacterExtensionProblem
     working_dim: int
-    span_rows: tuple             # working coordinates expressed in ambient space
     basis_vectors: tuple         # auxiliary basis, ambient exact rational vectors
     dual_functionals: tuple      # exact rows over the working coordinates
     exponents: tuple             # per generator: nonnegative integer exponents
@@ -400,7 +401,6 @@ class CharacterExtensionResult:
     zeta_basis: tuple
     theta_basis: tuple
     zeta_gamma: tuple
-    theta_gamma: tuple
     c: int
     prescribed_residual: float
     modulus: ModulusFit
@@ -518,10 +518,9 @@ def extend_character(problem: CharacterExtensionProblem) -> CharacterExtensionRe
 
     basis_amb = tuple(from_coords(b) for b in dres.basis_vectors)
     return CharacterExtensionResult(
-        problem=problem, working_dim=d, span_rows=tuple(tuple(r) for r in span_rows),
-        basis_vectors=basis_amb, dual_functionals=dres.functionals,
+        working_dim=d, basis_vectors=basis_amb, dual_functionals=dres.functionals,
         exponents=dres.exponents, phi_basis=phi_basis, phi_gamma=phi_gamma,
         zeta_basis=dres.zeta_on_basis, theta_basis=dres.theta_on_basis,
-        zeta_gamma=zeta_gamma, theta_gamma=vfit.values, c=c,
+        zeta_gamma=zeta_gamma, c=c,
         prescribed_residual=residual, modulus=mfit, vanishing=vfit,
         flags=tuple(flags))

@@ -102,6 +102,12 @@ def test_convolve_backend_promotion():
     assert convolve(a, b).backend == FLOAT
 
 
+def test_equality_across_backends_compares_values():
+    exact = nat_elem([1, F(1, 2)], backend=EXACT)
+    assert exact == nat_elem([1.0, 0.5], backend=FLOAT)
+    assert exact != nat_elem([1.0, 0.25], backend=FLOAT)
+
+
 def test_convolve_truncation_records_dropped_mass():
     a = nat_elem([1, 1, 1], truncation=2.0)
     b = nat_elem([1, 1, 1], truncation=2.0)

@@ -330,6 +330,18 @@ class TestMeanSquare:
         rep = mean_square_report(f, W1)
         assert rep.trend_sq == "divergent-trend"
 
+    def test_prime_squares_feed_the_higher_sum(self):
+        """f(p^2) = 1/p^2 and f(p) = 0: only the k >= 2 sum moves, to the sum
+        of 1/p^2 over p^2 <= x (weight 1)."""
+        s = PrimeSystem.rational_primes(10**4)
+        f = MultiplicativeFunction(
+            s, {(i, 2): F(1, p * p) for i, p in enumerate(s.primes) if p * p <= s.x}
+        )
+        rep = mean_square_report(f, W1)
+        assert rep.sum_sq == 0
+        assert rep.sum_higher == pytest.approx(
+            sum(1 / p**2 for p in s.primes if p * p <= s.x), rel=1e-12)
+
     def test_report_json(self):
         rep = mean_square_report(MultiplicativeFunction.mobius(SYS), W1)
         blob = json.loads(json.dumps(rep.to_json()))

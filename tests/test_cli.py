@@ -54,6 +54,7 @@ def files(tmp_path):
            for name, bad in (("true", True), ("re_true", {"re": True, "im": 0}))},
         "quick_elem.json": quick.to_json(),
         "quick_psi.json": Character(lb3, (0.5j, 0.3)).to_json(),
+        "psi_huge.json": {"values": {"0": HUGE, "1": 0, "2": 0}},
         "one.json": MultiplicativeFunction.one(sys_).to_json(),
         "fref.json": f_ref.to_json(),
         "points.json": {"points": [["1", "0"], ["0", "1"]]},
@@ -108,6 +109,7 @@ def _series_element(coeffs: dict) -> str:
 SMALL_SERIES = _series_element({1: 1.0, 2: 0.1, 3: 0.1, 5: 0.1})
 RECIPROCAL_AT_1 = '{"kind": "reciprocal", "center": {"re": 1.0, "im": 0.0}}'
 RECIPROCAL_AT_HALF = '{"kind": "reciprocal", "center": {"re": 0.5, "im": 0.0}}'
+HUGE = 10 ** 400  # an int past the float range
 
 
 SUBCOMMANDS = ("convolve", "invert", "eval", "witness", "compose", "separate", "dual",
@@ -284,6 +286,18 @@ class TestSubcommands:
         error = json.loads(out)["error"]
         assert error["type"] == "ValidationError" and "closed unit disk" in error["message"]
 
+    def test_density_search_reads_the_basis_of_a_psi_file(self, files, capsys):
+        """A psi file may carry its own basis; this one carries the element's,
+        so the output is the one without it."""
+        psi = json.loads(open(files("quick_psi.json")).read())
+        psi["basis"] = json.loads(open(files("quick_elem.json")).read())["basis"]
+        p = files.dir / "psi_basis.json"
+        p.write_text(json.dumps(psi))
+        got = invoke(capsys, "density-search", files("quick_elem.json"), str(p))
+        assert got[0] == 0
+        assert got == invoke(capsys, "density-search", files("quick_elem.json"),
+                             files("quick_psi.json"))
+
     @pytest.mark.parametrize("cmd, payload", [
         (cmd, payload)
         for cmd in ("separate", "dual", "extend-character", "kronecker", "euler-invert",
@@ -441,6 +455,15 @@ class TestSubcommands:
         ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": "false"}, '
                          '"values": []}', (), "ValidationError",
          "rational must be true or false"),
+        ("eval", SMALL_SERIES, ("--s", str(HUGE)), "ValidationError", "malformed s coordinate"),
+        ("eval", SMALL_SERIES, ("--s", f'{{"re": {HUGE}, "im": 0}}'), "ValidationError",
+         "malformed s coordinate"),
+        ("compose", SMALL_SERIES, ("--series", f'{{"kind": "coeffs", "coeffs": [{HUGE}]}}'),
+         "ValidationError", "malformed power series JSON"),
+        ("density-search", SMALL_SERIES, ("psi_huge.json",), "ValidationError",
+         "malformed character JSON"),
+        ("extend-character", f'{{"dim": 1, "generators": [["1"]], "prescribed": {{"0": {HUGE}}}}}',
+         (), "ValidationError", "malformed extension problem JSON"),
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
             "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
@@ -450,7 +473,9 @@ class TestSubcommands:
             "s-list-true", "s-object-true", "s-list-object-false", "s-list-string",
             "s-object-string", "s-list-numeric-string", "s-object-without-im", "poly-c-nan",
             "exp-rho-minus-inf", "table-point-nan", "product-inf-times-zero",
-            "table-difference-overflow", "system-x-nan", "system-rational-string"])
+            "table-difference-overflow", "system-x-nan", "system-rational-string",
+            "s-huge-int", "s-object-huge-int", "series-coefficient-huge-int",
+            "psi-value-huge-int", "prescribed-huge-int"])
     def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
                                       fragment):
         """Inputs that parse but cannot be used: a rational system that skips
@@ -460,11 +485,14 @@ class TestSubcommands:
         the float range, a series tol that is not > 0, an evaluation point
         that is not finite, holds a boolean or a string or lacks a part,
         weight parameters that are not finite or values that are NaN, a
-        prime-system bound that is not finite and a rational flag that is
-        not a boolean."""
+        prime-system bound that is not finite, a rational flag that is not a
+        boolean, and an int past the float range as a complex value (an
+        evaluation point, a series coefficient, a psi value or a prescribed
+        value).  A flag naming a fixture file is passed as its path."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
-        code, out, _ = invoke(capsys, cmd, str(p), *flags)
+        code, out, _ = invoke(capsys, cmd, str(p),
+                              *(files(f) if f.endswith(".json") else f for f in flags))
         assert code == 2
         got = json.loads(out)["error"]
         assert got["type"] == error and fragment in got["message"]
@@ -745,21 +773,6 @@ def test_cli_bytes_match_plain_then_json_dumps(case, files, capsys, tmp_path, mo
     want = _run_case(files, capsys, _RUNS[case], tmp_path, "oracle")
     assert got == want
     assert got[1] or got[2]
-
-
-def test_budget_exhausted_payload_matches_oracle(files, capsys, monkeypatch):
-    from dirichlet_forge.errors import BudgetExhaustedError
-
-    def exhausted(args):
-        best = algebra.AlgebraElement.from_json(json.loads(open(args.a).read()))
-        raise BudgetExhaustedError("ran out", best={"element": best, "error": F(1, 3)})
-
-    monkeypatch.setitem(cli._COMMANDS["witness"], "handler", exhausted)
-    code, out, _ = invoke(capsys, "witness", files("geo.json"))
-    assert code == 3
-    monkeypatch.setattr(cli, "_dumps", brute_dumps)
-    assert invoke(capsys, "witness", files("geo.json")) == (3, out, "")
-    assert json.loads(out)["error"]["best"]["error"] == "1/3"
 
 
 @pytest.mark.parametrize("bad", [

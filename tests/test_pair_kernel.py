@@ -230,6 +230,18 @@ def test_compose_matches_oracle(data, kind, backend):
         (wcert.q, wcert.terms_used, wcert.tail_bound)
 
 
+def test_composition_skips_a_zero_coefficient():
+    """f = 1 + z^2 has f_1 = 0, so the first power adds no term: the sum is
+    the oracle's, and it is 1 + a * a."""
+    a = from_coeffs(LOG_N, [(log_element(LOG_N, 2), 0.25), (log_element(LOG_N, 3), 0.5j)])
+    f = PowerSeries.from_coeffs([1.0, 0.0, 1.0])
+    (got, cert), (want, wcert) = compose_series(f, a), brute_compose_series(f, a)
+    _same_meta(got, want)
+    _close(got, want)
+    assert cert.terms_used == wcert.terms_used
+    _close(got, algebra.unit(LOG_N, FLOAT).add(convolve(a, a)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), KINDS)
 def test_enumerate_monoid_matches_oracle(data, kind):
