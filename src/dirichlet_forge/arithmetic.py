@@ -323,7 +323,8 @@ class MultiplicativeFunction:
                 for row in data.get("values", [])
             ]
             return cls.from_prime_values(system, entries, label=data.get("label", ""))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:  # Fraction("1/0")
+        except (KeyError, OverflowError, TypeError, ValueError,
+                ZeroDivisionError) as e:  # Fraction("1/0")
             raise ValidationError(f"malformed multiplicative function JSON: {e}") from e
 
 

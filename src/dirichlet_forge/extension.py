@@ -296,10 +296,12 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
 
     zeta's floats are read exactly.  The minimal face of the dual cone
     containing zeta is located through the primal extreme rays zeta
-    annihilates (`cones.tight_normals`) or is negative on (zeta may leave
-    the cone by rounding).  zeta's projection onto the span of that face,
-    one exact solve of the face rays' Gram system, is walked to an
-    independent subset (`cones.basis_through_point`), and the completed set
+    annihilates (`cones.tight_normals`), and zeta is projected onto the span
+    of that face, one exact solve of the face rays' Gram system; while the
+    projection is negative on a primal ray (zeta may leave the cone by
+    rounding), that ray counts as tight and the face shrinks.  The
+    projection is walked to an independent subset
+    (`cones.basis_through_point`), and the completed set
     is rescaled so every generator gets integer exponents over the inverse
     basis.  gamma must span a pointed cone (it does when its generators are
     nonzero and coordinatewise >= 0, as `CharacterExtensionProblem`
@@ -311,26 +313,32 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     prim = extreme_rays_from_dual(gamma, dres)
     dual = dres.rays
 
-    # zeta read exactly, as ints w up to a positive scale (the walk needs
-    # only its direction); zeta may leave the dual cone by rounding, within
-    # combine_zeta's BOUND_TOL, so a ray where it is negative is tight too
-    w, _ = integer_scaled(zeta_vec)
-    tight, ambiguous = tight_normals([r for r in prim if dot(r, w) >= 0], zeta_vec)
-    tight += [r for r in prim if dot(r, w) < 0]
+    tight, ambiguous = tight_normals(prim, zeta_vec)
     if ambiguous:
         flags.append("ambiguous tightness on %d extreme rays; treated as "
                      "non-tight (larger face)" % ambiguous)
-    face_rays = [y for y in dual
-                 if all(dot(y, r) == 0 for r in tight)]
+    # zeta read exactly, as ints w up to a positive scale (the walk needs
+    # only its direction), and projected onto the span of its face: one
+    # exact solve of the face rays' Gram system.  zeta may leave the dual
+    # cone by rounding, within combine_zeta's BOUND_TOL, and so may its
+    # projection; a primal ray where the projection is negative is tight
+    # too, and the face shrinks until the projection lies in it
+    w, _ = integer_scaled(zeta_vec)
+    while True:
+        face_rays = [y for y in dual if all(dot(y, r) == 0 for r in tight)]
+        if not face_rays:
+            break
+        c = solve([[dot(a, b) for b in face_rays] for a in face_rays],
+                  [dot(a, w) for a in face_rays])
+        eta = tuple(dot(c, col) for col in zip(*face_rays))
+        negative = [r for r in prim if dot(r, eta) < 0]
+        if not negative:
+            break
+        tight += negative
 
     theta_nonzero = any(x != 0 for x in theta)
     walk_vectors = []
     if face_rays:
-        # zeta projected onto the span of its face: one exact solve of the
-        # face rays' Gram system
-        c = solve([[dot(a, b) for b in face_rays] for a in face_rays],
-                  [dot(a, w) for a in face_rays])
-        eta = tuple(dot(c, col) for col in zip(*face_rays))
         lead = theta if theta_nonzero and all(dot(theta, r) == 0 for r in tight) else None
         gens = list(face_rays) + ([theta] if lead is not None else [])
         walk_vectors = list(basis_through_point(gens, eta, first=lead).vectors)

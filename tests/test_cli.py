@@ -51,10 +51,10 @@ def files(tmp_path):
         "elem.json": elem.to_json(),
         "psi.json": psi,
         **{f"psi_{name}.json": {**psi, "values": {**psi["values"], "0": bad}}
-           for name, bad in (("true", True), ("re_true", {"re": True, "im": 0}))},
+           for name, bad in (("true", True), ("re_true", {"re": True, "im": 0}),
+                             ("huge", HUGE))},
         "quick_elem.json": quick.to_json(),
         "quick_psi.json": Character(lb3, (0.5j, 0.3)).to_json(),
-        "psi_huge.json": {"values": {"0": HUGE, "1": 0, "2": 0}},
         "one.json": MultiplicativeFunction.one(sys_).to_json(),
         "fref.json": f_ref.to_json(),
         "points.json": {"points": [["1", "0"], ["0", "1"]]},
@@ -347,25 +347,27 @@ class TestSubcommands:
         ("p3-decompose", '{"system": {"primes": [2], "x": 4, "rational": true}, '
                          '"values": [{"p": 2, "k": 1, "value": "1/0"}]}'),
     ] + [
-        # a JSON boolean or string is never a complex value
+        # a JSON boolean or string is never a complex value, nor is a part
+        # past the float range
         (cmd, template.replace("VALUE", bad))
         for cmd, template in (
             ("kronecker", '{"betas": [1.0], "targets": [VALUE]}'),
             ("extend-character", '{"dim": 1, "generators": [["1"]], "prescribed": {"0": VALUE}}'),
             ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": true}, '
                              '"values": [{"p": 2, "k": 1, "value": VALUE}]}'))
-        for bad in ("true", '{"re": true, "im": 0}')
+        for bad in ("true", '{"re": true, "im": 0}', f'{{"re": {HUGE}, "im": 0}}')
     ] + [
         ("extend-character", '{"dim": 1, "generators": [["1"]], '
                              '"prescribed": {"0": {"re": "0.5", "im": 0}}}'),
+        ("extend-character", f'{{"dim": 1, "generators": [["1"]], "prescribed": {{"0": {HUGE}}}}}'),
     ] + [
         ("compose", (("elem.json",), ("--series", series.replace("VALUE", bad))))
         for series in ('{"kind": "coeffs", "coeffs": [VALUE]}',
                        '{"kind": "reciprocal", "center": VALUE}')
-        for bad in ("true", '{"re": true, "im": 0}')
+        for bad in ("true", '{"re": true, "im": 0}', str(HUGE), f'{{"re": {HUGE}, "im": 0}}')
     ] + [
-        ("density-search", (("elem.json", psi), ())) for psi in ("psi_true.json",
-                                                                  "psi_re_true.json")
+        ("density-search", (("elem.json", psi), ()))
+        for psi in ("psi_true.json", "psi_re_true.json", "psi_huge.json")
     ] + [
         pytest.param(cmd, (inputs, ("--budget", budget)), id=f"{cmd}-budget-{budget}")
         for cmd, inputs in (("kronecker", ("kron.json",)),
@@ -437,7 +439,9 @@ class TestSubcommands:
                             ('["abc"]', "not booleans or strings"),
                             ('{"re": "abc", "im": 0}', "not booleans or strings"),
                             ('["1"]', "not booleans or strings"),
-                            ('{"re": 0.5}', "malformed s coordinate"))
+                            ('{"re": 0.5}', "malformed s coordinate"),
+                            (str(HUGE), "malformed s coordinate"),
+                            (f'{{"re": {HUGE}, "im": 0}}', "malformed s coordinate"))
     ] + [
         ("check-weight", weight, (), "ValidationError", "must be finite")
         for weight in ('{"kind": "poly", "c": NaN}', '{"kind": "exp", "rho": -Infinity}',
@@ -455,15 +459,6 @@ class TestSubcommands:
         ("euler-invert", '{"system": {"primes": [2], "x": 4, "rational": "false"}, '
                          '"values": []}', (), "ValidationError",
          "rational must be true or false"),
-        ("eval", SMALL_SERIES, ("--s", str(HUGE)), "ValidationError", "malformed s coordinate"),
-        ("eval", SMALL_SERIES, ("--s", f'{{"re": {HUGE}, "im": 0}}'), "ValidationError",
-         "malformed s coordinate"),
-        ("compose", SMALL_SERIES, ("--series", f'{{"kind": "coeffs", "coeffs": [{HUGE}]}}'),
-         "ValidationError", "malformed power series JSON"),
-        ("density-search", SMALL_SERIES, ("psi_huge.json",), "ValidationError",
-         "malformed character JSON"),
-        ("extend-character", f'{{"dim": 1, "generators": [["1"]], "prescribed": {{"0": {HUGE}}}}}',
-         (), "ValidationError", "malformed extension problem JSON"),
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
             "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
@@ -471,11 +466,10 @@ class TestSubcommands:
             "exp-majorant-overflow", "neumann-tol-nan", "compose-tol-nan", "compose-tol-0",
             "compose-tol-negative", "s-nan", "s-list-inf", "s-object-nan", "s-true",
             "s-list-true", "s-object-true", "s-list-object-false", "s-list-string",
-            "s-object-string", "s-list-numeric-string", "s-object-without-im", "poly-c-nan",
+            "s-object-string", "s-list-numeric-string", "s-object-without-im", "s-huge-int",
+            "s-object-huge-int", "poly-c-nan",
             "exp-rho-minus-inf", "table-point-nan", "product-inf-times-zero",
-            "table-difference-overflow", "system-x-nan", "system-rational-string",
-            "s-huge-int", "s-object-huge-int", "series-coefficient-huge-int",
-            "psi-value-huge-int", "prescribed-huge-int"])
+            "table-difference-overflow", "system-x-nan", "system-rational-string"])
     def test_unusable_input_is_exit_2(self, files, capsys, cmd, payload, flags, error,
                                       fragment):
         """Inputs that parse but cannot be used: a rational system that skips
@@ -485,14 +479,11 @@ class TestSubcommands:
         the float range, a series tol that is not > 0, an evaluation point
         that is not finite, holds a boolean or a string or lacks a part,
         weight parameters that are not finite or values that are NaN, a
-        prime-system bound that is not finite, a rational flag that is not a
-        boolean, and an int past the float range as a complex value (an
-        evaluation point, a series coefficient, a psi value or a prescribed
-        value).  A flag naming a fixture file is passed as its path."""
+        prime-system bound that is not finite and a rational flag that is
+        not a boolean."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
-        code, out, _ = invoke(capsys, cmd, str(p),
-                              *(files(f) if f.endswith(".json") else f for f in flags))
+        code, out, _ = invoke(capsys, cmd, str(p), *flags)
         assert code == 2
         got = json.loads(out)["error"]
         assert got["type"] == error and fragment in got["message"]

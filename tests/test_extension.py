@@ -148,6 +148,27 @@ def test_build_dual_basis_invariants():
         assert tuple(rec) == g
 
 
+@pytest.mark.parametrize("gamma, zeta", [
+    # zeta annihilates the ray (2, 1), and the ray (1, 0) only ambiguously;
+    # its projection onto the face of (2, 1), the dual ray (1, -2), is a
+    # negative multiple of that ray (the zeta of prescribed moduli
+    # 1 - 2.9e-12 and 1 - 1.1e-12 on the two generators)
+    ([(2, 1), (1, 0)], (1.1e-12, 0.7e-12)),
+    # zeta is negative by rounding on the generator (0, 1)
+    ([(1, 0), (0, 1)], (1.0, -1e-10)),
+])
+def test_build_dual_basis_shrinks_the_face_until_it_holds_zeta(gamma, zeta):
+    gamma = [tuple(map(F, g)) for g in gamma]
+    res = build_dual_basis(gamma, (F(0), F(0)), zeta)
+    assert res.flags == ("ambiguous tightness on 1 extreme rays; treated as "
+                         "non-tight (larger face)",)
+    assert min(res.zeta_on_basis) >= -1e-10
+    for g, ex in zip(gamma, res.exponents):
+        assert all(isinstance(e, int) and e >= 0 for e in ex)
+        assert tuple(sum(e * b[j] for e, b in zip(ex, res.basis_vectors))
+                     for j in range(2)) == g
+
+
 def test_extend_character_zero_and_phase():
     p = CharacterExtensionProblem(2, [(1, 0), (0, 1), (1, 1)], {0: 0.5j, 1: 0.0})
     r = extend_character(p)
