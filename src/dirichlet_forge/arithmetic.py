@@ -411,14 +411,18 @@ def euler_factor(f: MultiplicativeFunction, p, s: complex, kmax: int) -> complex
     return acc
 
 
-def _doubling_windows(contributions: list, x: float, rounds: int = 5):
-    """Partial sums over (x/2^{m+1}, x/2^m], newest first.
+# doubling windows (x/2^{m+1}, x/2^m] a convergence trend is read from
+DOUBLING_ROUNDS = 5
+
+
+def _doubling_windows(contributions: list, x: float):
+    """Partial sums over (x/2^{m+1}, x/2^m], m < DOUBLING_ROUNDS, newest first.
 
     contributions: list of (value v, weight-already-applied magnitude m).
     """
     windows = []
     hi = x
-    for _ in range(rounds):
+    for _ in range(DOUBLING_ROUNDS):
         lo = hi / 2.0
         w = sum(m for v, m in contributions if lo < v <= hi)
         windows.append(w)

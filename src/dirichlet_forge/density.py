@@ -36,6 +36,8 @@ from .exactnum import _complex_value
 from .ratlin import lll_reduce
 
 CHUNK = 2048
+# Newton steps from each Kronecker hit that still misses theta
+NEWTON_STEPS = 24
 # multiples of N* = (2 pi / theta)^(k-1) at which the lattice stage runs
 LATTICE_SCALES = (1 / 64, 1.0, 64.0)
 
@@ -521,16 +523,15 @@ def approximate_functional(a: AlgebraElement, psi: Character,
     return finish()
 
 
-def _newton(bud: _Budget, mags, coefs, target: complex, s0: complex,
-            iters: int = 24):
-    """Newton steps on g(s) = target for the trimmed series g.
+def _newton(bud: _Budget, mags, coefs, target: complex, s0: complex):
+    """NEWTON_STEPS Newton steps on g(s) = target for the trimmed series g.
 
     g is holomorphic with g'(s) = -sum mag_j c_j e^{-mag_j s}, so value
     matching converges quadratically near a simple solution.  Sigma is folded
     back to 0 whenever a step leaves the right half plane.
     """
     s = complex(max(s0.real, 0.0), s0.imag)
-    for _ in range(iters):
+    for _ in range(NEWTON_STEPS):
         if bud.exhausted():
             return
         es = np.exp(-s * mags)

@@ -11,11 +11,13 @@ The construction splits psi into modulus, zero set and phase data:
 
   * a linear functional rho with rho . gamma_i = -log|psi_i| on the
     prescribed nonzero values (min-norm fit, after exact kernel-relation
-    consistency checks; moved by an exact LP to be nonnegative on the other
-    generators where the vanishing functional below cannot cover them),
+    consistency checks),
   * an exactly rational functional theta >= 0 on the cone that vanishes on
     the span of the nonzero prescribed generators and is >= 1 on the
-    prescribed zeros (LP feasibility in exact quotient coordinates),
+    prescribed zeros (LP feasibility in exact quotient coordinates); where
+    rho is negative on a generator on which theta vanishes, one exact LP
+    moves rho, keeping its prescribed values, to maximise its least value
+    there,
   * zeta = rho + c theta with the smallest integer c >= 0 making zeta
     nonnegative on every generator,
   * a basis of dual-cone vectors walked, with theta leading, through zeta
@@ -35,7 +37,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .errors import PreconditionError, ValidationError
 from .ratlin import (dot, independent_subset, integer_inverse, integer_kernel,
                      integer_left_kernel, integer_scaled, kernel_basis,
                      reduce_modulo_image, solve, vec)
-from .exact_lp import feasible_functional
+from .exact_lp import feasible_functional, max_coordinate
 from .exactnum import _complex_value
 from .cones import (_span_coordinates, basis_through_point, dual_cone,
                     extreme_rays_from_dual, tight_normals, vec_to_json)
@@ -124,69 +125,68 @@ def polar_split(prescribed: dict):
 class ModulusFit:
     functional: tuple           # floats, working dimension
     values: tuple               # functional . gamma_i for every generator
-    relation_checks: int
-    max_relation_violation: float
-    residual: float             # fit residual on the constrained rows
     nonneg_on_prescribed: bool
 
 
-def modulus_functional(gamma, moduli, tol: float = MODULUS_RELATION_TOL) -> ModulusFit:
+def modulus_functional(gamma, moduli) -> ModulusFit:
     """Min-norm linear functional rho with rho . gamma_i = -log moduli[i].
 
     Multiplicativity forces every exact rational kernel relation
     sum kappa_i gamma_i = 0 among the constrained generators to be matched by
-    the logarithms; a violation beyond tol means no multiplicative extension
-    matches the prescribed moduli.
+    the logarithms; a violation beyond MODULUS_RELATION_TOL means no
+    multiplicative extension matches the prescribed moduli.
     """
     d = len(gamma[0])
     idx = sorted(moduli)
     if not idx:
         zero = tuple(0.0 for _ in range(d))
-        return ModulusFit(zero, tuple(0.0 for _ in gamma), 0, 0.0, 0.0, True)
+        return ModulusFit(zero, tuple(0.0 for _ in gamma), True)
     rows = [gamma[i] for i in idx]
     rhs = [-math.log(moduli[i]) for i in idx]
     # kernel of the matrix whose columns are the constrained generators
     cols = [[rows[i][j] for i in range(len(rows))] for j in range(d)]
-    checks, worst = 0, 0.0
     for kappa in kernel_basis(cols):
         s = sum(float(k) * r for k, r in zip(kappa, rhs))
         scale = 1.0 + sum(abs(float(k) * r) for k, r in zip(kappa, rhs))
-        checks += 1
-        worst = max(worst, abs(s) / scale)
-        if abs(s) > tol * scale:
+        if abs(s) > MODULUS_RELATION_TOL * scale:
             raise PreconditionError(
                 "prescribed moduli are inconsistent with an exact rational "
                 f"relation among the generators (violation {abs(s):.3e})")
     A = np.array([[float(x) for x in r] for r in rows], dtype=float)
     b = np.array(rhs, dtype=float)
     sol, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ sol - b))
     functional = tuple(float(x) for x in sol)
     values = tuple(sum(f * float(x) for f, x in zip(functional, g)) for g in gamma)
-    nonneg = all(values[i] >= -tol * (1.0 + abs(rhs[j])) for j, i in enumerate(idx))
-    return ModulusFit(functional, values, checks, worst, residual, nonneg)
+    nonneg = all(values[i] >= -MODULUS_RELATION_TOL * (1.0 + abs(rhs[j]))
+                 for j, i in enumerate(idx))
+    return ModulusFit(functional, values, nonneg)
 
 
-def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx,
-                               free_idx) -> Optional[ModulusFit]:
+def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx, flat_idx) -> ModulusFit:
     """The modulus fit moved along functionals that vanish on gamma[fixed_idx]
-    (nonempty), so its values there stay put, until it is >= 0 on every
-    gamma[free_idx] (up to rounding); None when no such move exists.
+    (nonempty), so its values there stay put, to maximise s, its least value
+    on gamma[flat_idx], with s capped at 0; unmoved when no move reaches
+    s >= -BOUND_TOL, the allowance `combine_zeta` grants.
 
-    One exact LP feasibility problem in homogeneous form: with U a basis of
-    those functionals and v_j the current values, find (tau, t) with
-    tau >= 1 and tau v_j + t . (U gamma_j) >= 0; `feasible_functional`
-    scales tau to 1, and the move is U t.  U is `integer_kernel`'s int
-    basis: its one positive scale only rescales t.
+    One exact LP through `max_coordinate`: with U a basis of those
+    functionals (`integer_kernel`'s ints: their positive scale only rescales
+    t), v_j the current values and t = t+ - t-, it maximises e in
+    [0, BOUND_TOL] subject to v_j + t . (U gamma_j) - w_j = e - BOUND_TOL
+    with slacks w_j >= 0, so s = e - BOUND_TOL.  The LP is infeasible
+    exactly when no move is accepted, and the maximum keeps an accepted
+    move off the relaxed bound when a better one exists.
     """
     U = integer_kernel([list(gamma[i]) for i in fixed_idx])[0]
-    if not U:
-        return None
-    weak = [(F(fit.values[j]),) + tuple(dot(u, gamma[j]) for u in U) for j in free_idx]
-    chi, _ = feasible_functional([(F(1),) + (F(0),) * len(U)], weak)
-    if chi is None:
-        return None
-    t = chi[1:]
+    n = len(flat_idx)
+    lifts = [[dot(u, gamma[j]) for j in flat_idx] for u in U]
+    cols = (lifts + [[-x for x in col] for col in lifts]
+            + [[-int(i == k) for i in range(n)] for k in range(n)] + [[-1] * n])
+    tol = F(BOUND_TOL)
+    e, sol = max_coordinate(cols, [-F(fit.values[j]) - tol for j in flat_idx],
+                            len(cols) - 1, cap=tol)
+    if e is None:
+        return fit
+    t = [a - b for a, b in zip(sol[:len(U)], sol[len(U):2 * len(U)])]
     functional = tuple(f + float(sum(tl * u[k] for tl, u in zip(t, U)))
                        for k, f in enumerate(fit.functional))
     values = tuple(sum(f * float(x) for f, x in zip(functional, g)) for g in gamma)
@@ -197,18 +197,17 @@ def _shift_modulus_nonnegative(fit: ModulusFit, gamma, fixed_idx,
 class VanishingFit:
     functional: tuple       # exact rational, working dimension
     values: tuple           # exact values on every generator
-    strict_indices: tuple   # indices where the functional was forced >= 1
 
 
-def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> VanishingFit:
+def zero_set_separation(gamma, positive_idx, zero_idx) -> VanishingFit:
     """Exact functional theta: 0 on span(gamma[positive_idx]), >= 1 on
-    gamma[zero_idx] and on gamma[protect_idx], >= 0 on all other generators.
+    gamma[zero_idx], >= 0 on all other generators.
 
     Works in exact quotient coordinates modulo the span of the positive set,
     so the vanishing conditions hold identically, and solves one LP
     feasibility problem for the remaining sign conditions.  The quotient
     coordinates are int functionals (`integer_kernel`, one positive scale),
-    and theta has the LP's minimum of exactly 1 on the strict set.
+    and theta has the LP's minimum of exactly 1 on the prescribed zeros.
     """
     d = len(gamma[0])
     pos_rows = [list(gamma[i]) for i in sorted(positive_idx)]
@@ -218,18 +217,16 @@ def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> Vanish
         quot = [[int(j == i) for j in range(d)] for i in range(d)]
     proj = {i: tuple(dot(q, gamma[i]) for q in quot) for i in range(len(gamma))}
 
-    zero_tuple = tuple(sorted(zero_idx))
-    for i in zero_tuple:
+    strict = sorted(zero_idx)
+    for i in strict:
         if all(x == 0 for x in proj[i]):
             raise PreconditionError(
                 f"generator {i} is prescribed zero but lies in the span of the "
                 "nonzero prescribed generators; no multiplicative extension "
                 "separates it")
-    strict = sorted(set(zero_tuple) | {i for i in protect_idx
-                                       if any(x != 0 for x in proj[i])})
     if not strict:
         theta = tuple(F(0) for _ in range(d))
-        return VanishingFit(theta, tuple(F(0) for _ in gamma), ())
+        return VanishingFit(theta, tuple(F(0) for _ in gamma))
     weak = [i for i in range(len(gamma))
             if i not in strict and any(x != 0 for x in proj[i])]
     chi, cert = feasible_functional([proj[i] for i in strict],
@@ -240,15 +237,16 @@ def zero_set_separation(gamma, positive_idx, zero_idx, protect_idx=()) -> Vanish
             "a convex combination of the required-positive generators cancels "
             "against the rest")
     theta = tuple(dot(chi, col) for col in zip(*quot))
-    return VanishingFit(theta, tuple(dot(theta, g) for g in gamma), tuple(strict))
+    return VanishingFit(theta, tuple(dot(theta, g) for g in gamma))
 
 
-def combine_zeta(rho_values, theta_values, tol: float = BOUND_TOL):
-    """(c, zeta values): smallest integer c >= 0 with rho + c theta >= -tol
-    on every generator.  Raises when theta vanishes where rho is negative,
-    since no multiple can repair such a generator."""
+def combine_zeta(rho_values, theta_values) -> int:
+    """The smallest integer c >= 0 with rho + c theta >= -BOUND_TOL on every
+    generator.  Raises when theta vanishes where rho < -BOUND_TOL, since no
+    multiple can repair such a generator; `extend_character` has already
+    moved rho as far as one exact LP can there."""
     bad = [i for i, (rv, tv) in enumerate(zip(rho_values, theta_values))
-           if tv == 0 and rv < -tol]
+           if tv == 0 and rv < -BOUND_TOL]
     if bad:
         raise PreconditionError(
             "prescribed moduli admit no bounded extension: the modulus "
@@ -258,9 +256,7 @@ def combine_zeta(rho_values, theta_values, tol: float = BOUND_TOL):
     for rv, tv in zip(rho_values, theta_values):
         if tv > 0 and rv < 0:
             need = max(need, math.ceil(-rv / float(tv) - 1e-12))
-    c = max(0, need)
-    zeta = tuple(rv + c * float(tv) for rv, tv in zip(rho_values, theta_values))
-    return c, zeta
+    return need
 
 
 @dataclass(frozen=True)
@@ -313,10 +309,7 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
     prim = extreme_rays_from_dual(gamma, dres)
     dual = dres.rays
 
-    tight, ambiguous = tight_normals(prim, zeta_vec)
-    if ambiguous:
-        flags.append("ambiguous tightness on %d extreme rays; treated as "
-                     "non-tight (larger face)" % ambiguous)
+    tight = tight_normals(prim, zeta_vec)[0]
     # zeta read exactly, as ints w up to a positive scale (the walk needs
     # only its direction), and projected onto the span of its face: one
     # exact solve of the face rays' Gram system.  zeta may leave the dual
@@ -335,6 +328,11 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
         if not negative:
             break
         tight += negative
+    # ambiguous rays the face-shrinking left non-tight: the larger face
+    ambiguous = tight_normals([r for r in prim if r not in tight], zeta_vec)[1]
+    if ambiguous:
+        flags.append("ambiguous tightness on %d extreme rays; treated as "
+                     "non-tight (larger face)" % ambiguous)
 
     theta_nonzero = any(x != 0 for x in theta)
     walk_vectors = []
@@ -366,16 +364,16 @@ def build_dual_basis(gamma, theta, zeta_vec) -> DualBasisResult:
                            theta_on_basis, zeta_on_basis, tuple(flags))
 
 
-def _fit_phases(expo_rows, targets, nbasis: int, tol: float = PHASE_TOL):
+def _fit_phases(expo_rows, targets, nbasis: int):
     """(omega, inconsistent): omega (length nbasis) with
     expo_rows[i] . omega = targets[i] mod 2 pi, exactly up to rounding.
 
     In turns, tau = targets / 2 pi, the system E w = tau + m has a solution
     w for some integer m exactly when K tau is an integer vector k, K an
     LLL-reduced basis of the integer left kernel of E.  A row of K missing
-    its integer by more than tol * |K_i|_1 * max(1/2, max|tau|) marks the
-    system inconsistent; the floor 1/2, the bound of a wrapped phase, keeps
-    the test absolute when every target wrapped to near 0, since their
+    its integer by more than PHASE_TOL * |K_i|_1 * max(1/2, max|tau|) marks
+    the system inconsistent; the floor 1/2, the bound of a wrapped phase,
+    keeps the test absolute when every target wrapped to near 0, since their
     rounding errors come from the angles before wrapping.  Then m solves
     K m = -k, reduced modulo E Z^n by exact rounding, and omega is the
     least-squares solution of E omega = targets + 2 pi m over all rows,
@@ -391,7 +389,7 @@ def _fit_phases(expo_rows, targets, nbasis: int, tol: float = PHASE_TOL):
     for row in K:
         s = sum(a * x for a, x in zip(row, tau))
         k.append(round(s))
-        inconsistent |= abs(s - k[-1]) > tol * sum(map(abs, row)) * scale
+        inconsistent |= abs(s - k[-1]) > PHASE_TOL * sum(map(abs, row)) * scale
     m = reduce_modulo_image(E, [-sum(a * x for a, x in zip(arow, k)) for arow in A])
     rhs = np.array(targets, dtype=float) + TWO_PI * np.array(m, dtype=float)
     omega = np.linalg.lstsq(np.array(E, dtype=float), rhs, rcond=None)[0]
@@ -408,11 +406,9 @@ class CharacterExtensionResult:
     phi_gamma: tuple             # induced values on every generator
     zeta_basis: tuple
     theta_basis: tuple
-    zeta_gamma: tuple
     c: int
     prescribed_residual: float
     modulus: ModulusFit
-    vanishing: VanishingFit
     flags: tuple
 
     def to_character(self):
@@ -463,26 +459,13 @@ def extend_character(problem: CharacterExtensionProblem) -> CharacterExtensionRe
     if not mfit.nonneg_on_prescribed:
         flags.append("modulus functional dips below zero on a prescribed generator")
 
-    protect = [i for i in range(len(gamma))
-               if i not in moduli and i not in zeros and mfit.values[i] < -BOUND_TOL]
-    try:
-        vfit = zero_set_separation(gamma, positive_idx, zeros, protect)
-    except PreconditionError:
-        if not protect:
-            raise
-        # the protected indices made the system infeasible; drop them and move
-        # the modulus functional to be nonnegative there instead, or else let
-        # the combination step decide whether the extension stays bounded
-        vfit = zero_set_separation(gamma, positive_idx, zeros, ())
-        free = [i for i in range(len(gamma)) if i not in moduli and i not in zeros]
-        shifted = _shift_modulus_nonnegative(mfit, gamma, positive_idx, free)
-        if shifted is not None:
-            mfit = shifted
-        else:
-            flags.append("modulus functional negative off the prescribed span; "
-                         "vanishing functional could not cover it")
+    vfit = zero_set_separation(gamma, positive_idx, zeros)
+    # no multiple of theta lifts rho where theta vanishes off the prescribed set
+    flat = [i for i in range(len(gamma)) if i not in moduli and vfit.values[i] == 0]
+    if any(mfit.values[i] < -BOUND_TOL for i in flat):
+        mfit = _shift_modulus_nonnegative(mfit, gamma, positive_idx, flat)
 
-    c, zeta_gamma = combine_zeta(mfit.values, vfit.values)
+    c = combine_zeta(mfit.values, vfit.values)
     zeta_vec = tuple(r + c * float(t) for r, t in zip(mfit.functional, vfit.functional))
 
     dres = build_dual_basis(gamma, vfit.functional, zeta_vec)
@@ -529,6 +512,4 @@ def extend_character(problem: CharacterExtensionProblem) -> CharacterExtensionRe
         working_dim=d, basis_vectors=basis_amb, dual_functionals=dres.functionals,
         exponents=dres.exponents, phi_basis=phi_basis, phi_gamma=phi_gamma,
         zeta_basis=dres.zeta_on_basis, theta_basis=dres.theta_on_basis,
-        zeta_gamma=zeta_gamma, c=c,
-        prescribed_residual=residual, modulus=mfit, vanishing=vfit,
-        flags=tuple(flags))
+        c=c, prescribed_residual=residual, modulus=mfit, flags=tuple(flags))
