@@ -169,9 +169,6 @@ class AlgebraElement:
             return QC(0) if self.backend == EXACT else 0j
         return v if self.backend == FLOAT else _qc(v, self._den, self._gauss)
 
-    def constant_term(self):
-        return self[self.basis.zero()]
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -381,11 +378,6 @@ def _min_trunc(t1, t2):
 def unit(basis: SemigroupBasis, backend: str = FLOAT) -> AlgebraElement:
     """Convolution identity eps = delta at lambda = 0."""
     return AlgebraElement(basis, {basis.zero(): 1}, backend)
-
-
-def delta(basis: SemigroupBasis, lam: SemigroupElement, value=1,
-          backend: str = FLOAT) -> AlgebraElement:
-    return AlgebraElement(basis, {lam: value}, backend)
 
 
 def from_coeffs(basis: SemigroupBasis, pairs, backend: str = FLOAT,

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .algebra import min_modulus_on_disk
 from .errors import PreconditionError, ValidationError
 from .exactnum import _complex_value
-from .sieves import factorize, primes_upto, spf_sieve
+from .sieves import primes_upto, spf_sieve
 
 __all__ = [
     "PrimeSystem",
@@ -209,19 +209,6 @@ class MultiplicativeFunction:
         if k == 0:
             return Fraction(1)
         return self.ppv.get((i, k), Fraction(0))
-
-    def value_at(self, n: int):
-        """f(n) by factorization; rational systems only, 1 <= n <= x."""
-        if not self.system.rational:
-            raise PreconditionError(
-                "integer evaluation requires the rational prime system"
-            )
-        if not (isinstance(n, int) and 1 <= n <= self.system.x):
-            raise ValidationError(f"n must be an integer in [1, {self.system.x}]")
-        out = Fraction(1)
-        for p, k in factorize(n).items():
-            out *= self.prime_power(self.system.index_of(p), k)
-        return out
 
     def values_up_to(self, limit: Optional[int] = None) -> list:
         """List v with v[n] = f(n) for 0 <= n <= limit (v[0] = 0).

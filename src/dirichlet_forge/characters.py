@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Optional
 
 from .errors import ValidationError, BasisMismatchError
 from .semigroup import SemigroupBasis, SemigroupElement, FREE
 from .algebra import AlgebraElement, _char_exp, _s_vector
 from .exactnum import _complex_value
-from .weights import WeightFn
 
 EXPLICIT = "explicit"
 FROM_S = "from_s"
@@ -121,9 +119,3 @@ def functional(psi: Character, a: AlgebraElement) -> complex:
         total += complex(a.coeffs[lam]) * psi.apply(lam)
     return total
 
-
-def is_w_bounded(psi: Character, w: WeightFn, samples=()) -> bool:
-    """|psi(lambda)| <= w(lambda) on generators and supplied sample elements."""
-    gens = (psi.basis.generator_element(g.id) for g in psi.basis.generators)
-    return not any(abs(psi.apply(lam)) > w.eval(lam) * (1.0 + 1e-12)
-                   for lam in chain(gens, samples))

@@ -153,9 +153,6 @@ class QC:
             n >>= 1
         return out
 
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

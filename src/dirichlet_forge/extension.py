@@ -48,8 +48,6 @@ from .exact_lp import feasible_functional, max_coordinate
 from .exactnum import _complex_value
 from .cones import (_span_coordinates, basis_through_point, dual_cone,
                     extreme_rays_from_dual, tight_normals, vec_to_json)
-from .semigroup import free_rational_basis
-from .characters import Character
 
 F = Fraction
 
@@ -410,22 +408,6 @@ class CharacterExtensionResult:
     prescribed_residual: float
     modulus: ModulusFit
     flags: tuple
-
-    def to_character(self):
-        """(free basis, character) over the auxiliary generators.
-
-        Requires every auxiliary vector to stay in the positive orthant;
-        the dualized basis can leave it when the located face of the dual
-        cone is not simplicial, in which case only the value maps apply.
-        """
-        for b in self.basis_vectors:
-            if any(x < 0 for x in b):
-                raise PreconditionError(
-                    "auxiliary basis leaves the positive orthant; "
-                    "use the exponent and value maps directly")
-        basis = free_rational_basis([list(b) for b in self.basis_vectors],
-                                    labels=[f"b{i}" for i in range(len(self.basis_vectors))])
-        return basis, Character(basis, self.phi_basis)
 
     def to_json(self) -> dict:
         return {

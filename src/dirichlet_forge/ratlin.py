@@ -18,8 +18,6 @@ from math import gcd, lcm
 
 from .exactnum import as_fraction
 
-Vec = tuple
-
 
 def vec(xs) -> tuple:
     """The entries as a tuple of Fractions (`as_fraction`: floats exactly)."""

@@ -227,9 +227,6 @@ class SemigroupBasis:
             return self.element(coords=g.exact)
         return self.element(exponents=((gid, 1),))
 
-    def element_from_json(self, data: dict) -> "SemigroupElement":
-        return SemigroupElement.from_json(self, data)
-
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -323,19 +320,6 @@ class SemigroupElement:
                 self._val = tuple(float(c) for c in self.coords)
         return self._val
 
-    def exact_value(self):
-        """Exact rational coordinates, or None when any generator lacks them."""
-        if self.basis.mode == EMBEDDED:
-            return self.coords
-        acc = [Fraction(0)] * self.basis.r
-        for gid, n in self.exponents:
-            ex = self.basis.by_id[gid].exact
-            if ex is None:
-                return None
-            for k in range(self.basis.r):
-                acc[k] += n * ex[k]
-        return tuple(acc)
-
     def l1(self) -> float:
         """|lambda|_1: the float sum of the embedded value, itself summed in
         generator order, so equal elements report equal magnitudes however
@@ -374,26 +358,6 @@ class SemigroupElement:
         return SemigroupElement._trusted(
             self.basis, None, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def subtract(self, other: "SemigroupElement"):
-        """self - other within the semigroup, or None if it leaves it."""
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise BasisMismatchError("elements belong to different bases")
-        if self.basis.mode == FREE:
-            merged = dict(self.exponents)
-            for gid, n in other.exponents:
-                m = merged.get(gid, 0) - n
-                if m < 0:
-                    return None
-                merged[gid] = m
-            return SemigroupElement(self.basis, exponents=tuple(sorted(merged.items())))
-        cs = []
-        for a, b in zip(self.coords, other.coords):
-            c = a - b
-            if c < 0:
-                return None
-            cs.append(c)
-        return SemigroupElement(self.basis, coords=tuple(cs))
-
     def __eq__(self, other):
         if not isinstance(other, SemigroupElement):
             return NotImplemented
@@ -405,13 +369,6 @@ class SemigroupElement:
 
     def __hash__(self):
         return hash(self.exponents if self.basis.mode == FREE else self.coords)
-
-    def exponent_map(self, by_label: bool = False) -> dict:
-        if self.basis.mode != FREE:
-            raise ValidationError("exponent map defined for free bases only")
-        if by_label:
-            return {self.basis.by_id[gid].label: n for gid, n in self.exponents}
-        return dict(self.exponents)
 
     def to_json(self) -> dict:
         if self.basis.mode == FREE:
@@ -440,83 +397,6 @@ def check_q_independence(vectors) -> bool:
     if not vecs:
         return True
     return ratlin.rank(vecs) == len(vecs)
-
-
-# Most search nodes membership's exhaustive search may visit.  With k
-# dependent generators the search can visit (bound + 1)^k nodes; past the
-# cap it raises CapExceededError with the partial counts.  Override by
-# assignment.
-MEMBERSHIP_NODE_CAP = 1_000_000
-
-
-def membership(target, basis: SemigroupBasis, bound: int = 32):
-    """Exponents nu in N_0^k with target = sum nu_k beta_k, or None.
-
-    Exact throughout.  For a Q-independent generator set the representation
-    is unique and found by linear solve; otherwise a bounded exhaustive
-    search (componentwise pruned, lexicographic first hit) is used.  The
-    search raises CapExceededError once it would visit more than
-    MEMBERSHIP_NODE_CAP nodes.
-    """
-    gens = basis.generators
-    if not gens:
-        return None
-    for g in gens:
-        if g.exact is None:
-            raise ValidationError("membership requires exact generator coordinates")
-    if isinstance(target, SemigroupElement):
-        tv = target.exact_value()
-        if tv is None:
-            raise ValidationError("membership requires exact target coordinates")
-    else:
-        tv = tuple(as_fraction(x) for x in target)
-    if len(tv) != basis.r:
-        raise ValidationError("target has wrong dimension")
-
-    cols = [g.exact for g in gens]
-    if check_q_independence(cols):
-        # unique candidate: solve the (r x k) system exactly
-        rows = [tuple(col[i] for col in cols) for i in range(basis.r)]
-        sol = ratlin.solve(rows, tv)
-        if sol is None:
-            return None
-        if all(s.denominator == 1 and s >= 0 for s in sol):
-            return {g.id: int(s) for g, s in zip(gens, sol) if s != 0} or {}
-        return None
-
-    k = len(gens)
-    out = [0] * k
-    cap_nodes = MEMBERSHIP_NODE_CAP
-    nodes = 0
-
-    def rec(i, remaining):
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap_nodes:
-            raise CapExceededError(
-                f"membership search passed MEMBERSHIP_NODE_CAP = {cap_nodes} nodes: "
-                f"{nodes - 1} visited, at generator index {i} of {k}, bound {bound}")
-        if all(c == 0 for c in remaining):
-            return True
-        if i == k:
-            return False
-        g = cols[i]
-        # max exponent for generator i limited by remaining coordinates
-        cap = bound
-        for c, rc in zip(g, remaining):
-            if c > 0:
-                cap = min(cap, int(rc / c))
-        for n in range(0, cap + 1):
-            out[i] = n
-            rem2 = tuple(rc - n * c for rc, c in zip(remaining, g))
-            if all(rc >= 0 for rc in rem2) and rec(i + 1, rem2):
-                return True
-        out[i] = 0
-        return False
-
-    if rec(0, tv):
-        return {g.id: n for g, n in zip(gens, out) if n != 0} or {}
-    return None
 
 
 def row_end(mags, m: float, limit: float) -> int:
@@ -628,7 +508,7 @@ def enumerate_monoid(support, truncation: float, cap: int = 200_000) -> KeyedEle
 
 def natural_basis() -> SemigroupBasis:
     """Lambda = N_0: single free generator of magnitude 1 (power series)."""
-    return SemigroupBasis(FREE, 1, (Generator(0, (1.0,), (Fraction(1),), "1"),))
+    return free_rational_basis([(1,)], labels=["1"])
 
 
 def free_rational_basis(columns, labels=None) -> SemigroupBasis:

@@ -60,6 +60,8 @@ class WeightFn:
                 raise ValidationError("table weight needs points")
             if not all(math.isfinite(x) and math.isfinite(w) for x, w in pts):
                 raise ValidationError("table weight points must be finite")
+            if pts[0][0] < 0.0:
+                raise ValidationError("table weight abscissae are magnitudes, so >= 0")
             xs = [x for x, _ in pts]
             if len(set(xs)) != len(xs):
                 raise ValidationError("table weight has duplicate abscissae")
@@ -84,7 +86,7 @@ class WeightFn:
             for p in self.parts:
                 out *= p.eval_mag(m)
             return self._not_nan(out, m)
-        return self._table_eval(m)[0]
+        return self._table_eval(m)
 
     def _not_nan(self, v: float, m: float) -> float:
         """v, unless it is NaN: inf * 0 in a product, or a table
@@ -93,12 +95,12 @@ class WeightFn:
             raise ValidationError(f"{self.kind} weight evaluates to NaN at magnitude {m}")
         return v
 
-    def _table_eval(self, m: float) -> tuple[float, bool]:
+    def _table_eval(self, m: float) -> float:
         pts = self.points
         if m <= pts[0][0]:
-            return pts[0][1], m < pts[0][0]
+            return pts[0][1]
         if m >= pts[-1][0]:
-            return pts[-1][1], m > pts[-1][0]
+            return pts[-1][1]
         lo, hi = 0, len(pts) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -109,26 +111,11 @@ class WeightFn:
         x0, w0 = pts[lo]
         x1, w1 = pts[hi]
         t = (m - x0) / (x1 - x0)
-        return self._not_nan(w0 + t * (w1 - w0), m), False
+        return self._not_nan(w0 + t * (w1 - w0), m)
 
     def eval(self, lam) -> float:
         """w(lambda); accepts elements (via |.|_1) or raw magnitudes."""
         return self.eval_mag(_mag(lam))
-
-    def eval_report(self, lam) -> tuple[float, bool]:
-        """(value, clamped) — clamped only for TABLE queries outside range."""
-        m = _mag(lam)
-        if self.kind == TABLE:
-            return self._table_eval(m)
-        if self.kind == PRODUCT:
-            clamped = False
-            out = 1.0
-            for p in self.parts:
-                v, c = p.eval_report(m)
-                out *= v
-                clamped = clamped or c
-            return self._not_nan(out, m), clamped
-        return self.eval_mag(m), False
 
     # -- serialization ------------------------------------------------------
 
@@ -193,8 +180,16 @@ class RootReport:
 
 
 def check_geq_one(w: WeightFn, samples) -> bool:
-    """w >= 1 on the sample magnitudes (admissibility, lower-bound half)."""
-    return all(w.eval(s) >= 1.0 - 1e-12 for s in samples)
+    """w >= 1 on the sample magnitudes (admissibility, lower-bound half).
+    A value that overflows a float counts as +inf, as in the checks below."""
+    for s in samples:
+        try:
+            v = w.eval(s)
+        except OverflowError:
+            continue
+        if not v >= 1.0 - 1e-12:
+            return False
+    return True
 
 
 def check_root_convergence(w: WeightFn, lam, K: int = 4096, tol: float = 0.05) -> RootReport:
@@ -220,15 +215,6 @@ def check_root_convergence(w: WeightFn, lam, K: int = 4096, tol: float = 0.05) -
     min_root = min(finite) if finite else math.inf
     return RootReport(passed=bool(finite) and min_root <= 1.0 + tol,
                       min_root=min_root, roots=roots, overflowed=overflow)
-
-
-def check_submultiplicative(w: WeightFn, pairs, slack: float = 1e-9) -> bool:
-    """w(a+b) <= w(a) w(b) (1 + slack) over sampled magnitude pairs."""
-    for a, b in pairs:
-        ma, mb = _mag(a), _mag(b)
-        if w.eval_mag(ma + mb) > w.eval_mag(ma) * w.eval_mag(mb) * (1.0 + slack):
-            return False
-    return True
 
 
 @dataclass

@@ -104,30 +104,6 @@ def brute_poly_inverse(a: list, n_terms: int) -> list:
     return b
 
 
-def brute_membership(target, gens, bound: int) -> dict | None:
-    """Exhaustive search for target = sum nu_i gens[i] with nu in [0, bound]."""
-    target = tuple(Fraction(t) for t in target)
-    k = len(gens)
-
-    def rec(i, acc):
-        if i == k:
-            return {} if acc == target else None
-        for n in range(bound + 1):
-            cand = tuple(a + n * Fraction(g) for a, g in zip(acc, gens[i]))
-            if any(c > t for c, t in zip(cand, target)):
-                break
-            rest = rec(i + 1, cand)
-            if rest is not None:
-                rest[i] = n
-                return rest
-        return None
-
-    got = rec(0, tuple(Fraction(0) for _ in target))
-    if got is None:
-        return None
-    return {i: n for i, n in got.items() if n}
-
-
 def brute_small_relation(vectors, box: int = 10):
     """Nonzero integer relation with coefficients in [-box, box], or None."""
     import itertools
@@ -378,7 +354,7 @@ def brute_neumann_invert(a, w=None, tol: float = 1e-12, max_terms: int = 10_000)
     from dirichlet_forge.weights import one as weight_one
     if w is None:
         w = weight_one()
-    a0 = a.constant_term()
+    a0 = a[a.basis.zero()]
     if coeff_is_zero(a0):
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
@@ -421,7 +397,7 @@ def brute_graded_invert(a, truncation: float, cap: int = 200_000):
     """
     from dirichlet_forge.algebra import AlgebraElement
     from dirichlet_forge.errors import SingularElementError
-    a0 = a.constant_term()
+    a0 = a[a.basis.zero()]
     if coeff_is_zero(a0):
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     inv_a0 = _invert_scalar(a0, a.backend)
@@ -1445,7 +1421,7 @@ def element_neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     """
     if w is None:
         w = weight_one()
-    a0 = a.constant_term()
+    a0 = a[a.basis.zero()]
     if coeff_is_zero(a0):
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     rest = a.add(unit(a.basis, a.backend).scale(a0).negate())  # a - a(0) eps
@@ -1539,7 +1515,7 @@ def element_graded_invert(a: AlgebraElement, truncation: float,
     Exact in the rational backend, on Gaussian integers with no Fraction in
     the loop (`_element_fraction_free`).
     """
-    a0 = a.constant_term()
+    a0 = a[a.basis.zero()]
     if coeff_is_zero(a0):
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     inv_a0 = _invert_scalar(a0, a.backend)

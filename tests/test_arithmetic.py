@@ -24,7 +24,7 @@ from dirichlet_forge.arithmetic import (
 from dirichlet_forge.errors import PreconditionError, ValidationError
 
 from tests.oracles import (brute_dirichlet_convolve, brute_disk_min, brute_primes_upto,
-                          mobius_sieve)
+                          divisors, mobius_sieve)
 
 SYS = PrimeSystem.rational_primes(10000)
 W1 = weights.one()
@@ -141,17 +141,17 @@ class TestMultiplicativeFunction:
         oracle = mobius_sieve(2000)
         assert [int(v) for v in vals[1:]] == oracle[1:]
 
-    def test_value_at_matches_materialization(self):
+    def test_one_star_one_counts_divisors(self):
         d = dirichlet_convolve(
             MultiplicativeFunction.one(SYS), MultiplicativeFunction.one(SYS)
         )
         vals = d.values_up_to(300)
-        assert all(d.value_at(n) == vals[n] for n in range(1, 301))
-        assert d.value_at(12) == 6
+        assert all(vals[n] == len(divisors(n)) for n in range(1, 301))
+        assert vals[12] == 6
 
     def test_value_beyond_truncation_rejected(self):
-        with pytest.raises(ValidationError):
-            MultiplicativeFunction.one(SYS).value_at(10001)
+        with pytest.raises(ValidationError, match="exceeds the system truncation"):
+            MultiplicativeFunction.one(SYS).values_up_to(10001)
 
     def test_table_entry_beyond_truncation_rejected(self):
         with pytest.raises(ValidationError):
@@ -510,6 +510,6 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(small_mf(), small_mf())
     def test_product_of_values_at_coprime_arguments(self, f, g):
-        h = dirichlet_convolve(f, g)
+        h = dirichlet_convolve(f, g).values_up_to(50)
         for a, b in ((4, 9), (8, 5), (3, 16), (25, 2)):
-            assert h.value_at(a * b) == h.value_at(a) * h.value_at(b)
+            assert h[a * b] == h[a] * h[b]

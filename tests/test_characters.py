@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirichlet_forge.algebra import EXACT, FLOAT, evaluate_series, from_coeffs, weighted_norm
-from dirichlet_forge.characters import EXPLICIT, FROM_S, Character, functional, is_w_bounded
+from dirichlet_forge.characters import EXPLICIT, FROM_S, Character, functional
 from dirichlet_forge.errors import ValidationError
 from dirichlet_forge.exactnum import QC
 from dirichlet_forge.semigroup import (
@@ -17,7 +17,7 @@ from dirichlet_forge.semigroup import (
     log_primes_basis,
     natural_basis,
 )
-from dirichlet_forge.weights import one as w_one, poly as w_poly
+from dirichlet_forge.weights import one as w_one
 
 F = Fraction
 
@@ -96,15 +96,6 @@ def test_functional_bounded_by_norm():
     psi = Character(b, (0.8,))
     w = w_one()
     assert abs(functional(psi, a)) <= weighted_norm(a, w) * (1 + 1e-12)
-
-
-def test_is_w_bounded():
-    b = natural_basis()
-    psi = Character(b, (0.9,))
-    assert is_w_bounded(psi, w_one())
-    assert is_w_bounded(psi, w_poly(2.0))
-    samples = [b.element(exponents={0: k}) for k in range(5)]
-    assert is_w_bounded(psi, w_one(), samples)
 
 
 def test_character_json_roundtrip():

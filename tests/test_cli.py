@@ -558,6 +558,17 @@ class TestSubcommands:
         assert res["root_convergence"]["passed"] is True
         assert res["growth"]["trend"] == "bounded"
 
+    @pytest.mark.parametrize("weight", ['{"kind": "poly", "c": 1000}',
+                                        '{"kind": "exp", "rho": -1000}'], ids=["poly", "exp"])
+    def test_check_weight_overflow_counts_as_infinity(self, tmp_path, capsys, weight):
+        # w(50) is past the float range: +inf >= 1, as the root check has it
+        path = tmp_path / "w.json"
+        path.write_text(weight)
+        code, out, _ = invoke(capsys, "check-weight", str(path))
+        assert code == 0
+        res = json.loads(out)
+        assert res["geq_one"] is True and res["root_convergence"]["overflowed"] is True
+
 
 class TestOutputModes:
     def test_deterministic_bytes(self, files, capsys):

@@ -371,7 +371,6 @@ def test_density_searches_on_one_path(monkeypatch):
         raise AssertionError("the density search has no such stage")
 
     monkeypatch.setattr(density, "kronecker_t", forbidden)
-    monkeypatch.setattr("scipy.optimize.minimize", forbidden)
     a, ch = _pinned([59, 6, 32],
                     [0.540716-0.923561j, 0.016127+0.456286j, 0.827495+0.643484j],
                     {2: 0.035078+0.199004j, 3: 0.019042-0.404395j,

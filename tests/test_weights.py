@@ -11,7 +11,6 @@ from dirichlet_forge.weights import (
     check_geq_one,
     check_growth_bound,
     check_root_convergence,
-    check_submultiplicative,
     exp_weight,
     one,
     poly,
@@ -56,10 +55,7 @@ def test_table_weight_interpolation_and_clamp():
     assert w.eval(0.0) == 1.0
     assert w.eval(1.0) == 2.0  # linear between (0,1) and (2,3)
     assert w.eval(3.0) == 2.5
-    v, clamped = w.eval_report(10.0)
-    assert v == 2.0 and clamped
-    v, clamped = w.eval_report(3.0)
-    assert v == 2.5 and not clamped
+    assert w.eval(10.0) == 2.0  # clamped past the last point
 
 
 def test_table_weight_origin_rules():
@@ -70,6 +66,13 @@ def test_table_weight_origin_rules():
         table([(0.0, 5.0)])
     with pytest.raises(ValidationError):
         table([(1.0, 2.0), (1.0, 3.0)])
+
+
+def test_table_weight_rejects_negative_abscissa():
+    # magnitudes are never negative, and (0, 1) in front of (-1, 5) would
+    # leave the points unsorted, with w(0) = 1 but w(0.5) = 4 by bisection
+    with pytest.raises(ValidationError, match=">= 0"):
+        table([(-1.0, 5.0), (2.0, 3.0)])
 
 
 def test_weight_json_roundtrip():
@@ -90,6 +93,9 @@ def test_eval_accepts_elements():
 def test_check_geq_one():
     assert check_geq_one(poly(2.0), [0.0, 1.0, 5.0, 30.0])
     assert not check_geq_one(exp_weight(1.0), [0.0, 1.0])
+    # a value past the float range counts as +inf, as in the root check
+    assert check_geq_one(poly(1000.0), [0.0, 50.0])
+    assert check_geq_one(exp_weight(-1000.0), [0.0, 50.0])
 
 
 def test_root_convergence_poly_passes():
@@ -113,14 +119,6 @@ def test_root_convergence_overflow_flag():
     rep = check_root_convergence(w, 10.0)
     assert rep.overflowed
     assert not rep.passed
-
-
-def test_submultiplicative_samples():
-    pairs = [(0.5, 1.5), (2.0, 3.0), (0.0, 7.0)]
-    assert check_submultiplicative(poly(2.0), pairs)
-    assert check_submultiplicative(one(), pairs)
-    # growing exponential is supermultiplicative with equality: still passes
-    assert check_submultiplicative(exp_weight(-0.5), pairs)
 
 
 def test_growth_bound_poly_vs_exp():
