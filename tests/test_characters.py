@@ -17,7 +17,7 @@ from dirichlet_forge.semigroup import (
     log_primes_basis,
     natural_basis,
 )
-from dirichlet_forge.weights import one as w_one
+from dirichlet_forge.weights import one as w_one, poly as w_poly
 
 F = Fraction
 
@@ -96,6 +96,18 @@ def test_functional_bounded_by_norm():
     psi = Character(b, (0.8,))
     w = w_one()
     assert abs(functional(psi, a)) <= weighted_norm(a, w) * (1 + 1e-12)
+
+
+def test_is_w_bounded():
+    # |psi(lambda)| <= w(lambda) on the monoid 0, 1, 2, ... for psi(1) = 0.9
+    b = natural_basis()
+    samples = [b.element(exponents={0: k}) for k in range(30)]
+    psi = Character(b, (0.9,))
+    for w in (w_one(), w_poly(2.0)):
+        assert all(abs(psi.apply(e)) <= w.eval(e) for e in samples)
+    # a value off the unit disk, which would outgrow w = 1, is refused
+    with pytest.raises(ValidationError, match="closed unit disk"):
+        Character(b, (2.0,))
 
 
 def test_character_json_roundtrip():

@@ -259,6 +259,22 @@ def test_basis_off_the_orthant_still_reconstructs_generators():
         assert tuple(rec) == g
 
 
+def test_phi_on_a_generator_is_the_product_over_its_word():
+    # phi(gamma_i) is prod_j phi(b_j)^{e_ij} over gamma_i's word in the
+    # auxiliary basis, so phi is multiplicative on the generators
+    p = CharacterExtensionProblem(2, [(2, 1), (1, 2), (1, 1)],
+                                  {0: 0.25, 1: 0.5})
+    r = extend_character(p)
+    for ex, z in zip(r.exponents, r.phi_gamma):
+        word = 1.0 + 0j
+        for e, zb in zip(ex, r.phi_basis):
+            word *= zb ** e
+        assert abs(word - z) < 1e-12
+    assert abs(r.phi_gamma[0] - 0.25) < 1e-12 and abs(r.phi_gamma[1] - 0.5) < 1e-12
+    # 3 gamma_2 = gamma_0 + gamma_1
+    assert abs(r.phi_gamma[2] ** 3 - 0.125) < 1e-12
+
+
 def test_phase_fit_needs_nonzero_multiple():
     om0 = (5.1, -4.7)
     gens = [(1, 0), (0, 1), (2, 3), (1, 1)]

@@ -159,6 +159,41 @@ def test_element_addition():
     assert (e + f).exponents == ((0, 3), (1, 1))
 
 
+@given(st.dictionaries(st.integers(0, 1), st.integers(0, 6), max_size=2),
+       st.dictionaries(st.integers(0, 1), st.integers(0, 6), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_element_addition_is_commutative_and_adds_values(ex, fx):
+    b = free_rational_basis([(F(1), F(0)), (F(5, 2), F(1))])
+    e, f = b.element(exponents=ex), b.element(exponents=fx)
+    s = e + f
+    assert s == f + e and e + b.zero() == e
+    assert all(math.isclose(v, x + y, rel_tol=1e-12, abs_tol=1e-12)
+               for v, x, y in zip(s.embedded_value(), e.embedded_value(),
+                                  f.embedded_value()))
+    # over the embedded basis spanned by the same columns, coordinates add
+    eb = embedded_basis([(F(1), F(0)), (F(5, 2), F(1))])
+    c = eb.element(coords=e.embedded_value()) + eb.element(coords=f.embedded_value())
+    assert c.coords == tuple(F(x) + F(y) for x, y in
+                             zip(e.embedded_value(), f.embedded_value()))
+
+
+def test_element_rejects_negative_and_unknown_parts():
+    # the monoid has no inverses: a difference with a negative exponent or
+    # coordinate is not an element
+    b = free_rational_basis([(F(1), F(0)), (F(0), F(1))])
+    with pytest.raises(ValidationError, match="nonnegative"):
+        b.element(exponents={0: 1, 1: -1})
+    with pytest.raises(ValidationError, match="unknown generator id 7"):
+        b.element(exponents={7: 1})
+    with pytest.raises(ValidationError, match="malformed element JSON"):
+        SemigroupElement.from_json(b, {"exponents": {"0": "x"}})
+    eb = embedded_basis([(F(1), F(0)), (F(1), F(1))])
+    with pytest.raises(ValidationError, match="nonnegative"):
+        eb.element(coords=(F(1), F(-1, 2)))
+    with pytest.raises(ValidationError, match="expected 2 coordinates"):
+        eb.element(coords=(F(1),))
+
+
 def test_element_ordering_key_is_by_magnitude():
     b = natural_basis()
     es = [b.element(exponents={0: k}) for k in (3, 1, 2, 0)]

@@ -121,6 +121,18 @@ def test_root_convergence_overflow_flag():
     assert not rep.passed
 
 
+def test_submultiplicative_samples():
+    # w(x + y) <= w(x) w(y) for the weights of the paper, read off eval
+    pairs = [(0.5, 1.5), (2.0, 3.0), (0.0, 7.0)]
+    for w in (poly(2.0), one(), product(poly(1.0), exp_weight(-0.25))):
+        for x, y in pairs:
+            assert w.eval(x + y) <= w.eval(x) * w.eval(y) * (1 + 1e-12)
+    # a growing exponential is multiplicative: equality
+    w = exp_weight(-0.5)
+    for x, y in pairs:
+        assert math.isclose(w.eval(x + y), w.eval(x) * w.eval(y), rel_tol=1e-12)
+
+
 def test_growth_bound_poly_vs_exp():
     samples = [float(k) for k in range(0, 200)]
     rep = check_growth_bound(poly(2.0), theta=0.1, samples=samples)
