@@ -542,7 +542,8 @@ def _power_sum(label: str, u: AlgebraElement, start: AlgebraElement, coeff, tail
     """start + sum_{k=1..K} f_k u^{*k} on element keys: (sum, K, tail).
 
     K is the first count whose tail bound, as `tails` yields them for
-    K = 0, 1, ..., is below tol.  f_k is coeff(k), or 1 with coeff None,
+    K = 0, 1, ..., is below tol.  f_k is coeff(k), or 1 with coeff None
+    (a Neumann series: `neumann_invert` and the reciprocal composition),
     when each power is added as it is.  Powers and sum keep the kernel's
     term order and a power of u's denominator; the sum carries |f_k| times
     each power's dropped mass.  `start` (denominator 1) is returned when
@@ -945,22 +946,17 @@ class PowerSeries:
     kind: str = "coeffs"  # coeffs | exp | reciprocal
 
     def coeff(self, k: int) -> complex:
+        """f_k of exp or a coefficient list (0 past its degree).  A reciprocal
+        is summed as its Neumann series and has none: PreconditionError."""
         if self.kind == "exp":
             try:
                 return 1.0 / math.factorial(k)
             except OverflowError:  # k! is past the float range; 1/k! is not
                 return 1 / math.factorial(k)
         if self.kind == "reciprocal":
-            try:
-                return (-1) ** k / self.center ** (k + 1)
-            except ZeroDivisionError:  # c^(k+1) underflows to 0
-                return complex(math.inf)
-            except OverflowError:  # c^(k+1) overflows
-                return 0j
+            raise PreconditionError("a reciprocal series is summed as its Neumann series, "
+                                    "not by coefficient")
         return self.coeff_list[k] if k < len(self.coeff_list) else 0.0
-
-    def finite(self) -> bool:
-        return self.kind == "coeffs"
 
     @classmethod
     def from_coeffs(cls, coeffs, center=0.0, radius=math.inf) -> "PowerSeries":
@@ -1009,49 +1005,46 @@ class CompositionCertificate:
 
 def compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[WeightFn] = None,
                    tol: float = 1e-12, max_terms: int = 2_000):
-    """c = sum_k f_k (a - c0 eps)^{*k}, truncated by a geometric tail bound.
+    """c = sum_k f_k u^{*k}, u = a - c0 eps, truncated by a geometric tail bound.
 
-    Requires q = ||a - c0 eps||_w < radius.  The tail uses the majorant
-    C_K = max_{k<=K} |f_k| R^k (exact for polynomial f, Cauchy-estimate
-    shaped for analytic f): sum_{k>K} |f_k| q^k <= C_K (q/R)^{K+1}/(1-q/R).
-    Returns (element, CompositionCertificate).  A tol that is not > 0 (NaN
-    included), a non-finite f_k or a sum past the float range raises
-    ValidationError; more than max_terms terms, or a partial sum whose
-    support would grow past NEUMANN_SUPPORT_CAP, raises CapExceededError.
+    Requires q = ||u||_w < radius.  A coefficient list is summed to its
+    degree (tail 0), exp with tail C (q/R)^(K+1) / (1 - q/R), C = max_k R^k/k!,
+    and the reciprocal 1/z around c as its Neumann series (1/c) sum_k
+    (-u/c)^{*k}, tail (1/|c|) (q/|c|)^(K+1) / (1 - q/|c|).  Returns (element,
+    CompositionCertificate).  A tol that is not > 0 (NaN included), a
+    non-finite f_k or a sum past the float range raises ValidationError;
+    more than max_terms terms, or a partial sum whose support would grow
+    past NEUMANN_SUPPORT_CAP, raises CapExceededError.
     """
     if w is None:
         w = weight_one()
-    u = a.add(unit(a.basis, a.backend).scale(complex(f.center)).negate())  # float
+    one = unit(a.basis, a.backend)
+    u = a.add(one.scale(complex(f.center)).negate())  # float
     q = weighted_norm(u, w)
     if not q < f.radius:
         raise PreconditionError(
             f"composition outside convergence radius: ||a - c0||_w = {q} >= {f.radius}"
             f" (gap {q - f.radius})")
-    if f.finite():  # polynomial: sum every term, the tail is exactly zero
+    if f.kind == "coeffs":  # polynomial: sum every term, the tail is exactly zero
         tails = chain(repeat(math.inf, max(len(f.coeff_list) - 1, 0)), [0.0])
     else:
-        C, ratio = _series_majorant(f), q / f.radius  # q < radius: an infinite radius gives 0
-        tails = (C * ratio ** (K + 1) / (1.0 - ratio) if ratio > 0 else 0.0 for K in count())
-    first = unit(a.basis, a.backend).scale(f.coeff(0))
-    c, K, tail = _power_sum("composition", u, first, f.coeff, tails, tol, max_terms)
-    return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
-
-
-def _series_majorant(f: PowerSeries) -> float:
-    """sup_k |f_k| radius^k — finite per kind, making the geometric tail valid."""
-    if f.kind == "reciprocal":
-        return 1.0 / abs(f.center)
-    if f.kind == "exp":
-        # radius^k / k! peaks near k = radius and decreases beyond
-        top = int(math.ceil(f.radius)) + 2
+        ratio = q / f.radius  # sup_k |f_k| R^k: 1/|c| for 1/z, R^k/k! peaks near k = R
         try:
-            return max(f.radius ** k / math.factorial(k) for k in range(top))
+            C = 1.0 / f.radius if f.kind == "reciprocal" else \
+                max(f.radius ** k / math.factorial(k) for k in range(math.ceil(f.radius) + 2))
         except OverflowError:
             raise PreconditionError(
                 f"exp majorant passes the float range at working radius {f.radius}") from None
-    if not math.isfinite(f.radius):
-        return 0.0  # finite coefficient list: tail handled exactly
-    return max((abs(c) * f.radius ** k for k, c in enumerate(f.coeff_list)), default=0.0)
+        tails = (C * ratio ** (K + 1) / (1.0 - ratio) if ratio > 0 else 0.0 for K in count())
+    if f.kind == "reciprocal":  # (1/c) sum_k (-u/c)^{*k}, as `neumann_invert` sums a(0)
+        inv_c = (_complex(1.0 / f.center), 1, False)  # a subnormal c: ValidationError
+        c, K, tail = _power_sum("composition", u._times(inv_c, FLOAT).negate(), one, None,
+                                tails, tol, max_terms)
+        c = c._times(inv_c, FLOAT)
+    else:
+        c, K, tail = _power_sum("composition", u, one.scale(f.coeff(0)), f.coeff, tails, tol,
+                                max_terms)
+    return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
 
 
 # -- the disk minimum (witnesses and the multiplicative layer) --------------

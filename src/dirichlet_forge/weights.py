@@ -241,5 +241,5 @@ def check_growth_bound(w: WeightFn, theta: float, samples) -> GrowthReport:
     half = len(vals) // 2
     lo = max((v for _, v in vals[:half]), default=0.0)
     hi = max((v for _, v in vals[half:]), default=0.0)
-    trend = "increasing" if hi > lo * (1.0 + 1e-9) else "bounded"
+    trend = "increasing" if hi == math.inf or hi > lo * (1.0 + 1e-9) else "bounded"
     return GrowthReport(sup=sup, argmax=arg, trend=trend)

@@ -436,12 +436,12 @@ def brute_compose_series(f, a, w=None, tol: float = 1e-12, max_terms: int = 2_00
     """c = sum_k f_k (a - c0 eps)^{*k}, truncated by a geometric tail bound.
 
     Requires q = ||a - c0 eps||_w < radius.  The tail uses the majorant
-    C_K = max_{k<=K} |f_k| R^k (exact for polynomial f, Cauchy-estimate
-    shaped for analytic f): sum_{k>K} |f_k| q^k <= C_K (q/R)^{K+1}/(1-q/R).
+    C = sup_k |f_k| R^k (exact for polynomial f, Cauchy-estimate shaped for
+    analytic f): sum_{k>K} |f_k| q^k <= C (q/R)^{K+1}/(1-q/R).  The
+    reciprocal 1/z around c is the Neumann series (1/c) sum_k (-u/c)^{*k}.
     Returns (element, CompositionCertificate).
     """
-    from dirichlet_forge.algebra import (CompositionCertificate, _series_majorant, unit,
-                                         weighted_norm)
+    from dirichlet_forge.algebra import CompositionCertificate, unit, weighted_norm
     from dirichlet_forge.errors import CapExceededError, PreconditionError
     from dirichlet_forge.weights import one as weight_one
     if w is None:
@@ -453,12 +453,17 @@ def brute_compose_series(f, a, w=None, tol: float = 1e-12, max_terms: int = 2_00
             f"composition outside convergence radius: ||a - c0||_w = {q} >= {f.radius}"
             f" (gap {q - f.radius})")
     ratio = q / f.radius if math.isfinite(f.radius) else 0.0
-    C = _series_majorant(f)
-    acc = unit(a.basis, a.backend).scale(f.coeff(0))
+    C = _exp_majorant(f.radius) if f.kind == "exp" else 1.0 / f.radius
+    if f.kind == "reciprocal":
+        inv_c = 1.0 / f.center
+        u = u.scale(inv_c).negate()
+        acc = unit(a.basis, a.backend)
+    else:
+        acc = unit(a.basis, a.backend).scale(f.coeff(0))
     power = unit(a.basis, a.backend)
     K = 0
     while True:
-        if f.finite():
+        if f.kind == "coeffs":
             # polynomial: sum every term, tail is exactly zero
             if K >= max(len(f.coeff_list) - 1, 0):
                 tail = 0.0
@@ -471,10 +476,18 @@ def brute_compose_series(f, a, w=None, tol: float = 1e-12, max_terms: int = 2_00
         if K > max_terms:
             raise CapExceededError(f"composition needs more than {max_terms} terms")
         power = brute_convolve(power, u)
-        fk = f.coeff(K)
-        if fk != 0:
+        if f.kind == "reciprocal":
+            acc = acc.add(power)
+        elif (fk := f.coeff(K)) != 0:
             acc = acc.add(power.scale(fk))
+    if f.kind == "reciprocal":
+        acc = acc.scale(inv_c)
     return acc, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)
+
+
+def _exp_majorant(radius: float) -> float:
+    """max_k radius^k / k!: the terms peak near k = radius and decrease beyond."""
+    return max(radius ** k / math.factorial(k) for k in range(int(math.ceil(radius)) + 2))
 
 
 # -- exact linear algebra as it was before fraction-free pivoting -----------
@@ -1254,15 +1267,16 @@ def fraction_fourier_motzkin(A, b):
 # point and result term was a SemigroupElement: `enumerate_monoid` built one
 # per key it reached, and the kernel recorded the first pair behind each
 # new key (`born`) to build the result's elements.  Names gain an
-# `element_` prefix; the code is otherwise unchanged.
+# `element_` prefix; the code is otherwise unchanged, except that
+# `element_compose_series` sums the reciprocal as its Neumann series, as the
+# library now does.
 
 from itertools import repeat  # noqa: E402
 from typing import NamedTuple, Optional  # noqa: E402
 
 from dirichlet_forge.algebra import (  # noqa: E402
     EXACT, FLOAT, AlgebraElement, CompositionCertificate, NeumannCertificate,
-    NEUMANN_SUPPORT_CAP, _check_bases, _gauss_mul, _min_trunc, _nonzero, _num_abs,
-    _series_majorant, unit)
+    NEUMANN_SUPPORT_CAP, _check_bases, _gauss_mul, _min_trunc, _nonzero, _num_abs, unit)
 from dirichlet_forge.errors import (  # noqa: E402
     CapExceededError, NeumannInapplicableError, SingularElementError, ValidationError)
 from dirichlet_forge.semigroup import (  # noqa: E402
@@ -1769,9 +1783,10 @@ def element_compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[Weight
     """c = sum_k f_k (a - c0 eps)^{*k}, truncated by a geometric tail bound.
 
     Requires q = ||a - c0 eps||_w < radius.  The tail uses the majorant
-    C_K = max_{k<=K} |f_k| R^k (exact for polynomial f, Cauchy-estimate
-    shaped for analytic f): sum_{k>K} |f_k| q^k <= C_K (q/R)^{K+1}/(1-q/R).
-    Returns (element, CompositionCertificate).
+    C = sup_k |f_k| R^k (exact for polynomial f, Cauchy-estimate shaped for
+    analytic f): sum_{k>K} |f_k| q^k <= C (q/R)^{K+1}/(1-q/R).  The
+    reciprocal 1/z around c is the Neumann series (1/c) sum_k (-u/c)^{*k},
+    each power added as it is.  Returns (element, CompositionCertificate).
     """
     if w is None:
         w = weight_one()
@@ -1782,14 +1797,20 @@ def element_compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[Weight
             f"composition outside convergence radius: ||a - c0||_w = {q} >= {f.radius}"
             f" (gap {q - f.radius})")
     ratio = q / f.radius if math.isfinite(f.radius) else 0.0
-    C = _series_majorant(f)
-    first = unit(a.basis, a.backend).scale(f.coeff(0))
+    C = _exp_majorant(f.radius) if f.kind == "exp" else 1.0 / f.radius
+    recip = f.kind == "reciprocal"
+    if recip:
+        inv_c = 1.0 / f.center
+        u = u.scale(inv_c).negate()
+        first = unit(a.basis, FLOAT)
+    else:
+        first = unit(a.basis, a.backend).scale(f.coeff(0))
     acc = {lam.key(): v for lam, v in first.coeffs.items()}
     backend, dropped, touched = first.backend, first.dropped_mass, False
     powers = _ElementPowers(u)  # u is float: f.center is complex
     K = 0
     while True:
-        if f.finite():
+        if f.kind == "coeffs":
             # polynomial: sum every term, tail is exactly zero
             if K >= max(len(f.coeff_list) - 1, 0):
                 tail = 0.0
@@ -1802,17 +1823,20 @@ def element_compose_series(f: PowerSeries, a: AlgebraElement, w: Optional[Weight
         if K > max_terms:
             raise CapExceededError(f"composition needs more than {max_terms} terms")
         power = powers.step()
-        fk = f.coeff(K)
+        fk = 1 if recip else f.coeff(K)
         if fk != 0:
             cc = coeff_to_complex(fk)
             if backend == EXACT:
                 acc = {k: coeff_to_complex(v) for k, v in acc.items()}
                 backend = FLOAT
-            # acc.add(power.scale(fk))
-            _element_accumulate(acc, {k: nv for k, v in power.items() if (nv := v * cc) != 0}, 1, False)
+            # acc.add(power) or acc.add(power.scale(fk))
+            term = power if recip else {k: nv for k, v in power.items() if (nv := v * cc) != 0}
+            _element_accumulate(acc, term, 1, False)
             dropped += powers.dropped * abs(cc)
             touched = True
     elems = powers.elems
+    if recip:  # times 1/c
+        acc, backend, dropped = {k: v * inv_c for k, v in acc.items()}, FLOAT, dropped * abs(inv_c)
     c = AlgebraElement(a.basis, {elems[k]: v for k, v in acc.items() if not coeff_is_zero(v)},
                        backend, u.truncation if touched else None, dropped, _trusted=True)
     return c, CompositionCertificate(q=q, radius=f.radius, terms_used=K, tail_bound=tail)

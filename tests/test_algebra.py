@@ -565,22 +565,25 @@ def test_series_tol_must_be_positive(tol):
 
 
 def test_series_coefficients_past_the_float_range():
-    # 1/k! past k = 170 and 1/c^(k+1) once c^(k+1) leaves the float range
-    # are returned, not raised; the float-range cases keep their values
+    # 1/k! past k = 170 is returned, not raised; the float-range cases keep
+    # their values.  A reciprocal is summed as its Neumann series and has no
+    # coefficient path.
     exp = PowerSeries.exp(1.0)
     assert exp.coeff(170) == 1.0 / math.factorial(170)
     assert exp.coeff(171) == 1 / math.factorial(171) > 0.0 and exp.coeff(200) == 0.0
-    assert PowerSeries.reciprocal(0.5).coeff(3) == -16.0
-    assert math.isinf(abs(PowerSeries.reciprocal(0.49).coeff(1074)))
-    assert PowerSeries.reciprocal(2.0).coeff(2000) == 0
+    with pytest.raises(PreconditionError, match="Neumann series"):
+        PowerSeries.reciprocal(0.5).coeff(3)
 
 
 def test_compose_rejects_non_finite_values():
     b = log_primes_basis(3)
     a = from_coeffs(b, {b.zero(): 0.5, log_element(b, 2): 0.485})
-    # f_1023 = -2^1024 overflows although the series converges (q = 0.97 R)
-    with pytest.raises(ValidationError, match=r"f_1023 .* not finite"):
-        compose_series(PowerSeries.reciprocal(0.5), a)
+    # f_1023 = -2^1024 would overflow, but the reciprocal is summed through
+    # -u/c, whose powers stay in range (q = 0.97 R): neumann_invert's sum
+    c, cert = compose_series(PowerSeries.reciprocal(0.5), a)
+    want, wcert = neumann_invert(a)
+    assert cert.terms_used == wcert.terms_used == 1045
+    assert list(c.terms.items()) == list(want.terms.items())
     with pytest.raises(ValidationError, match=r"f_1 .* not finite"):
         compose_series(PowerSeries.from_coeffs([1.0, math.nan]), a)
     # finite coefficients whose sum passes the float range

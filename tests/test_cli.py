@@ -242,6 +242,19 @@ class TestSubcommands:
         for n in range(8):
             assert abs(coef[n] - 1.0 / math.factorial(n)) < 1e-12
 
+    @pytest.mark.parametrize("coeff", [0.485, 0.49], ids=["reciprocal-coefficient-overflow",
+                                                         "reciprocal-power-underflow"])
+    def test_compose_reciprocal_is_neumann_invert(self, tmp_path, capsys, coeff):
+        # 1/z around 0.5 with q/R = 0.97 or 0.98: f_k = -(-2)^(k+1) leaves the
+        # float range near k = 1023, but the series is summed through -u/c
+        path = tmp_path / "elem.json"
+        path.write_text(_series_element({1: 0.5, 2: coeff}))
+        code, out, _ = invoke(capsys, "compose", str(path), "--series", RECIPROCAL_AT_HALF)
+        assert code == 0
+        code, inv, _ = invoke(capsys, "invert", str(path), "--method", "neumann")
+        assert code == 0
+        assert json.loads(out)["element"] == json.loads(inv)["inverse"]
+
     def test_separate_functional(self, files, capsys):
         code, out, _ = invoke(capsys, "separate", files("points.json"),
                               "--cross-check")
@@ -418,9 +431,8 @@ class TestSubcommands:
         ("compose", SMALL_SERIES,
          ("--series", '{"kind": "coeffs", "coeffs": [{"re": 1, "im": 0}, {"re": NaN, "im": 0}]}'),
          "ValidationError", "not finite"),
-        ("compose", _series_element({1: 0.5, 2: 0.485}), ("--series", RECIPROCAL_AT_HALF),
-         "ValidationError", "not finite"),
-        ("compose", _series_element({1: 0.5, 2: 0.49}), ("--series", RECIPROCAL_AT_HALF),
+        ("compose", _series_element({1: 5e-324}),
+         ("--series", '{"kind": "reciprocal", "center": {"re": 5e-324, "im": 0}}'),
          "ValidationError", "not finite"),
         ("compose", SMALL_SERIES, ("--series", '{"kind": "exp", "radius": 1000}'),
          "PreconditionError", "radius 1000"),
@@ -462,9 +474,9 @@ class TestSubcommands:
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
             "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
-            "reciprocal-coefficient-overflow", "reciprocal-power-underflow",
-            "exp-majorant-overflow", "neumann-tol-nan", "compose-tol-nan", "compose-tol-0",
-            "compose-tol-negative", "s-nan", "s-list-inf", "s-object-nan", "s-true",
+            "reciprocal-subnormal-center", "exp-majorant-overflow", "neumann-tol-nan",
+            "compose-tol-nan", "compose-tol-0", "compose-tol-negative", "s-nan", "s-list-inf",
+            "s-object-nan", "s-true",
             "s-list-true", "s-object-true", "s-list-object-false", "s-list-string",
             "s-object-string", "s-list-numeric-string", "s-object-without-im", "s-huge-int",
             "s-object-huge-int", "poly-c-nan",
@@ -475,12 +487,12 @@ class TestSubcommands:
         """Inputs that parse but cannot be used: a rational system that skips
         a prime it needs or lists a composite, non-finite Kronecker data, a
         dual-cone dimension that is not a nonnegative int, non-finite series
-        coefficients (given, or past the float range), an exp majorant past
-        the float range, a series tol that is not > 0, an evaluation point
-        that is not finite, holds a boolean or a string or lacks a part,
-        weight parameters that are not finite or values that are NaN, a
-        prime-system bound that is not finite and a rational flag that is
-        not a boolean."""
+        coefficients, a reciprocal centre whose inverse is past the float
+        range, an exp majorant past the float range, a series tol that is
+        not > 0, an evaluation point that is not finite, holds a boolean or
+        a string or lacks a part, weight parameters that are not finite or
+        values that are NaN, a prime-system bound that is not finite and a
+        rational flag that is not a boolean."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
         code, out, _ = invoke(capsys, cmd, str(p), *flags)
@@ -557,6 +569,16 @@ class TestSubcommands:
         assert res["at_zero"] == 1.0 and res["geq_one"] is True
         assert res["root_convergence"]["passed"] is True
         assert res["growth"]["trend"] == "bounded"
+
+    def test_check_weight_overflow_is_increasing(self, tmp_path, capsys):
+        # both halves of the samples overflow: sup is +inf, and the trend
+        # is not "bounded"
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "poly", "c": 1000}')
+        code, out, _ = invoke(capsys, "check-weight", str(path), "--theta", "0.1")
+        assert code == 0
+        growth = json.loads(out)["growth"]
+        assert growth["sup"] == math.inf and growth["trend"] == "increasing"
 
     @pytest.mark.parametrize("weight", ['{"kind": "poly", "c": 1000}',
                                         '{"kind": "exp", "rho": -1000}'], ids=["poly", "exp"])

@@ -453,34 +453,56 @@ def test_composition_support_cap_reports_terms_and_support(monkeypatch):
     assert len(c.coeffs) > 50
 
 
+def _bits(v: complex) -> tuple:
+    return v.real.hex(), v.imag.hex()
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.sampled_from(["log_n", "natural", "tied"]))
-def test_reciprocal_composition_is_the_neumann_inverse(data, kind):
+@given(st.sampled_from(["log_n", "natural", "tied"]).flatmap(
+    lambda kind: contractions(kind, FLOAT)))
+# around 0.5 with q = 0.97 and 0.98 of the radius: f_1023 = -2^1024 is past
+# the float range, but -u/c keeps every power in it
+@example(a=from_coeffs(LOG_N, {LOG_N.zero(): 0.5, _log_n(2): 0.485}))
+@example(a=from_coeffs(LOG_N, {LOG_N.zero(): 0.5, _log_n(2): 0.49}))
+def test_reciprocal_composition_is_the_neumann_inverse(a):
     # 1/z composed around a(0) with a is the Neumann series of a: the same
-    # sum (1/a0) sum_j u^j, u = -(a - a0)/a0, rounded along two routes, with
-    # tails that agree up to rounding.  Each computed value lies within
-    # gamma_n M of the exact sum, M = 1 / ((1 - q) |a0|): the j-th power
-    # majorant |u|^j has norm q^j, each of its j products sums at most
-    # len(a) complex products (gamma_(len(a) + 2) each), u, the f_k
-    # (binary powering below k = 100) and the final scaling add a few
-    # gamma_1 per power, and the sum of J + 1 terms gamma_(J + 1) (Higham
-    # 2002, sections 3.1 and 3.6).  Terms used differ by at most one, and
-    # the extra power is below the other route's tail bound.
-    a = data.draw(contractions(kind, FLOAT))
+    # sum (1/a0) sum_j u^j, u = -(a - a0)/a0, summed by the same kernel, with
+    # tails that agree up to rounding.  With the same number of terms the
+    # two are bit-identical, term for term in the same order.  Otherwise
+    # the counts differ by one, the extra power is below the other route's
+    # tail bound, and each computed value lies within gamma_n M of the exact
+    # sum, M = 1 / ((1 - q) |a0|): the j-th power majorant |u|^j has norm
+    # q^j, each of its j products sums at most len(a) complex products
+    # (gamma_(len(a) + 2) each), u and the final scaling add a few gamma_1
+    # per power, and the sum of J + 1 terms gamma_(J + 1) (Higham 2002,
+    # sections 3.1 and 3.6).
     a0 = complex(a[a.basis.zero()])
     b, cert = neumann_invert(a)
     c, ccert = compose_series(PowerSeries.reciprocal(a0), a)
+    if cert.terms_used == ccert.terms_used:
+        assert [(k, _bits(v)) for k, v in b.terms.items()] == \
+            [(k, _bits(v)) for k, v in c.terms.items()]
+        return
+    assert abs(cert.terms_used - ccert.terms_used) == 1
     J = max(cert.terms_used, ccert.terms_used)
-    assert abs(cert.terms_used - ccert.terms_used) <= 1
     n = (J + 1) * (len(a.terms) + 12) + J + 20
     gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
     bound = 2.0 * gamma / ((1.0 - cert.q) * abs(a0)) + 1e-300
-    if cert.terms_used == ccert.terms_used:
-        assert set(b.terms) == set(c.terms)
-    else:
-        bound += max(cert.tail_bound, ccert.tail_bound)
+    bound += max(cert.tail_bound, ccert.tail_bound)
     for k in b.terms.keys() | c.terms.keys():
         assert abs(b.terms.get(k, 0j) - c.terms.get(k, 0j)) <= bound
+
+
+@pytest.mark.parametrize("invert, message", [
+    (neumann_invert, "Neumann series needs more than 10000 terms"),
+    (lambda a: compose_series(PowerSeries.reciprocal(1.0), a),
+     "composition series needs more than 2000 terms"),
+], ids=["neumann", "composition"])
+def test_series_term_cap_reports_the_cap(invert, message):
+    # q = 0.999: the tail falls below 1e-12 only after about 34 500 terms
+    a = from_coeffs(LOG_N, {LOG_N.zero(): 1.0, _log_n(2): 0.999})
+    with pytest.raises(CapExceededError, match=message):
+        invert(a)
 
 
 def test_graded_invert_exact_division_with_non_unit_constant():
