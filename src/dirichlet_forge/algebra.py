@@ -16,6 +16,7 @@ these keys and numerators and build no `SemigroupElement` and no
 exact values as `QC`s: the elements a caller passed in, or, for a computed
 element, elements built from their keys, made when it is first read, then
 cached.  Magnitudes are computed once per key, from its exponent map.
+`to_json` reads the stored form, not `coeffs` (`_json_terms`).
 """
 
 from __future__ import annotations
@@ -227,17 +228,34 @@ class AlgebraElement:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        coeffs, entries = self.coeffs, []
-        for lam in self.support():
-            v = coeffs[lam]
-            if self.backend == EXACT:
-                entry = {"element": lam.to_json(),
-                         "re": format_frac(v.re), "im": format_frac(v.im)}
-            else:
-                entry = {"element": lam.to_json(), "re": v.real, "im": v.imag}
-            entries.append(entry)
+        free = self.basis.mode == FREE
+        entries = [{"element": {"exponents": {str(gid): n for gid, n in part}} if free
+                    else {"coords": list(part)}, "re": re, "im": im}
+                   for part, re, im in self._json_terms()]
         return {"basis": self.basis.to_json(), "coeffs": entries,
                 "truncation": self.truncation, "backend": self.backend}
+
+    def _json_terms(self):
+        """(part, re, im) of each term in `support` order, read from the
+        stored form: part is the exponent map over a free basis, the coords
+        as "p/q" strings over an embedded one; re and im are floats, or
+        "p/q" strings of an exact value's numerator over `_den`.  Neither a
+        SemigroupElement nor a Fraction is made."""
+        nums, mags = self._nums, self._magnitudes()
+        if self.basis.mode == FREE:
+            exps = self._exponent_maps()
+            keys = sorted(nums, key=lambda k: (mags[k], exps[k]))
+            parts = map(exps.__getitem__, keys)
+        else:  # the keys are the elements
+            keys = sorted(nums, key=lambda k: (mags[k], k.coords))
+            parts = (tuple(map(format_frac, k.coords)) for k in keys)
+        vals = map(nums.__getitem__, keys)
+        if self.backend == FLOAT:
+            return ((p, v.real, v.imag) for p, v in zip(parts, vals))
+        den = self._den
+        if self._gauss:
+            return ((p, _frac_text(v[0], den), _frac_text(v[1], den)) for p, v in zip(parts, vals))
+        return ((p, _frac_text(v, den), "0") for p, v in zip(parts, vals))
 
     @classmethod
     def from_json(cls, data: dict, basis: Optional[SemigroupBasis] = None) -> "AlgebraElement":
@@ -336,6 +354,13 @@ def _qc(v, den: int, gauss: bool) -> QC:
     """The value of the numerator v over den."""
     re, im = v if gauss else (v, 0)
     return QC(Fraction(re, den), Fraction(im, den))
+
+
+def _frac_text(n: int, den: int) -> str:
+    """`format_frac` of n / den (den > 0): "p/q" in least terms, "p" when q
+    is 1."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _lifted(nums: dict, m: int, gauss: bool, to_gauss: bool) -> dict:
@@ -507,8 +532,9 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
 
     Requires q = ||a - a(0) eps||_w / |a(0)| < 1.  Truncates after J terms
     once the geometric tail q^(J+1) / ((1-q) |a(0)|) < tol.  Returns
-    (element, NeumannCertificate).  A tol that is not > 0 (NaN included)
-    raises ValidationError; more than max_terms terms, or a partial sum
+    (element, NeumannCertificate).  A tol that is not > 0 (NaN included),
+    or a float a(0) whose reciprocal passes the float range, raises
+    ValidationError; more than max_terms terms, or a partial sum
     whose support would grow past NEUMANN_SUPPORT_CAP, raises
     CapExceededError.
     """
@@ -525,7 +551,7 @@ def neumann_invert(a: AlgebraElement, w: Optional[WeightFn] = None,
     q = weighted_norm(rest, w) / abs_a0
     if not q < 1.0:  # NaN too
         raise NeumannInapplicableError(q)
-    inv_a0 = _inverse(a0, a._den, a._gauss, a.backend)
+    inv_a0 = _inverse(a0, a._den, a._gauss, a.backend, "Neumann series sum")
     # b = (1/a0) sum_j u^{*j},  u = eps - a / a0; each tail bound is the last times q
     u = rest._times(inv_a0, a.backend).negate()
     tails = (t / abs_a0 for t in accumulate(repeat(q), mul, initial=q / (1.0 - q)))
@@ -628,13 +654,18 @@ def _unit_residual(a: AlgebraElement, b: AlgebraElement, w: WeightFn) -> float:
     return total
 
 
-def _inverse(a0, den: int, gauss: bool, backend: str):
+def _inverse(a0, den: int, gauss: bool, backend: str, label: str = "inverse"):
     """1 / (a0 / den) as a scalar (numerator, denominator > 0, gauss) of
     `backend`, for `AlgebraElement._times`.  Exact, it is den c / n0 with
     c = conj a0 and n0 = |a0|^2 for a pair, c = sign a0 and n0 = |a0| for
-    an int."""
+    an int.  A float 1/a0 past the float range (a0 subnormal) raises
+    ValidationError: the `label` of what it scales is not finite."""
     if backend == FLOAT:
-        return 1.0 / a0, 1, False
+        inv = 1.0 / a0
+        if not cmath.isfinite(inv):
+            raise ValidationError(f"{label} is not finite: 1/a(0) = {inv!r} passes the float "
+                                  f"range (a(0) = {a0!r})")
+        return inv, 1, False
     if gauss:
         re, im = a0
         return (re * den, -im * den), re * re + im * im, True
@@ -654,7 +685,8 @@ def graded_invert(a: AlgebraElement, truncation: float,
     the magnitude-sorted support, with early break at the cutoff, so the
     cost is the number of reachable pairs rather than |support| x |monoid|.
     Exact in the rational backend, on Gaussian integers with no Fraction in
-    the loop (`_fraction_free`).
+    the loop (`_fraction_free`).  A float a(0) whose reciprocal passes the
+    float range raises ValidationError.
     """
     zk = a.basis.zero_key
     a0 = a._nums.get(zk)
@@ -662,7 +694,7 @@ def graded_invert(a: AlgebraElement, truncation: float,
         raise SingularElementError("constant term vanishes; no inverse in the algebra")
     support = {k: v for k, v in a._nums.items() if k != zk}
     if not support:
-        num, den, gauss = _inverse(a0, a._den, a._gauss, a.backend)
+        num, den, gauss = _inverse(a0, a._den, a._gauss, a.backend, "graded inverse")
         return AlgebraElement._keyed(a.basis, {zk: num}, a.backend, truncation, den=den,
                                      gauss=gauss)
     side = _side(support, a._den, a._gauss, a._magnitudes(), by_mag=True)
@@ -675,7 +707,7 @@ def graded_invert(a: AlgebraElement, truncation: float,
     if a.backend == EXACT:
         first, solve, den = _fraction_free(a0, a._den, side, len(keys), limit)
     else:
-        first, den = 1.0 / a0, 1
+        first, den, _ = _inverse(a0, 1, False, FLOAT, "graded inverse")
 
         def solve(s):
             return -(first * s)

@@ -5,7 +5,9 @@ precondition failure (structured error object on stdout), 3 budget
 exhausted (best-effort result still emitted, flagged).  All output JSON
 is key-sorted so identical inputs and seeds give byte-identical bytes: the
 bytes of `json.dumps(..., sort_keys=True, indent=2)`, written by `_dumps`
-in one pass over the result objects.
+in one pass over the result objects.  An algebra element's terms are
+written straight from what it stores (`AlgebraElement._json_terms`), not
+from the dicts of its `to_json`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import algebra, arithmetic, cones, density, extension, weights
 from .characters import Character
 from .errors import ForgeError, ValidationError
 from .ratlin import vec
-from .semigroup import SemigroupBasis
+from .semigroup import FREE, SemigroupBasis
 
 PROG = "forge"
 
@@ -102,6 +104,9 @@ def _encode(x, put, nl, lead):
         put(lead + enc(x))
         return
     if type(x) is not dict and type(x) is not list and type(x) is not tuple:
+        if type(x) is algebra.AlgebraElement:
+            _encode_element(x, put, nl, lead)
+            return
         x = _jsonable(x)
         if not isinstance(x, (dict, list)):
             put(lead + next(_LEAVES[t] for t in type(x).__mro__ if t in _LEAVES)(x))
@@ -138,6 +143,38 @@ def _encode(x, put, nl, lead):
                 _encode(v, put, inner, sep)
             sep = "," + inner
         put(nl + "]")
+
+
+def _encode_element(x, put, nl, lead):
+    """`_encode` of an algebra element: the text of `x.to_json()`, with its
+    "coeffs" written straight from `x._json_terms()`, one template per term
+    (keys in sorted order: "element", "im", "re"; the int exponent ids
+    sorted as strings)."""
+    inner = nl + "  "
+    _encode(x.backend, put, inner, lead + "{" + inner + '"backend": ')
+    _encode(x.basis, put, inner, "," + inner + '"basis": ')
+    if not x._nums:
+        put("," + inner + '"coeffs": []')
+    else:
+        i1 = inner + "  "  # a term
+        i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "  # its keys, the element's, theirs
+        free = x.basis.mode == FREE
+        value = _float if x.backend == algebra.FLOAT else (lambda s: '"' + s + '"')
+        sep = "," + inner + '"coeffs": [' + i1
+        for part, re, im in x._json_terms():
+            if not part:
+                body = '"exponents": {}' if free else '"coords": []'
+            elif free:  # sorting '"id": n' sorts the ids as strings: "10" before "2"
+                entries = sorted([f'"{gid}": {n}' for gid, n in part])
+                body = '"exponents": {' + i4 + ("," + i4).join(entries) + i3 + "}"
+            else:
+                body = '"coords": [' + i4 + ("," + i4).join(map(_quote, part)) + i3 + "]"
+            put(f'{sep}{{{i2}"element": {{{i3}{body}{i2}}},{i2}"im": {value(im)},'
+                f'{i2}"re": {value(re)}{i1}}}')
+            sep = "," + i1
+        put(inner + "]")
+    _encode(x.truncation, put, inner, "," + inner + '"truncation": ')
+    put(nl + "}")
 
 
 def _load(path: str):

@@ -34,7 +34,7 @@ from dirichlet_forge.errors import (
     SingularElementError,
     ValidationError,
 )
-from dirichlet_forge.exactnum import QC
+from dirichlet_forge.exactnum import QC, format_frac
 from dirichlet_forge.semigroup import (embedded_basis, free_rational_basis, log_element,
                                       log_primes_basis, natural_basis)
 from dirichlet_forge.semigroup import SemigroupBasis
@@ -601,6 +601,20 @@ def test_neumann_rejects_a_sum_past_the_float_range():
         neumann_invert(a)
 
 
+def test_inverse_of_a_subnormal_constant_alone_is_refused():
+    # 1/a(0) overflows and there is no other term: no sum ever checks it
+    b = natural_basis()
+    a = from_coeffs(b, {b.zero(): 1e-320})
+    with pytest.raises(ValidationError, match=r"Neumann series sum is not finite: 1/a\(0\)"):
+        neumann_invert(a)
+    for x in (a, from_coeffs(b, {b.zero(): 1e-320, b.generator_element(0): 1e-321})):
+        with pytest.raises(ValidationError, match=r"graded inverse is not finite: 1/a\(0\)"):
+            graded_invert(x, truncation=3.0)
+    # a subnormal a(0) whose reciprocal is in range still inverts
+    inv, cert = neumann_invert(from_coeffs(b, {b.zero(): 2.0 ** -1023}))
+    assert inv[b.zero()] == 2.0 ** 1023 and cert.terms_used == 0
+
+
 def test_exp_majorant_past_the_float_range_names_the_radius():
     a = nat_elem([0, 1], backend=FLOAT)
     assert compose_series(PowerSeries.exp(142.0), a)[1].terms_used > 0
@@ -668,6 +682,7 @@ _JSON_BASES = {
     "free2": free_rational_basis([(F(1), F(0)), (F(1, 2), F(3))]),
     "log": log_primes_basis(30),
     "embedded": embedded_basis([(F(1, 2), F(1)), (F(1), F(1, 3))]),
+    "log40": log_primes_basis(40),  # ids 0..11: "10" sorts before "2"
 }
 _fracs = st.fractions(min_value=F(-50), max_value=F(50), max_denominator=1000)
 _floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -677,6 +692,7 @@ _floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 def json_elements(draw):
     basis = _JSON_BASES[draw(st.sampled_from(sorted(_JSON_BASES)))]
     backend = draw(st.sampled_from([EXACT, FLOAT]))
+    real = draw(st.booleans())  # exact: int numerators, else (re, im) pairs
     coeffs = {}
     for _ in range(draw(st.integers(0, 8))):
         if basis.mode == "free":
@@ -687,9 +703,9 @@ def json_elements(draw):
                                                           max_denominator=6))
                                         for _ in range(basis.r)])
         if backend == EXACT:
-            coeffs[lam] = QC(draw(_fracs), draw(_fracs))
+            coeffs[lam] = QC(draw(_fracs), 0 if real else draw(_fracs))
         else:
-            coeffs[lam] = complex(draw(_floats), draw(_floats))
+            coeffs[lam] = complex(draw(_floats), 0.0 if real else draw(_floats))
     top = max((lam.l1() for lam in coeffs), default=0.0)
     truncation = draw(st.sampled_from([None, top, top + 1.5]))
     return AlgebraElement(basis, coeffs, backend, truncation)
@@ -707,6 +723,50 @@ def test_element_from_json_inverts_to_json(x, through_text):
     assert y.support() == x.support()
     assert all(type(v) is type(x.coeffs[lam]) for lam, v in y.coeffs.items())
     assert y.to_json() == x.to_json()
+
+
+def _canonical_support(x):
+    """x's support elements built afresh from their exponents or coords,
+    so that each magnitude is computed by `l1`, in `sort_key` order."""
+    fresh = [x.basis.element(exponents=lam.exponents) if x.basis.mode == "free"
+             else x.basis.element(coords=lam.coords) for lam in x.coeffs]
+    return sorted(fresh, key=lambda lam: lam.sort_key())
+
+
+def _computed_element(name):
+    b = log_primes_basis(40)
+    a = from_coeffs(b, {log_element(b, n): F(1, n) for n in range(1, 41)}, EXACT)
+    if name == "graded":
+        return graded_invert(a, truncation=math.log(400))
+    if name == "graded-float":
+        return graded_invert(a.scale(1.0 + 0j), truncation=math.log(400))
+    if name == "neumann":  # no truncation: the magnitudes are found from the keys
+        return neumann_invert(from_coeffs(b, {b.zero(): 1.0, log_element(b, 2): 0.02,
+                                              log_element(b, 11): -0.03j,
+                                              log_element(b, 37): 0.01}))[0]
+    if name == "convolve":
+        return convolve(a, from_coeffs(b, {log_element(b, n): 1j * n for n in range(1, 30)},
+                                       EXACT, truncation=5.0))
+    e = embedded_basis([(F(1, 2), F(1)), (F(1), F(1, 3)), (F(1, 3), F(0))])
+    ea = from_coeffs(e, {e.zero(): 1, e.generator_element(0): F(1, 2),
+                         e.generator_element(1): F(-1, 3), e.generator_element(2): 2}, EXACT)
+    return ea if name == "embedded" else graded_invert(ea, truncation=4.0)
+
+
+@pytest.mark.parametrize("name", ["graded", "graded-float", "neumann", "convolve", "embedded",
+                                  "embedded-graded"])
+def test_json_terms_follow_the_support_order(name):
+    # the stored magnitudes (a kernel's, or none) sort the terms as l1 does
+    x = _computed_element(name)
+    entries = x.to_json()["coeffs"]
+    assert len(entries) == len(x.coeffs) > 3
+    assert [e["element"] for e in entries] == [lam.to_json() for lam in _canonical_support(x)]
+    # each entry as the support() and coeffs edge views give it
+    support = x.support()
+    assert entries == [
+        {"element": lam.to_json(), "re": format_frac(v.re), "im": format_frac(v.im)}
+        if x.backend == EXACT else {"element": lam.to_json(), "re": v.real, "im": v.imag}
+        for lam, v in zip(support, map(x.coeffs.__getitem__, support))]
 
 
 def _nat_json(entries, **extra):

@@ -10,15 +10,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirichlet_forge import algebra, cli
 from dirichlet_forge.arithmetic import MultiplicativeFunction, PrimeSystem
 from dirichlet_forge.characters import Character
 from dirichlet_forge.cli import run
-from dirichlet_forge.semigroup import log_element, log_primes_basis, natural_basis
+from dirichlet_forge.semigroup import embedded_basis, log_element, log_primes_basis, natural_basis
+from dirichlet_forge.weights import one as weight_one
 
 from tests.oracles import brute_dumps, brute_plain, brute_render, mobius_sieve
+from tests.test_algebra import json_elements
 
 
 @pytest.fixture
@@ -434,6 +436,8 @@ class TestSubcommands:
         ("compose", _series_element({1: 5e-324}),
          ("--series", '{"kind": "reciprocal", "center": {"re": 5e-324, "im": 0}}'),
          "ValidationError", "not finite"),
+        ("invert", _series_element({1: 1e-320}), ("--method", "neumann"), "ValidationError",
+         "not finite"),
         ("compose", SMALL_SERIES, ("--series", '{"kind": "exp", "radius": 1000}'),
          "PreconditionError", "radius 1000"),
         ("invert", SMALL_SERIES, ("--method", "neumann", "--tol", "nan"), "ValidationError",
@@ -474,7 +478,8 @@ class TestSubcommands:
     ], ids=["euler-lacks-3", "euler-lacks-5", "p3-lacks-5", "composite-entry", "beta-inf",
             "second-beta-inf", "target-nan", "dim-string", "dim-negative", "coefficient-nan",
             "coefficient-inf", "series-coefficient-nan", "series-coefficient-1-nan",
-            "reciprocal-subnormal-center", "exp-majorant-overflow", "neumann-tol-nan",
+            "reciprocal-subnormal-center", "neumann-subnormal-constant", "exp-majorant-overflow",
+            "neumann-tol-nan",
             "compose-tol-nan", "compose-tol-0", "compose-tol-negative", "s-nan", "s-list-inf",
             "s-object-nan", "s-true",
             "s-list-true", "s-object-true", "s-list-object-false", "s-list-string",
@@ -487,12 +492,13 @@ class TestSubcommands:
         """Inputs that parse but cannot be used: a rational system that skips
         a prime it needs or lists a composite, non-finite Kronecker data, a
         dual-cone dimension that is not a nonnegative int, non-finite series
-        coefficients, a reciprocal centre whose inverse is past the float
-        range, an exp majorant past the float range, a series tol that is
-        not > 0, an evaluation point that is not finite, holds a boolean or
-        a string or lacks a part, weight parameters that are not finite or
-        values that are NaN, a prime-system bound that is not finite and a
-        rational flag that is not a boolean."""
+        coefficients, a reciprocal centre or a Neumann constant term whose
+        inverse is past the float range, an exp majorant past the float
+        range, a series tol that is not > 0, an evaluation point that is not
+        finite, holds a boolean or a string or lacks a part, weight
+        parameters that are not finite or values that are NaN, a
+        prime-system bound that is not finite and a rational flag that is
+        not a boolean."""
         p = files.dir / "unusable.json"
         p.write_text(payload)
         code, out, _ = invoke(capsys, cmd, str(p), *flags)
@@ -738,6 +744,24 @@ def test_render_matches_plain_then_render(x):
     parts = []
     cli._render(x, parts.append)
     assert "".join(parts) == brute_render(x)
+
+
+_certificates = st.builds(
+    algebra.NeumannCertificate, st.floats(0, 1), st.integers(0, 50),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(0, 1e-9), st.just(weight_one()))
+
+
+@given(json_elements(), st.one_of(st.none(), _certificates))
+@example(algebra.AlgebraElement(log_primes_basis(40), {}, algebra.EXACT), None)
+@example(algebra.AlgebraElement(embedded_basis([(1, 2)]), {}, algebra.FLOAT, 2.5),
+         algebra.NeumannCertificate(0.5, 3, 1e-13, 0.0, weight_one()))
+@settings(max_examples=200, deadline=None)
+def test_element_text_matches_plain_then_json_dumps(x, cert):
+    v = x if cert is None else {"inverse": x, "certificate": cert}
+    assert cli._dumps(v) == json.dumps(brute_plain(v), sort_keys=True, indent=2)
+    parts = []
+    cli._render(v, parts.append)
+    assert "".join(parts) == brute_render(v)
 
 
 def test_dumps_pinned_cases():
