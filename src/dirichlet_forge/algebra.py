@@ -51,14 +51,15 @@ class AlgebraElement:
     numerators over `_den`: float values over 1, or exact ints, (re, im)
     int pairs when some value is not real (`_gauss`), over the least
     denominator (coprime to them all, 1 for the empty element).  An
-    element made from the caller's elements holds the same numerators by
-    those elements (`_by_elem`) and is keyed on first read of `_nums`.
-    `terms` ({key: value}) and `coeffs` ({SemigroupElement: value}, see the
-    module docstring) are the edge views, exact values as `QC`s; each is
-    built on first read.  Both are read-only."""
+    element made from the caller's elements keys them once, as it is made,
+    and keeps them in a list aligned with `_nums` (`_elems`), so `coeffs`,
+    magnitudes and exponent maps are read off them.  `terms` ({key: value})
+    and `coeffs` ({SemigroupElement: value}, see the module docstring) are
+    the edge views, exact values as `QC`s; each is built on first read.
+    Both are read-only."""
 
-    __slots__ = ("basis", "backend", "truncation", "dropped_mass", "_by_key", "_den", "_gauss",
-                 "_by_elem", "_terms", "_coeffs", "_mags", "_exps")
+    __slots__ = ("basis", "backend", "truncation", "dropped_mass", "_nums", "_den", "_gauss",
+                 "_elems", "_terms", "_coeffs", "_mags", "_exps")
 
     def __init__(self, basis: SemigroupBasis, coeffs: dict, backend: str = FLOAT,
                  truncation: Optional[float] = None, dropped_mass: float = 0.0,
@@ -72,11 +73,14 @@ class AlgebraElement:
                     raise BasisMismatchError("coefficient key over a different basis")
                 if limit is not None and lam.l1() > limit:
                     raise ValidationError("support element beyond declared truncation")
-        # by position until zeros are dropped: ints hash faster than elements
+        keys = [lam.key() for lam in coeffs]
         self._set(basis, backend, truncation, dropped_mass,
-                  *_stored(enumerate(coeffs.values()), backend))
-        elems = list(coeffs)
-        self._by_elem, self._by_key = {elems[i]: v for i, v in self._by_key.items()}, None
+                  *_stored(zip(keys, coeffs.values()), backend))
+        if len(self._nums) == len(keys):
+            self._elems = list(coeffs)
+        else:  # zeros dropped
+            by_key = dict(zip(keys, coeffs))
+            self._elems = [by_key[k] for k in self._nums]
 
     def _set(self, basis, backend, truncation, dropped_mass, nums, den, gauss,
              mags=None, exps=None):
@@ -88,8 +92,8 @@ class AlgebraElement:
             nums = {k: v for k, v in nums.items() if v != 0}
         self.basis, self.backend, self.dropped_mass = basis, backend, float(dropped_mass)
         self.truncation = None if truncation is None else float(truncation)
-        self._by_key, self._den, self._gauss, self._mags, self._exps = nums, den, gauss, mags, exps
-        self._by_elem = self._terms = self._coeffs = None
+        self._nums, self._den, self._gauss, self._mags, self._exps = nums, den, gauss, mags, exps
+        self._elems = self._terms = self._coeffs = None
 
     @classmethod
     def _keyed(cls, basis: SemigroupBasis, nums: dict, backend: str,
@@ -105,12 +109,6 @@ class AlgebraElement:
         return out
 
     @property
-    def _nums(self) -> dict:
-        if self._by_key is None:
-            self._by_key = {lam.key(): v for lam, v in self._by_elem.items()}
-        return self._by_key
-
-    @property
     def terms(self) -> dict:
         """{key: value} in term order."""
         if self._terms is None:
@@ -123,10 +121,8 @@ class AlgebraElement:
     def coeffs(self) -> dict:
         """{SemigroupElement: value} in term order, built once."""
         if self._coeffs is None:
-            if self._by_elem is not None:
-                den, gauss = self._den, self._gauss
-                self._coeffs = self._by_elem if self.backend == FLOAT else {
-                    lam: _qc(v, den, gauss) for lam, v in self._by_elem.items()}
+            if self._elems is not None:
+                self._coeffs = dict(zip(self._elems, self.terms.values()))
             else:
                 mags, exps = self._mags or {}, self._exponent_maps()
                 element = self.basis.key_element
@@ -140,8 +136,8 @@ class AlgebraElement:
         usually comes before it); {} over an embedded basis."""
         if self._exps is None:
             self._exps = exps = {}
-            if self.basis.mode == FREE and self._by_elem is not None:
-                self._exps = {k: lam.exponents for k, lam in zip(self._nums, self._by_elem)}
+            if self.basis.mode == FREE and self._elems is not None:
+                self._exps = {k: lam.exponents for k, lam in zip(self._nums, self._elems)}
             elif self.basis.mode == FREE:
                 for k in self._nums:
                     exps[k] = self.basis.key_exponents(k, exps)
@@ -150,8 +146,8 @@ class AlgebraElement:
     def _magnitudes(self) -> dict:
         """{key: |lambda|_1} over the terms, computed once per key."""
         if self._mags is None:
-            if self._by_elem is not None:
-                self._mags = {k: lam.l1() for k, lam in zip(self._nums, self._by_elem)}
+            if self._elems is not None:
+                self._mags = {k: lam.l1() for k, lam in zip(self._nums, self._elems)}
             else:
                 exps, mag = self._exponent_maps(), self.basis.key_magnitude
                 self._mags = {k: mag(k, exps) for k in self._nums}
@@ -318,7 +314,12 @@ def _complex(v) -> complex:
 def _parts(v) -> tuple:
     """(re numerator, re denominator, im numerator, im denominator) of an
     exact coefficient: a QC, a finite float or complex, or a real
-    `exactnum._as_ratio` reads."""
+    `exactnum._as_ratio` reads.  A float or complex with integral parts is
+    read as ints straight away."""
+    if type(v) is complex and v.real.is_integer() and v.imag.is_integer():
+        return int(v.real), 1, int(v.imag), 1
+    if type(v) is float and v.is_integer():
+        return int(v), 1, 0, 1
     if isinstance(v, (float, complex)):
         v = _complex(v)
     re, im = (v.re, v.im) if isinstance(v, QC) else (v.real, v.imag) if isinstance(v, complex) \

@@ -206,24 +206,38 @@ def _emit(data, args) -> None:
         sys.stdout.write(_dumps(data) + "\n")
 
 
+# Longest list --report writes entry by entry; a longer one is counted.
+_LISTED = 12
+
+
+def _reportable(x):
+    """`_jsonable` for --report: an algebra element with more terms than
+    `_LISTED` keeps its "coeffs" as a list of that length, so no term is
+    written only to be counted."""
+    if isinstance(x, algebra.AlgebraElement) and len(x._nums) > _LISTED:
+        return {"backend": x.backend, "basis": x.basis, "coeffs": [None] * len(x._nums),
+                "truncation": x.truncation}
+    return _jsonable(x)
+
+
 def _render(data, put, indent: int = 0) -> None:
     """Plain-text certificate rendering for --report."""
     pad = "  " * indent
-    data = _jsonable(data)
+    data = _reportable(data)
     if isinstance(data, dict):
         for k in sorted(data):
-            v = _jsonable(data[k])
+            v = _reportable(data[k])
             if isinstance(v, (dict, list)) and v:
                 put(f"{pad}{k}:\n")
                 _render(v, put, indent + 1)
             else:
                 put(f"{pad}{k}: {v}\n")
     elif isinstance(data, list):
-        if len(data) > 12:
+        if len(data) > _LISTED:
             put(f"{pad}[{len(data)} entries]\n")
         else:
             for v in data:
-                v = _jsonable(v)
+                v = _reportable(v)
                 if isinstance(v, (dict, list)):
                     _render(v, put, indent + 1)
                 else:

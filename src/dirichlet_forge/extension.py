@@ -213,7 +213,8 @@ def zero_set_separation(gamma, positive_idx, zero_idx) -> VanishingFit:
         quot = integer_kernel(pos_rows)[0]  # functionals vanishing on the span
     else:
         quot = [[int(j == i) for j in range(d)] for i in range(d)]
-    proj = {i: tuple(dot(q, gamma[i]) for q in quot) for i in range(len(gamma))}
+    # int dot products, over one denominator per generator
+    proj = [tuple(F(dot(q, G), den) for q in quot) for G, den in map(integer_scaled, gamma)]
 
     strict = sorted(zero_idx)
     for i in strict:

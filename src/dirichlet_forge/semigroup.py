@@ -48,6 +48,14 @@ class Generator:
         if all(v == 0 for v in self.value):
             raise ValidationError(f"generator {self.id}: zero generator not allowed")
 
+    @classmethod
+    def _trusted(cls, id: int, value: tuple, exact=None, label: str = "") -> "Generator":
+        """A generator from parts already valid: float coordinates, all
+        nonnegative and not all zero, and exact ones (or None) that agree."""
+        out = object.__new__(cls)
+        vars(out).update(id=id, value=value, exact=exact, label=label)
+        return out
+
 
 @dataclass(frozen=True)
 class SemigroupBasis:
@@ -104,6 +112,13 @@ class SemigroupBasis:
                 with suppress(ValueError):  # past int's digit limit: no n reaches such a factor
                     ids[int(digits)] = g.id
         return ids, spf_sieve(min(max(ids, default=1), _prime_bound(len(self.generators))))
+
+    @cached_property
+    def _log_maps(self) -> dict:
+        """n -> (exponent map, key or None) of the log n `log_element` has
+        built, for n inside the `_log_table` SPF table only: the dict is no
+        larger than that table, and holds no element."""
+        return {1: ((), 1)}
 
     @cached_property
     def zero_key(self):
@@ -544,18 +559,52 @@ def log_primes_basis(limit: int) -> SemigroupBasis:
     if type(limit) is not int:
         raise ValidationError(f"log-primes basis needs an int limit, got limit = {limit!r}")
     ps = primes_upto(limit)
-    gens = tuple(Generator(i, (math.log(p),), None, f"log{p}") for i, p in enumerate(ps))
+    gens = tuple(Generator._trusted(i, (math.log(p),), None, f"log{p}") for i, p in enumerate(ps))
     return SemigroupBasis(FREE, 1, gens)
 
 
 def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
     """The element log n over a log-primes basis; n is an int >= 1, factored
-    on the basis's `_log_table` (by trial division past its end)."""
+    on the basis's `_log_table` (by trial division past its end).  Inside
+    that table the exponent map and key of log n are kept per basis
+    (`_log_maps`), and log n is log(n / p) plus log p for p the smallest
+    prime factor of n when log(n / p) was built before: building log n in
+    increasing n factors next to nothing."""
     if basis.mode != FREE:
         raise ValidationError("log elements need a free basis")
     if type(n) is not int or n < 1:
         raise ValidationError(f"log element needs an int n >= 1, got n = {n!r}")
+    known = basis._log_maps
+    got = known.get(n)
+    if got is not None:
+        return SemigroupElement._trusted(basis, got[0], None, got[1])
     (ids, spf), primes = basis._log_table, basis.key_primes
+    if n >= len(spf):  # past the table: factored, not kept
+        got = _log_parts(n, ids, primes, spf)
+    else:
+        p = spf[n]
+        quotient, gid = known.get(n // p), ids.get(p)
+        if quotient is None or gid is None:  # factor it, or name the missing prime
+            got = _log_parts(n, ids, primes, spf)
+        else:
+            exps, key = quotient
+            if exps and exps[0][0] == gid:
+                exps = ((gid, exps[0][1] + 1),) + exps[1:]
+            elif not exps or exps[0][0] > gid:
+                exps = ((gid, 1),) + exps
+            else:  # ids out of prime order
+                merged = dict(exps)
+                merged[gid] = merged.get(gid, 0) + 1
+                exps = tuple(sorted(merged.items()))
+            got = exps, (n if key is not None and primes[gid] == p else None)
+        known[n] = got
+    return SemigroupElement._trusted(basis, got[0], None, got[1])
+
+
+def _log_parts(n: int, ids: dict, primes: dict, spf) -> tuple:
+    """(exponent map, key or None) of log n, factored on `spf` (by trial
+    division past its end): the key is n when each prime of n is the key
+    prime of its generator."""
     exps, keyed_by_n = [], True
     for p, k in factorize(n, spf).items():
         gid = ids.get(p)
@@ -564,4 +613,4 @@ def log_element(basis: SemigroupBasis, n: int) -> SemigroupElement:
         exps.append((gid, k))
         keyed_by_n = keyed_by_n and primes[gid] == p
     exps.sort()
-    return SemigroupElement._trusted(basis, tuple(exps), None, n if keyed_by_n else None)
+    return tuple(exps), (n if keyed_by_n else None)

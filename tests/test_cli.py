@@ -764,6 +764,25 @@ def test_element_text_matches_plain_then_json_dumps(x, cert):
     assert "".join(parts) == brute_render(v)
 
 
+@pytest.mark.parametrize("terms", [0, 12, 13, 400])
+@pytest.mark.parametrize("backend", [algebra.EXACT, algebra.FLOAT])
+def test_report_counts_a_long_element_without_writing_its_terms(monkeypatch, terms, backend):
+    basis = log_primes_basis(500)
+    x = algebra.from_coeffs(basis, [(log_element(basis, n), complex(n, -n) / 3)
+                                    for n in range(1, terms + 1)], backend, math.log(500))
+    cert = algebra.NeumannCertificate(0.5, 3, 1e-13, 0.0, weight_one())
+    wants = [brute_render(v) for v in (x, {"inverse": x, "certificate": cert})]
+    if terms > 12:  # only counted: no term is written
+        def refuse(self):
+            raise AssertionError("a counted element's terms were written")
+        monkeypatch.setattr(algebra.AlgebraElement, "_json_terms", refuse)
+    for v, want in zip((x, {"inverse": x, "certificate": cert}), wants):
+        parts = []
+        cli._render(v, parts.append)
+        assert "".join(parts) == want
+    assert (f"[{terms} entries]" in wants[0]) == (terms > 12)
+
+
 def test_dumps_pinned_cases():
     assert cli._dumps({}) == "{}" and cli._dumps([]) == "[]" and cli._dumps(()) == "[]"
     assert cli._dumps([math.nan, math.inf, -math.inf]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"

@@ -157,6 +157,59 @@ def test_the_callers_elements_are_kept():
     assert list(a.terms) == list(range(1, 31))  # log n is keyed by n
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_the_callers_elements_stay_aligned_when_zeros_are_dropped(backend):
+    basis = log_primes_basis(30)
+    given_elems = [log_element(basis, n) for n in range(1, 31)]
+    a = from_coeffs(basis, [(lam, n % 3 and n) for n, lam in enumerate(given_elems, 1)], backend)
+    kept = [lam for n, lam in enumerate(given_elems, 1) if n % 3]
+    assert all(x is y for x, y in zip(a.coeffs, kept, strict=True))
+    assert list(a.terms) == [lam.key() for lam in kept]
+    assert a._exponent_maps() == {lam.key(): lam.exponents for lam in kept}
+    assert a._magnitudes() == {lam.key(): lam.l1() for lam in kept}
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INTEGRAL = st.one_of(st.integers(-2**70, 2**70).map(float), _FINITE.filter(float.is_integer),
+                      st.just(-0.0))
+
+
+@given(st.lists(st.tuples(st.booleans(), st.one_of(_INTEGRAL, _FINITE),
+                          st.one_of(_INTEGRAL, st.just(0.0), _FINITE)), max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_integral_float_values_store_as_their_fractions_do(values):
+    # floats and complexes with integral parts are read as ints straight
+    # away; the stored form is the one their exact values give
+    basis = log_primes_basis(40)
+    raw = [complex(re, im) if cplx else re for cplx, re, im in values]
+    elems = [log_element(basis, n) for n in range(1, len(raw) + 1)]
+    got = from_coeffs(basis, zip(elems, raw), EXACT)
+    want = from_coeffs(basis, [(lam, QC(F(v.real), F(v.imag)) if isinstance(v, complex) else F(v))
+                               for lam, v in zip(elems, raw)], EXACT)
+    assert (got._nums, got._den, got._gauss) == (want._nums, want._den, want._gauss)
+    assert all(type(x) is int for v in got._nums.values() for x in (v if got._gauss else (v,)))
+    assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan, complex(1, math.inf),
+                               complex(math.nan, 0), complex(math.inf, math.nan)])
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_non_finite_values_are_refused(v, backend):
+    basis = log_primes_basis(10)
+    with pytest.raises(algebra.ValidationError, match="not finite"):
+        from_coeffs(basis, [(log_element(basis, 2), v)], backend)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_boolean_values_read_as_before(backend):
+    # `from_coeffs` reads a bool as the int it is; element JSON refuses one
+    basis = log_primes_basis(10)
+    lams = [log_element(basis, n) for n in (1, 2, 3)]
+    got = from_coeffs(basis, zip(lams, [True, False, True]), backend)
+    want = from_coeffs(basis, zip(lams, [1, 0, 1]), backend)
+    assert (got._nums, got._den, got._gauss) == (want._nums, want._den, want._gauss)
+
+
 def test_a_graded_inverse_reads_back_from_its_json():
     # the monoid point x^2 has magnitude 2.0, within 1e-9 (1 + T) of T but
     # past the shared cutoff: it is not kept, so the truncation T declared

@@ -110,6 +110,11 @@ def test_log_table_is_built_on_first_use_and_bounded():
         for i, label in enumerate(["log2", "log3", "log10007"])]})
     assert log_element(decoy, 6 * 10007).exponents == ((0, 1), (1, 1), (2, 1))
     assert len(decoy._log_table[1]) == 12
+    # the exponent maps kept per basis stop at the table's end: an n past
+    # it is factored again each time and never stored
+    assert log_element(b, 2 * 97).exponents == ((0, 1), (24, 1))
+    assert 2 * 97 not in b._log_maps and 6 * 10007 not in decoy._log_maps
+    assert max(b._log_maps) < len(spf) and max(decoy._log_maps) < len(decoy._log_table[1])
 
 
 def _log_outcome(f, basis, n):
@@ -150,6 +155,33 @@ def _log_bases(draw):
 @settings(max_examples=300, deadline=None)
 def test_log_element_matches_label_lookup_oracle(basis, n):
     assert _log_outcome(log_element, basis, n) == _log_outcome(label_log_element, basis, n)
+
+
+@given(_log_bases(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_log_element_on_one_basis_matches_the_oracle_over_a_sequence(basis, data):
+    # one basis, many n: later n reach the quotient path through the maps
+    # kept for earlier ones, whatever the order, and n past the table do not
+    top = data.draw(st.integers(1, 400))
+    order = data.draw(st.sampled_from(["ascending", "shuffled", "repeats"]))
+    ns = list(range(1, top + 1))
+    if order == "shuffled":
+        ns = data.draw(st.permutations(ns))
+    elif order == "repeats":
+        ns = data.draw(st.lists(st.integers(1, top), max_size=3 * top))
+    past = data.draw(st.lists(st.sampled_from([2 * 10007, 10007**2, 2**40, 3**25, 997 * 4]),
+                              max_size=3))
+    for n in ns + past + ns[:20]:
+        assert _log_outcome(log_element, basis, n) == _log_outcome(label_log_element, basis, n)
+
+
+@pytest.mark.parametrize("limit", [-1, 0, 1, 2, 3, 10, 100, 1500, 10**4])
+def test_log_primes_basis_equals_the_validated_basis(limit):
+    b = log_primes_basis(limit)
+    want = SemigroupBasis(FREE, 1, tuple(Generator(i, (math.log(p),), None, f"log{p}")
+                                         for i, p in enumerate(brute_primes_upto(limit))))
+    assert b == want and hash(b) == hash(want) and b.to_json() == want.to_json()
+    assert all(g == h and hash(g) == hash(h) for g, h in zip(b.generators, want.generators))
 
 
 def test_element_addition():
